@@ -9,6 +9,12 @@ picks one VC per input port, SA2 picks one input port per output port.
 These classes operate on abstract request descriptors so the router stays
 readable; they are deliberately stateful (the arbiters rotate priority
 between cycles) to model fairness the way hardware does.
+
+The router resolves the common small shapes itself (a sole VA
+requester; one or two switch requests without QoS) and leaves the
+arbiters in the state these classes would.  These allocators decide the
+rest: VA among two or more requesters, SA among three or more, and any
+QoS conflict.
 """
 
 from __future__ import annotations
@@ -74,30 +80,6 @@ class VirtualChannelAllocator:
         requests: Sequence[VARequest],
         free: Dict[int, Sequence[bool]],
     ) -> Dict[Tuple[int, int], Tuple[int, int]]:
-        if len(requests) == 1:
-            # Sole requester: stage 1 still arbitrates among the free
-            # output VCs, but stage 2 has exactly one contender, so its
-            # arbiter grant reduces to a pointer rotation.
-            req = requests[0]
-            free_vcs = free.get(req.out_port)
-            if free_vcs is None:
-                return {}
-            if req.allowed_vcs is not None:
-                allowed = set(req.allowed_vcs)
-                lines = [f and v in allowed for v, f in enumerate(free_vcs)]
-            else:
-                lines = list(free_vcs)
-            if not any(lines):
-                return {}
-            choice = self._va1[(req.in_port, req.in_vc)].grant(lines)
-            if choice is None:
-                return {}
-            out_key = (req.out_port, choice)
-            self._va2[out_key].grant_sole(
-                req.in_port * self.num_vcs + req.in_vc
-            )
-            return {(req.in_port, req.in_vc): out_key}
-
         # Stage 1: each input VC picks one candidate output VC among the
         # free VCs of its requested output port.
         candidates: Dict[Tuple[int, int], Tuple[int, int]] = {}
@@ -183,27 +165,6 @@ class SwitchAllocator:
         requests: Sequence[SARequest],
         priorities: Optional[Dict[Tuple[int, int], int]] = None,
     ) -> List[SARequest]:
-        if len(requests) == 1:
-            # Sole requester wins both stages outright (priority filters
-            # are identity on single-element lists); both arbiters would
-            # grant their only asserted line, so just rotate pointers.
-            req = requests[0]
-            self._sa1[req.in_port].grant_sole(req.in_vc)
-            self._sa2[req.out_port].grant_sole(req.in_port)
-            return [req]
-        if len(requests) == 2:
-            # Two requests with disjoint input and output ports never
-            # conflict: each touches its own SA1/SA2 arbiter as the sole
-            # contender, and the general path would emit them in request
-            # order (stage-1 and stage-2 dicts preserve insertion order).
-            a, b = requests
-            if a.in_port != b.in_port and a.out_port != b.out_port:
-                self._sa1[a.in_port].grant_sole(a.in_vc)
-                self._sa1[b.in_port].grant_sole(b.in_vc)
-                self._sa2[a.out_port].grant_sole(a.in_port)
-                self._sa2[b.out_port].grant_sole(b.in_port)
-                return [a, b]
-
         # Stage 1: per input port, pick one requesting VC.
         stage1: Dict[int, SARequest] = {}
         by_in: Dict[int, List[SARequest]] = {}

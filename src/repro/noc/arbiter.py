@@ -44,18 +44,6 @@ class RoundRobinArbiter:
                 return idx
         return None
 
-    def grant_sole(self, idx: int) -> int:
-        """Fast path for a single asserted line: grant *idx* with the
-        exact pointer update :meth:`grant` would make, without scanning.
-
-        The caller asserts ``idx`` is the only requester — with one line
-        asserted the rotating scan always lands on it regardless of the
-        current pointer, so the outcome is bit-identical to the general
-        path.
-        """
-        self._next = (idx + 1) % self.size
-        return idx
-
     def check_sane(self) -> Optional[str]:
         """``None`` when the rotation pointer is in range, else what is
         wrong.  A corrupted pointer silently biases (or, if negative /

@@ -24,7 +24,7 @@ from repro.noc.routing import (
 )
 from repro.noc.scheduling import TimingWheel
 from repro.noc.stats import EventCounts, NetworkStats
-from repro.topology.base import LinkSpec, Topology
+from repro.topology.base import Topology
 
 #: Callback invoked when a packet's tail flit leaves the network.
 DeliveryCallback = Callable[[Packet, int], None]
@@ -250,20 +250,6 @@ class Network:
 
     # -- scheduling hooks used by routers -----------------------------------
 
-    def schedule_arrival(
-        self, link: LinkSpec, vc: int, flit: Flit, cycle: int
-    ) -> None:
-        """Queue *flit* to appear at the link's destination input buffer."""
-        dst_router = self.routers[link.dst]
-        dst_port = dst_router.port_index[link.dst_port]
-        self._arrivals.push(cycle, (link.dst, dst_port, vc, flit))
-
-    def push_arrival(
-        self, node: int, port: int, vc: int, flit: Flit, cycle: int
-    ) -> None:
-        """Pre-resolved variant of :meth:`schedule_arrival` (hot path)."""
-        self._arrivals.push(cycle, (node, port, vc, flit))
-
     def return_credit(self, node: int, in_port: int, vc: int, cycle: int) -> None:
         """Return one credit to the router feeding ``(node, in_port)``."""
         target = self._credit_targets[node][in_port]
@@ -271,9 +257,6 @@ class Network:
             port_name = self.routers[node].port_names[in_port]
             raise RuntimeError(f"no upstream link into node {node} port {port_name}")
         self._credits.push(cycle, (target[0], target[1], vc))
-
-    def schedule_ejection(self, flit: Flit, cycle: int) -> None:
-        self._ejections.push(cycle, flit)
 
     def wake(self, node: int) -> None:
         """Mark *node*'s router as having pipeline work to step.

@@ -20,9 +20,8 @@ flat parallel arrays on the router — ``vc_state`` / ``vc_ready`` /
 ``Network.routers`` list this is a structure-of-arrays keyed by
 ``(node, port, vc)``: :meth:`step` runs tight loops over plain list
 slots instead of chasing attributes through thousands of tiny objects.
-:class:`_InputVC` remains as a read/write *view* of one slot so audits
-(sanitizer), telemetry sampling, and corruption-injection tests keep a
-stable object surface; mutating a view mutates the flat arrays.
+Observers (sanitizer, telemetry sampler, tests) read and perturb those
+same arrays directly, so there is one copy of the pipeline state.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from repro.noc.allocator import (
     VirtualChannelAllocator,
 )
 from repro.noc.buffer import VirtualChannelBuffer
-from repro.noc.packet import Flit
+from repro.noc.packet import Flit, PacketClass
 from repro.noc.routing import RoutingFunction, UnroutableError
 from repro.noc.stats import EventCounts
 from repro.topology.base import LOCAL_PORT, LinkSpec, Topology
@@ -68,58 +67,6 @@ NUM_STALL_CAUSES = 5
 STALL_CAUSE_NAMES = (
     "rc_wait", "va_conflict", "sa_loss", "credit_stall", "serialization"
 )
-
-
-class _InputVC:
-    """View of one (input port, VC) pair's slot in the flat arrays.
-
-    The pipeline state itself lives in the router's ``vc_*`` arrays;
-    reading or writing ``state`` / ``out_port`` / ``out_vc`` /
-    ``ready_cycle`` here goes straight through to those arrays, so audit
-    code and fault-injection tests observe and perturb exactly what the
-    engine executes on.
-    """
-
-    __slots__ = ("_router", "_i", "port", "vc", "buffer")
-
-    def __init__(self, router: "Router", port: int, vc: int) -> None:
-        self._router = router
-        self._i = port * router.num_vcs + vc
-        self.port = port
-        self.vc = vc
-        self.buffer = router.vc_buffers[self._i]
-
-    @property
-    def state(self) -> int:
-        return self._router.vc_state[self._i]
-
-    @state.setter
-    def state(self, value: int) -> None:
-        self._router.vc_state[self._i] = value
-
-    @property
-    def out_port(self) -> int:
-        return self._router.vc_out_port[self._i]
-
-    @out_port.setter
-    def out_port(self, value: int) -> None:
-        self._router.vc_out_port[self._i] = value
-
-    @property
-    def out_vc(self) -> int:
-        return self._router.vc_out_vc[self._i]
-
-    @out_vc.setter
-    def out_vc(self, value: int) -> None:
-        self._router.vc_out_vc[self._i] = value
-
-    @property
-    def ready_cycle(self) -> int:
-        return self._router.vc_ready[self._i]
-
-    @ready_cycle.setter
-    def ready_cycle(self, value: int) -> None:
-        self._router.vc_ready[self._i] = value
 
 
 class Router:
@@ -206,11 +153,6 @@ class Router:
         #: Aliases of ``vc_buffers[i].fifo`` — the engine tests emptiness
         #: and pops through these without touching the buffer objects.
         self.vc_fifos = [buf.fifo for buf in self.vc_buffers]
-        self.in_vcs: List[_InputVC] = [
-            _InputVC(self, p, v)
-            for p in range(self.num_ports)
-            for v in range(num_vcs)
-        ]
         # Output-side state. Local output has effectively infinite credits
         # (the ejection sink always accepts); model with None.
         self.out_links: List[Optional[LinkSpec]] = [None] * self.num_ports
@@ -324,20 +266,9 @@ class Router:
 
     # -- helpers -----------------------------------------------------------
 
-    def _vc(self, port: int, vc: int) -> _InputVC:
-        return self.in_vcs[port * self.num_vcs + vc]
-
-    def _weight(self, flit: Flit) -> float:
-        """Activity weight of *flit* for separable-module energy."""
-        if not self.shutdown_enabled:
-            return 1.0
-        return flit.active_groups / self.layer_groups
-
     @staticmethod
     def _class_vc(flit: Flit) -> int:
         """VC dedicated to this flit's traffic class: 0 ctrl, 1 data."""
-        from repro.noc.packet import PacketClass
-
         return 1 if flit.packet.klass is PacketClass.DATA else 0
 
     def _pick_adaptive_port(self, dst: int) -> int:
@@ -371,8 +302,7 @@ class Router:
     def _failed_channels(self) -> frozenset:
         """Failed-channel set known to the attached injector (context
         for :class:`UnroutableError`; empty when no injector)."""
-        network = self._network
-        injector = getattr(network, "fault_injector", None)
+        injector = self._network.fault_injector
         if injector is None:
             return frozenset()
         return frozenset(injector.failed)
@@ -409,10 +339,6 @@ class Router:
         fifo = self.vc_fifos[self.local_port * self.num_vcs + vc]
         return len(fifo) < self.buffer_depth
 
-    @property
-    def busy(self) -> bool:
-        return bool(self._active)
-
     def is_quiescent(self) -> bool:
         """True when :meth:`step` would be a no-op this cycle and every
         following cycle until a flit arrives.
@@ -446,9 +372,9 @@ class Router:
         ev = self.events
         # Effective active-layer count: with shutdown disabled every
         # layer switches regardless of payload.  k/layer_groups is the
-        # legacy activity weight (_weight() inlined; exactly 1.0 when
-        # k == layer_groups), so the layer histogram and the weighted
-        # float stay mutually consistent bit-for-bit.
+        # activity weight (exactly 1.0 when k == layer_groups), so the
+        # layer histogram and the weighted float stay mutually
+        # consistent bit-for-bit.
         k = flit.active_groups if self.shutdown_enabled else self.layer_groups
         ev.buffer_writes += 1
         ev.buffer_writes_weighted += self._w_table[k]
@@ -545,86 +471,26 @@ class Router:
                     )
                 return
             state = self.vc_state[i]
-            num_vcs = self.num_vcs
-            if state == _ACTIVE:
-                fifo = self.vc_fifos[i]
-                if fifo:
-                    out_port = self.vc_out_port[i]
-                    credits = self.credits[out_port]
-                    if credits is None or credits[self.vc_out_vc[i]] > 0:
-                        in_port = i // num_vcs
-                        self._sa1_arbs[in_port]._next = (
-                            i - in_port * num_vcs + 1
-                        ) % num_vcs
-                        self._sa2_arbs[out_port]._next = (
-                            in_port + 1
-                        ) % self.num_ports
-                        self._traverse_flat(i, in_port, cycle)
-                    elif self._attrib is not None:
-                        self._charge_credit_stall(i, out_port)
-                return
             if state == _RC:
-                fifo = self.vc_fifos[i]
-                if fifo:
-                    flit = fifo[0]
-                    try:
-                        if self._adaptive:
-                            out = self._pick_adaptive_port(flit.packet.dst)
-                        else:
-                            out = self.port_index[
-                                self.routing.output_port(
-                                    self.node, flit.packet.dst
-                                )
-                            ]
-                            dead = self._dead_out
-                            if dead is not None and out in dead:
-                                out = self._drop_route(flit)
-                    except UnroutableError:
-                        out = self._drop_route(flit)
-                    self.vc_out_port[i] = out
-                    self.vc_state[i] = _VA
-                    self.vc_ready[i] = cycle + 1
-                    self._n_rc -= 1
-                    self._n_va += 1
-                    self.events.rc_computations += 1
-                    if self._stage_callbacks:
-                        # Call-site drop filter: a dict probe instead of
-                        # a Python call per event for sampled-out pids.
-                        drop = self._network.trace_drop_filter
-                        if drop is None or drop.get(flit.packet.pid, 1):
-                            for callback in self._stage_callbacks:
-                                callback(cycle, self.node, flit, "rc")
+                self._route(i, cycle)
                 return
             if state == _VA:
-                if self._va_single(i, cycle):
-                    if self.speculative_sa:
-                        # Speculative SA (Fig. 8b): the freshly granted
-                        # VC bids for the crossbar in the same cycle.
-                        fifo = self.vc_fifos[i]
-                        if fifo:
-                            out_port = self.vc_out_port[i]
-                            credits = self.credits[out_port]
-                            if (
-                                credits is None
-                                or credits[self.vc_out_vc[i]] > 0
-                            ):
-                                in_port = i // num_vcs
-                                self._sa1_arbs[in_port]._next = (
-                                    i - in_port * num_vcs + 1
-                                ) % num_vcs
-                                self._sa2_arbs[out_port]._next = (
-                                    in_port + 1
-                                ) % self.num_ports
-                                self._traverse_flat(i, in_port, cycle)
-                            elif self._attrib is not None:
-                                # Failed speculation: the VA grant
-                                # landed but the same-cycle crossbar bid
-                                # starved downstream — the lost cycle is
-                                # a credit stall (Fig. 8b semantics).
-                                self._charge_credit_stall(i, out_port)
-                elif self._attrib is not None:
-                    self._charge_stall(i, STALL_VA_CONFLICT)
-                return
+                if not self._va_single(i, cycle):
+                    if self._attrib is not None:
+                        self._charge_stall(i, STALL_VA_CONFLICT)
+                    return
+                if not self.speculative_sa:
+                    return
+                # Speculative SA (Fig. 8b): the freshly granted VC bids
+                # for the crossbar in the same cycle.  A failed bid is a
+                # credit stall: the VA grant landed but downstream is
+                # full.
+            out_port = self.vc_out_port[i]
+            credits = self.credits[out_port]
+            if credits is None or credits[self.vc_out_vc[i]] > 0:
+                self._sa_win(i, i // self.num_vcs, cycle)
+            elif self._attrib is not None:
+                self._charge_credit_stall(i, out_port)
             return
         order = sorted(active)
         vc_state = self.vc_state
@@ -652,41 +518,9 @@ class Router:
         # --- RC stage --- (skipped when no VC is in the RC state; an
         # empty pass is a no-op, so the skip is bit-identical)
         if self._n_rc:
-            adaptive = self._adaptive
-            routing_output = self.routing.output_port
-            port_index = self.port_index
-            node = self.node
-            ev = self.events
-            callbacks = self._stage_callbacks
             for i in order:
                 if vc_state[i] == _RC and vc_ready[i] <= cycle:
-                    fifo = vc_fifos[i]
-                    if not fifo:
-                        continue
-                    flit = fifo[0]
-                    try:
-                        if adaptive:
-                            out = self._pick_adaptive_port(flit.packet.dst)
-                        else:
-                            out = port_index[
-                                routing_output(node, flit.packet.dst)
-                            ]
-                            dead = self._dead_out
-                            if dead is not None and out in dead:
-                                out = self._drop_route(flit)
-                    except UnroutableError:
-                        out = self._drop_route(flit)
-                    vc_out_port[i] = out
-                    vc_state[i] = _VA
-                    vc_ready[i] = cycle + 1
-                    self._n_rc -= 1
-                    self._n_va += 1
-                    ev.rc_computations += 1
-                    if callbacks:
-                        drop = self._network.trace_drop_filter
-                        if drop is None or drop.get(flit.packet.pid, 1):
-                            for callback in callbacks:
-                                callback(cycle, node, flit, "rc")
+                    self._route(i, cycle)
 
         # --- VA stage ---
         if self._n_va:
@@ -744,101 +578,50 @@ class Router:
                         self._charge_credit_stall(i, vc_out_port[i])
             n_sa = len(sa_units)
             if n_sa == 1:
-                # Sole requester wins both stages outright; both arbiters
-                # would grant their only asserted line, so just rotate
-                # pointers (bit-identical to the allocator fast path).
                 i = sa_units[0]
-                in_port = i // num_vcs
-                self._sa1_arbs[in_port]._next = (i % num_vcs + 1) % num_vcs
-                self._sa2_arbs[vc_out_port[i]]._next = (
-                    in_port + 1
-                ) % self.num_ports
-                self._traverse_flat(i, in_port, cycle)
+                self._sa_win(i, i // num_vcs, cycle)
             elif n_sa == 2:
+                # Two requesters, resolved here with the separable
+                # allocator's exact round-robin outcome.
                 a, b = sa_units
                 a_port, b_port = a // num_vcs, b // num_vcs
-                num_ports = self.num_ports
-                if (
-                    a_port != b_port
-                    and vc_out_port[a] != vc_out_port[b]
-                ):
+                out_a = vc_out_port[a]
+                if a_port != b_port and out_a != vc_out_port[b]:
                     # Disjoint input and output ports never conflict:
                     # each is the sole contender in its SA1/SA2 arbiters.
-                    self._sa1_arbs[a_port]._next = (
-                        a % num_vcs + 1
-                    ) % num_vcs
-                    self._sa1_arbs[b_port]._next = (
-                        b % num_vcs + 1
-                    ) % num_vcs
-                    self._sa2_arbs[vc_out_port[a]]._next = (
-                        a_port + 1
-                    ) % num_ports
-                    self._sa2_arbs[vc_out_port[b]]._next = (
-                        b_port + 1
-                    ) % num_ports
-                    self._traverse_flat(a, a_port, cycle)
-                    self._traverse_flat(b, b_port, cycle)
+                    self._sa_win(a, a_port, cycle)
+                    self._sa_win(b, b_port, cycle)
                 elif self.qos_enabled:
                     # Priority filtering can reshape either arbitration;
                     # keep the allocator's general path authoritative.
                     self._sa_general(sa_units, cycle)
-                elif a_port == b_port:
-                    # Two VCs of one input port: SA1 arbitrates, the
-                    # winner is then sole contender at its output port.
-                    # (Same pointer updates as the allocator's general
-                    # path: SA1 scans from its pointer, SA2 sees one
-                    # asserted line, which is a rotation.)
-                    a_vc, b_vc = a % num_vcs, b % num_vcs
-                    arb = self._sa1_arbs[a_port]
-                    nxt = arb._next
-                    w = a
-                    for offset in range(num_vcs):
-                        v = nxt + offset
-                        if v >= num_vcs:
-                            v -= num_vcs
-                        if v == a_vc:
-                            break
-                        if v == b_vc:
-                            w = b
-                            break
-                    arb._next = (w % num_vcs + 1) % num_vcs
-                    self._sa2_arbs[vc_out_port[w]]._next = (
-                        a_port + 1
-                    ) % num_ports
-                    self._traverse_flat(w, a_port, cycle)
-                    if attrib is not None:
-                        self._charge_stall(
-                            b if w == a else a, STALL_SA_LOSS
-                        )
                 else:
-                    # Two input ports contending for one output port:
-                    # each wins its SA1 (sole request there — pointer
-                    # rotates for winner AND loser, as in the general
-                    # path), then SA2 picks the input port.
-                    self._sa1_arbs[a_port]._next = (
-                        a % num_vcs + 1
-                    ) % num_vcs
-                    self._sa1_arbs[b_port]._next = (
-                        b % num_vcs + 1
-                    ) % num_vcs
-                    arb = self._sa2_arbs[vc_out_port[a]]
-                    nxt = arb._next
-                    w, w_port = a, a_port
-                    for offset in range(num_ports):
-                        p = nxt + offset
-                        if p >= num_ports:
-                            p -= num_ports
-                        if p == a_port:
-                            break
-                        if p == b_port:
-                            w, w_port = b, b_port
-                            break
-                    arb._next = (w_port + 1) % num_ports
-                    self._traverse_flat(w, w_port, cycle)
+                    # A round-robin arbiter grants the requester it
+                    # reaches first counting up from its pointer.
+                    if a_port == b_port:
+                        # Two VCs of one input port: SA1 arbitrates, the
+                        # winner is then sole contender at its output.
+                        nxt = self._sa1_arbs[a_port]._next
+                        if (a - nxt) % num_vcs < (b - nxt) % num_vcs:
+                            winner, loser = a, b
+                        else:
+                            winner, loser = b, a
+                    else:
+                        # Two input ports contending for one output port:
+                        # SA2 picks the input port.  Each requester won
+                        # its own SA1, so the loser's pointer rotates too.
+                        nxt = self._sa2_arbs[out_a]._next
+                        n = self.num_ports
+                        if (a_port - nxt) % n < (b_port - nxt) % n:
+                            winner, loser, l_port = a, b, b_port
+                        else:
+                            winner, loser, l_port = b, a, a_port
+                        self._sa1_arbs[l_port]._next = (
+                            loser - l_port * num_vcs + 1
+                        ) % num_vcs
+                    self._sa_win(winner, winner // num_vcs, cycle)
                     if attrib is not None:
-                        self._charge_stall(
-                            b if w == a else a, STALL_SA_LOSS
-                        )
+                        self._charge_stall(loser, STALL_SA_LOSS)
             elif n_sa:
                 self._sa_general(sa_units, cycle)
 
@@ -846,6 +629,54 @@ class Router:
         # last buffered flit is popped (in ``_traverse_flat``), so every
         # unit in the set has a non-empty FIFO at step entry — the same
         # membership the legacy end-of-cycle prune produced.
+
+    def _route(self, i: int, cycle: int) -> None:
+        """RC stage for flat unit *i*: pick the head flit's output port
+        and move the unit on to VA."""
+        fifo = self.vc_fifos[i]
+        if not fifo:
+            return
+        flit = fifo[0]
+        try:
+            if self._adaptive:
+                out = self._pick_adaptive_port(flit.packet.dst)
+            else:
+                out = self.port_index[
+                    self.routing.output_port(self.node, flit.packet.dst)
+                ]
+                dead = self._dead_out
+                if dead is not None and out in dead:
+                    out = self._drop_route(flit)
+        except UnroutableError:
+            out = self._drop_route(flit)
+        self.vc_out_port[i] = out
+        self.vc_state[i] = _VA
+        self.vc_ready[i] = cycle + 1
+        self._n_rc -= 1
+        self._n_va += 1
+        self.events.rc_computations += 1
+        if self._stage_callbacks:
+            # Call-site drop filter: a dict probe instead of a Python
+            # call per event for sampled-out pids.
+            drop = self._network.trace_drop_filter
+            if drop is None or drop.get(flit.packet.pid, 1):
+                for callback in self._stage_callbacks:
+                    callback(cycle, self.node, flit, "rc")
+
+    def _sa_win(self, i: int, in_port: int, cycle: int) -> None:
+        """Grant flat unit *i* the crossbar as the sole winner of its SA1
+        and SA2 arbitrations and traverse it.
+
+        A round-robin arbiter's pointer moves just past whoever it
+        grants, so both pointer updates are rotations — the same state
+        :class:`SwitchAllocator` leaves behind.
+        """
+        num_vcs = self.num_vcs
+        self._sa1_arbs[in_port]._next = (i - in_port * num_vcs + 1) % num_vcs
+        self._sa2_arbs[self.vc_out_port[i]]._next = (
+            in_port + 1
+        ) % self.num_ports
+        self._traverse_flat(i, in_port, cycle)
 
     def _allowed_vcs(
         self, i: int, out_port: int, vc_fifos
@@ -869,9 +700,10 @@ class Router:
     def _va_single(self, i: int, cycle: int) -> bool:
         """VC allocation for a sole requester, on the flat arrays.
 
-        Stage 1 arbitrates among the free output VCs, stage 2 reduces to
-        a pointer rotation — bit-identical to the allocator's own
-        single-request path.  Returns True when a VC was granted.
+        Stage 1 arbitrates among the free output VCs, stage 2 has one
+        contender and reduces to a pointer rotation — the state
+        :class:`VirtualChannelAllocator` would leave behind.  Returns
+        True when a VC was granted.
         """
         num_vcs = self.num_vcs
         out_port = self.vc_out_port[i]
@@ -896,7 +728,7 @@ class Router:
                 arb._next = (choice + 1) % num_vcs
                 self._va2_arbs[out_port * num_vcs + choice]._next = (
                     i + 1
-                ) % len(self.in_vcs)
+                ) % len(self.vc_state)
                 self._apply_va_grant(i, out_port, choice, cycle)
                 return True
         return False
@@ -1065,9 +897,3 @@ class Router:
                 self._n_rc += 1
         else:
             self.vc_ready[i] = cycle + 1
-
-    def _traverse(self, grant: SARequest, cycle: int) -> None:
-        """Legacy-shaped traversal entry point (kept for harness code)."""
-        self._traverse_flat(
-            grant.in_port * self.num_vcs + grant.in_vc, grant.in_port, cycle
-        )

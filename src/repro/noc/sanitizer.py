@@ -408,77 +408,76 @@ class NetworkSanitizer:
             owned: Dict[Tuple[int, int], Tuple[int, int]] = {}
             state_counts = {_RC: 0, _VA: 0, _ACTIVE: 0}
 
-            for unit in router.in_vcs:
+            for i, state in enumerate(router.vc_state):
                 self.vcs_checked += 1
-                port_name = router.port_names[unit.port]
+                port, vc = divmod(i, num_vcs)
+                out_port, out_vc = router.vc_out_port[i], router.vc_out_vc[i]
+                port_name = router.port_names[port]
 
                 def err(message: str, pid: Optional[int] = None) -> SanityError:
                     return SanityError(
                         "vc-state", message, cycle,
-                        node=node, port=unit.port, port_name=port_name,
-                        vc=unit.vc, pid=pid,
+                        node=node, port=port, port_name=port_name,
+                        vc=vc, pid=pid,
                     )
 
-                flits = unit.buffer.flits()
+                flits = router.vc_buffers[i].flits()
                 if len(flits) > router.buffer_depth:
                     raise err(
                         f"buffer holds {len(flits)} flits "
                         f"(depth {router.buffer_depth})"
                     )
-                if unit.state in state_counts:
-                    state_counts[unit.state] += 1
-                elif unit.state != _IDLE:
-                    raise err(f"unknown VC state {unit.state!r}")
-                if unit.state == _IDLE:
+                if state in state_counts:
+                    state_counts[state] += 1
+                elif state != _IDLE:
+                    raise err(f"unknown VC state {state!r}")
+                if state == _IDLE:
                     if flits:
                         raise err(
                             f"idle VC holds {len(flits)} buffered flits",
                             pid=flits[0].packet.pid,
                         )
-                    if unit.out_port != -1 or unit.out_vc != -1:
+                    if out_port != -1 or out_vc != -1:
                         raise err(
                             "idle VC still points at output "
-                            f"({unit.out_port}, {unit.out_vc}); tail did "
+                            f"({out_port}, {out_vc}); tail did "
                             "not release it"
                         )
                 else:
-                    if unit.state in (_RC, _VA):
+                    if state in (_RC, _VA):
                         if not flits:
                             raise err(
-                                f"VC in {VC_STATE_NAMES[unit.state]} with "
+                                f"VC in {VC_STATE_NAMES[state]} with "
                                 "an empty buffer"
                             )
                         if not flits[0].is_head:
                             raise err(
-                                f"VC in {VC_STATE_NAMES[unit.state]} with "
+                                f"VC in {VC_STATE_NAMES[state]} with "
                                 f"a non-head front flit (seq "
                                 f"{flits[0].seq})",
                                 pid=flits[0].packet.pid,
                             )
-                    if unit.state == _ACTIVE:
-                        if unit.out_port < 0 or unit.out_vc < 0:
+                    if state == _ACTIVE:
+                        if out_port < 0 or out_vc < 0:
                             raise err(
                                 "active VC without an allocated output "
-                                f"({unit.out_port}, {unit.out_vc})"
+                                f"({out_port}, {out_vc})"
                             )
-                        owned[(unit.out_port, unit.out_vc)] = (
-                            unit.port, unit.vc,
-                        )
-                    elif unit.state == _VA and unit.out_port < 0:
+                        owned[(out_port, out_vc)] = (port, vc)
+                    elif state == _VA and out_port < 0:
                         raise err("VC in VA without a computed route")
                     # A buffered flit outside the router's active set
                     # would never be stepped again: stranded forever.
-                    flat = unit.port * num_vcs + unit.vc
-                    if flits and flat not in router._active:
+                    if flits and i not in router._active:
                         raise err(
                             "VC holds flits but is not in the router's "
                             "active set (stranded)",
                             pid=flits[0].packet.pid,
                         )
 
-                self._check_buffer_runs(cycle, router, unit, flits)
+                self._check_buffer_runs(cycle, router, i, flits)
                 for flit in flits:
-                    self._note_flit(present, flit, (node, unit.port, unit.vc))
+                    self._note_flit(present, flit, (node, port, vc))
 
             if router._active and router._network is not None:
                 if (
@@ -526,10 +525,11 @@ class NetworkSanitizer:
                         )
 
     def _check_buffer_runs(
-        self, cycle: int, router, unit, flits: Tuple[Flit, ...]
+        self, cycle: int, router, i: int, flits: Tuple[Flit, ...]
     ) -> None:
-        """Flits in one buffer must form legal head..tail wormhole runs."""
-        port_name = router.port_names[unit.port]
+        """Flits in VC buffer *i* must form legal head..tail wormhole runs."""
+        port, vc = divmod(i, router.num_vcs)
+        port_name = router.port_names[port]
         prev: Optional[Flit] = None
         for flit in flits:
             if prev is None or prev.is_tail:
@@ -538,15 +538,17 @@ class NetworkSanitizer:
                 # the allocation (state ACTIVE).  Any later run, and any
                 # front flit on a non-active VC, must begin with a head.
                 front_of_wormhole = (
-                    prev is None and unit.state == _ACTIVE and flit.seq > 0
+                    prev is None
+                    and router.vc_state[i] == _ACTIVE
+                    and flit.seq > 0
                 )
                 if not flit.is_head and not front_of_wormhole:
                     raise SanityError(
                         "vc-state",
                         f"packet run starts with a non-head flit (seq "
                         f"{flit.seq})",
-                        cycle, node=router.node, port=unit.port,
-                        port_name=port_name, vc=unit.vc,
+                        cycle, node=router.node, port=port,
+                        port_name=port_name, vc=vc,
                         pid=flit.packet.pid,
                     )
             else:
@@ -555,8 +557,8 @@ class NetworkSanitizer:
                         "vc-state",
                         f"packet {flit.packet.pid} interleaved into "
                         f"packet {prev.packet.pid}'s wormhole",
-                        cycle, node=router.node, port=unit.port,
-                        port_name=port_name, vc=unit.vc,
+                        cycle, node=router.node, port=port,
+                        port_name=port_name, vc=vc,
                         pid=flit.packet.pid,
                     )
                 if flit.seq != prev.seq + 1:
@@ -564,8 +566,8 @@ class NetworkSanitizer:
                         "flit-conservation",
                         f"flit sequence gap inside buffer: seq "
                         f"{prev.seq} followed by seq {flit.seq}",
-                        cycle, node=router.node, port=unit.port,
-                        port_name=port_name, vc=unit.vc,
+                        cycle, node=router.node, port=port,
+                        port_name=port_name, vc=vc,
                         pid=flit.packet.pid,
                     )
             prev = flit
@@ -602,10 +604,11 @@ class NetworkSanitizer:
                     )
                 dst, dst_port = target
                 downstream = net.routers[dst]
+                base = dst_port * downstream.num_vcs
                 for vc in range(router.num_vcs):
                     self.credits_checked += 1
                     held = credits[vc]
-                    occupancy = len(downstream._vc(dst_port, vc).buffer)
+                    occupancy = len(downstream.vc_fifos[base + vc])
                     on_wire = arrivals_by_vc.get((dst, dst_port, vc), 0)
                     returning = credits_in_flight.get(
                         (router.node, port, vc), 0
@@ -740,44 +743,46 @@ class NetworkSanitizer:
         net = self.network
         stalled_vcs: List[StalledVC] = []
         for router in net.routers:
-            for unit in router.in_vcs:
-                head = unit.buffer.front()
-                if head is None:
+            for i, fifo in enumerate(router.vc_fifos):
+                if not fifo:
                     continue
+                head = fifo[0]
+                port, vc = divmod(i, router.num_vcs)
+                state = router.vc_state[i]
                 out_port_name: Optional[str] = None
                 out_vc: Optional[int] = None
                 credits: Optional[int] = None
-                if unit.out_port >= 0:
-                    out_port_name = router.port_names[unit.out_port]
-                    per_vc = router.credits[unit.out_port]
-                    if unit.out_vc >= 0:
-                        out_vc = unit.out_vc
+                if router.vc_out_port[i] >= 0:
+                    out_port_name = router.port_names[router.vc_out_port[i]]
+                    per_vc = router.credits[router.vc_out_port[i]]
+                    if router.vc_out_vc[i] >= 0:
+                        out_vc = router.vc_out_vc[i]
                         if per_vc is not None:
-                            credits = per_vc[unit.out_vc]
-                if unit.state == _RC:
+                            credits = per_vc[out_vc]
+                if state == _RC:
                     waiting = "waiting for routing computation"
-                elif unit.state == _VA:
+                elif state == _VA:
                     waiting = (
                         f"waiting for a free VC on out port "
                         f"{out_port_name!r}"
                     )
-                elif unit.state == _ACTIVE and credits == 0:
+                elif state == _ACTIVE and credits == 0:
                     waiting = (
                         f"waiting for credits on out port "
                         f"{out_port_name!r} vc {out_vc}"
                     )
-                elif unit.state == _ACTIVE:
+                elif state == _ACTIVE:
                     waiting = "has credits but never wins/attempts SA"
                 else:
                     waiting = "buffered flits on an idle VC"
                 stalled_vcs.append(
                     StalledVC(
                         node=router.node,
-                        port=unit.port,
-                        port_name=router.port_names[unit.port],
-                        vc=unit.vc,
-                        state=VC_STATE_NAMES.get(unit.state, "?"),
-                        buffered=len(unit.buffer),
+                        port=port,
+                        port_name=router.port_names[port],
+                        vc=vc,
+                        state=VC_STATE_NAMES.get(state, "?"),
+                        buffered=len(fifo),
                         head_pid=head.packet.pid,
                         head_seq=head.seq,
                         head_kind=head.kind.value,

@@ -17,8 +17,17 @@ def _free_all(ports, vcs):
 class TestVirtualChannelAllocator:
     def test_single_request_granted(self):
         va = VirtualChannelAllocator(num_ports=3, num_vcs=2)
-        grants = va.allocate([VARequest(0, 0, 2)], _free_all(3, 2))
-        assert grants == {(0, 0): (2, 0)} or grants == {(0, 0): (2, 1)}
+        grants = va.allocate([VARequest(1, 1, 2)], _free_all(3, 2))
+        assert grants == {(1, 1): (2, 0)} or grants == {(1, 1): (2, 1)}
+        # Both stages rotate just past the sole winner: VA1 past the
+        # granted out VC, VA2 past input VC (1, 1) = line 3 of 6.
+        out_vc = grants[(1, 1)][1]
+        assert {
+            key: arb._next for key, arb in va._va1.items() if arb._next
+        } == {(1, 1): (out_vc + 1) % 2}
+        assert {
+            key: arb._next for key, arb in va._va2.items() if arb._next
+        } == {(2, out_vc): 4}
 
     def test_no_free_vc_no_grant(self):
         va = VirtualChannelAllocator(3, 2)
@@ -77,8 +86,10 @@ class TestVirtualChannelAllocator:
 class TestSwitchAllocator:
     def test_single_request_granted(self):
         sa = SwitchAllocator(3, 2)
-        grants = sa.allocate([SARequest(0, 1, 2)])
-        assert grants == [SARequest(0, 1, 2)]
+        grants = sa.allocate([SARequest(1, 0, 2)])
+        assert grants == [SARequest(1, 0, 2)]
+        assert [arb._next for arb in sa._sa1] == [0, 1, 0]
+        assert [arb._next for arb in sa._sa2] == [0, 0, 2]
 
     def test_one_grant_per_input_port(self):
         sa = SwitchAllocator(3, 2)
@@ -96,6 +107,8 @@ class TestSwitchAllocator:
         assert sorted(
             sa.allocate(requests), key=lambda r: r.in_port
         ) == requests
+        assert [arb._next for arb in sa._sa1] == [1, 1, 0, 0]
+        assert [arb._next for arb in sa._sa2] == [0, 0, 1, 2]
 
     def test_fairness_between_inputs(self):
         sa = SwitchAllocator(2, 1)

@@ -269,9 +269,9 @@ class TestDownstreamInvariants:
         for _ in range(300):
             sim._tick(generate=True)
             for router in network.routers:
-                for unit in router.in_vcs:
-                    if len(unit.buffer.fifo):
-                        victim = unit.buffer.front()
+                for fifo in router.vc_fifos:
+                    if len(fifo):
+                        victim = fifo[0]
                         break
                 if victim is not None:
                     break

@@ -96,10 +96,10 @@ def test_vc_allows_packet_interleave_across_vcs():
 
 def test_router_busy_flag():
     network = Network(Mesh2D(3, 1, pitch_mm=1.0))
-    assert not network.routers[0].busy
+    assert network.routers[0].is_quiescent()
     network.enqueue_packet(ctrl_packet(0, 2, created_cycle=0))
     network.step()
-    assert network.routers[0].busy
+    assert not network.routers[0].is_quiescent()
 
 
 def test_router_occupancy_counts_buffered_flits():

@@ -167,8 +167,7 @@ class TestSeededFaults:
 
         def droppable():
             for router in network.routers:
-                for unit in router.in_vcs:
-                    flits = unit.buffer.flits()
+                for unit, flits in enumerate(router.vc_fifos):
                     # An interior flit flanked by same-packet neighbours:
                     # removing it leaves the seq gap inside this buffer,
                     # so the audit can attribute it exactly.
@@ -186,8 +185,9 @@ class TestSeededFaults:
                 break
         assert found, "traffic never built a 3-flit same-packet run"
         router, unit, index = found
-        victim = unit.buffer.flits()[index]
-        del unit.buffer.fifo[index]
+        victim = router.vc_fifos[unit][index]
+        del router.vc_fifos[unit][index]
+        port, vc = divmod(unit, router.num_vcs)
 
         with pytest.raises(SanityError) as excinfo:
             network.sanitizer.audit(network.cycle)
@@ -196,23 +196,21 @@ class TestSeededFaults:
         assert "gap" in str(err)
         assert err.cycle == network.cycle
         assert err.node == router.node
-        assert err.port == unit.port
-        assert err.port_name == router.port_names[unit.port]
-        assert err.vc == unit.vc
+        assert err.port == port
+        assert err.port_name == router.port_names[port]
+        assert err.vc == vc
         assert err.pid == victim.packet.pid
 
     def test_wedged_vc_produces_watchdog_report(self):
         network, sim = _warmed_network(
             rate=0.2, cycles=250, seed=7, watchdog_window=120
         )
-        wedged = next(
-            unit for router in network.routers for unit in router.in_vcs
-            if len(unit.buffer) > 0
+        router, wedged = next(
+            (router, unit) for router in network.routers
+            for unit, fifo in enumerate(router.vc_fifos) if len(fifo) > 0
         )
-        wedged_node = next(
-            r.node for r in network.routers if wedged in r.in_vcs
-        )
-        wedged.ready_cycle = 10 ** 9  # VC never becomes ready again
+        wedged_node = router.node
+        router.vc_ready[wedged] = 10 ** 9  # VC never becomes ready again
 
         # Stop generating; everything not stuck behind the wedge drains,
         # then deliveries cease and the watchdog window starts counting.
@@ -227,8 +225,7 @@ class TestSeededFaults:
         assert report.flits_in_network > 0
         assert any(
             s.node == wedged_node
-            and s.port == wedged.port
-            and s.vc == wedged.vc
+            and (s.port, s.vc) == divmod(wedged, router.num_vcs)
             for s in report.stalled_vcs
         )
         assert report.flit_hops_in_window == 0

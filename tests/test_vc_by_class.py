@@ -43,10 +43,10 @@ def test_out_vc_assignment_matches_class():
                 for vc, owner in enumerate(owners):
                     if owner is None:
                         continue
-                    unit = router._vc(*owner)
-                    flit = unit.buffer.front()
-                    if flit is not None:
-                        seen[vc].add(flit.packet.klass)
+                    in_port, in_vc = owner
+                    fifo = router.vc_fifos[in_port * router.num_vcs + in_vc]
+                    if fifo:
+                        seen[vc].add(fifo[0].packet.klass)
     assert seen[0] <= {PacketClass.CTRL}
     assert seen[1] <= {PacketClass.DATA}
 
