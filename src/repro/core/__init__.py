@@ -29,7 +29,6 @@ from repro.core.layers import LayerPlan, layer_plan_for
 from repro.core.shutdown import ShortFlitDetector, shutdown_power_factor
 from repro.core.express import average_hops, route_path
 from repro.core.fault import (
-    FaultTolerantExpressRouting,
     UnroutableError,
     build_fault_tolerant_network,
     single_failure_coverage,
@@ -52,7 +51,6 @@ __all__ = [
     "shutdown_power_factor",
     "average_hops",
     "route_path",
-    "FaultTolerantExpressRouting",
     "UnroutableError",
     "build_fault_tolerant_network",
     "single_failure_coverage",

@@ -2,9 +2,10 @@
 
 The paper notes that 3DM's spare link bandwidth can buy an extra physical
 channel per direction and suggests fault tolerance as one use.  This
-module implements that idea: with both a normal and an express channel in
+module quantifies that idea: with both a normal and an express channel in
 every (interior) direction, a failed channel can be bypassed by its
-sibling:
+sibling.  The steering rule itself is
+:class:`~repro.noc.routing.ExpressXYRouting` handed a failed-channel set:
 
 * a failed *express* channel degrades to the normal channel (always
   minimal);
@@ -12,33 +13,32 @@ sibling:
   when the remaining distance covers the span, otherwise a bounded
   overshoot-and-return (one extra hop).
 
-Routing stays deterministic and dimension-ordered; the overshoot turn is
-the only non-minimal step and only occurs adjacent to a failed link, so
-under the single-failure model evaluated here the channel-dependency
-cycle needed for deadlock cannot close (the sims in the tests/benches
-back this empirically).  Edge nodes without an express sibling cannot be
-bypassed; :func:`single_failure_coverage` quantifies exactly how much of
-the failure space the topology tolerates.
+Routing stays deterministic and dimension-ordered.  Deadlock freedom is
+not argued from the shape of the detours: the network's next-port table
+is proved deadlock-free at every rebuild
+(:func:`~repro.noc.table_routing.build_route_table`), for whatever
+failure set it was rebuilt around.  Where several failures make the
+overshoots bounce a packet back and forth, the nodes on that routing
+cycle are unroutable for the destination, so those pairs become counted
+drops instead of a livelock.  Edge nodes without an express sibling
+cannot be bypassed; :func:`single_failure_coverage` quantifies exactly
+how much of the failure space the topology tolerates.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set, Tuple
+from typing import Iterable, Set
 
 from repro.core.arch import ArchitectureConfig
 from repro.noc.network import Network
-from repro.noc.routing import RoutingBase, UnroutableError
-from repro.topology.base import LOCAL_PORT, LinkKind
-from repro.topology.express_mesh import EXPRESS_FOR, ExpressMesh
-from repro.topology.mesh2d import EAST, NORTH, SOUTH, WEST
-
-#: A directed channel identified by (source node, destination node).
-Channel = Tuple[int, int]
+from repro.noc.routing import Channel, UnroutableError, routing_for_topology
+from repro.noc.table_routing import build_route_table, unroutable_pairs
+from repro.topology.base import LinkKind
+from repro.topology.express_mesh import ExpressMesh
 
 __all__ = [
     "Channel",
     "UnroutableError",  # defined in repro.noc.routing; re-exported here
-    "FaultTolerantExpressRouting",
     "both_directions",
     "build_fault_tolerant_network",
     "routable_under",
@@ -51,118 +51,28 @@ def both_directions(src: int, dst: int) -> Set[Channel]:
     return {(src, dst), (dst, src)}
 
 
-class FaultTolerantExpressRouting(RoutingBase):
-    """Express-mesh X-Y routing that steers around failed channels.
-
-    The failure set is mutable so a runtime
-    :class:`~repro.resilience.faults.FaultInjector` can grow it
-    mid-simulation via :meth:`fail_channel`; the routing function reacts
-    from the next RC computation on.
-    """
-
-    def __init__(
-        self, topology: ExpressMesh, failed: Iterable[Channel] = ()
-    ) -> None:
-        self.topology = topology
-        self.failed: Set[Channel] = set(failed)
-        for src, dst in self.failed:
-            # Failed channels must exist, else the failure set is a typo.
-            topology.link_between(src, dst)
-
-    def fail_channel(self, channel: Channel) -> None:
-        """Add one directed channel to the failure set at runtime."""
-        src, dst = channel
-        self.topology.link_between(src, dst)  # must exist
-        self.failed.add((src, dst))
-
-    def restore_channel(self, channel: Channel) -> None:
-        """Remove one directed channel from the failure set."""
-        self.failed.discard(channel)
-
-    # -- helpers -----------------------------------------------------------
-
-    def _alive(self, node: int, port: str) -> bool:
-        link = self.topology.out_ports[node].get(port)
-        return link is not None and (link.src, link.dst) not in self.failed
-
-    def _steer(self, node: int, direction: str, distance: int) -> Optional[str]:
-        """Best surviving channel for *distance* remaining hops in
-        *direction*; None when both channels are dead or absent."""
-        express = EXPRESS_FOR[direction]
-        if distance >= self.topology.span and self._alive(node, express):
-            return express
-        if self._alive(node, direction):
-            return direction
-        if self._alive(node, express):
-            return express  # bounded overshoot past the failure
-        return None
-
-    def output_port(self, node: int, dst: int) -> str:
-        x, y = self.topology.coordinates(node)
-        dx, dy = self.topology.coordinates(dst)
-        if x != dx:
-            direction = EAST if x < dx else WEST
-            port = self._steer(node, direction, abs(dx - x))
-            if port is None:
-                raise UnroutableError(
-                    f"node {node}: no surviving channel towards x={dx}",
-                    node=node,
-                    dst=dst,
-                    failed=frozenset(self.failed),
-                )
-            return port
-        if y != dy:
-            direction = SOUTH if y < dy else NORTH
-            port = self._steer(node, direction, abs(dy - y))
-            if port is None:
-                raise UnroutableError(
-                    f"node {node}: no surviving channel towards y={dy}",
-                    node=node,
-                    dst=dst,
-                    failed=frozenset(self.failed),
-                )
-            return port
-        return LOCAL_PORT
-
-
 def build_fault_tolerant_network(
     config: ArchitectureConfig,
     failed: Iterable[Channel],
     shutdown_enabled: bool = False,
 ) -> Network:
-    """A 3DM-E network whose routing avoids the *failed* channels."""
+    """A 3DM-E network whose table routes around the *failed* channels."""
     if not config.express_span:
         raise ValueError(
             "fault-tolerant routing needs the express topology (3DM-E)"
         )
-    topology = config.build_topology()
-    assert isinstance(topology, ExpressMesh)
-    return Network(
-        topology=topology,
-        num_vcs=config.vcs,
-        buffer_depth=config.buffer_depth,
-        combined_st_lt=config.combined_st_lt,
-        shutdown_enabled=shutdown_enabled,
-        routing=FaultTolerantExpressRouting(topology, failed),
-        speculative_sa=config.speculative_sa,
-        lookahead_rc=config.lookahead_rc,
-    )
+    network = config.build_network(shutdown_enabled=shutdown_enabled)
+    network.reroute(frozenset(failed))
+    return network
 
 
 def routable_under(topology: ExpressMesh, failed: Iterable[Channel]) -> bool:
-    """True when every ordered node pair still has a route."""
-    from repro.core.express import route_path
-
-    routing = FaultTolerantExpressRouting(topology, failed)
-    for src in range(topology.num_nodes):
-        for dst in range(topology.num_nodes):
-            if src == dst:
-                continue
-            try:
-                route_path(topology, src, dst, routing)
-            except (UnroutableError, RuntimeError):
-                return False
-    return True
+    """True when every ordered node pair still has a route in the table
+    rebuilt around *failed*."""
+    rows = build_route_table(
+        topology, routing_for_topology(topology), frozenset(failed)
+    )
+    return not unroutable_pairs(topology, rows)
 
 
 def single_failure_coverage(topology: ExpressMesh) -> float:

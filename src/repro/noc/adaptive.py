@@ -9,16 +9,17 @@ which any minimal productive direction may be chosen adaptively.  The
 west-first turn restriction keeps the channel dependency graph acyclic,
 so wormhole routing stays deadlock-free.
 
-Adaptive functions expose ``candidate_ports``; the router picks the
-candidate with the most downstream credits at RC time (a standard
-congestion proxy).  ``output_port`` returns the first candidate so the
-function still satisfies the deterministic protocol when used without an
-adaptive-aware router.
+Adaptive functions expose ``candidate_ports``; the network's next-port
+table stores the tuple of candidate port indices (minus any onto failed
+channels), and the router picks the one with the most downstream
+credits at RC time (a standard congestion proxy).  ``output_port``
+returns the first candidate so the function still satisfies the
+deterministic protocol (path and hop-count analysis).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set, Tuple
+from typing import List
 
 from repro.noc.routing import RoutingBase
 from repro.topology.base import LOCAL_PORT
@@ -26,50 +27,23 @@ from repro.topology.mesh2d import EAST, Mesh2D, NORTH, SOUTH, WEST
 
 
 class WestFirstAdaptiveRouting(RoutingBase):
-    """West-first minimal adaptive routing on a 2D mesh.
-
-    Optionally fault-aware: channels in :attr:`failed` (grown at runtime
-    via :meth:`fail_channel`, e.g. by a
-    :class:`~repro.resilience.faults.FaultInjector`) are filtered out of
-    the candidate set, so the adaptive selection reroutes around damage
-    wherever a minimal alternative survives.  With no failures the
-    filter costs one falsy-set test per RC and returns identical
-    candidates.
-    """
+    """West-first minimal adaptive routing on a 2D mesh."""
 
     #: Marks this function as adaptive for the router.
     is_adaptive = True
 
-    def __init__(
-        self,
-        topology: Mesh2D,
-        failed: Iterable[Tuple[int, int]] = (),
-    ) -> None:
+    def __init__(self, topology: Mesh2D) -> None:
         if not isinstance(topology, Mesh2D):
             raise TypeError("west-first routing requires a 2D mesh")
         self.topology = topology
-        self.failed: Set[Tuple[int, int]] = set(failed)
-        for src, dst in self.failed:
-            topology.link_between(src, dst)  # must exist
-
-    def fail_channel(self, channel: Tuple[int, int]) -> None:
-        """Add one directed channel to the failure set at runtime."""
-        src, dst = channel
-        self.topology.link_between(src, dst)
-        self.failed.add((src, dst))
-
-    def _alive(self, node: int, port: str) -> bool:
-        link = self.topology.out_ports[node].get(port)
-        return link is not None and (link.src, link.dst) not in self.failed
 
     def candidate_ports(self, node: int, dst: int) -> List[str]:
         """Minimal productive output ports, in preference order.
 
         Westward traffic is restricted to W (the turn model's rule);
-        otherwise every minimal direction is a candidate.  With a
-        non-empty failure set, dead channels are filtered out — possibly
-        leaving no candidate, which the router surfaces as an
-        :class:`~repro.noc.routing.UnroutableError` packet drop.
+        otherwise every minimal direction is a candidate.  The table
+        builder filters out candidates onto failed channels — possibly
+        leaving none, which the router turns into a counted packet drop.
         """
         x, y = self.topology.coordinates(node)
         dx, dy = self.topology.coordinates(dst)
@@ -86,9 +60,7 @@ class WestFirstAdaptiveRouting(RoutingBase):
                 candidates.append(SOUTH)
             elif dy < y:
                 candidates.append(NORTH)
-        if self.failed:
-            candidates = [p for p in candidates if self._alive(node, p)]
         return candidates
 
-    def output_port(self, node: int, dst: int) -> str:
+    def output_port(self, node: int, dst: int, failed=frozenset()) -> str:
         return self.candidate_ports(node, dst)[0]

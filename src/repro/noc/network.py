@@ -10,20 +10,17 @@ integration on top.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set
+from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Set
 
 from repro.core.shutdown import ShortFlitDetector
 from repro.noc.packet import Flit, Packet, PacketClass
 from repro.noc.profiling import NetworkProfiler
 from repro.noc.router import Router
 from repro.noc.sanitizer import DEFAULT_WATCHDOG_WINDOW, NetworkSanitizer
-from repro.noc.routing import (
-    RoutingFunction,
-    UnroutableError,
-    routing_for_topology,
-)
+from repro.noc.routing import Channel, RoutingFunction, routing_for_topology
 from repro.noc.scheduling import TimingWheel
 from repro.noc.stats import EventCounts, NetworkStats
+from repro.noc.table_routing import build_route_table
 from repro.topology.base import Topology
 
 #: Callback invoked when a packet's tail flit leaves the network.
@@ -64,7 +61,9 @@ class Network:
         shutdown_enabled: model the short-flit layer-shutdown technique in
             the activity-weighted event counters.
         routing: routing function override; defaults to the canonical
-            deterministic routing for the topology.
+            deterministic routing for the topology.  Its decisions are
+            tabulated once into :attr:`routes` and proved deadlock-free
+            (:func:`~repro.noc.table_routing.build_route_table`).
         active_scheduling: step only routers with pending work each
             cycle (default).  ``False`` falls back to iterating every
             router — a debug mode kept so results can be diffed against
@@ -151,6 +150,12 @@ class Network:
             )
             for node in topology.iter_nodes()
         ]
+
+        #: One next-port row per router (``routes[node][dst]``), proved
+        #: deadlock-free; :meth:`reroute` rebuilds it in place.
+        self.routes = build_route_table(
+            topology, self.routing, num_vcs=num_vcs
+        )
 
         # Upstream (src node, src out-port) feeding each (node, in-port),
         # resolved once so per-flit credit returns skip the string-keyed
@@ -266,6 +271,19 @@ class Network:
         a step leaves it quiescent."""
         self._active_routers.add(node)
 
+    def reroute(self, failed: FrozenSet[Channel]) -> None:
+        """Rebuild every router's next-port row around the *failed*
+        channels and prove the new table deadlock-free.
+
+        Rows are overwritten in place, so the routers' aliases (their own
+        row and their downstream rows for look-ahead RC) stay valid.
+        """
+        rows = build_route_table(
+            self.topology, self.routing, failed, self.num_vcs
+        )
+        for row, rebuilt in zip(self.routes, rows):
+            row[:] = rebuilt
+
     # -- injection -----------------------------------------------------------
 
     def enqueue_packet(self, packet: Packet) -> None:
@@ -333,16 +351,8 @@ class Network:
                 src.vc = vc
                 packet.injected_cycle = cycle
                 if self.lookahead_rc:
-                    # First-hop route computed at injection (Fig. 8c).
-                    try:
-                        src.flits[0].lookahead_port = (
-                            self.routing.output_port(node, packet.dst)
-                        )
-                        self.events.rc_computations += 1
-                    except UnroutableError:
-                        # Unroutable at injection time: fall back to the
-                        # router's RC stage, which counts the drop.
-                        src.flits[0].lookahead_port = None
+                    # First-hop route looked up at injection (Fig. 8c).
+                    router._look_ahead(src.flits[0], router.routes)
             if router.local_vc_has_space(src.vc):
                 flit = src.flits[src.flit_idx]
                 router.receive_flit(router.local_port, src.vc, flit, cycle)

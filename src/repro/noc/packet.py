@@ -152,9 +152,9 @@ class Flit:
     layer_mask: int = 0
     #: Routers traversed so far; maintained by the network.
     hops: int = 0
-    #: With look-ahead routing (Fig. 8c): output port name at the *next*
-    #: router, computed one hop in advance; None otherwise.
-    lookahead_port: Optional[str] = None
+    #: With look-ahead routing (Fig. 8c): output port index at the
+    #: *next* router, looked up one hop in advance; None otherwise.
+    lookahead_port: Optional[int] = None
     #: Torus dateline state: set per dimension once the packet crosses a
     #: wrap-around channel (forces the escape VC from then on).
     wrapped_x: bool = False

@@ -36,7 +36,7 @@ from repro.noc.allocator import (
 )
 from repro.noc.buffer import VirtualChannelBuffer
 from repro.noc.packet import Flit, PacketClass
-from repro.noc.routing import RoutingFunction, UnroutableError
+from repro.noc.routing import RoutingFunction
 from repro.noc.stats import EventCounts
 from repro.topology.base import LOCAL_PORT, LinkSpec, Topology
 
@@ -119,6 +119,11 @@ class Router:
         #: protocol (RoutingBase supplies defaults), so no getattr
         #: duck-typing probes are needed.
         self._adaptive = routing.is_adaptive
+        if self._adaptive and lookahead_rc:
+            raise ValueError(
+                "look-ahead RC precomputes one port; adaptive routing "
+                "chooses among candidates at RC time"
+            )
         #: Routing functions with a VC discipline (torus datelines,
         #: escape-layer tables) dictate the permissible out VCs per
         #: packet at VA time.
@@ -221,31 +226,36 @@ class Router:
         self._stall_out_counts = None
         self._stall_out_base = 0
         self._stall_layer_counts = None
-        # Fault injection (repro.resilience.faults).  Detached — the
-        # default — this stays None and the RC stage pays one
-        # ``is not None`` test per routed head; the injector installs a
-        # set of dead output-port indices when it kills a link.
-        self._dead_out: Optional[set] = None
+        #: This router's next-port row (``routes[dst]``: output-port
+        #: index, ``-1`` = unroutable, a candidate tuple for adaptive
+        #: routing) — an alias of ``network.routes[node]``, bound in
+        #: :meth:`attach` and rebuilt in place on a link kill.
+        self.routes: list = []
 
     def attach(self, network: "Network") -> None:
         self._network = network
         # Same list object the network mutates: callbacks registered
         # later are seen here without re-attachment.
         self._stage_callbacks = network.stage_callbacks
+        self.routes = network.routes[self.node]
         # Pre-resolve (dst node, dst input port) per output port so the
         # traversal hot path skips the per-flit string port lookups, and
         # the per-link ``EventCounts.count_link`` arguments likewise.
+        # The downstream router's row per output port feeds look-ahead RC.
         self._arrival_targets: List[Optional[Tuple[int, int]]] = []
         self._link_args: List[Optional[Tuple[str, float, Tuple[int, int]]]] = []
+        self._next_routes: List[Optional[list]] = []
         for link in self.out_links:
             if link is None:
                 self._arrival_targets.append(None)
                 self._link_args.append(None)
+                self._next_routes.append(None)
             else:
                 dst_router = network.routers[link.dst]
                 self._arrival_targets.append(
                     (link.dst, dst_router.port_index[link.dst_port])
                 )
+                self._next_routes.append(network.routes[link.dst])
                 self._link_args.append(
                     (link.kind.value, link.length_mm, (link.src, link.dst))
                 )
@@ -271,41 +281,28 @@ class Router:
         """VC dedicated to this flit's traffic class: 0 ctrl, 1 data."""
         return 1 if flit.packet.klass is PacketClass.DATA else 0
 
-    def _pick_adaptive_port(self, dst: int) -> int:
-        """Most-credited candidate port (ties keep preference order).
-
-        With injected faults, candidates leading onto dead channels are
-        skipped — the adaptive reroute path.  No surviving candidate
-        raises :class:`UnroutableError`, which the RC stage converts
-        into a counted packet drop.
-        """
-        dead = self._dead_out
+    def _pick_adaptive_port(self, candidates: Tuple[int, ...]) -> int:
+        """Most-credited candidate port (ties keep preference order);
+        ``-1`` when the table left no candidate (a counted drop)."""
         best_idx = -1
         best_score = -1
-        for name in self.routing.candidate_ports(self.node, dst):
-            idx = self.port_index[name]
-            if dead is not None and idx in dead:
-                continue
+        for idx in candidates:
             credits = self.credits[idx]
             score = (1 << 30) if credits is None else sum(credits)
             if score > best_score:
                 best_idx, best_score = idx, score
-        if best_idx < 0:
-            raise UnroutableError(
-                f"router {self.node}: adaptive routing offered no candidates",
-                node=self.node,
-                dst=dst,
-                failed=self._failed_channels(),
-            )
         return best_idx
 
-    def _failed_channels(self) -> frozenset:
-        """Failed-channel set known to the attached injector (context
-        for :class:`UnroutableError`; empty when no injector)."""
-        injector = self._network.fault_injector
-        if injector is None:
-            return frozenset()
-        return frozenset(injector.failed)
+    def _look_ahead(self, flit: Flit, row: list) -> None:
+        """Look-ahead RC (Fig. 8c): stamp head *flit* with its output
+        port at the router *row* belongs to, counted as one RC.  An
+        unroutable entry leaves the drop to that router's RC stage."""
+        port = row[flit.packet.dst]
+        if port < 0:
+            flit.lookahead_port = None
+        else:
+            flit.lookahead_port = port
+            self.events.rc_computations += 1
 
     def _drop_route(self, flit: Flit) -> int:
         """Mark *flit*'s packet as a fault drop; route it to ejection.
@@ -387,11 +384,11 @@ class Router:
                     f"({port},{vc}); wormhole ordering violated"
                 )
             if self.lookahead_rc and flit.lookahead_port is not None:
-                port_idx = self.port_index[flit.lookahead_port]
-                dead = self._dead_out
-                if dead is not None and port_idx in dead:
-                    # The precomputed route became stale while the flit
-                    # was in flight (the channel died): recompute in RC.
+                port_idx = flit.lookahead_port
+                if port_idx != self.routes[flit.packet.dst]:
+                    # The table was rebuilt while the flit was in flight
+                    # (a link died): the precomputed route is stale, so
+                    # recompute in RC.
                     self.vc_state[i] = _RC
                     self._n_rc += 1
                 else:
@@ -637,17 +634,10 @@ class Router:
         if not fifo:
             return
         flit = fifo[0]
-        try:
-            if self._adaptive:
-                out = self._pick_adaptive_port(flit.packet.dst)
-            else:
-                out = self.port_index[
-                    self.routing.output_port(self.node, flit.packet.dst)
-                ]
-                dead = self._dead_out
-                if dead is not None and out in dead:
-                    out = self._drop_route(flit)
-        except UnroutableError:
+        out = self.routes[flit.packet.dst]
+        if self._adaptive:
+            out = self._pick_adaptive_port(out)
+        if out < 0:
             out = self._drop_route(flit)
         self.vc_out_port[i] = out
         self.vc_state[i] = _VA
@@ -853,17 +843,9 @@ class Router:
                 if self._vc_discipline:
                     self.routing.note_traverse(flit, link)
                 if self.lookahead_rc:
-                    # NRC: compute the route for the *next* router while
+                    # NRC: look up the route for the *next* router while
                     # the flit crosses the switch (off the critical path).
-                    try:
-                        flit.lookahead_port = self.routing.output_port(
-                            link.dst, flit.packet.dst
-                        )
-                        ev.rc_computations += 1
-                    except UnroutableError:
-                        # Unroutable at the next hop: let its RC stage
-                        # make (and account) the drop decision.
-                        flit.lookahead_port = None
+                    self._look_ahead(flit, self._next_routes[out_port])
             kind, length_mm, channel = self._link_args[out_port]
             # count_link(), inlined for the hot path.
             link_flits = ev.link_flits

@@ -9,7 +9,11 @@ Dimension order is preserved across normal and express channels, so the
 channel dependence graph stays acyclic and the routing deadlock-free.
 
 A routing function maps ``(current_node, destination)`` to the *output
-port name* to take; the router resolves the name to a port index.
+port name* to take.  The simulator never asks it per packet: at every
+network build, and again whenever a link dies,
+:func:`~repro.noc.table_routing.build_route_table` asks the rule once
+per ``(node, destination)`` pair, turns the answers into each router's
+next-port row, and proves that table deadlock-free.
 """
 
 from __future__ import annotations
@@ -22,16 +26,19 @@ from repro.topology.mesh2d import EAST, Mesh2D, NORTH, SOUTH, WEST
 from repro.topology.mesh3d import DOWN, Mesh3D, UP
 from repro.topology.torus import Torus2D
 
+#: A directed channel identified by (source node, destination node).
+Channel = Tuple[int, int]
+
 
 class UnroutableError(RuntimeError):
     """No surviving channel makes progress towards the destination.
 
-    Carries enough context for forensics and for the router's drop
-    accounting: the stuck node, the unreachable destination, and the
-    failed-channel set the routing function was avoiding.  Raised by
-    fault-aware routing functions and by the router's own dead-port
-    check; mid-simulation the router converts it into a counted packet
-    drop (``NetworkStats.packets_dropped``) instead of aborting the run.
+    Carries enough context for forensics: the stuck node, the
+    unreachable destination, and the failed-channel set the routing
+    function was avoiding.  Raised by routing rules; the table builder
+    stores the pair as unroutable (``-1``), and a packet that reaches
+    such an entry becomes a counted drop
+    (``NetworkStats.packets_dropped``) instead of aborting the run.
     """
 
     def __init__(
@@ -39,7 +46,7 @@ class UnroutableError(RuntimeError):
         message: str,
         node: Optional[int] = None,
         dst: Optional[int] = None,
-        failed: FrozenSet[Tuple[int, int]] = frozenset(),
+        failed: FrozenSet[Channel] = frozenset(),
     ) -> None:
         super().__init__(message)
         self.node = node
@@ -68,11 +75,16 @@ class RoutingFunction(Protocol):
     #: deadlock-freedom argument needs (checked at router build time).
     required_vcs: int
 
-    def output_port(self, node: int, dst: int) -> str:
+    def output_port(
+        self, node: int, dst: int, failed: FrozenSet[Channel] = frozenset()
+    ) -> str:
         """Port name to take from *node* towards *dst*.
 
         Returns :data:`~repro.topology.base.LOCAL_PORT` when
-        ``node == dst``.
+        ``node == dst``.  *failed* holds the dead directed channels: a
+        rule that can steer around them does (express meshes); the
+        others ignore it, and the table builder turns their entries
+        onto dead channels into drops.
         """
         ...
 
@@ -102,7 +114,7 @@ class RoutingBase:
     has_vc_discipline = False
     required_vcs = 1
 
-    def output_port(self, node: int, dst: int) -> str:
+    def output_port(self, node: int, dst: int, failed=frozenset()) -> str:
         raise NotImplementedError
 
     def allowed_vcs(self, flit, node: int, out_port: str) -> Optional[Tuple[int, ...]]:
@@ -118,7 +130,7 @@ class XYRouting(RoutingBase):
     def __init__(self, topology: Mesh2D) -> None:
         self.topology = topology
 
-    def output_port(self, node: int, dst: int) -> str:
+    def output_port(self, node: int, dst: int, failed=frozenset()) -> str:
         x, y = self.topology.coordinates(node)
         dx, dy = self.topology.coordinates(dst)
         if x < dx:
@@ -138,7 +150,7 @@ class XYZRouting(RoutingBase):
     def __init__(self, topology: Mesh3D) -> None:
         self.topology = topology
 
-    def output_port(self, node: int, dst: int) -> str:
+    def output_port(self, node: int, dst: int, failed=frozenset()) -> str:
         x, y, z = self.topology.coordinates(node)
         dx, dy, dz = self.topology.coordinates(dst)
         if x < dx:
@@ -164,30 +176,46 @@ class ExpressXYRouting(RoutingBase):
     dimension is at least the express span; otherwise the normal channel is
     taken.  Both channel types advance monotonically in strict X-then-Y
     order, preserving deadlock freedom.
+
+    Given failed channels, the rule steers around them through the
+    sibling channel (Sec. 3.3): a dead express channel degrades to the
+    normal one, and a dead normal channel is bypassed by the express
+    one — minimal when the remaining distance covers the span,
+    otherwise a one-hop overshoot that comes back.  With no failures
+    this is exactly the rule above.
     """
 
     def __init__(self, topology: ExpressMesh) -> None:
         self.topology = topology
 
-    def output_port(self, node: int, dst: int) -> str:
+    def output_port(self, node: int, dst: int, failed=frozenset()) -> str:
         x, y = self.topology.coordinates(node)
         dx, dy = self.topology.coordinates(dst)
-        span = self.topology.span
         if x != dx:
-            direction = EAST if x < dx else WEST
-            if abs(dx - x) >= span:
-                express = EXPRESS_FOR[direction]
-                if express in self.topology.out_ports[node]:
-                    return express
+            direction, distance = (EAST if x < dx else WEST), abs(dx - x)
+        elif y != dy:
+            direction, distance = (SOUTH if y < dy else NORTH), abs(dy - y)
+        else:
+            return LOCAL_PORT
+        out = self.topology.out_ports[node]
+
+        def alive(port: str) -> bool:
+            link = out.get(port)
+            return link is not None and (node, link.dst) not in failed
+
+        express = EXPRESS_FOR[direction]
+        if distance >= self.topology.span and alive(express):
+            return express
+        if alive(direction):
             return direction
-        if y != dy:
-            direction = SOUTH if y < dy else NORTH
-            if abs(dy - y) >= span:
-                express = EXPRESS_FOR[direction]
-                if express in self.topology.out_ports[node]:
-                    return express
-            return direction
-        return LOCAL_PORT
+        if alive(express):
+            return express  # bounded overshoot past the failure
+        raise UnroutableError(
+            f"node {node}: no surviving channel towards {dst}",
+            node=node,
+            dst=dst,
+            failed=failed,
+        )
 
 
 class TorusXYRouting(RoutingBase):
@@ -220,7 +248,7 @@ class TorusXYRouting(RoutingBase):
             return 0
         return forward if forward <= backward else -backward
 
-    def output_port(self, node: int, dst: int) -> str:
+    def output_port(self, node: int, dst: int, failed=frozenset()) -> str:
         x, y = self.topology.coordinates(node)
         dx, dy = self.topology.coordinates(dst)
         step_x = self._delta(x, dx, self.topology.width)

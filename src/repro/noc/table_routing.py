@@ -1,11 +1,18 @@
-"""Table-driven, provably deadlock-free routing over arbitrary link graphs.
+"""Next-port tables: the one routing engine every network runs on.
 
-The coordinate-arithmetic routing functions in :mod:`repro.noc.routing`
-assume a regular mesh.  :class:`TableRouting` drops that assumption: it
-precomputes a per-``(node, destination)`` next-hop table from nothing
-but the topology's directed link list, using one of two deadlock-free
-schemes, and *proves* the result deadlock-free at construction time with
-the channel-dependency-graph checker from :mod:`repro.resilience.cdg`.
+:func:`build_route_table` turns any routing rule into one next-port row
+per router — ``rows[node][dst]`` is an output-port index, ``-1`` for
+"unroutable here" — and *proves* the table deadlock-free with the
+channel-dependency-graph checker from :mod:`repro.resilience.cdg`.  A
+:class:`~repro.noc.network.Network` builds its table once at
+construction and rebuilds it (re-running the proof) whenever a link
+dies, so RC on the hot path is a single list index.
+
+The coordinate-arithmetic rules in :mod:`repro.noc.routing` assume a
+regular mesh.  :class:`TableRouting` drops that assumption: it
+precomputes a per-``(node, destination)`` next-hop rule from nothing but
+the topology's directed link list, using one of two deadlock-free
+schemes.
 
 **up*/down* mode** (turn restriction).  A BFS spanning tree rooted at
 the highest-degree node labels every directed channel *up* (towards a
@@ -38,13 +45,21 @@ VC budget covers it, otherwise up*/down* again (routable beats fast).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.noc.routing import RoutingBase, UnroutableError
+from repro.noc.routing import (
+    Channel,
+    RoutingBase,
+    RoutingFunction,
+    UnroutableError,
+)
+from repro.resilience.cdg import (
+    channel_dependency_graph,
+    find_dependency_cycle,
+    port_links,
+    vc_channel_dependency_graph,
+)
 from repro.topology.base import LOCAL_PORT, Topology
-
-#: A directed channel identified by (source node, destination node).
-Channel = Tuple[int, int]
 
 #: Auto mode tolerates this much average stretch from the turn
 #: restriction before reaching for the escape-VC scheme.
@@ -56,12 +71,12 @@ DEFAULT_ESCAPE_VCS = 2
 
 
 class DeadlockError(RuntimeError):
-    """The built routing tables admit a channel-dependency cycle.
+    """A built next-port table admits a channel-dependency cycle.
 
-    Raised at construction time — never mid-simulation — and carries the
-    offending cycle for forensics.  Seeing this means a bug in the table
-    builder (the shipped modes are deadlock-free by construction) or an
-    explicitly requested unsafe mode on an unsuitable fabric.
+    Raised by :func:`build_route_table` — at a network build or at the
+    rebuild after a link kill, never per packet — and carries the
+    offending cycle for forensics.  Seeing this means a routing rule
+    (or a failure set it steers around) that is not deadlock-free.
     """
 
     def __init__(self, message: str, cycle) -> None:
@@ -70,14 +85,13 @@ class DeadlockError(RuntimeError):
 
 
 class TableRouting(RoutingBase):
-    """Precomputed next-hop tables with a deadlock-freedom proof.
+    """Precomputed next-hop rule for arbitrary link graphs.
 
     Args:
         topology: any :class:`~repro.topology.base.Topology`.
         mode: ``"auto"`` (default), ``"updown"``, or ``"escape"``.
         max_stretch: auto mode's tolerated average up*/down* stretch.
         escape_vcs: auto mode's VC budget for the escape scheme.
-        verify: run the CDG acyclicity proof at construction (default).
 
     Attributes:
         mode: the scheme actually in effect — ``"updown"``, ``"escape"``,
@@ -85,7 +99,6 @@ class TableRouting(RoutingBase):
             forbidden turn, so no discipline is attached).
         root: the spanning-tree root node.
         required_vcs: minimum VCs the chosen scheme needs.
-        deadlock_cycle: always ``None`` after a verified construction.
     """
 
     def __init__(
@@ -94,7 +107,6 @@ class TableRouting(RoutingBase):
         mode: str = "auto",
         max_stretch: float = DEFAULT_MAX_STRETCH,
         escape_vcs: int = DEFAULT_ESCAPE_VCS,
-        verify: bool = True,
     ) -> None:
         if mode not in ("auto", "updown", "escape"):
             raise ValueError(f"unknown table-routing mode {mode!r}")
@@ -148,10 +160,6 @@ class TableRouting(RoutingBase):
                 self.has_vc_discipline = True  # instance override
                 self.required_vcs = max_class + 1
         self.mode = chosen
-
-        self.deadlock_cycle = None
-        if verify:
-            self._verify_acyclic()
 
     # -- construction helpers ---------------------------------------------
 
@@ -365,40 +373,9 @@ class TableRouting(RoutingBase):
                 totals[(s, d)] = remaining[(first, d)]
         return totals
 
-    # -- deadlock-freedom proof -------------------------------------------
-
-    def _verify_acyclic(self) -> None:
-        """Assert the CDG induced by the built tables is acyclic.
-
-        Imported lazily: the CDG module transitively imports
-        :mod:`repro.noc.routing`, which constructs this class through
-        the registry fallback.
-        """
-        from repro.resilience.cdg import (
-            channel_dependency_graph,
-            find_dependency_cycle,
-            vc_channel_dependency_graph,
-        )
-
-        if self.has_vc_discipline:
-            graph = vc_channel_dependency_graph(
-                self.topology, self, num_vcs=self.required_vcs
-            )
-        else:
-            graph = channel_dependency_graph(self.topology, self)
-        cycle = find_dependency_cycle(graph)
-        if cycle is not None:
-            raise DeadlockError(
-                f"{type(self).__name__}({self.mode}) built a cyclic "
-                f"channel dependency graph on "
-                f"{type(self.topology).__name__}",
-                cycle,
-            )
-        self.deadlock_cycle = cycle
-
     # -- RoutingFunction protocol -----------------------------------------
 
-    def output_port(self, node: int, dst: int) -> str:
+    def output_port(self, node: int, dst: int, failed=frozenset()) -> str:
         if node == dst:
             return LOCAL_PORT
         port = self._table[dst].get(node)
@@ -440,3 +417,107 @@ class TableRouting(RoutingBase):
             f"required_vcs={self.required_vcs}, routable_pairs={pairs}/"
             f"{topo.num_nodes * (topo.num_nodes - 1)})"
         )
+
+
+# ---------------------------------------------------------------------------
+# The next-port table every network routes from
+# ---------------------------------------------------------------------------
+
+
+def build_route_table(
+    topology: Topology,
+    routing: RoutingFunction,
+    failed: FrozenSet[Channel] = frozenset(),
+    num_vcs: Optional[int] = None,
+) -> List[list]:
+    """Every router's next-port row under *routing*, proved deadlock-free.
+
+    ``rows[node][dst]`` is the index, in ``topology.port_names(node)``
+    order (the router's own port order), of the output port a packet at
+    *node* takes towards *dst*, or ``-1`` when it is unroutable there and
+    drops.  An adaptive rule's entry is the tuple of its candidate
+    indices instead (empty = unroutable).  Three steps:
+
+    1. Ask the rule for every ``(node, dst)`` pair, handing it the
+       *failed* channels so a rule that can steer around them does.  A
+       pair the rule declares unroutable, and an entry (or candidate)
+       onto a failed channel, is dropped.
+    2. For a deterministic rule, mark unroutable the nodes lying *on* a
+       routing cycle for a destination — a packet would circle them
+       forever.  Entries that merely lead into an unroutable node are
+       kept, so the packet drops at that node.
+    3. Prove the channel dependency graph acyclic — over ``(channel,
+       VC)`` units with *num_vcs* VCs (default: the rule's minimum) when
+       the rule has a VC discipline, over every candidate when it is
+       adaptive — or raise :class:`DeadlockError` carrying the cycle.
+    """
+    for src, dst in failed:
+        topology.link_between(src, dst)  # a channel that does not exist is a typo
+    n = topology.num_nodes
+    links = port_links(topology)
+    rows: List[list] = []
+    for node in range(n):
+        index = {name: i for i, name in enumerate(topology.port_names(node))}
+        live = [
+            link is None or (node, link.dst) not in failed
+            for link in links[node]
+        ]
+        row: list = []
+        for dst in range(n):
+            if routing.is_adaptive:
+                candidates = (
+                    index[name] for name in routing.candidate_ports(node, dst)
+                )
+                row.append(tuple(i for i in candidates if live[i]))
+                continue
+            try:
+                port = index[routing.output_port(node, dst, failed)]
+            except UnroutableError:
+                row.append(-1)
+                continue
+            row.append(port if live[port] else -1)
+        rows.append(row)
+
+    if not routing.is_adaptive:
+        for dst in range(n):
+            for start in range(n):
+                walk: List[int] = []
+                node = start
+                while node != dst and rows[node][dst] >= 0 and node not in walk:
+                    walk.append(node)
+                    node = links[node][rows[node][dst]].dst
+                if node in walk:  # the route came back: a routing cycle
+                    for looped in walk[walk.index(node):]:
+                        rows[looped][dst] = -1
+
+    if routing.has_vc_discipline:
+        graph = vc_channel_dependency_graph(
+            topology, rows, routing, num_vcs or routing.required_vcs
+        )
+    else:
+        graph = channel_dependency_graph(topology, rows)
+    cycle = find_dependency_cycle(graph)
+    if cycle is not None:
+        raise DeadlockError(
+            f"{type(routing).__name__} on {type(topology).__name__} has a "
+            f"cyclic channel dependency graph",
+            cycle,
+        )
+    return rows
+
+
+def unroutable_pairs(
+    topology: Topology, rows: Sequence[Sequence[int]]
+) -> List[Channel]:
+    """Ordered ``(src, dst)`` pairs whose packet drops on the way under
+    the deterministic table *rows* (from :func:`build_route_table`)."""
+    links = port_links(topology)
+    pairs: List[Channel] = []
+    for src in range(topology.num_nodes):
+        for dst in range(topology.num_nodes):
+            node = src
+            while node != dst and rows[node][dst] >= 0:
+                node = links[node][rows[node][dst]].dst
+            if node != dst:
+                pairs.append((src, dst))
+    return pairs

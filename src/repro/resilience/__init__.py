@@ -7,15 +7,15 @@ scenarios for the simulator:
 * :mod:`repro.resilience.faults` — a :class:`FaultInjector` that kills
   links/TSVs and sticks VCs mid-simulation (at a scheduled cycle or
   chosen stochastically from a seeded RNG), propagating into the router
-  core as credit-starved ports and into the routing functions for
-  fault-aware reroute.
+  core as credit-starved ports and into the network's next-port table,
+  which is rebuilt around the failed channels.
 * :mod:`repro.resilience.variation` — a :class:`VariationModel` that
   samples per-tier/per-node delay and leakage multipliers (seeded,
   PYTHONHASHSEED-stable) so latency, power, and thermal numbers become
   distributions across variation seeds instead of point estimates.
 * :mod:`repro.resilience.cdg` — channel-dependency-graph construction
-  and cycle detection, backing the proof-by-enumeration deadlock-freedom
-  tests for the fault-tolerant routing.
+  and cycle detection, the deadlock-freedom proof every next-port table
+  passes at each build and rebuild.
 
 Both runtime hooks follow the repo's optional-attachment contract: one
 is-None check per cycle when detached, bit-identical results when

@@ -3,73 +3,85 @@
 Dally & Seitz: a wormhole network is deadlock-free iff its channel
 dependency graph (CDG) — nodes are directed channels, edges connect
 consecutive channels some packet may hold simultaneously — is acyclic.
-The resilience tests use this to *prove* (by enumeration, not
-simulation) that the fault-tolerant routing stays deadlock-free under
-every tolerable single-channel failure: enumerate all routes the
-(possibly damaged) routing function produces, build the CDG, and check
-for cycles.
+:func:`~repro.noc.table_routing.build_route_table` builds the CDG of
+every next-port table it produces (at each network build and at each
+rebuild after a link kill) and refuses a cyclic one, so deadlock
+freedom is proved for the exact table — and failure set — a network
+runs, not argued or sampled by simulation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.express import route_path
 from repro.noc.packet import Packet
-from repro.noc.routing import UnroutableError
-from repro.topology.base import LOCAL_PORT, Topology
-
-#: A directed channel identified by (source node, destination node).
-Channel = Tuple[int, int]
+from repro.noc.routing import Channel
+from repro.topology.base import LinkSpec, Topology
 
 #: A CDG node for VC-disciplined routing: (channel, virtual channel).
 VCChannel = Tuple[Channel, int]
 
 
-def channel_dependency_graph(
-    topology: Topology, routing=None
-) -> Dict[Channel, Set[Channel]]:
-    """CDG induced by *routing* over every ordered node pair.
+def port_links(topology: Topology) -> List[List[Optional[LinkSpec]]]:
+    """Per node, the link leaving through each port index (the order of
+    ``topology.port_names(node)``, which is the router's port order);
+    ``None`` for the local port and input-only ports."""
+    return [
+        [topology.out_ports[node].get(name) for name in topology.port_names(node)]
+        for node in range(topology.num_nodes)
+    ]
 
-    Routes every (src, dst) pair; each consecutive channel pair along a
-    path adds one dependency edge.  Pairs the routing function declares
-    unroutable (:class:`~repro.noc.routing.UnroutableError`) are skipped
-    — they surface as counted drops in simulation and contribute no
-    dependencies.  Channels used by no route do not appear as keys.
+
+def _hops(links: Sequence[Optional[LinkSpec]], entry) -> List[LinkSpec]:
+    """Links a table entry may take: none for ``-1`` or the local port,
+    every candidate of an adaptive entry's tuple."""
+    entries = entry if isinstance(entry, tuple) else (entry,)
+    return [links[e] for e in entries if e >= 0 and links[e] is not None]
+
+
+def channel_dependency_graph(
+    topology: Topology, rows: Sequence[Sequence]
+) -> Dict[Channel, Set[Channel]]:
+    """CDG of the next-port table *rows* (``rows[node][dst]``).
+
+    Every channel an entry takes towards ``dst`` depends on every
+    channel the next router's entry for the same ``dst`` may take —
+    each candidate, for adaptive entries.  That is the union of the
+    consecutive channel pairs of every route, including the prefix a
+    packet holds before it reaches an unroutable entry and drops.
+    Channels no entry takes do not appear as keys.
     """
+    links = port_links(topology)
     graph: Dict[Channel, Set[Channel]] = {}
-    for src in range(topology.num_nodes):
-        for dst in range(topology.num_nodes):
-            if src == dst:
-                continue
-            try:
-                path = route_path(topology, src, dst, routing)
-            except UnroutableError:
-                continue
-            channels = list(zip(path, path[1:]))
-            for held, wanted in zip(channels, channels[1:]):
-                graph.setdefault(held, set()).add(wanted)
-            for channel in channels:
-                graph.setdefault(channel, set())
+    for node, row in enumerate(rows):
+        for dst, entry in enumerate(row):
+            for link in _hops(links[node], entry):
+                wanted = graph.setdefault((node, link.dst), set())
+                nxt = link.dst
+                if nxt != dst:
+                    for onward in _hops(links[nxt], rows[nxt][dst]):
+                        wanted.add((nxt, onward.dst))
     return graph
 
 
 def vc_channel_dependency_graph(
-    topology: Topology, routing, num_vcs: int
+    topology: Topology, rows: Sequence[Sequence[int]], routing, num_vcs: int
 ) -> Dict[VCChannel, Set[VCChannel]]:
-    """Layered CDG for routing functions with a VC discipline.
+    """Layered CDG of a deterministic table under *routing*'s VC
+    discipline.
 
     For schemes like torus datelines or escape-layer table routing the
     *physical* channel graph is cyclic by design; deadlock freedom comes
     from splitting each channel into per-VC resources.  This builds the
-    CDG over ``(channel, vc)`` nodes: every ordered pair is routed with
-    a probe flit, the discipline's :meth:`allowed_vcs` gives the VC set
-    the packet may hold on each channel (``None`` = all ``num_vcs``),
-    and :meth:`note_traverse` advances any per-flit discipline state
-    (e.g. dateline crossings) exactly as the router would.  Acyclicity
-    of this graph is the Dally & Seitz condition for the disciplined
-    network.
+    CDG over ``(channel, vc)`` nodes: every ordered pair walks the table
+    with a probe flit, the discipline's :meth:`allowed_vcs` gives the VC
+    set the packet may hold on each channel (``None`` = all
+    ``num_vcs``), and :meth:`note_traverse` advances any per-flit
+    discipline state (e.g. dateline crossings) exactly as the router
+    would.  Acyclicity of this graph is the Dally & Seitz condition for
+    the disciplined network.
     """
+    links = port_links(topology)
     graph: Dict[VCChannel, Set[VCChannel]] = {}
     for src in range(topology.num_nodes):
         for dst in range(topology.num_nodes):
@@ -80,18 +92,12 @@ def vc_channel_dependency_graph(
             flit = Packet(src=src, dst=dst, size_flits=1).make_flits()[0]
             node = src
             held: Optional[List[VCChannel]] = None
-            hops = 0
             while node != dst:
-                try:
-                    port = routing.output_port(node, dst)
-                except UnroutableError:
+                entry = rows[node][dst]
+                link = links[node][entry] if entry >= 0 else None
+                if link is None:
                     break  # counted drop in simulation; no dependency
-                if port == LOCAL_PORT:
-                    raise RuntimeError(
-                        f"routing stalled at node {node} before {dst}"
-                    )
-                link = topology.out_ports[node][port]
-                vcs = routing.allowed_vcs(flit, node, port)
+                vcs = routing.allowed_vcs(flit, node, link.src_port)
                 if vcs is None:
                     vcs = range(num_vcs)
                 wanted = [((node, link.dst), vc) for vc in vcs]
@@ -103,11 +109,6 @@ def vc_channel_dependency_graph(
                 routing.note_traverse(flit, link)
                 held = wanted
                 node = link.dst
-                hops += 1
-                if hops > topology.num_nodes:
-                    raise RuntimeError(
-                        f"routing livelock from {src} to {dst}"
-                    )
     return graph
 
 

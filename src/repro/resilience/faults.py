@@ -20,12 +20,13 @@ Two link-failure modes:
   over the still-functional wire.  Used when the experiment wants
   reroute behaviour without wedged traffic.
 
-In both modes the channel is added to the fault-aware routing function's
-failure set (swapping in a
-:class:`~repro.core.fault.FaultTolerantExpressRouting` on express meshes
-whose routing is not already fault-aware) and to the source router's
-``_dead_out`` set, which turns any residual route onto the dead port
-into a counted packet drop instead of a protocol violation.
+In both modes the channel joins the injector's failed set — the only
+copy of it — and the network rebuilds its next-port table around that
+set (:meth:`~repro.noc.network.Network.reroute`), re-proving it
+deadlock-free.  Express meshes steer around the damage through the
+sibling channels (Sec. 3.3); any route still onto a dead channel, or
+caught in a routing cycle, becomes a counted packet drop instead of a
+protocol violation or a livelock.
 
 Detached cost is one ``is None`` check per
 :meth:`~repro.noc.network.Network.step`; a fault-free attached injector
@@ -185,32 +186,7 @@ class FaultInjector:
             raise RuntimeError("network already has a fault injector")
         self.network = network
         network.fault_injector = self
-        if self.plan.links:
-            self._enable_fault_aware_routing(network)
         return self
-
-    @staticmethod
-    def _enable_fault_aware_routing(network: "Network") -> None:
-        """Swap in fault-aware routing where the topology supports it.
-
-        Routing functions that already expose ``fail_channel`` (the
-        fault-tolerant express routing, west-first adaptive) are kept.
-        On an express mesh with plain X-Y routing, the drop-in
-        fault-tolerant equivalent replaces it (identical decisions while
-        the failure set is empty).  Other topologies keep their routing
-        and rely on the router's dead-port drop fallback.
-        """
-        if hasattr(network.routing, "fail_channel"):
-            return
-        from repro.topology.express_mesh import ExpressMesh
-
-        if isinstance(network.topology, ExpressMesh):
-            from repro.core.fault import FaultTolerantExpressRouting
-
-            routing = FaultTolerantExpressRouting(network.topology, ())
-            network.routing = routing
-            for router in network.routers:
-                router.routing = routing
 
     # -- per-cycle hook ------------------------------------------------------
 
@@ -243,15 +219,10 @@ class FaultInjector:
             return
         self.failed.add((src, dst))
         self.links_killed += 1
-        router = network.routers[src]
-        port = router.port_index[link.src_port]
-        if router._dead_out is None:
-            router._dead_out = set()
-        router._dead_out.add(port)
-        routing = network.routing
-        if hasattr(routing, "fail_channel"):
-            routing.fail_channel((src, dst))
+        network.reroute(frozenset(self.failed))
         if self.plan.mode == "hard":
+            router = network.routers[src]
+            port = router.port_index[link.src_port]
             # Credit-starve the dead output: confiscate held credits and
             # mark the port so in-flight returns are intercepted.
             per_vc = router.credits[port]

@@ -3,9 +3,9 @@
 For every directed channel of a small express mesh, fail exactly that
 channel and
 
-1. build the channel dependency graph the fault-tolerant routing
-   induces over *all* ordered node pairs and prove it acyclic (Dally &
-   Seitz: acyclic CDG <=> deadlock-free wormhole routing), and
+1. rebuild the next-port table around it and check the channel
+   dependency graph of that table acyclic (Dally & Seitz: acyclic CDG
+   <=> deadlock-free wormhole routing; the builder proves the same), and
 2. simulate one packet per still-routable pair with the sanitizer
    auditing every cycle and the deadlock watchdog armed: every routable
    pair must deliver, nothing may drop, no watchdog report may fire.
@@ -17,16 +17,12 @@ enumerated topology (routing-level proof on a larger mesh too).
 
 import pytest
 
-from repro.core.express import route_path
-from repro.core.fault import (
-    FaultTolerantExpressRouting,
-    routable_under,
-    single_failure_coverage,
-)
+from repro.core.fault import routable_under, single_failure_coverage
 from repro.noc.network import Network
 from repro.noc.packet import ctrl_packet
-from repro.noc.routing import UnroutableError
+from repro.noc.routing import ExpressXYRouting
 from repro.noc.sanitizer import NetworkSanitizer
+from repro.noc.table_routing import build_route_table, unroutable_pairs
 from repro.resilience.cdg import channel_dependency_graph, find_dependency_cycle
 from repro.topology.base import LinkKind
 from repro.topology.express_mesh import ExpressMesh
@@ -53,20 +49,20 @@ MESH = _mesh()
 CHANNELS = _failable_channels(MESH)
 
 
-def _routable_pairs(mesh, routing):
-    """Ordered pairs the damaged routing can still route, plus the set
-    it declares unroutable."""
-    routable, unroutable = [], []
-    for src in range(mesh.num_nodes):
-        for dst in range(mesh.num_nodes):
-            if src == dst:
-                continue
-            try:
-                route_path(mesh, src, dst, routing)
-            except UnroutableError:
-                unroutable.append((src, dst))
-            else:
-                routable.append((src, dst))
+def _table(mesh, failed=()):
+    return build_route_table(mesh, ExpressXYRouting(mesh), frozenset(failed))
+
+
+def _routable_pairs(mesh, rows):
+    """Ordered pairs the damaged table can still route, plus the set
+    it drops."""
+    unroutable = unroutable_pairs(mesh, rows)
+    routable = [
+        (src, dst)
+        for src in range(mesh.num_nodes)
+        for dst in range(mesh.num_nodes)
+        if src != dst and (src, dst) not in unroutable
+    ]
     return routable, unroutable
 
 
@@ -81,15 +77,14 @@ def test_enumeration_space_is_nontrivial():
 
 
 def test_fault_free_cdg_is_acyclic():
-    graph = channel_dependency_graph(MESH, FaultTolerantExpressRouting(MESH))
+    graph = channel_dependency_graph(MESH, _table(MESH))
     assert find_dependency_cycle(graph) is None
 
 
 @pytest.mark.parametrize("channel", CHANNELS, ids=lambda ch: f"{ch[0]}-{ch[1]}")
 def test_single_failure_cdg_stays_acyclic(channel):
     """No single-channel failure can close a dependency cycle."""
-    routing = FaultTolerantExpressRouting(MESH, [channel])
-    graph = channel_dependency_graph(MESH, routing)
+    graph = channel_dependency_graph(MESH, _table(MESH, [channel]))
     cycle = find_dependency_cycle(graph)
     assert cycle is None, (
         f"failing channel {channel} closes the CDG cycle {cycle}"
@@ -102,13 +97,13 @@ def test_single_failure_cdg_stays_acyclic(channel):
 def test_single_failure_every_routable_pair_delivers(channel):
     """One packet per routable pair, sanitized every cycle: all arrive."""
     mesh = _mesh()
-    routing = FaultTolerantExpressRouting(mesh, [channel])
-    routable, unroutable = _routable_pairs(mesh, routing)
+    routable, unroutable = _routable_pairs(mesh, _table(mesh, [channel]))
     assert routable, "a single failure can never disconnect everything"
     # routable_under agrees with the pairwise enumeration.
     assert routable_under(mesh, [channel]) == (not unroutable)
 
-    network = Network(mesh, routing=routing)
+    network = Network(mesh)
+    network.reroute(frozenset([channel]))
     network.sanitizer = NetworkSanitizer(network, watchdog_window=200)
     for src, dst in routable:
         network.enqueue_packet(ctrl_packet(src, dst, created_cycle=0))
@@ -150,6 +145,5 @@ def test_larger_mesh_cdg_enumeration():
     simulated proof runs on the 3x3)."""
     mesh = ExpressMesh(4, 4, pitch_mm=1.0, span=2)
     for channel in _failable_channels(mesh):
-        routing = FaultTolerantExpressRouting(mesh, [channel])
-        graph = channel_dependency_graph(mesh, routing)
+        graph = channel_dependency_graph(mesh, _table(mesh, [channel]))
         assert find_dependency_cycle(graph) is None, channel

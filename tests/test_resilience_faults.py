@@ -89,21 +89,27 @@ class TestAttach:
             FaultInjector(FaultPlan()).attach(network)
 
     def test_express_mesh_gets_fault_aware_routing(self):
-        from repro.core.fault import FaultTolerantExpressRouting
-
+        """A kill on an express mesh rebuilds every router's row with
+        the Sec. 3.3 steering: 0 -> 1 overshoots over the express
+        sibling instead of dropping."""
         network = make_3dme().build_network()
+        router = network.routers[0]
+        assert router.routes[1] == router.port_index["E"]
         plan = FaultPlan(links=(LinkFault(0, 0, 1),), mode="drain")
         FaultInjector(plan).attach(network)
-        assert isinstance(network.routing, FaultTolerantExpressRouting)
-        for router in network.routers:
-            assert router.routing is network.routing
+        network.step()
+        assert router.routes[1] == router.port_index["EE"]
+        for node, r in enumerate(network.routers):
+            assert r.routes is network.routes[node]
 
     def test_empty_plan_keeps_plain_routing(self):
         from repro.noc.routing import ExpressXYRouting
 
         network = make_3dme().build_network()
         FaultInjector(FaultPlan()).attach(network)
+        network.step()
         assert isinstance(network.routing, ExpressXYRouting)
+        assert network.routes == make_3dme().build_network().routes
 
 
 class TestLinkKill:
@@ -115,12 +121,14 @@ class TestLinkKill:
         injector = FaultInjector(plan).attach(network)
         for _ in range(5):
             network.step()
+        router = network.routers[link.src]
         assert injector.failed == set()
+        assert router.routes[link.dst] == router.port_index[link.src_port]
         network.step()  # cycle 5 processes the event
         assert injector.failed == {(link.src, link.dst)}
         assert injector.links_killed == 1
-        router = network.routers[link.src]
-        assert router.port_index[link.src_port] in router._dead_out
+        # X-Y cannot steer: the route onto the dead channel is a drop.
+        assert router.routes[link.dst] == -1
 
     def test_hard_mode_confiscates_held_credits(self):
         network = make_2db().build_network()
@@ -200,7 +208,8 @@ class TestStuckVC:
 
 class TestUnroutableContext:
     def test_error_carries_node_dst_and_failure_set(self):
-        from repro.core.fault import FaultTolerantExpressRouting
+        from repro.noc.routing import ExpressXYRouting
+        from repro.noc.table_routing import build_route_table
         from repro.topology.express_mesh import ExpressMesh
 
         mesh = ExpressMesh(4, 4, pitch_mm=1.0, span=2)
@@ -211,14 +220,17 @@ class TestUnroutableContext:
             for port, link in mesh.out_ports[corner].items()
             if port in ("E", "EE")
         ]
-        routing = FaultTolerantExpressRouting(mesh, dead)
+        routing = ExpressXYRouting(mesh)
         dst = mesh.node_at((3, 0))
         with pytest.raises(UnroutableError) as excinfo:
-            routing.output_port(corner, dst)
+            routing.output_port(corner, dst, frozenset(dead))
         err = excinfo.value
         assert err.node == corner
         assert err.dst == dst
         assert err.failed == frozenset(dead)
+        # The table builder stores the pair as unroutable.
+        rows = build_route_table(mesh, routing, frozenset(dead))
+        assert rows[corner][dst] == -1
 
 
 class TestGracefulDrops:

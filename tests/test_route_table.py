@@ -1,0 +1,162 @@
+"""The next-port table every network routes from.
+
+:func:`build_route_table` tabulates a routing rule, cuts routing cycles
+and proves the channel dependency graph acyclic.  These tests pin that
+
+* a table built from a rule *is* that rule (every entry, on the paper's
+  configurations and on every substrate fabric),
+* the proof accepts west-first's candidate sets and refuses cyclic rules
+  with the offending cycle, and
+* a failure set whose steering would bounce packets between two nodes
+  forever turns those pairs into counted drops, and a look-ahead route
+  stamped before such a rebuild is recomputed.
+"""
+
+import pytest
+
+from repro.core.arch import make_3dme, standard_configs
+from repro.noc.adaptive import WestFirstAdaptiveRouting
+from repro.noc.network import Network
+from repro.noc.packet import ctrl_packet
+from repro.noc.router import VC_STATE_NAMES
+from repro.noc.routing import UnroutableError, routing_for_topology
+from repro.noc.simulator import Simulator
+from repro.noc.table_routing import (
+    DeadlockError,
+    build_route_table,
+    unroutable_pairs,
+)
+from repro.resilience.faults import FaultPlan
+from repro.topology.mesh2d import EAST, Mesh2D, NORTH, SOUTH, WEST
+from repro.traffic.base import ScheduledTraffic
+from tests.test_topology_substrate import FABRICS
+
+
+def _assert_table_is_rule(topology, routing, rows):
+    for node in range(topology.num_nodes):
+        index = {name: i for i, name in enumerate(topology.port_names(node))}
+        for dst in range(topology.num_nodes):
+            try:
+                expected = index[routing.output_port(node, dst)]
+            except UnroutableError:
+                expected = -1
+            assert rows[node][dst] == expected, (node, dst)
+
+
+class TestTableIsTheRule:
+    @pytest.mark.parametrize(
+        "config", standard_configs(), ids=lambda c: c.name
+    )
+    def test_standard_configs(self, config):
+        network = config.build_network()
+        _assert_table_is_rule(network.topology, network.routing, network.routes)
+        for node, router in enumerate(network.routers):
+            assert router.routes is network.routes[node]
+
+    @pytest.mark.parametrize(
+        "build", [b for _, b in FABRICS], ids=[n for n, _ in FABRICS]
+    )
+    def test_every_fabric(self, build):
+        network = Network(build())
+        _assert_table_is_rule(network.topology, network.routing, network.routes)
+
+
+class TestProof:
+    def test_adaptive_proof_accepts_west_first(self):
+        mesh = Mesh2D(4, 4, pitch_mm=1.0)
+        rows = build_route_table(mesh, WestFirstAdaptiveRouting(mesh))
+        index = {name: i for i, name in enumerate(mesh.port_names(5))}
+        # Towards the south-east corner both minimal ports are offered.
+        assert set(rows[5][15]) == {index[EAST], index[SOUTH]}
+
+    def test_look_ahead_needs_a_deterministic_rule(self):
+        mesh = Mesh2D(3, 3, pitch_mm=1.0)
+        with pytest.raises(ValueError):
+            Network(
+                mesh, routing=WestFirstAdaptiveRouting(mesh), lookahead_rc=True
+            )
+
+    def test_adaptive_proof_covers_every_candidate(self):
+        """Fully adaptive minimal routing allows all four turns of a
+        mesh square, so its candidate sets close a dependency cycle."""
+
+        class FullyAdaptive(WestFirstAdaptiveRouting):
+            def candidate_ports(self, node, dst):
+                x, y = self.topology.coordinates(node)
+                dx, dy = self.topology.coordinates(dst)
+                ports = []
+                if dx != x:
+                    ports.append(EAST if dx > x else WEST)
+                if dy != y:
+                    ports.append(SOUTH if dy > y else NORTH)
+                return ports or ["L"]
+
+        mesh = Mesh2D(3, 3, pitch_mm=1.0)
+        with pytest.raises(DeadlockError) as err:
+            build_route_table(mesh, FullyAdaptive(mesh))
+        assert err.value.cycle[0] == err.value.cycle[-1]
+
+
+#: On 3DM-E this seeded plan kills (3,9), (15,9) and (22,21).  Node 3's
+#: overshoot for node 9 lands on 15, whose overshoot lands back on 3.
+LIVELOCK_SEED = 29
+LIVELOCK_PAIRS = sorted(
+    (src, 9) for src in (*range(0, 6), *range(12, 18), *range(24, 30))
+)
+
+
+class TestLivelockBecomesDrops:
+    def _plan(self, topology):
+        return FaultPlan.random_links(
+            topology, 3, seed=LIVELOCK_SEED, mode="drain"
+        )
+
+    def test_pairs_are_unroutable_in_the_table(self):
+        topology = make_3dme().build_topology()
+        plan = self._plan(topology)
+        failed = frozenset((f.src, f.dst) for f in plan.links)
+        assert failed == {(3, 9), (15, 9), (22, 21)}
+        rows = build_route_table(
+            topology, routing_for_topology(topology), failed
+        )
+        assert rows[3][9] == rows[15][9] == -1
+        assert sorted(unroutable_pairs(topology, rows)) == LIVELOCK_PAIRS
+
+    def test_packet_drops_instead_of_circling(self):
+        config = make_3dme()
+        network = config.build_network()
+        sim = Simulator(
+            network,
+            ScheduledTraffic([ctrl_packet(0, 9, created_cycle=0)]),
+            warmup_cycles=0,
+            measure_cycles=10,
+            drain_cycles=3000,
+            sanitize=True,
+            faults=self._plan(network.topology),
+        )
+        sim.run()
+        assert network.stats.packets_dropped == 1
+        assert network.stats.packets_delivered == 0
+        assert network.idle()
+
+    def test_stale_look_ahead_is_recomputed(self):
+        """A head flit stamped with node 3's route before a rebuild that
+        changed that entry goes back through RC instead of straight to
+        VA, so it drops rather than cross the dead channel."""
+        config = make_3dme().with_pipeline_options(lookahead_rc=True)
+        network = config.build_network()
+        router = network.routers[3]
+        west = router.port_index["W"]
+
+        def arrive(vc):
+            flit = ctrl_packet(2, 9, created_cycle=0).make_flits()[0]
+            flit.lookahead_port = stamp
+            router.receive_flit(west, vc, flit, cycle=0)
+            return VC_STATE_NAMES[router.vc_state[west * router.num_vcs + vc]]
+
+        stamp = router.routes[9]
+        assert stamp == router.port_index["S"]
+        assert arrive(0) == "va"
+        network.reroute(frozenset({(3, 9), (15, 9)}))
+        assert router.routes[9] == -1
+        assert arrive(1) == "rc"

@@ -9,7 +9,8 @@ base-class link list — is checked at several sizes for
 1. **routability**: every ordered (src, dst) pair walks to its
    destination via :func:`~repro.core.express.route_path`,
 2. **deadlock freedom**: the (VC-aware, when the routing carries a VC
-   discipline) channel dependency graph is acyclic, and
+   discipline) channel dependency graph of the next-port table is
+   acyclic, and
 3. **delivery**: one sanitized packet per pair on one representative of
    each new fabric family actually arrives in simulation.
 """
@@ -30,7 +31,11 @@ from repro.noc.routing import (
     routing_for_topology,
 )
 from repro.noc.sanitizer import NetworkSanitizer
-from repro.noc.table_routing import DeadlockError, TableRouting
+from repro.noc.table_routing import (
+    DeadlockError,
+    TableRouting,
+    build_route_table,
+)
 from repro.resilience.cdg import (
     channel_dependency_graph,
     find_dependency_cycle,
@@ -48,6 +53,7 @@ from repro.topology import (
     Torus2D,
     Topology,
 )
+from repro.topology.base import LOCAL_PORT
 from repro.topology.irregular import duplex
 
 
@@ -112,12 +118,13 @@ def test_dependency_graph_is_acyclic(build):
     """Dally & Seitz over the whole substrate, VC-aware where needed."""
     topology = build()
     routing = routing_for_topology(topology)
+    rows = build_route_table(topology, routing)
     if routing.has_vc_discipline:
         graph = vc_channel_dependency_graph(
-            topology, routing, num_vcs=routing.required_vcs
+            topology, rows, routing, num_vcs=routing.required_vcs
         )
     else:
-        graph = channel_dependency_graph(topology, routing)
+        graph = channel_dependency_graph(topology, rows)
     cycle = find_dependency_cycle(graph)
     assert cycle is None, f"dependency cycle: {cycle}"
 
@@ -153,9 +160,10 @@ def test_one_sanitized_packet_per_pair_delivers(build):
 
 class TestTableRouting:
     def test_construction_verifies_acyclic(self):
-        routing = TableRouting(Ring(8, 1.0))
-        assert routing.deadlock_cycle is None
-        assert "TableRouting" in routing.describe()
+        """The network build proves the ring's escape table acyclic."""
+        network = Network(Ring(8, 1.0))
+        assert isinstance(network.routing, TableRouting)
+        assert "TableRouting" in network.routing.describe()
 
     def test_ring_uses_escape_vcs(self):
         routing = TableRouting(Ring(8, 1.0))
@@ -200,15 +208,19 @@ class TestTableRouting:
             routing.output_port(2, 0)
 
     def test_deadlock_error_carries_cycle(self):
-        """A deliberately broken verification path raises DeadlockError."""
+        """A deliberately cyclic rule — always clockwise round a ring,
+        with no dateline VC split — is refused at network build."""
         topology = Ring(6, 1.0)
-        routing = TableRouting(topology, verify=False)
-        # Sabotage the discipline: put every channel in one class.
-        routing._rem = {key: 0 for key in routing._rem}
-        routing._total = {key: 0 for key in routing._total}
+
+        class Clockwise(RoutingBase):
+            def output_port(self, node, dst, failed=frozenset()):
+                return LOCAL_PORT if node == dst else "CW"
+
         with pytest.raises(DeadlockError) as err:
-            routing._verify_acyclic()
-        assert err.value.cycle
+            Network(topology, routing=Clockwise())
+        cycle = err.value.cycle
+        assert cycle[0] == cycle[-1]
+        assert sorted(set(cycle)) == [(i, (i + 1) % 6) for i in range(6)]
 
 
 class TestRegistry:
