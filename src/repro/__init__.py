@@ -17,43 +17,88 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 table-by-table reproduction record.
 """
 
-from repro.core.arch import (
-    Architecture,
-    ArchitectureConfig,
-    make_2db,
-    make_3db,
-    make_3dm,
-    make_3dme,
-    make_architecture,
-    standard_configs,
-)
-from repro.experiments.config import ExperimentSettings
-from repro.experiments.runner import (
-    PointResult,
-    run_nuca_point,
-    run_trace_point,
-    run_uniform_point,
-)
-from repro.noc.network import Network
-from repro.noc.packet import Flit, FlitType, Packet, PacketClass
-from repro.noc.simulator import SimulationResult, Simulator
-from repro.power.area import RouterArea, router_area
-from repro.power.energy import PowerReport, power_report
-from repro.power.orion import RouterEnergyModel
-from repro.thermal.hotspot import ThermalResult, steady_state, temperature_drop
-from repro.traffic.nuca import NucaUniformTraffic
-from repro.traffic.synthetic import UniformRandomTraffic
-from repro.traffic.workloads import WORKLOADS, WorkloadProfile
-from repro.analysis import (
-    channel_utilization,
-    find_saturation_rate,
-    hottest_channels,
-    latency_throughput_curve,
-    render_utilization_grid,
-    run_replicated,
-)
+from __future__ import annotations
+
+import importlib
+import sys
 
 __version__ = "1.0.0"
+
+
+def _lazy_exports(package, exports):
+    """PEP 562 lazy exports for *package*: ``(__all__, __getattr__, __dir__)``.
+
+    *exports* maps each public name to the module that defines it; a
+    leading dot makes the module relative to *package*.  A name's module
+    is imported on first access and the value is then cached in the
+    package namespace, so importing a package loads none of its
+    submodules and a run pays only for the modules it touches.  Names
+    outside *exports* (submodules included) raise
+    :class:`AttributeError`, which lets ``from package import submodule``
+    fall back to the normal submodule import.
+    """
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name):
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module, package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *exports})
+
+    return list(exports), __getattr__, __dir__
+
+
+_EXPORTS = {
+    "Architecture": ".core.arch",
+    "ArchitectureConfig": ".core.arch",
+    "make_2db": ".core.arch",
+    "make_3db": ".core.arch",
+    "make_3dm": ".core.arch",
+    "make_3dme": ".core.arch",
+    "make_architecture": ".core.arch",
+    "standard_configs": ".core.arch",
+    "ExperimentSettings": ".experiments.config",
+    "PointResult": ".experiments.runner",
+    "run_nuca_point": ".experiments.runner",
+    "run_trace_point": ".experiments.runner",
+    "run_uniform_point": ".experiments.runner",
+    "Network": ".noc.network",
+    "Flit": ".noc.packet",
+    "FlitType": ".noc.packet",
+    "Packet": ".noc.packet",
+    "PacketClass": ".noc.packet",
+    "SimulationResult": ".noc.simulator",
+    "Simulator": ".noc.simulator",
+    "RouterArea": ".power.area",
+    "router_area": ".power.area",
+    "PowerReport": ".power.energy",
+    "power_report": ".power.energy",
+    "RouterEnergyModel": ".power.orion",
+    "ThermalResult": ".thermal.hotspot",
+    "steady_state": ".thermal.hotspot",
+    "temperature_drop": ".thermal.hotspot",
+    "NucaUniformTraffic": ".traffic.nuca",
+    "UniformRandomTraffic": ".traffic.synthetic",
+    "WORKLOADS": ".traffic.workloads",
+    "WorkloadProfile": ".traffic.workloads",
+    "channel_utilization": ".analysis",
+    "find_saturation_rate": ".analysis",
+    "hottest_channels": ".analysis",
+    "latency_throughput_curve": ".analysis",
+    "render_utilization_grid": ".analysis",
+    "run_replicated": ".analysis",
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__all__ += ["simulate", "__version__"]
 
 
 def simulate(
@@ -67,49 +112,8 @@ def simulate(
     Thin convenience wrapper over
     :func:`~repro.experiments.runner.run_uniform_point`.
     """
+    from repro.experiments.config import ExperimentSettings
+    from repro.experiments.runner import run_uniform_point
+
     settings = settings or ExperimentSettings.from_env()
     return run_uniform_point(config, flit_rate, settings, **kwargs)
-
-
-__all__ = [
-    "Architecture",
-    "ArchitectureConfig",
-    "make_2db",
-    "make_3db",
-    "make_3dm",
-    "make_3dme",
-    "make_architecture",
-    "standard_configs",
-    "ExperimentSettings",
-    "PointResult",
-    "run_uniform_point",
-    "run_nuca_point",
-    "run_trace_point",
-    "simulate",
-    "Network",
-    "Simulator",
-    "SimulationResult",
-    "Packet",
-    "Flit",
-    "FlitType",
-    "PacketClass",
-    "RouterArea",
-    "router_area",
-    "RouterEnergyModel",
-    "PowerReport",
-    "power_report",
-    "ThermalResult",
-    "steady_state",
-    "temperature_drop",
-    "UniformRandomTraffic",
-    "NucaUniformTraffic",
-    "WORKLOADS",
-    "WorkloadProfile",
-    "find_saturation_rate",
-    "channel_utilization",
-    "hottest_channels",
-    "render_utilization_grid",
-    "run_replicated",
-    "latency_throughput_curve",
-    "__version__",
-]

@@ -18,24 +18,18 @@ backing store.  This package rebuilds that machinery:
   trace generation) or the real NoC simulator (closed-loop mode).
 """
 
-from repro.cache.messages import CoherenceMessage, MessageType
-from repro.cache.cachesim import CacheArray, LineState
-from repro.cache.cpu import AddressStream
-from repro.cache.directory import DirectoryBank
-from repro.cache.hierarchy import (
-    CmpSystem,
-    HierarchyStats,
-    generate_trace,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "MessageType",
-    "CoherenceMessage",
-    "CacheArray",
-    "LineState",
-    "AddressStream",
-    "DirectoryBank",
-    "CmpSystem",
-    "HierarchyStats",
-    "generate_trace",
-]
+_EXPORTS = {
+    "MessageType": ".messages",
+    "CoherenceMessage": ".messages",
+    "CacheArray": ".cachesim",
+    "LineState": ".cachesim",
+    "AddressStream": ".cpu",
+    "DirectoryBank": ".directory",
+    "CmpSystem": ".hierarchy",
+    "HierarchyStats": ".hierarchy",
+    "generate_trace": ".hierarchy",
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

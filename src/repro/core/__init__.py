@@ -14,44 +14,28 @@ This package holds the primary contribution of the paper:
 * :mod:`repro.core.express` — express-channel analysis helpers (Sec. 3.3).
 """
 
-from repro.core.arch import (
-    Architecture,
-    ArchitectureConfig,
-    make_2db,
-    make_3db,
-    make_3dm,
-    make_3dme,
-    make_architecture,
-    standard_configs,
-)
-from repro.core.pipeline import PipelineSpec, pipeline_for
-from repro.core.layers import LayerPlan, layer_plan_for
-from repro.core.shutdown import ShortFlitDetector, shutdown_power_factor
-from repro.core.express import average_hops, route_path
-from repro.core.fault import (
-    UnroutableError,
-    build_fault_tolerant_network,
-    single_failure_coverage,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Architecture",
-    "ArchitectureConfig",
-    "make_2db",
-    "make_3db",
-    "make_3dm",
-    "make_3dme",
-    "make_architecture",
-    "standard_configs",
-    "PipelineSpec",
-    "pipeline_for",
-    "LayerPlan",
-    "layer_plan_for",
-    "ShortFlitDetector",
-    "shutdown_power_factor",
-    "average_hops",
-    "route_path",
-    "UnroutableError",
-    "build_fault_tolerant_network",
-    "single_failure_coverage",
-]
+_EXPORTS = {
+    "Architecture": ".arch",
+    "ArchitectureConfig": ".arch",
+    "make_2db": ".arch",
+    "make_3db": ".arch",
+    "make_3dm": ".arch",
+    "make_3dme": ".arch",
+    "make_architecture": ".arch",
+    "standard_configs": ".arch",
+    "PipelineSpec": ".pipeline",
+    "pipeline_for": ".pipeline",
+    "LayerPlan": ".layers",
+    "layer_plan_for": ".layers",
+    "ShortFlitDetector": ".shutdown",
+    "shutdown_power_factor": ".shutdown",
+    "average_hops": ".express",
+    "route_path": ".express",
+    "UnroutableError": "repro.noc.routing",
+    "build_fault_tolerant_network": ".fault",
+    "single_failure_coverage": ".fault",
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -17,134 +17,68 @@ tree wires each one into pytest-benchmark.
 ========== ==========================================
 """
 
-from repro.experiments.config import ExperimentSettings
-from repro.experiments.runner import (
-    PointResult,
-    run_nuca_point,
-    run_trace_point,
-    run_uniform_point,
-)
-from repro.experiments.latency import (
-    fig11a_uniform_latency,
-    fig11b_nuca_latency,
-    fig11c_trace_latency,
-    fig11d_hop_counts,
-)
-from repro.experiments.power import (
-    fig12a_uniform_power,
-    fig12b_nuca_power,
-    fig12c_trace_power,
-    fig12d_pdp,
-)
-from repro.experiments.thermal_exp import (
-    fig13a_short_flit_fractions,
-    fig13b_shutdown_savings,
-    fig13c_temperature_reduction,
-)
-from repro.experiments.area_tables import table1_area, table2_parameters, table3_delays
-from repro.experiments.breakdown import (
-    fig1_data_patterns,
-    fig2_packet_types,
-    fig9_energy_breakdown,
-)
-from repro.experiments.ablations import (
-    ablate_3db_cpu_placement,
-    ablate_buffer_depth,
-    ablate_vc_partitioning,
-    ablate_express_span,
-    ablate_link_failures,
-    ablate_pipeline_depth,
-    ablate_qos,
-    ablate_vc_count,
-)
-from repro.experiments.headline import evaluate_headline_claims, render_claims
-from repro.experiments.compression_exp import compression_vs_shutdown
-from repro.experiments.protocol_exp import ProtocolResult, compare_protocols
-from repro.experiments.export import export_json, point_to_dict, sweep_to_dict
-from repro.experiments.parallel import SweepPointError, parallel_sweep
-from repro.experiments.store import (
-    PointFailure,
-    PointSpec,
-    ResultStore,
-    RunJournal,
-    SweepOutcome,
-    SweepStats,
-    cached_point_run,
-    point_key,
-)
-from repro.experiments.sweep import run_sweep, specs_for_grid
-from repro.experiments.summary import write_report
-from repro.experiments.resilience_exp import (
-    fault_summary_table,
-    fig_resilience,
-    fig_resilience_faults,
-    fig_resilience_variation,
-    variation_summary,
-)
-from repro.experiments.topology_exp import (
-    fig_topology,
-    fig_topology_latency,
-    fig_topology_shutdown,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ExperimentSettings",
-    "PointResult",
-    "run_uniform_point",
-    "run_nuca_point",
-    "run_trace_point",
-    "fig11a_uniform_latency",
-    "fig11b_nuca_latency",
-    "fig11c_trace_latency",
-    "fig11d_hop_counts",
-    "fig12a_uniform_power",
-    "fig12b_nuca_power",
-    "fig12c_trace_power",
-    "fig12d_pdp",
-    "fig13a_short_flit_fractions",
-    "fig13b_shutdown_savings",
-    "fig13c_temperature_reduction",
-    "table1_area",
-    "table2_parameters",
-    "table3_delays",
-    "fig1_data_patterns",
-    "fig2_packet_types",
-    "fig9_energy_breakdown",
-    "ablate_pipeline_depth",
-    "ablate_vc_count",
-    "ablate_buffer_depth",
-    "ablate_express_span",
-    "ablate_qos",
-    "ablate_link_failures",
-    "ablate_3db_cpu_placement",
-    "ablate_vc_partitioning",
-    "evaluate_headline_claims",
-    "render_claims",
-    "compression_vs_shutdown",
-    "compare_protocols",
-    "ProtocolResult",
-    "export_json",
-    "point_to_dict",
-    "sweep_to_dict",
-    "parallel_sweep",
-    "SweepPointError",
-    "PointFailure",
-    "PointSpec",
-    "ResultStore",
-    "RunJournal",
-    "SweepOutcome",
-    "SweepStats",
-    "cached_point_run",
-    "point_key",
-    "run_sweep",
-    "specs_for_grid",
-    "write_report",
-    "fig_resilience",
-    "fig_resilience_variation",
-    "fig_resilience_faults",
-    "variation_summary",
-    "fault_summary_table",
-    "fig_topology",
-    "fig_topology_shutdown",
-    "fig_topology_latency",
-]
+_EXPORTS = {
+    "ExperimentSettings": ".config",
+    "PointResult": ".runner",
+    "run_uniform_point": ".runner",
+    "run_nuca_point": ".runner",
+    "run_trace_point": ".runner",
+    "fig11a_uniform_latency": ".latency",
+    "fig11b_nuca_latency": ".latency",
+    "fig11c_trace_latency": ".latency",
+    "fig11d_hop_counts": ".latency",
+    "fig12a_uniform_power": ".power",
+    "fig12b_nuca_power": ".power",
+    "fig12c_trace_power": ".power",
+    "fig12d_pdp": ".power",
+    "fig13a_short_flit_fractions": ".thermal_exp",
+    "fig13b_shutdown_savings": ".thermal_exp",
+    "fig13c_temperature_reduction": ".thermal_exp",
+    "table1_area": ".area_tables",
+    "table2_parameters": ".area_tables",
+    "table3_delays": ".area_tables",
+    "fig1_data_patterns": ".breakdown",
+    "fig2_packet_types": ".breakdown",
+    "fig9_energy_breakdown": ".breakdown",
+    "ablate_pipeline_depth": ".ablations",
+    "ablate_vc_count": ".ablations",
+    "ablate_buffer_depth": ".ablations",
+    "ablate_express_span": ".ablations",
+    "ablate_qos": ".ablations",
+    "ablate_link_failures": ".ablations",
+    "ablate_3db_cpu_placement": ".ablations",
+    "ablate_vc_partitioning": ".ablations",
+    "evaluate_headline_claims": ".headline",
+    "render_claims": ".headline",
+    "compression_vs_shutdown": ".compression_exp",
+    "compare_protocols": ".protocol_exp",
+    "ProtocolResult": ".protocol_exp",
+    "export_json": ".export",
+    "point_to_dict": ".export",
+    "sweep_to_dict": ".export",
+    "parallel_sweep": ".parallel",
+    "SweepPointError": ".parallel",
+    "PointFailure": ".store",
+    "PointSpec": ".store",
+    "ResultStore": ".store",
+    "RunJournal": ".store",
+    "SweepOutcome": ".store",
+    "SweepStats": ".store",
+    "cached_point_run": ".store",
+    "point_key": ".store",
+    "run_sweep": ".sweep",
+    "specs_for_grid": ".sweep",
+    "write_report": ".summary",
+    "fig_resilience": ".resilience_exp",
+    "fig_resilience_variation": ".resilience_exp",
+    "fig_resilience_faults": ".resilience_exp",
+    "variation_summary": ".resilience_exp",
+    "fault_summary_table": ".resilience_exp",
+    "fig_topology": ".topology_exp",
+    "fig_topology_shutdown": ".topology_exp",
+    "fig_topology_latency": ".topology_exp",
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

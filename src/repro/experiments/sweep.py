@@ -28,6 +28,7 @@ ascending) regardless of completion order.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import sys
@@ -260,6 +261,23 @@ def _mp_context():
         return get_context("fork")  # workers inherit the loaded package
     except ValueError:  # pragma: no cover - Windows/spawn-only platforms
         return get_context("spawn")
+
+
+def _preload_opt_in_layers(
+    pending: Sequence[_Task], telemetry_dir: Optional[str]
+) -> None:
+    """Import the opt-in layers the pending points use, in this process.
+
+    The package loads lazily, so without this each forked worker would
+    import telemetry, fault or variation modules afresh for its single
+    point instead of inheriting them.
+    """
+    if telemetry_dir is not None:
+        importlib.import_module("repro.telemetry.sampler")
+    if any(task.spec.has_faults for task in pending):
+        importlib.import_module("repro.resilience.faults")
+    if any(task.spec.variation_sigma for task in pending):
+        importlib.import_module("repro.resilience.variation")
 
 
 def _journal_point(
@@ -609,6 +627,7 @@ def _run_pooled(
     per-process overhead is noise.
     """
     ctx = _mp_context()
+    _preload_opt_in_layers(pending, telemetry_dir)
     queue: List[_Task] = list(pending)  # FIFO, spec order
     waiting: List[_Task] = []  # backoff until not_before
     running: List[_Running] = []

@@ -14,60 +14,38 @@ The entry points most users need are :class:`~repro.noc.network.Network`
 and :class:`~repro.noc.simulator.Simulator`.
 """
 
-from repro.noc.packet import Flit, FlitType, Packet, PacketClass
-from repro.noc.buffer import VirtualChannelBuffer
-from repro.noc.arbiter import MatrixArbiter, RoundRobinArbiter
-from repro.noc.routing import (
-    ExpressXYRouting,
-    RoutingFunction,
-    TorusXYRouting,
-    XYRouting,
-    XYZRouting,
-    routing_for_topology,
-)
-from repro.noc.adaptive import WestFirstAdaptiveRouting
-from repro.noc.profiling import NetworkProfiler, ProfileSnapshot
-from repro.noc.router import Router
-from repro.noc.sanitizer import (
-    NetworkSanitizer,
-    SanityError,
-    SanitySnapshot,
-    WatchdogReport,
-)
-from repro.noc.scheduling import TimingWheel
-from repro.noc.network import Network
-from repro.noc.simulator import SimulationResult, Simulator
-from repro.noc.stats import EventCounts, NetworkStats
-from repro.noc.tracer import PacketTracer, TraverseEvent
+from repro import _lazy_exports
 
-__all__ = [
-    "Flit",
-    "FlitType",
-    "Packet",
-    "PacketClass",
-    "VirtualChannelBuffer",
-    "RoundRobinArbiter",
-    "MatrixArbiter",
-    "RoutingFunction",
-    "XYRouting",
-    "XYZRouting",
-    "ExpressXYRouting",
-    "TorusXYRouting",
-    "routing_for_topology",
-    "Router",
-    "Network",
-    "Simulator",
-    "SimulationResult",
-    "EventCounts",
-    "NetworkStats",
-    "NetworkProfiler",
-    "ProfileSnapshot",
-    "NetworkSanitizer",
-    "SanityError",
-    "SanitySnapshot",
-    "WatchdogReport",
-    "TimingWheel",
-    "WestFirstAdaptiveRouting",
-    "PacketTracer",
-    "TraverseEvent",
-]
+_EXPORTS = {
+    "Flit": ".packet",
+    "FlitType": ".packet",
+    "Packet": ".packet",
+    "PacketClass": ".packet",
+    "VirtualChannelBuffer": ".buffer",
+    "RoundRobinArbiter": ".arbiter",
+    "MatrixArbiter": ".arbiter",
+    "RoutingFunction": ".routing",
+    "XYRouting": ".routing",
+    "XYZRouting": ".routing",
+    "ExpressXYRouting": ".routing",
+    "TorusXYRouting": ".routing",
+    "routing_for_topology": ".routing",
+    "WestFirstAdaptiveRouting": ".adaptive",
+    "NetworkProfiler": ".profiling",
+    "ProfileSnapshot": ".profiling",
+    "Router": ".router",
+    "NetworkSanitizer": ".sanitizer",
+    "SanityError": ".sanitizer",
+    "SanitySnapshot": ".sanitizer",
+    "WatchdogReport": ".sanitizer",
+    "TimingWheel": ".scheduling",
+    "Network": ".network",
+    "Simulator": ".simulator",
+    "SimulationResult": ".simulator",
+    "EventCounts": ".stats",
+    "NetworkStats": ".stats",
+    "PacketTracer": ".tracer",
+    "TraverseEvent": ".tracer",
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

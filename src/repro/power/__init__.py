@@ -14,16 +14,15 @@ available, so this package re-derives both analytically:
   average power, energy breakdowns (Fig. 9), and power-delay product.
 """
 
-from repro.power.area import RouterArea, router_area
-from repro.power.orion import RouterEnergyModel
-from repro.power.energy import PowerReport, power_report
-from repro.power.gating import shutdown_saving
+from repro import _lazy_exports
 
-__all__ = [
-    "RouterArea",
-    "router_area",
-    "RouterEnergyModel",
-    "PowerReport",
-    "power_report",
-    "shutdown_saving",
-]
+_EXPORTS = {
+    "RouterArea": ".area",
+    "router_area": ".area",
+    "RouterEnergyModel": ".orion",
+    "PowerReport": ".energy",
+    "power_report": ".energy",
+    "shutdown_saving": ".gating",
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

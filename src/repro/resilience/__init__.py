@@ -23,32 +23,19 @@ attached but fault-free / sigma-zero (re-verified against the golden
 e2e digests).  See ``docs/RESILIENCE.md``.
 """
 
-from repro.resilience.cdg import (
-    channel_dependency_graph,
-    find_dependency_cycle,
-)
-from repro.resilience.faults import (
-    FaultInjector,
-    FaultPlan,
-    LinkFault,
-    StuckVCFault,
-)
-from repro.resilience.variation import (
-    VARIATION_CEIL,
-    VARIATION_FLOOR,
-    VariationModel,
-    VariationSample,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "FaultInjector",
-    "FaultPlan",
-    "LinkFault",
-    "StuckVCFault",
-    "VariationModel",
-    "VariationSample",
-    "VARIATION_FLOOR",
-    "VARIATION_CEIL",
-    "channel_dependency_graph",
-    "find_dependency_cycle",
-]
+_EXPORTS = {
+    "channel_dependency_graph": ".cdg",
+    "find_dependency_cycle": ".cdg",
+    "FaultInjector": ".faults",
+    "FaultPlan": ".faults",
+    "LinkFault": ".faults",
+    "StuckVCFault": ".faults",
+    "VariationModel": ".variation",
+    "VariationSample": ".variation",
+    "VARIATION_FLOOR": ".variation",
+    "VARIATION_CEIL": ".variation",
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

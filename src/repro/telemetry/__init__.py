@@ -29,58 +29,30 @@ cycle; enabled runs are bit-identical to bare runs because the sampler
 only reads network state.
 """
 
-from repro.telemetry.attribution import (
-    PacketDecomposition,
-    StallAttribution,
-    build_stall_report,
-    decompose_life,
-    decompose_recorder,
-    format_stall_report,
-)
-from repro.telemetry.export import (
-    ChromeTraceBuilder,
-    HopRecord,
-    MetricsJsonlWriter,
-    PacketLife,
-)
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.telemetry.recorder import (
-    DEFAULT_RING_EVENTS,
-    TraceRecorder,
-    pid_hash_unit,
-)
-from repro.telemetry.sampler import (
-    DEFAULT_INTERVAL,
-    NetworkTelemetry,
-    TelemetryConfig,
-    TelemetrySnapshot,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "StallAttribution",
-    "PacketDecomposition",
-    "build_stall_report",
-    "format_stall_report",
-    "decompose_life",
-    "decompose_recorder",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "MetricsJsonlWriter",
-    "ChromeTraceBuilder",
-    "PacketLife",
-    "HopRecord",
-    "NetworkTelemetry",
-    "TelemetryConfig",
-    "TelemetrySnapshot",
-    "TraceRecorder",
-    "pid_hash_unit",
-    "DEFAULT_INTERVAL",
-    "DEFAULT_RING_EVENTS",
-]
+_EXPORTS = {
+    "StallAttribution": ".attribution",
+    "PacketDecomposition": ".attribution",
+    "build_stall_report": ".attribution",
+    "format_stall_report": ".attribution",
+    "decompose_life": ".attribution",
+    "decompose_recorder": ".attribution",
+    "MetricsJsonlWriter": ".export",
+    "ChromeTraceBuilder": ".export",
+    "PacketLife": ".export",
+    "HopRecord": ".export",
+    "Counter": ".metrics",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "MetricsRegistry": ".metrics",
+    "TraceRecorder": ".recorder",
+    "pid_hash_unit": ".recorder",
+    "DEFAULT_RING_EVENTS": ".recorder",
+    "NetworkTelemetry": ".sampler",
+    "TelemetryConfig": ".sampler",
+    "TelemetrySnapshot": ".sampler",
+    "DEFAULT_INTERVAL": ".sampler",
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -13,25 +13,19 @@ physics at tile granularity:
 * :mod:`repro.thermal.hotspot` — the high-level API used by experiments.
 """
 
-from repro.thermal.stack import StackParameters
-from repro.thermal.floorplan import Floorplan, floorplan_for
-from repro.thermal.solver import ThermalGrid
-from repro.thermal.hotspot import ThermalResult, steady_state, temperature_drop
-from repro.thermal.transient import (
-    TransientSolver,
-    power_trace_from_activity,
-    transient_temperatures,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "TransientSolver",
-    "power_trace_from_activity",
-    "transient_temperatures",
-    "StackParameters",
-    "Floorplan",
-    "floorplan_for",
-    "ThermalGrid",
-    "ThermalResult",
-    "steady_state",
-    "temperature_drop",
-]
+_EXPORTS = {
+    "StackParameters": ".stack",
+    "Floorplan": ".floorplan",
+    "floorplan_for": ".floorplan",
+    "ThermalGrid": ".solver",
+    "ThermalResult": ".hotspot",
+    "steady_state": ".hotspot",
+    "temperature_drop": ".hotspot",
+    "TransientSolver": ".transient",
+    "power_trace_from_activity": ".transient",
+    "transient_temperatures": ".transient",
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -6,26 +6,17 @@ inter-router link length, so switch traversal plus link traversal fit in a
 single 500 ps stage at 2 GHz — one pipeline stage less per hop.
 """
 
-from repro.timing.wires import (
-    CROSSBAR_WIRE_PITCH_UM,
-    repeated_wire_delay_ps,
-    unbuffered_crossbar_delay_ps,
-)
-from repro.timing.delay import (
-    DelayReport,
-    can_combine_st_lt,
-    crossbar_delay_ps,
-    link_delay_ps,
-    stage_delay_report,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CROSSBAR_WIRE_PITCH_UM",
-    "repeated_wire_delay_ps",
-    "unbuffered_crossbar_delay_ps",
-    "crossbar_delay_ps",
-    "link_delay_ps",
-    "can_combine_st_lt",
-    "stage_delay_report",
-    "DelayReport",
-]
+_EXPORTS = {
+    "CROSSBAR_WIRE_PITCH_UM": ".wires",
+    "repeated_wire_delay_ps": ".wires",
+    "unbuffered_crossbar_delay_ps": ".wires",
+    "crossbar_delay_ps": ".delay",
+    "link_delay_ps": ".delay",
+    "can_combine_st_lt": ".delay",
+    "stage_delay_report": ".delay",
+    "DelayReport": ".delay",
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -18,24 +18,19 @@ a set of nodes with geometric coordinates and a set of directed links with
 named ports, physical lengths and link kinds.
 """
 
-from repro.topology.base import LinkKind, LinkSpec, Topology
-from repro.topology.mesh2d import Mesh2D
-from repro.topology.mesh3d import Mesh3D
-from repro.topology.express_mesh import ExpressMesh
-from repro.topology.torus import Torus2D
-from repro.topology.ring import Ring
-from repro.topology.chiplet import ChipletMesh
-from repro.topology.irregular import IrregularTopology
+from repro import _lazy_exports
 
-__all__ = [
-    "LinkKind",
-    "LinkSpec",
-    "Topology",
-    "Mesh2D",
-    "Mesh3D",
-    "ExpressMesh",
-    "Torus2D",
-    "Ring",
-    "ChipletMesh",
-    "IrregularTopology",
-]
+_EXPORTS = {
+    "LinkKind": ".base",
+    "LinkSpec": ".base",
+    "Topology": ".base",
+    "Mesh2D": ".mesh2d",
+    "Mesh3D": ".mesh3d",
+    "ExpressMesh": ".express_mesh",
+    "Torus2D": ".torus",
+    "Ring": ".ring",
+    "ChipletMesh": ".chiplet",
+    "IrregularTopology": ".irregular",
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -12,41 +12,27 @@ The paper evaluates with three traffic regimes (Sec. 4.2.1):
   :mod:`repro.cache` substrate.
 """
 
-from repro.traffic.base import ScheduledTraffic, TrafficSource
-from repro.traffic.synthetic import (
-    BitComplementTraffic,
-    BurstyUniformRandomTraffic,
-    HotspotTraffic,
-    TransposeTraffic,
-    UniformRandomTraffic,
-)
-from repro.traffic.nuca import NucaUniformTraffic
-from repro.traffic.patterns import (
-    PatternKind,
-    classify_word,
-    classify_line,
-    line_active_groups,
-)
-from repro.traffic.workloads import WORKLOADS, WorkloadProfile
-from repro.traffic.traces import TraceRecord, TraceTraffic, read_trace, write_trace
+from repro import _lazy_exports
 
-__all__ = [
-    "TrafficSource",
-    "ScheduledTraffic",
-    "UniformRandomTraffic",
-    "BurstyUniformRandomTraffic",
-    "BitComplementTraffic",
-    "TransposeTraffic",
-    "HotspotTraffic",
-    "NucaUniformTraffic",
-    "PatternKind",
-    "classify_word",
-    "classify_line",
-    "line_active_groups",
-    "WorkloadProfile",
-    "WORKLOADS",
-    "TraceRecord",
-    "TraceTraffic",
-    "read_trace",
-    "write_trace",
-]
+_EXPORTS = {
+    "TrafficSource": ".base",
+    "ScheduledTraffic": ".base",
+    "UniformRandomTraffic": ".synthetic",
+    "BurstyUniformRandomTraffic": ".synthetic",
+    "BitComplementTraffic": ".synthetic",
+    "TransposeTraffic": ".synthetic",
+    "HotspotTraffic": ".synthetic",
+    "NucaUniformTraffic": ".nuca",
+    "PatternKind": ".patterns",
+    "classify_word": ".patterns",
+    "classify_line": ".patterns",
+    "line_active_groups": ".patterns",
+    "WorkloadProfile": ".workloads",
+    "WORKLOADS": ".workloads",
+    "TraceRecord": ".traces",
+    "TraceTraffic": ".traces",
+    "read_trace": ".traces",
+    "write_trace": ".traces",
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -1,6 +1,11 @@
-"""Public-API surface tests: everything __all__ promises must import."""
+"""Public-API surface tests: everything __all__ promises must import.
+
+Every package exports its names lazily (PEP 562): the contract below is
+that the lazy surface behaves exactly like the eager one did.
+"""
 
 import importlib
+import re
 
 import pytest
 
@@ -16,6 +21,7 @@ PACKAGES = [
     "repro.cache",
     "repro.experiments",
     "repro.telemetry",
+    "repro.resilience",
 ]
 
 
@@ -25,6 +31,48 @@ def test_all_exports_resolve(package):
     assert hasattr(module, "__all__"), f"{package} lacks __all__"
     for name in module.__all__:
         assert hasattr(module, name), f"{package}.{name} missing"
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_exports_are_the_defining_modules_objects(package):
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        if name not in module._EXPORTS:  # defined in the package itself
+            assert name in vars(module), f"{package}.{name}"
+            continue
+        defining = importlib.import_module(module._EXPORTS[name], package)
+        value = getattr(module, name)
+        assert vars(defining)[name] is value, f"{package}.{name}"
+        if callable(value):
+            assert value.__module__ == defining.__name__, f"{package}.{name}"
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_dir_lists_every_export(package):
+    module = importlib.import_module(package)
+    assert set(module.__all__) <= set(dir(module))
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_unknown_name_raises_attribute_error_naming_the_package(package):
+    module = importlib.import_module(package)
+    with pytest.raises(AttributeError, match=re.escape(repr(package))):
+        getattr(module, "no_such_export")
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_star_import(package):
+    namespace = {}
+    exec(f"from {package} import *", namespace)
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        assert namespace[name] is getattr(module, name), f"{package}.{name}"
+
+
+def test_from_package_import_submodule():
+    from repro.power import technology
+
+    assert technology is importlib.import_module("repro.power.technology")
 
 
 def test_top_level_version():

@@ -15,7 +15,11 @@ fork and spawn start methods.
 from __future__ import annotations
 
 import functools
+import json
+import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -87,6 +91,60 @@ def _stagger_worker(spec, settings):
     """Completes points in reverse spec order (low rates finish last)."""
     time.sleep(0.3 - spec.rate)
     return run_point_spec(spec, settings)
+
+
+#: Forks workers for one telemetry, fault and variation point in a fresh
+#: interpreter; each worker appends, at entry, which opt-in layers it
+#: found already loaded.
+_INHERIT_SCRIPT = """
+import json, sys
+from repro.core.arch import Architecture
+from repro.experiments.config import ExperimentSettings
+from repro.experiments.runner import run_point_spec
+from repro.experiments.sweep import run_sweep, specs_for_grid
+
+LAYERS = ("repro.telemetry.sampler", "repro.resilience.faults",
+          "repro.resilience.variation")
+record, telemetry_dir = sys.argv[1], sys.argv[2]
+
+def worker(spec, settings):
+    with open(record, "a") as out:
+        out.write(json.dumps({m: m in sys.modules for m in LAYERS}) + "\\n")
+    return run_point_spec(spec, settings)
+
+assert not any(m in sys.modules for m in LAYERS)
+settings = ExperimentSettings(
+    warmup_cycles=20, measure_cycles=100, drain_cycles=1000,
+    uniform_rates=(0.05,), nuca_rates=(0.05,), trace_cycles=100,
+    workloads=("tpcw",), seed=1,
+)
+specs = specs_for_grid([Architecture.MIRA_3DM], [0.05, 0.1],
+                       fault_random_links=1, fault_seed=3,
+                       variation_sigma=0.05, variation_seed=2)
+outcome = run_sweep(specs, settings, processes=2, worker_fn=worker,
+                    telemetry_dir=telemetry_dir)
+assert outcome.ok
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="workers inherit the parent's modules only under fork",
+)
+def test_forked_workers_inherit_opt_in_layers(tmp_path):
+    record = tmp_path / "loaded.jsonl"
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _INHERIT_SCRIPT, str(record),
+         str(tmp_path / "telemetry")],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    entries = [json.loads(line) for line in record.read_text().splitlines()]
+    assert len(entries) == 2
+    for loaded in entries:
+        assert all(loaded.values()), loaded
 
 
 class TestRetry:
