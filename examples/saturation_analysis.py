@@ -3,8 +3,8 @@
 
 Uses the analysis toolkit to answer the questions the paper's fixed
 sweeps leave open: at what injection rate does each design saturate, and
-which channels bottleneck first?  Also demonstrates the packet tracer on
-a single route.
+which channels bottleneck first?  Also traces a single route with the
+lifecycle recorder.
 
 Run:  python examples/saturation_analysis.py
 """
@@ -13,7 +13,7 @@ from repro import ExperimentSettings, make_2db, make_3db, make_3dm, make_3dme
 from repro.analysis import find_saturation_rate, hottest_channels
 from repro.experiments.runner import run_uniform_point
 from repro.noc.simulator import Simulator
-from repro.noc.tracer import PacketTracer
+from repro.telemetry.recorder import TraceRecorder
 from repro.traffic.base import ScheduledTraffic
 from repro.noc.packet import data_packet
 
@@ -46,11 +46,13 @@ def trace_one_packet() -> None:
     config = make_3dme()
     network = config.build_network()
     packet = data_packet(0, 35, created_cycle=0)
-    with PacketTracer(network) as tracer:
-        sim = Simulator(network, ScheduledTraffic([packet]),
-                        warmup_cycles=0, measure_cycles=200, drain_cycles=500)
-        sim.run()
-        route = tracer.packet_route(packet.pid)
+    recorder = TraceRecorder().attach(network)
+    sim = Simulator(network, ScheduledTraffic([packet]),
+                    warmup_cycles=0, measure_cycles=200, drain_cycles=500)
+    sim.run()
+    recorder.detach()
+    (life,), _ = recorder.lifecycles()
+    route = [hop.node for hop in life.hops]
     coords = " -> ".join(f"({n % 6},{n // 6})" for n in route)
     print(f"  route: {coords}")
     print(f"  hops : {packet.hops}, latency {packet.latency} cycles")

@@ -58,9 +58,8 @@ _EXPORTS = {
     "export_json": ".export",
     "point_to_dict": ".export",
     "sweep_to_dict": ".export",
-    "parallel_sweep": ".parallel",
-    "SweepPointError": ".parallel",
     "PointFailure": ".store",
+    "SweepPointError": ".store",
     "PointSpec": ".store",
     "ResultStore": ".store",
     "RunJournal": ".store",

@@ -100,9 +100,9 @@ def point_telemetry_config(
 ) -> "TelemetryConfig":
     """Per-sweep-point telemetry: JSONL stream plus optional sampled trace.
 
-    Shared by both sweep engines so a 54-point sweep names its streams
-    (``<dir>/<stem>.jsonl``) and traces (``<dir>/<stem>.trace.json``)
-    the same way.  *trace*, when given, enables lifecycle capture with
+    Used for every sweep point, inline or pooled, so a 54-point sweep
+    names its streams (``<dir>/<stem>.jsonl``) and traces
+    (``<dir>/<stem>.trace.json``) the same way.  *trace*, when given, enables lifecycle capture with
     production-grade defaults — sampled, not full — overridable via the
     dict keys ``sample_rate`` (default 0.05), ``head_tail`` (default
     16), ``seed``, ``ring_events``, and ``max_packets``.

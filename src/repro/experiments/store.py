@@ -20,7 +20,8 @@ cheap to repeat and safe to interrupt:
 * :class:`SweepStats` / :class:`PointFailure` / :class:`SweepOutcome` —
   the structured result of a fault-tolerant sweep: partial results,
   per-point failure reports, and cache/retry counters formatted in the
-  same phase style as the hot-loop profiler.
+  same phase style as the hot-loop profiler; :class:`SweepPointError`
+  is what ``failure_mode="raise"`` throws for a failed point.
 
 The simulator's determinism (``tests/test_determinism.py``) is what
 makes caching *sound*: a cache hit is bit-identical to a re-run, which
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, IO, List, Optional, Tuple, Union
 
-from repro.core.arch import ArchitectureConfig
+from repro.core.arch import Architecture, ArchitectureConfig
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.runner import PointResult, run_point_spec
 from repro.noc.simulator import SimulationResult
@@ -554,6 +555,45 @@ class PointFailure:
         )
 
 
+class SweepPointError(RuntimeError):
+    """A sweep point failed; names the point so a bad point in a
+    54-point sweep is identifiable without re-running serially."""
+
+    def __init__(
+        self, item: Tuple[Architecture, float, str], cause: str,
+        attempts: int = 1,
+    ) -> None:
+        arch, rate, kind = item
+        tries = f" after {attempts} attempts" if attempts > 1 else ""
+        super().__init__(
+            f"sweep point (arch={arch.value}, rate={rate:g}, kind={kind!r}) "
+            f"failed{tries}: {cause}"
+        )
+        self.item = item
+        self.cause = cause
+        self.attempts = attempts
+
+    def __reduce__(self):
+        # Default exception pickling would replay __init__ with the
+        # formatted message alone; rebuild from (item, cause, attempts)
+        # so the error survives a process boundary intact.
+        return (SweepPointError, (self.item, self.cause, self.attempts))
+
+
+_ARCH_BY_VALUE = {arch.value: arch for arch in Architecture}
+
+
+def failure_to_error(failure: PointFailure) -> SweepPointError:
+    """Convert a :class:`PointFailure` into the exception the
+    raise-on-failure paths throw.  Callers that want the original
+    exception chained do ``raise failure_to_error(f) from exc`` so retry
+    wrapping preserves ``__cause__``."""
+    arch = _ARCH_BY_VALUE[failure.arch]
+    return SweepPointError(
+        (arch, failure.rate, failure.kind), failure.error, failure.attempts
+    )
+
+
 @dataclass
 class SweepOutcome:
     """Everything a fault-tolerant sweep produces.
@@ -575,8 +615,5 @@ class SweepOutcome:
 
     def raise_if_failed(self) -> None:
         """Raise a SweepPointError for the first failure, if any."""
-        if not self.failures:
-            return
-        from repro.experiments.parallel import failure_to_error
-
-        raise failure_to_error(self.failures[0])
+        if self.failures:
+            raise failure_to_error(self.failures[0])

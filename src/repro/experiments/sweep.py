@@ -1,8 +1,7 @@
-"""Resumable, cached, fault-tolerant sweep engine (v2).
+"""Resumable, cached, fault-tolerant sweep engine.
 
-The v1 engine (:func:`repro.experiments.parallel.parallel_sweep`)
-recomputes every point and dies with the first worker; this one treats
-a sweep as a batch job:
+:func:`run_sweep` is the one way to run a grid of points, inline or
+over worker processes.  It treats a sweep as a batch job:
 
 * **Cache** — every point is content-addressed
   (:func:`repro.experiments.store.point_key`); finished points are
@@ -28,6 +27,7 @@ ascending) regardless of completion order.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import json
 import os
@@ -47,6 +47,7 @@ from repro.experiments.store import (
     RunJournal,
     SweepOutcome,
     SweepStats,
+    failure_to_error,
     point_key,
 )
 
@@ -130,8 +131,32 @@ class _Running:
         self.deadline = deadline
 
 
-def _child_main(conn, spec, settings, telemetry_dir, telemetry_interval,
-                telemetry_trace, telemetry_attribution, worker_fn) -> None:
+def _run_point(
+    spec: PointSpec,
+    settings: ExperimentSettings,
+    telemetry_dir: Optional[str],
+    telemetry_interval: int,
+    telemetry_trace: Optional[Dict[str, Any]],
+    telemetry_attribution: bool,
+) -> PointResult:
+    """The default worker: run one spec, streaming its telemetry to
+    ``<telemetry_dir>/<arch>_<kind>@<rate>.jsonl`` when a directory is
+    given.  Inline and pooled sweeps both run points through here."""
+    telemetry = None
+    if telemetry_dir is not None:
+        from repro.experiments.runner import point_telemetry_config
+
+        telemetry = point_telemetry_config(
+            telemetry_dir,
+            f"{spec.arch_name}_{spec.kind}@{spec.rate:g}",
+            interval=telemetry_interval,
+            trace=telemetry_trace,
+            attribution=telemetry_attribution,
+        )
+    return run_point_spec(spec, settings, telemetry=telemetry)
+
+
+def _child_main(conn, spec, settings, worker: WorkerFn) -> None:
     """Worker entry point: run one spec, ship the outcome over *conn*.
 
     Every exception is reported as data (message + traceback text) so
@@ -139,22 +164,7 @@ def _child_main(conn, spec, settings, telemetry_dir, telemetry_interval,
     process-level death (signal, ``os._exit``) leaves the pipe empty.
     """
     try:
-        if worker_fn is not None:
-            point = worker_fn(spec, settings)
-        else:
-            telemetry = None
-            if telemetry_dir is not None:
-                from repro.experiments.runner import point_telemetry_config
-
-                telemetry = point_telemetry_config(
-                    telemetry_dir,
-                    f"{spec.arch_name}_{spec.kind}@{spec.rate:g}",
-                    interval=telemetry_interval,
-                    trace=telemetry_trace,
-                    attribution=telemetry_attribution,
-                )
-            point = run_point_spec(spec, settings, telemetry=telemetry)
-        conn.send(("ok", point))
+        conn.send(("ok", worker(spec, settings)))
     except BaseException as exc:  # noqa: BLE001 - reported, not swallowed
         conn.send(
             ("error", f"{type(exc).__name__}: {exc}", traceback.format_exc())
@@ -339,7 +349,7 @@ def run_sweep(
     handy under a debugger — where a timeout cannot be enforced and is
     rejected.  ``failure_mode`` is ``"report"`` (collect
     :class:`PointFailure`\\ s, return partial results) or ``"raise"``
-    (raise :class:`~repro.experiments.parallel.SweepPointError` for the
+    (raise :class:`~repro.experiments.store.SweepPointError` for the
     first failed point, preserving the causing exception via
     ``raise ... from`` when it happened in-process).
 
@@ -353,7 +363,8 @@ def run_sweep(
     :func:`~repro.experiments.runner.point_telemetry_config`).
     ``telemetry_attribution`` (with ``telemetry_dir``) turns on stall
     attribution per point and writes each point's stall report to
-    ``<dir>/<stem>.stalls.json``.
+    ``<dir>/<stem>.stalls.json``.  The telemetry options apply to the
+    default worker; a custom ``worker_fn`` runs points as it likes.
 
     ``progress=True`` prints one line per point event (cache hit, done,
     retry, failed) with done/total, failure/retry/cache tallies, and a
@@ -425,20 +436,26 @@ def run_sweep(
 
         # Phase 2: execute the misses.
         run_start = time.monotonic()
+        worker = worker_fn if worker_fn is not None else functools.partial(
+            _run_point,
+            telemetry_dir=telemetry_dir,
+            telemetry_interval=telemetry_interval,
+            telemetry_trace=telemetry_trace,
+            telemetry_attribution=telemetry_attribution,
+        )
         if pending:
             if processes == 0:
                 _run_inline(
-                    pending, settings, retries, backoff_s, backoff_factor,
-                    failure_mode, worker_fn, store, journal, stats,
+                    pending, settings, worker, retries, backoff_s,
+                    backoff_factor, failure_mode, store, journal, stats,
                     results, failures, emitter,
                 )
             else:
+                _preload_opt_in_layers(pending, telemetry_dir)
                 _run_pooled(
-                    pending, settings, processes, retries, backoff_s,
-                    backoff_factor, point_timeout, failure_mode, worker_fn,
-                    telemetry_dir, telemetry_interval, telemetry_trace,
-                    telemetry_attribution, store, journal, stats, results,
-                    failures, emitter,
+                    pending, settings, worker, processes, retries, backoff_s,
+                    backoff_factor, point_timeout, failure_mode, store,
+                    journal, stats, results, failures, emitter,
                 )
         stats.phase_wall_s["run"] = time.monotonic() - run_start
 
@@ -506,8 +523,6 @@ def _record_failure(
         traceback=task.tb,
     )
     if failure_mode == "raise":
-        from repro.experiments.parallel import failure_to_error
-
         # ``raise ... from`` keeps the causing exception on __cause__
         # through the retry wrapping (cause is None when the worker
         # died in another process — its traceback text still rides
@@ -552,11 +567,11 @@ def _handle_attempt_failure(
 def _run_inline(
     pending: List[_Task],
     settings: ExperimentSettings,
+    worker: WorkerFn,
     retries: int,
     backoff_s: float,
     backoff_factor: float,
     failure_mode: str,
-    worker_fn: Optional[WorkerFn],
     store: Optional[ResultStore],
     journal: Optional[RunJournal],
     stats: SweepStats,
@@ -565,12 +580,11 @@ def _run_inline(
     progress: Optional[ProgressEmitter] = None,
 ) -> None:
     """Sequential in-process execution (``processes=0``)."""
-    run = worker_fn if worker_fn is not None else run_point_spec
     for task in pending:
         while True:
             task.attempts += 1
             try:
-                point = run(task.spec, settings)
+                point = worker(task.spec, settings)
             except Exception as exc:
                 task.failure_kind = "error"
                 task.error = f"{type(exc).__name__}: {exc}"
@@ -600,17 +614,13 @@ def _run_inline(
 def _run_pooled(
     pending: List[_Task],
     settings: ExperimentSettings,
+    worker: WorkerFn,
     processes: int,
     retries: int,
     backoff_s: float,
     backoff_factor: float,
     point_timeout: Optional[float],
     failure_mode: str,
-    worker_fn: Optional[WorkerFn],
-    telemetry_dir: Optional[str],
-    telemetry_interval: int,
-    telemetry_trace: Optional[Dict[str, Any]],
-    telemetry_attribution: bool,
     store: Optional[ResultStore],
     journal: Optional[RunJournal],
     stats: SweepStats,
@@ -627,7 +637,6 @@ def _run_pooled(
     per-process overhead is noise.
     """
     ctx = _mp_context()
-    _preload_opt_in_layers(pending, telemetry_dir)
     queue: List[_Task] = list(pending)  # FIFO, spec order
     waiting: List[_Task] = []  # backoff until not_before
     running: List[_Running] = []
@@ -636,10 +645,7 @@ def _run_pooled(
         task.attempts += 1
         recv, send = ctx.Pipe(duplex=False)
         process = ctx.Process(
-            target=_child_main,
-            args=(send, task.spec, settings, telemetry_dir,
-                  telemetry_interval, telemetry_trace,
-                  telemetry_attribution, worker_fn),
+            target=_child_main, args=(send, task.spec, settings, worker)
         )
         process.start()
         send.close()  # child's end; parent sees EOF when the child dies

@@ -44,8 +44,6 @@ _EXPORTS = {
     "SimulationResult": ".simulator",
     "EventCounts": ".stats",
     "NetworkStats": ".stats",
-    "PacketTracer": ".tracer",
-    "TraverseEvent": ".tracer",
 }
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

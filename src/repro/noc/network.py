@@ -125,11 +125,13 @@ class Network:
         #: fraction (``short_flit_detector.observed_short_fraction``)
         #: that the simulated shutdown-power path reports.
         self.short_flit_detector = ShortFlitDetector(layer_groups)
-        #: Hooks invoked on head-flit pipeline-stage completions as
-        #: ``(cycle, node, flit, stage)`` with stage ``"rc"`` or
-        #: ``"va"`` (SA+ST fires the traverse callbacks) — the raw feed
-        #: for telemetry lifecycle traces.  Empty = zero cost.  Created
-        #: before the routers, which alias it at attach time.
+        #: The one pipeline hook: invoked on head-flit stage events as
+        #: ``(cycle, node, flit, stage)`` with stage ``"rc"``, ``"va"``
+        #: or ``"st"`` (switch grant + traversal; body flits never fire)
+        #: — the raw feed for lifecycle traces
+        #: (:meth:`repro.telemetry.recorder.TraceRecorder.attach`).
+        #: Empty = zero cost.  Created before the routers, which alias
+        #: it at attach time.
         self.stage_callbacks: List = []
 
         self.routers: List[Router] = [
@@ -213,23 +215,13 @@ class Network:
         #: lets a new Simulator over this network replace (rather than
         #: double-register) its predecessor's closed-loop hook.
         self.simulator_hook: Optional[DeliveryCallback] = None
-        #: Debug hooks invoked on every switch traversal as
-        #: ``(cycle, node, flit, out_port_name)`` — see
-        #: :class:`repro.noc.tracer.PacketTracer`.  Empty = zero cost.
-        self.traverse_callbacks: List = []
-        #: Same signature, but invoked for **head flits only** — the
-        #: router filters at the call site, so a lifecycle consumer
-        #: (the telemetry trace recorder) never pays a call per body
-        #: flit.  Empty = zero cost.
-        self.head_traverse_callbacks: List = []
         #: Optional pid -> capture-code map owned by an attached trace
         #: recorder.  When a packet's pid maps to ``0`` (dropped /
-        #: sampled out), the routers skip the stage and head-traverse
-        #: hooks for it at the call site — a dict probe instead of a
-        #: Python call per event, which is what makes sampled tracing
-        #: cheap.  Unknown pids still fire (first sight = admission).
-        #: ``None`` disables the filter; it never affects
-        #: ``traverse_callbacks`` or ``delivery_callbacks``.
+        #: sampled out), the routers skip the stage hooks for it at the
+        #: call site — a dict probe instead of a Python call per event,
+        #: which is what makes sampled tracing cheap.  Unknown pids
+        #: still fire (first sight = admission).  ``None`` disables the
+        #: filter; it never affects ``delivery_callbacks``.
         self.trace_drop_filter: Optional[Dict[int, int]] = None
         #: Opt-in windowed metrics/trace sampler; ``None`` (the
         #: default) costs one check per cycle, exactly like the

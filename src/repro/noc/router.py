@@ -646,12 +646,16 @@ class Router:
         self._n_va += 1
         self.events.rc_computations += 1
         if self._stage_callbacks:
-            # Call-site drop filter: a dict probe instead of a Python
-            # call per event for sampled-out pids.
-            drop = self._network.trace_drop_filter
-            if drop is None or drop.get(flit.packet.pid, 1):
-                for callback in self._stage_callbacks:
-                    callback(cycle, self.node, flit, "rc")
+            self._fire_stage(cycle, flit, "rc")
+
+    def _fire_stage(self, cycle: int, flit: Flit, stage: str) -> None:
+        """Run the stage hooks for one head-flit ``"rc"`` / ``"va"`` /
+        ``"st"`` event.  Call-site drop filter: a dict probe instead of
+        a Python call per hook for sampled-out pids."""
+        drop = self._network.trace_drop_filter
+        if drop is None or drop.get(flit.packet.pid, 1):
+            for callback in self._stage_callbacks:
+                callback(cycle, self.node, flit, stage)
 
     def _sa_win(self, i: int, in_port: int, cycle: int) -> None:
         """Grant flat unit *i* the crossbar as the sole winner of its SA1
@@ -740,11 +744,7 @@ class Router:
         if self._stage_callbacks:
             fifo = self.vc_fifos[i]
             if fifo:
-                granted = fifo[0]
-                drop = self._network.trace_drop_filter
-                if drop is None or drop.get(granted.packet.pid, 1):
-                    for callback in self._stage_callbacks:
-                        callback(cycle, self.node, granted, "va")
+                self._fire_stage(cycle, fifo[0], "va")
 
     def _sa_general(self, sa_units: List[int], cycle: int) -> None:
         """Contended switch allocation through the separable allocator."""
@@ -805,18 +805,10 @@ class Router:
         self.flits_switched_by_layers[k - 1] += 1
         if flit.active_groups == 1:
             ev.short_flit_hops += 1
-        out_port = self.vc_out_port[i]
-        if network.traverse_callbacks:
-            port_name = self.port_names[out_port]
-            for callback in network.traverse_callbacks:
-                callback(cycle, self.node, flit, port_name)
-        if network.head_traverse_callbacks and flit.is_head:
-            drop = network.trace_drop_filter
-            if drop is None or drop.get(flit.packet.pid, 1):
-                port_name = self.port_names[out_port]
-                for callback in network.head_traverse_callbacks:
-                    callback(cycle, self.node, flit, port_name)
+        if self._stage_callbacks and flit.is_head:
+            self._fire_stage(cycle, flit, "st")
 
+        out_port = self.vc_out_port[i]
         out_vc = self.vc_out_vc[i]
         credits = self.credits[out_port]
         if credits is not None:

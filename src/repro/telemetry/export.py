@@ -110,23 +110,13 @@ class PacketLife:
     hops: List[HopRecord] = field(default_factory=list)
 
     def note_stage(self, cycle: int, node: int, stage: str) -> None:
-        """Record an RC/VA event at *node* (head flit only)."""
+        """Record the head flit's ``"rc"``, ``"va"`` or ``"st"`` (switch
+        grant + traversal) at *node*; an ST closes the hop."""
         hop = self.hops[-1] if self.hops else None
         if hop is None or hop.node != node or hop.st is not None:
             hop = HopRecord(node=node)
             self.hops.append(hop)
-        if stage == "rc":
-            hop.rc = cycle
-        elif stage == "va":
-            hop.va = cycle
-
-    def note_traverse(self, cycle: int, node: int) -> None:
-        """Record the head flit's switch traversal (SA grant + ST)."""
-        hop = self.hops[-1] if self.hops else None
-        if hop is None or hop.node != node or hop.st is not None:
-            hop = HopRecord(node=node)
-            self.hops.append(hop)
-        hop.st = cycle
+        setattr(hop, stage, cycle)
 
     def end_cycle(self) -> int:
         """Last cycle this packet is known to have been alive at."""

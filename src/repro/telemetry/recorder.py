@@ -6,9 +6,9 @@ and appended Chrome-trace event dicts per pipeline event — measured at a
 module replaces the live object churn with:
 
 * a **preallocated flat ring buffer** (``array('q')``, fixed four-field
-  records) that stage/traverse events are written into with no per-event
-  object allocation; when the ring wraps, the oldest events are
-  overwritten and counted, never silently lost;
+  records) that the network's stage hook writes RC/VA/ST events into
+  with no per-event object allocation; when the ring wraps, the oldest
+  events are overwritten and counted, never silently lost;
 * **packet sampling** — head capture of the first *K* packets, tail
   capture of the last *K* (a sliding reference window, rendered as
   spans), and deterministic probabilistic sampling by a seeded
@@ -38,6 +38,7 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.noc.network import Network
     from repro.noc.packet import Flit, Packet
     from repro.telemetry.export import PacketLife
 
@@ -50,6 +51,10 @@ RECORD_WIDTH = 4
 #: (:mod:`repro.telemetry.attribution`); live reconstruction also
 #: cross-reads ``packet.delivered_cycle`` off the held object.
 KIND_RC, KIND_VA, KIND_ST, KIND_EJECT = 0, 1, 2, 3
+
+#: Stage-hook name -> record kind, and back.
+_STAGE_KIND = {"rc": KIND_RC, "va": KIND_VA, "st": KIND_ST}
+_KIND_STAGE = {kind: stage for stage, kind in _STAGE_KIND.items()}
 
 #: Default ring capacity, in records (8 MiB of int64 at width 4).
 DEFAULT_RING_EVENTS = 1 << 18
@@ -111,6 +116,7 @@ class TraceRecorder:
         "_size", "_ring", "_w", "events_recorded", "_decisions",
         "_packets", "_tail_window", "packets_seen", "head_captured",
         "hash_sampled", "sampled_out", "tail_evicted", "dropped_pids",
+        "_network",
     )
 
     def __init__(
@@ -155,6 +161,7 @@ class TraceRecorder:
         self.tail_evicted = 0
         #: pids refused by ``max_packets`` (the truncation surface).
         self.dropped_pids: Set[int] = set()
+        self._network: Optional["Network"] = None
 
     # -- admission (cold path: once per packet) -----------------------------
 
@@ -197,21 +204,45 @@ class TraceRecorder:
         self._decisions[pid] = code
         return code
 
-    @property
-    def drop_filter(self) -> Dict[int, int]:
-        """The live pid -> capture-code map, for
-        ``Network.trace_drop_filter``: routers probe it at the call site
-        and skip the hook entirely for pids that map to ``0``.  The
-        hooks keep their own early-out, so installing the filter is an
-        optimization, never a correctness requirement."""
-        return self._decisions
+    # -- network attachment --------------------------------------------------
+
+    def attach(self, network: "Network") -> "TraceRecorder":
+        """Record *network*'s head-flit stage events from now on.
+
+        Registers :meth:`on_stage` on ``network.stage_callbacks`` and
+        installs the live pid -> capture-code map as
+        ``network.trace_drop_filter``: routers probe it at the call site
+        and skip the hook entirely for pids that map to ``0``.
+        :meth:`on_stage` keeps its own early-out, so the filter is an
+        optimization, never a correctness requirement.
+        """
+        if self._network is not None:
+            raise RuntimeError("trace recorder is already attached")
+        self._network = network
+        network.stage_callbacks.append(self.on_stage)
+        network.trace_drop_filter = self._decisions
+        return self
+
+    def detach(self) -> None:
+        """Remove the stage hook and the drop filter; idempotent."""
+        network = self._network
+        if network is None:
+            return
+        self._network = None
+        try:
+            network.stage_callbacks.remove(self.on_stage)
+        except ValueError:
+            pass
+        if network.trace_drop_filter is self._decisions:
+            network.trace_drop_filter = None
 
     # -- hot-path hooks (network callbacks) ---------------------------------
 
     def on_stage(
         self, cycle: int, node: int, flit: "Flit", stage: str
     ) -> None:
-        """Stage callback: RC/VA completions of head flits."""
+        """Stage hook: a head flit's RC, VA or ST (switch grant plus
+        traversal) at *node*."""
         pid = flit.packet.pid
         code = self._decisions.get(pid)
         if code is None:
@@ -223,32 +254,7 @@ class TraceRecorder:
         ring[w] = pid
         ring[w + 1] = cycle
         ring[w + 2] = node
-        ring[w + 3] = 0 if stage == "rc" else 1
-        w += 4
-        self._w = 0 if w == self._size else w
-        self.events_recorded += 1
-
-    def on_traverse(
-        self, cycle: int, node: int, flit: "Flit", out_port: str
-    ) -> None:
-        """Head-traverse callback: switch traversal (SA grant + ST).
-
-        Registered on ``network.head_traverse_callbacks`` — the router
-        filters body flits at the call site, so this is only ever
-        invoked for head flits.
-        """
-        pid = flit.packet.pid
-        code = self._decisions.get(pid)
-        if code is None:
-            code = self._admit(flit.packet)
-        if code == 0:
-            return
-        w = self._w
-        ring = self._ring
-        ring[w] = pid
-        ring[w + 1] = cycle
-        ring[w + 2] = node
-        ring[w + 3] = 2
+        ring[w + 3] = _STAGE_KIND[stage]
         w += 4
         self._w = 0 if w == self._size else w
         self.events_recorded += 1
@@ -329,19 +335,14 @@ class TraceRecorder:
                 idx += RECORD_WIDTH
                 continue
             cycle = ring[idx + 1]
-            node = ring[idx + 2]
             kind = ring[idx + 3]
-            if kind == KIND_ST:
-                life.note_traverse(cycle, node)
-            elif kind == KIND_EJECT:
+            if kind == KIND_EJECT:
                 # Redundant with the live packet's delivered_cycle by
                 # construction; authoritative when reconstructing from
                 # a ring alone.
                 life.delivered = cycle
             else:
-                life.note_stage(
-                    cycle, node, "rc" if kind == KIND_RC else "va"
-                )
+                life.note_stage(cycle, ring[idx + 2], _KIND_STAGE[kind])
             idx += RECORD_WIDTH
         return list(lives.values()), orphaned
 

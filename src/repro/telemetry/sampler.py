@@ -20,8 +20,8 @@ paper's time-resolved claims hang on:
 
 Samples stream to a JSONL file as they are taken; when a trace path is
 given the sampler additionally records per-packet pipeline events
-(inject -> per-hop RC/VA/SA/ST -> eject) through the network's stage /
-traverse / delivery callbacks and renders them as a Perfetto-loadable
+(inject -> per-hop RC/VA/SA/ST -> eject) through the network's stage
+hook and delivery callbacks and renders them as a Perfetto-loadable
 ``trace.json`` on :meth:`~NetworkTelemetry.finish`.
 
 The sampler never mutates network state, so telemetry-enabled runs are
@@ -99,7 +99,7 @@ class TelemetryConfig:
     #: sizeable on big meshes, hence the switch).
     per_channel: bool = True
     #: Lifecycle capture cap: packets beyond this are counted as dropped
-    #: and the trace is marked truncated (mirrors PacketTracer).
+    #: and the trace is marked truncated.
     max_trace_packets: int = 5000
     #: Deterministic per-packet capture probability (seeded id hash).
     #: 1.0 (the default) captures every packet — the full-trace mode;
@@ -381,8 +381,9 @@ class NetworkTelemetry:
     """Windowed observability attached to a live network.
 
     Construction registers the instance as ``network.telemetry`` (the
-    hook ``Network.step`` checks) and, when a trace is requested, adds
-    read-only stage/traverse/delivery callbacks for lifecycle capture.
+    hook ``Network.step`` checks) and, when a trace is requested,
+    attaches a :class:`TraceRecorder` to the stage hook and adds a
+    read-only delivery callback for lifecycle capture.
     Call :meth:`finish` (the Simulator does) to flush the trailing
     partial window and write the trace file; :meth:`detach` removes
     every hook.
@@ -511,19 +512,12 @@ class NetworkTelemetry:
             )
             self._last_trace_events = 0
             self._last_trace_packets = 0
-            # The recorder's own bound methods go straight into the
-            # callback lists — one O(1) hop per event, no sampler-level
-            # indirection; traversal uses the head-only bucket so body
-            # flits never cost a call.  Delivery keeps a sampler wrapper
-            # for the hook-consistency guard and the latency rollups.
-            network.stage_callbacks.append(self._recorder.on_stage)
-            network.head_traverse_callbacks.append(
-                self._recorder.on_traverse
-            )
+            # The recorder sits on the stage hook itself — one O(1) hop
+            # per head-flit event, no sampler-level indirection.
+            # Delivery keeps a sampler wrapper for the hook-consistency
+            # guard and the latency rollups.
+            self._recorder.attach(network)
             network.delivery_callbacks.append(self._on_delivered)
-            # Routers probe this map inline and skip the hooks for
-            # sampled-out pids — the zero-call early-out.
-            network.trace_drop_filter = self._recorder.drop_filter
 
         self._writer: Optional[MetricsJsonlWriter] = None
         if config.metrics_path is not None:
@@ -896,22 +890,12 @@ class NetworkTelemetry:
         """Remove every hook this instance installed on the network."""
         self.finish()
         net = self.network
-        hooks = [(net.delivery_callbacks, self._on_delivered)]
+        try:
+            net.delivery_callbacks.remove(self._on_delivered)
+        except ValueError:
+            pass
         if self._recorder is not None:
-            hooks.append((net.stage_callbacks, self._recorder.on_stage))
-            hooks.append(
-                (net.head_traverse_callbacks, self._recorder.on_traverse)
-            )
-        for bucket, callback in hooks:
-            try:
-                bucket.remove(callback)
-            except ValueError:
-                pass
-        if (
-            self._recorder is not None
-            and net.trace_drop_filter is self._recorder.drop_filter
-        ):
-            net.trace_drop_filter = None
+            self._recorder.detach()
         if self._owns_attribution and self._attribution is not None:
             self._attribution.detach()
         if net.telemetry is self:

@@ -1,9 +1,11 @@
-"""Smoke tests: the two fastest example scripts must run end to end.
+"""Smoke tests: the two fastest example scripts must run end to end,
+and so must the packet-trace section of ``saturation_analysis.py``.
 
 (The heavier examples exercise the same APIs the test suite already
 covers; running all six here would double the suite's wall time.)
 """
 
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +36,21 @@ def test_nuca_cmp_workload_runs():
     assert result.returncode == 0, result.stderr
     assert "closed-loop mode" in result.stdout
     assert "offline mode" in result.stdout
+
+
+def test_saturation_analysis_trace_one_packet(capsys):
+    """The example's packet-trace section (the rest of the script runs
+    saturation searches for minutes) prints the recorder's route."""
+    example = runpy.run_path(
+        str(EXAMPLES / "saturation_analysis.py"), run_name="example"
+    )
+    example["trace_one_packet"]()
+    out = capsys.readouterr().out
+    assert (
+        "route: (0,0) -> (2,0) -> (4,0) -> (5,0) -> (5,2) -> (5,4) -> (5,5)"
+        in out
+    )
+    assert "hops : 6" in out
 
 
 def test_nuca_cmp_workload_rejects_unknown():

@@ -1,4 +1,8 @@
-"""JSON export and parallel-sweep tests."""
+"""JSON export and parallel-sweep tests.
+
+The parallel sweep is :func:`~repro.experiments.sweep.run_sweep` with
+worker processes; ``processes=0`` is its inline (in-process) path.
+"""
 
 import json
 
@@ -12,8 +16,9 @@ from repro.experiments.export import (
     sweep_to_dict,
     workload_matrix_to_dict,
 )
-from repro.experiments.parallel import SweepPointError, parallel_sweep
 from repro.experiments.runner import run_uniform_point
+from repro.experiments.store import SweepPointError
+from repro.experiments.sweep import run_sweep, specs_for_grid
 
 
 @pytest.fixture(scope="module")
@@ -77,52 +82,56 @@ class TestExport:
         assert loaded["pair"] == [1, 2]
 
 
+def sweep(archs, rates, settings, **kwargs):
+    """``run_sweep`` over the ``archs x rates`` uniform grid, raising on
+    the first failed point; returns the ``arch -> [(rate, point)]``
+    series."""
+    return run_sweep(
+        specs_for_grid(archs, rates), settings, failure_mode="raise",
+        **kwargs,
+    ).series
+
+
+def _failing_worker(spec, settings):
+    raise RuntimeError("simulated worker crash")
+
+
 class TestParallelSweep:
     def test_matches_serial_results(self, settings):
         serial = run_uniform_point(make_2db(), 0.1, settings)
-        sweep = parallel_sweep(
-            [Architecture.BASELINE_2D], [0.1], settings, processes=2
-        )
-        (rate, point), = sweep["2DB"]
+        result = sweep([Architecture.BASELINE_2D], [0.1], settings,
+                       processes=2)
+        (rate, point), = result["2DB"]
         assert rate == 0.1
         assert point.avg_latency == serial.avg_latency  # determinism holds
+        assert point_to_dict(point) == point_to_dict(serial)
 
     def test_multiple_archs_and_rates(self, settings):
-        sweep = parallel_sweep(
+        result = sweep(
             [Architecture.BASELINE_2D, Architecture.MIRA_3DM],
             [0.05, 0.1],
             settings,
             processes=2,
         )
-        assert set(sweep) == {"2DB", "3DM"}
-        for series in sweep.values():
+        assert set(result) == {"2DB", "3DM"}
+        for series in result.values():
             assert [r for r, _ in series] == [0.05, 0.1]
 
     def test_single_process_fallback(self, settings):
-        sweep = parallel_sweep(
-            [Architecture.MIRA_3DM_E], [0.1], settings, processes=1
-        )
-        assert "3DM-E" in sweep
+        result = sweep([Architecture.MIRA_3DM_E], [0.1], settings,
+                       processes=1)
+        assert "3DM-E" in result
 
     def test_validation(self, settings):
         with pytest.raises(ValueError):
-            parallel_sweep([Architecture.BASELINE_2D], [0.1], settings,
-                           processes=0)
+            sweep([Architecture.BASELINE_2D], [0.1], settings, processes=-1)
         with pytest.raises(ValueError):
-            parallel_sweep([Architecture.BASELINE_2D], [0.1], settings,
-                           kind="bogus", processes=1)
+            specs_for_grid([Architecture.BASELINE_2D], [0.1], kind="bogus")
 
-    def test_worker_failure_names_work_item(self, settings, monkeypatch):
-        import repro.experiments.parallel as parallel_mod
-
-        def boom(config, rate, run_settings):
-            raise RuntimeError("simulated worker crash")
-
-        monkeypatch.setattr(parallel_mod, "run_uniform_point", boom)
+    def test_worker_failure_names_work_item(self, settings):
         with pytest.raises(SweepPointError) as excinfo:
-            parallel_sweep(
-                [Architecture.BASELINE_2D], [0.1], settings, processes=1
-            )
+            sweep([Architecture.BASELINE_2D], [0.1], settings, processes=0,
+                  worker_fn=_failing_worker)
         err = excinfo.value
         assert err.item == (Architecture.BASELINE_2D, 0.1, "uniform")
         assert "arch=2DB" in str(err)
@@ -133,74 +142,64 @@ class TestParallelSweep:
         import pickle
 
         err = SweepPointError(
-            (Architecture.MIRA_3DM, 0.2, "nuca"), "ValueError: boom"
+            (Architecture.MIRA_3DM, 0.2, "nuca"), "ValueError: boom", 3
         )
         clone = pickle.loads(pickle.dumps(err))
         assert isinstance(clone, SweepPointError)
         assert clone.item == err.item
         assert clone.cause == err.cause
+        assert clone.attempts == 3
         assert str(clone) == str(err)
+        assert "arch=3DM" in str(clone) and "kind='nuca'" in str(clone)
 
-    def test_spawn_fallback_when_fork_unavailable(self, settings, monkeypatch):
-        import repro.experiments.parallel as parallel_mod
+    def test_spawn_fallback_when_fork_unavailable(self, monkeypatch):
+        import repro.experiments.sweep as sweep_mod
 
         calls = []
-
-        class FakePool:
-            def __init__(self, processes):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [fn(item) for item in items]
-
-        class FakeContext:
-            def Pool(self, processes):
-                return FakePool(processes)
 
         def fake_get_context(method):
             calls.append(method)
             if method == "fork":
                 raise ValueError("cannot find context for 'fork'")
-            return FakeContext()
+            return method
 
-        monkeypatch.setattr(parallel_mod, "get_context", fake_get_context)
-        sweep = parallel_sweep(
-            [Architecture.BASELINE_2D], [0.1], settings, processes=2
-        )
+        monkeypatch.setattr(sweep_mod, "get_context", fake_get_context)
+        assert sweep_mod._mp_context() == "spawn"
         assert calls == ["fork", "spawn"]
-        (rate, point), = sweep["2DB"]
-        assert rate == 0.1
-        assert point.avg_latency > 0
 
 
 class TestSweepTelemetry:
-    def test_telemetry_dir_writes_per_point_streams(self, settings, tmp_path):
-        out_dir = tmp_path / "timelines"
-        results = parallel_sweep(
-            [Architecture.BASELINE_2D], [0.1], settings,
-            processes=1, telemetry_dir=str(out_dir), telemetry_interval=100,
+    @staticmethod
+    def check_per_point_streams(settings, out_dir, processes):
+        result = sweep(
+            [Architecture.BASELINE_2D], [0.05, 0.1], settings,
+            processes=processes, telemetry_dir=str(out_dir),
+            telemetry_interval=100,
         )
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "2DB_uniform@0.05.jsonl", "2DB_uniform@0.1.jsonl",
+        ]
         stream = out_dir / "2DB_uniform@0.1.jsonl"
-        assert stream.exists()
         records = [json.loads(l) for l in stream.read_text().splitlines()]
         assert records[0]["type"] == "meta"
         assert records[-1]["type"] == "end"
         assert any(r["type"] == "sample" for r in records)
         # Telemetry must not perturb the sweep itself.
-        (rate, point), = results["2DB"]
-        bare = parallel_sweep(
-            [Architecture.BASELINE_2D], [0.1], settings, processes=1
-        )
-        assert point.avg_latency == bare["2DB"][0][1].avg_latency
+        bare = sweep([Architecture.BASELINE_2D], [0.05, 0.1], settings,
+                     processes=processes)
+        assert sweep_to_dict(result) == sweep_to_dict(bare)
 
-    def test_no_telemetry_dir_writes_nothing(self, settings, tmp_path):
-        parallel_sweep(
-            [Architecture.BASELINE_2D], [0.1], settings, processes=1
-        )
+    def test_telemetry_dir_writes_per_point_streams(self, settings, tmp_path):
+        self.check_per_point_streams(settings, tmp_path / "timelines", 1)
+
+    def test_inline_sweep_writes_per_point_streams(self, settings, tmp_path):
+        """``processes=0`` runs points through the same telemetry-aware
+        worker as the pooled path."""
+        self.check_per_point_streams(settings, tmp_path / "timelines", 0)
+
+    def test_no_telemetry_dir_writes_nothing(self, settings, tmp_path,
+                                             monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        sweep([Architecture.BASELINE_2D], [0.1], settings, processes=1)
+        sweep([Architecture.BASELINE_2D], [0.1], settings, processes=0)
         assert not list(tmp_path.iterdir())

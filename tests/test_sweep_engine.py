@@ -1,4 +1,4 @@
-"""Crash-injection and resume tests for the v2 sweep engine.
+"""Crash-injection and resume tests for the sweep engine.
 
 Workers here misbehave on purpose — raise, hang, die with ``os._exit``
 — to prove the engine's guarantees: bounded retry with backoff, timeout
@@ -28,9 +28,8 @@ import pytest
 from repro.core.arch import Architecture, standard_configs
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.export import point_to_dict, sweep_to_dict
-from repro.experiments.parallel import SweepPointError, parallel_sweep
 from repro.experiments.runner import run_point_spec
-from repro.experiments.store import RunJournal
+from repro.experiments.store import RunJournal, SweepPointError
 from repro.experiments.sweep import run_sweep, specs_for_grid
 
 
@@ -361,22 +360,3 @@ class TestCacheAndResume:
                 specs_for_grid([Architecture.BASELINE_2D], [0.05]),
                 settings, processes=0, point_timeout=1.0,
             )
-
-
-class TestParallelSweepDelegation:
-    def test_cache_kwargs_delegate_and_match_legacy(self, settings, tmp_path):
-        legacy = parallel_sweep(
-            [Architecture.BASELINE_2D], [0.05, 0.1], settings, processes=1
-        )
-        cached = parallel_sweep(
-            [Architecture.BASELINE_2D], [0.05, 0.1], settings, processes=1,
-            cache_dir=str(tmp_path / "cache"),
-            journal_path=str(tmp_path / "run.jsonl"),
-        )
-        assert sweep_to_dict(legacy) == sweep_to_dict(cached)
-        # Second run: pure cache replay, still identical.
-        replay = parallel_sweep(
-            [Architecture.BASELINE_2D], [0.05, 0.1], settings, processes=1,
-            cache_dir=str(tmp_path / "cache"), resume=True,
-        )
-        assert sweep_to_dict(legacy) == sweep_to_dict(replay)

@@ -108,8 +108,8 @@ def test_trace_builder_renders_nested_packet_spans(tmp_path):
     )
     life.note_stage(12, 0, "rc")
     life.note_stage(13, 0, "va")
-    life.note_traverse(16, 0)   # SA contention: ST 2 cycles after VA+1
-    life.note_traverse(17, 1)   # look-ahead hop: no RC/VA stamps
+    life.note_stage(16, 0, "st")   # SA contention: ST 2 cycles after VA+1
+    life.note_stage(17, 1, "st")   # look-ahead hop: no RC/VA stamps
     life.delivered = 20
     builder.add_packet(life)
 
@@ -143,7 +143,7 @@ def test_trace_builder_merges_speculative_va_st():
     life = PacketLife(pid=1, src=0, dst=1, size_flits=1, klass="ctrl",
                      created=0, injected=0)
     life.note_stage(2, 0, "va")
-    life.note_traverse(2, 0)  # same cycle: speculative SA won
+    life.note_stage(2, 0, "st")  # same cycle: speculative SA won
     builder.add_packet(life)
     names = [e["name"] for e in builder.events if e["ph"] == "X"]
     assert "VA+ST" in names
@@ -369,7 +369,7 @@ def test_detach_removes_all_hooks(tmp_path):
         assert recorder.on_stage in network.stage_callbacks
     assert network.telemetry is None
     assert recorder.on_stage not in network.stage_callbacks
-    assert recorder.on_traverse not in network.head_traverse_callbacks
+    assert network.trace_drop_filter is None
     assert telemetry._on_delivered not in network.delivery_callbacks
     network.step()  # no sampling after detach
     assert telemetry.cycles_observed == 0

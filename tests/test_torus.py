@@ -122,8 +122,6 @@ class TestDateline:
 
     def test_dateline_vc_assignment(self):
         """Channels before the wrap are claimed on VC 0, after on VC 1."""
-        from repro.noc.tracer import PacketTracer
-
         torus = Torus2D(5, 5, pitch_mm=1.0)
         network = Network(torus)
         # (4,0) -E wrap-> (0,0) -E-> (1,0): crosses the dateline mid-path.

@@ -3,7 +3,9 @@
 Covers the capture policy (head / hash / tail), deterministic seeded
 sampling, ring wrap accounting, the ``max_packets`` truncation surface,
 and how all of it lands in ``TraceRecorder.sampling_meta`` — the block
-written to ``trace.json`` and surfaced by ``TelemetrySnapshot``.
+written to ``trace.json`` and surfaced by ``TelemetrySnapshot``.  A
+recorder attached to a bare network (``TraceRecorder.attach``) is also
+the debugging route tracer: its lifecycle hops are the packet's path.
 """
 
 import json
@@ -13,14 +15,18 @@ import sys
 
 import pytest
 
-from repro.core.arch import make_3dm
-from repro.noc.packet import Packet
+from repro.core.arch import make_3dm, make_3dme
+from repro.core.express import route_path
+from repro.noc.network import Network
+from repro.noc.packet import Packet, ctrl_packet, data_packet
 from repro.noc.simulator import Simulator
 from repro.telemetry import (
     TelemetryConfig,
     TraceRecorder,
     pid_hash_unit,
 )
+from repro.topology.mesh2d import Mesh2D
+from repro.traffic.base import ScheduledTraffic
 from repro.traffic.synthetic import UniformRandomTraffic
 
 
@@ -31,12 +37,12 @@ def make_packet(pid: int) -> Packet:
 
 
 def feed(recorder: TraceRecorder, packet: Packet, cycles=(1, 2, 3)) -> None:
-    """Drive one packet's head flit through rc -> va -> traverse."""
+    """Drive one packet's head flit through rc -> va -> st."""
     head = packet.make_flits()[0]
     rc, va, st = cycles
     recorder.on_stage(rc, 0, head, "rc")
     recorder.on_stage(va, 0, head, "va")
-    recorder.on_traverse(st, 0, head, "east")
+    recorder.on_stage(st, 0, head, "st")
 
 
 class TestPidHashUnit:
@@ -293,12 +299,12 @@ class TestEndToEnd:
         assert sampling["sampled_out"] == sampling["packets_seen"] > 0
         assert sampling["events_recorded"] == 0
 
-    def test_head_traverse_bucket_sees_heads_only(self):
+    def test_stage_hook_sees_heads_only(self):
         config = make_3dm()
         network = config.build_network(shutdown_enabled=True)
         seen = []
-        network.head_traverse_callbacks.append(
-            lambda cycle, node, flit, port: seen.append(flit)
+        network.stage_callbacks.append(
+            lambda cycle, node, flit, stage: seen.append((flit, stage))
         )
         sim = Simulator(
             network,
@@ -309,7 +315,9 @@ class TestEndToEnd:
         )
         sim.run()
         assert seen
-        assert all(flit.is_head for flit in seen)
+        assert all(flit.is_head for flit, _ in seen)
+        assert {stage for _, stage in seen} <= {"rc", "va", "st"}
+        assert any(stage == "st" for _, stage in seen)
 
     def test_optimized_mode_keeps_metadata(self, tmp_path):
         """``python -O`` must not strip the sampling/truncation
@@ -324,7 +332,7 @@ class TestEndToEnd:
             "    p = Packet(src=0, dst=1, size_flits=4, pid=pid)\n"
             "    head = p.make_flits()[0]\n"
             "    r.on_stage(1, 0, head, 'rc')\n"
-            "    r.on_traverse(2, 0, head, 'east')\n"
+            "    r.on_stage(2, 0, head, 'st')\n"
             "print(json.dumps(r.sampling_meta()))\n"
         ) % os.path.join(os.path.dirname(__file__), os.pardir, "src")
         out = subprocess.run(
@@ -336,3 +344,40 @@ class TestEndToEnd:
         assert meta["head_captured"] == 2
         assert meta["tail_window"] == 2
         assert meta["tail_evicted"] == 6
+
+
+def run_attached(network, packets):
+    """Run *packets* on *network* with a full-capture recorder attached."""
+    recorder = TraceRecorder().attach(network)
+    Simulator(
+        network, ScheduledTraffic(packets), warmup_cycles=0,
+        measure_cycles=300, drain_cycles=2000,
+    ).run()
+    recorder.detach()
+    return recorder
+
+
+def hop_nodes(recorder, packet):
+    lives, _ = recorder.lifecycles()
+    (life,) = [life for life in lives if life.pid == packet.pid]
+    return [hop.node for hop in life.hops]
+
+
+class TestAttach:
+    def test_route_matches_route_path_on_2d_mesh(self):
+        network = Network(Mesh2D(4, 4, pitch_mm=1.0))
+        packet = ctrl_packet(0, 15, created_cycle=0)
+        recorder = run_attached(network, [packet])
+        assert hop_nodes(recorder, packet) == [0, 1, 2, 3, 7, 11, 15]
+        assert hop_nodes(recorder, packet) == route_path(
+            network.topology, 0, 15
+        )
+
+    def test_route_matches_route_path_on_3dme(self):
+        network = make_3dme().build_network()
+        packet = data_packet(0, 35, created_cycle=0)
+        recorder = run_attached(network, [packet])
+        path = route_path(network.topology, 0, 35, network.routing)
+        assert hop_nodes(recorder, packet) == path
+        # Express channels skip routers: fewer hops than Manhattan.
+        assert len(path) - 1 < 10

@@ -1,108 +1,63 @@
-"""Packet-tracer tests."""
+"""Trace-path tests: per-flit counts and hook removal.
+
+Per-router flit counts come from ``Router.flits_switched``; packet stage
+events come from a ``TraceRecorder`` on the network's one stage hook,
+attached by ``TraceRecorder.attach`` or by ``NetworkTelemetry``.  The
+recorder's route checks live in ``test_trace_recorder.TestAttach``.
+"""
 
 import pytest
 
-from repro.core.express import route_path
 from repro.noc.network import Network
 from repro.noc.packet import ctrl_packet, data_packet
 from repro.noc.simulator import Simulator
-from repro.noc.tracer import PacketTracer
+from repro.telemetry import NetworkTelemetry, TelemetryConfig, TraceRecorder
 from repro.topology.mesh2d import Mesh2D
 from repro.traffic.base import ScheduledTraffic
 
 
-def _traced_run(packets, **tracer_kwargs):
-    network = Network(Mesh2D(4, 4, pitch_mm=1.0))
-    tracer = PacketTracer(network, **tracer_kwargs)
-    sim = Simulator(network, ScheduledTraffic(packets), warmup_cycles=0,
-                    measure_cycles=300, drain_cycles=2000)
-    sim.run()
-    return network, tracer
+def _run(network, packets):
+    Simulator(network, ScheduledTraffic(packets), warmup_cycles=0,
+              measure_cycles=300, drain_cycles=2000).run()
 
 
-def test_packet_route_matches_routing_function():
-    packet = ctrl_packet(0, 15, created_cycle=0)
-    network, tracer = _traced_run([packet])
-    expected = route_path(network.topology, 0, 15)
-    assert tracer.packet_route(packet.pid) == expected
+def _switched_by_node(network):
+    return {router.node: router.flits_switched
+            for router in network.routers if router.flits_switched}
 
 
 def test_events_cover_all_flits():
-    packet = data_packet(0, 3, created_cycle=0)
-    _, tracer = _traced_run([packet])
+    network = Network(Mesh2D(4, 4, pitch_mm=1.0))
+    _run(network, [data_packet(0, 3, created_cycle=0)])
     # 5 flits x 4 routers (incl. ejection router) = 20 traversals.
-    mine = [e for e in tracer.events if e.packet_id == packet.pid]
-    assert len(mine) == 20
-
-
-def test_router_timeline_ordered():
-    packets = [ctrl_packet(0, 3, created_cycle=0),
-               ctrl_packet(1, 3, created_cycle=2)]
-    _, tracer = _traced_run(packets)
-    timeline = tracer.router_timeline(2)
-    cycles = [e.cycle for e in timeline]
-    assert cycles == sorted(cycles)
+    assert sum(_switched_by_node(network).values()) == 20
 
 
 def test_utilization_by_node():
-    packet = ctrl_packet(0, 3, created_cycle=0)
-    _, tracer = _traced_run([packet])
-    util = tracer.utilization_by_node()
-    assert util == {0: 1, 1: 1, 2: 1, 3: 1}
-
-
-def test_max_events_cap_and_dropped_counter():
-    packets = [data_packet(i, (i + 5) % 16, created_cycle=i) for i in range(10)]
-    _, tracer = _traced_run(packets, max_events=5)
-    assert len(tracer.events) == 5
-    assert tracer.dropped > 0
+    network = Network(Mesh2D(4, 4, pitch_mm=1.0))
+    _run(network, [ctrl_packet(0, 3, created_cycle=0)])
+    assert _switched_by_node(network) == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
 def test_detach_stops_recording():
     network = Network(Mesh2D(2, 1, pitch_mm=1.0))
-    tracer = PacketTracer(network)
-    tracer.detach()
-    sim = Simulator(network, ScheduledTraffic([ctrl_packet(0, 1, created_cycle=0)]),
-                    warmup_cycles=0, measure_cycles=100, drain_cycles=200)
-    sim.run()
-    assert tracer.events == []
-    tracer.detach()  # idempotent
+    recorder = TraceRecorder().attach(network)
+    assert network.stage_callbacks == [recorder.on_stage]
+    assert network.trace_drop_filter is not None
+    with pytest.raises(RuntimeError, match="already attached"):
+        recorder.attach(network)
+    recorder.detach()
+    assert network.stage_callbacks == []
+    assert network.trace_drop_filter is None
+    recorder.detach()  # idempotent
+    _run(network, [ctrl_packet(0, 1, created_cycle=0)])
+    assert recorder.events_recorded == 0
 
 
 def test_context_manager_detaches():
     network = Network(Mesh2D(2, 1, pitch_mm=1.0))
-    with PacketTracer(network) as tracer:
-        pass
-    assert tracer._on_traverse not in network.traverse_callbacks
-
-
-def test_validation():
-    network = Network(Mesh2D(2, 1, pitch_mm=1.0))
-    with pytest.raises(ValueError):
-        PacketTracer(network, max_events=0)
-
-
-def test_truncation_is_surfaced_not_silent():
-    packets = [data_packet(i, (i + 5) % 16, created_cycle=i) for i in range(10)]
-    _, tracer = _traced_run(packets, max_events=5)
-    assert tracer.truncated
-    summary = tracer.summary()
-    assert summary["events"] == 5
-    assert summary["max_events"] == 5
-    assert summary["dropped"] == tracer.dropped > 0
-    assert summary["truncated"] is True
-    text = tracer.format()
-    assert "TRUNCATED" in text
-    assert str(tracer.dropped) in text
-
-
-def test_untruncated_summary():
-    packet = ctrl_packet(0, 3, created_cycle=0)
-    _, tracer = _traced_run([packet])
-    assert not tracer.truncated
-    summary = tracer.summary()
-    assert summary["dropped"] == 0
-    assert summary["truncated"] is False
-    assert summary["packets"] == 1
-    assert summary["nodes"] == 4  # src, two intermediates, dst
-    assert "TRUNCATED" not in tracer.format()
+    with NetworkTelemetry(network, TelemetryConfig(trace_capture=True)) as tel:
+        recorder = tel._recorder
+        assert network.stage_callbacks == [recorder.on_stage]
+    assert recorder.on_stage not in network.stage_callbacks
+    assert network.trace_drop_filter is None

@@ -5,7 +5,6 @@ import pytest
 from repro.noc.network import Network
 from repro.noc.packet import PacketClass, ctrl_packet, data_packet
 from repro.noc.simulator import Simulator
-from repro.noc.tracer import PacketTracer
 from repro.topology.mesh2d import Mesh2D
 from repro.traffic.base import ScheduledTraffic
 from repro.traffic.nuca import NucaUniformTraffic
