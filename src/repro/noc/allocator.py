@@ -6,207 +6,209 @@ The paper's router performs virtual-channel allocation in two steps
 arbiters).  Switch allocation (Sec. 3.2.6) is separable the same way: SA1
 picks one VC per input port, SA2 picks one input port per output port.
 
-These classes operate on abstract request descriptors so the router stays
-readable; they are deliberately stateful (the arbiters rotate priority
-between cycles) to model fairness the way hardware does.
+Both allocators work on the router's flat unit indices (``unit = port *
+num_vcs + vc``) and hold every arbiter as one ``int`` round-robin
+pointer in a flat list, so they are deliberately stateful: priority
+rotates between cycles to model fairness the way hardware does.  A
+round-robin arbiter grants the contender its pointer reaches first —
+the one with the smallest ``(x - pointer) % size`` — and its pointer
+then moves to ``winner + 1``.
 
-The router resolves the common small shapes itself (a sole VA
-requester; one or two switch requests without QoS) and leaves the
-arbiters in the state these classes would.  These allocators decide the
-rest: VA among two or more requesters, SA among three or more, and any
-QoS conflict.
+Every VA request, the sole requester included, goes through
+:meth:`VirtualChannelAllocator.allocate`, and every switch allocation
+with two or more requesters through :meth:`SwitchAllocator.allocate`.
+The router handles one shape itself: a sole SA requester is the only
+contender in both of its arbitrations, so ``Router._sa_win`` just
+rotates its two pointers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple  # noqa: F401
-
-from repro.noc.arbiter import RoundRobinArbiter
-
-
-class VARequest(NamedTuple):
-    """An input VC (identified by ``(in_port, in_vc)``) asking for a free
-    output VC on ``out_port``.
-
-    ``allowed_vcs`` restricts the candidate output VCs (e.g. the paper's
-    one-VC-per-traffic-class policy, Sec. 3.2.4); ``None`` = any VC.
-
-    A named tuple rather than a dataclass: requests are constructed in
-    the per-cycle hot loop and tuple construction is several times
-    cheaper.
-    """
-
-    in_port: int
-    in_vc: int
-    out_port: int
-    allowed_vcs: Optional[Tuple[int, ...]] = None
-
-
-class SARequest(NamedTuple):
-    """An input VC with a buffered flit asking for the crossbar slot to
-    ``out_port``."""
-
-    in_port: int
-    in_vc: int
-    out_port: int
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 
 class VirtualChannelAllocator:
     """Separable two-stage VC allocator.
 
-    ``grants = allocate(requests, free)`` maps each winning
-    ``(in_port, in_vc)`` to its granted ``(out_port, out_vc)``.  ``free``
-    gives the currently unowned output VCs per output port.
+    ``va1[unit]`` is the VA1 pointer of input unit *unit* over its
+    candidate output VCs; ``va2[out_port * num_vcs + out_vc]`` is the
+    VA2 pointer of that output VC over all input units.
     """
 
     def __init__(self, num_ports: int, num_vcs: int) -> None:
         self.num_ports = num_ports
         self.num_vcs = num_vcs
-        # VA1: one V:1 arbiter per input VC choosing among candidate out VCs.
-        self._va1 = {
-            (p, v): RoundRobinArbiter(num_vcs)
-            for p in range(num_ports)
-            for v in range(num_vcs)
-        }
-        # VA2: one PV:1 arbiter per output VC choosing among input VCs.
-        self._va2 = {
-            (p, v): RoundRobinArbiter(num_ports * num_vcs)
-            for p in range(num_ports)
-            for v in range(num_vcs)
-        }
+        self.va1: List[int] = [0] * (num_ports * num_vcs)
+        self.va2: List[int] = [0] * (num_ports * num_vcs)
 
     def allocate(
         self,
-        requests: Sequence[VARequest],
-        free: Dict[int, Sequence[bool]],
-    ) -> Dict[Tuple[int, int], Tuple[int, int]]:
-        # Stage 1: each input VC picks one candidate output VC among the
-        # free VCs of its requested output port.
-        candidates: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        for req in requests:
-            free_vcs = free.get(req.out_port)
-            if free_vcs is None:
-                continue
-            if req.allowed_vcs is not None:
-                allowed = set(req.allowed_vcs)
-                lines = [
-                    f and v in allowed for v, f in enumerate(free_vcs)
-                ]
-            else:
-                lines = list(free_vcs)
-            if not any(lines):
-                continue
-            choice = self._va1[(req.in_port, req.in_vc)].grant(lines)
-            if choice is not None:
-                candidates[(req.in_port, req.in_vc)] = (req.out_port, choice)
+        units: Sequence[int],
+        out_port_of: Sequence[int],
+        owners: Sequence[Sequence[Optional[Tuple[int, int]]]],
+        allowed: Optional[Sequence[Optional[Tuple[int, ...]]]] = None,
+    ) -> Dict[int, int]:
+        """Grant output VCs to the requesting input *units* (ascending).
 
-        # Stage 2: each contested output VC picks one input VC.
-        grants: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        by_out: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        for in_key, out_key in candidates.items():
-            by_out.setdefault(out_key, []).append(in_key)
-        for out_key, contenders in by_out.items():
-            lines = [False] * (self.num_ports * self.num_vcs)
-            for in_port, in_vc in contenders:
-                lines[in_port * self.num_vcs + in_vc] = True
-            winner = self._va2[out_key].grant(lines)
-            if winner is not None:
-                in_port, in_vc = divmod(winner, self.num_vcs)
-                grants[(in_port, in_vc)] = out_key
-        return grants
+        Unit ``i`` asks for a VC on output port ``out_port_of[i]``; an
+        output VC is free when its ``owners[port][vc]`` entry is
+        ``None``, read as it stands before any grant of this call.
+        ``allowed`` (parallel to *units*) restricts each unit's
+        candidate VCs, e.g. the one-VC-per-traffic-class policy of
+        Sec. 3.2.4; ``None`` means any VC.
+
+        Returns ``{out_port * num_vcs + out_vc: unit}`` in order of each
+        output VC's first appearance among the VA1 picks, the order the
+        grants are committed in.
+        """
+        num_vcs = self.num_vcs
+        va1 = self.va1
+        va2 = self.va2
+        size = len(va2)
+        winners: Dict[int, int] = {}
+        for n, i in enumerate(units):
+            out_port = out_port_of[i]
+            row = owners[out_port]
+            allow = None if allowed is None else allowed[n]
+            # VA1: the free, permitted output VC the pointer reaches
+            # first.  Its pointer rotates even if VA2 then denies it.
+            v = va1[i]
+            for _ in range(num_vcs):
+                if row[v] is None and (allow is None or v in allow):
+                    break
+                v = v + 1 if v + 1 < num_vcs else 0
+            else:
+                continue
+            va1[i] = v + 1 if v + 1 < num_vcs else 0
+            # VA2: the output VC's pointer picks among its contenders.
+            key = out_port * num_vcs + v
+            cur = winners.get(key)
+            if cur is None:
+                winners[key] = i
+            else:
+                nxt = va2[key]
+                if (i - nxt) % size < (cur - nxt) % size:
+                    winners[key] = i
+        for key, i in winners.items():
+            va2[key] = (i + 1) % size
+        return winners
 
     def check_sane(self) -> Optional[str]:
-        """``None`` when every arbiter's state is legal, else a message
-        naming the first corrupted one (sanitizer hook)."""
-        for key, arbiter in self._va1.items():
-            problem = arbiter.check_sane()
+        """``None`` when every pointer is legal, else a message naming
+        the first corrupted arbiter (sanitizer hook)."""
+        num_vcs = self.num_vcs
+        for unit, nxt in enumerate(self.va1):
+            problem = _pointer_problem(nxt, num_vcs)
             if problem:
-                return f"VA1 arbiter for input VC {key}: {problem}"
-        for key, arbiter in self._va2.items():
-            problem = arbiter.check_sane()
+                return (
+                    f"VA1 arbiter for input VC {divmod(unit, num_vcs)}: "
+                    f"{problem}"
+                )
+        for key, nxt in enumerate(self.va2):
+            problem = _pointer_problem(nxt, len(self.va2))
             if problem:
-                return f"VA2 arbiter for output VC {key}: {problem}"
+                return (
+                    f"VA2 arbiter for output VC {divmod(key, num_vcs)}: "
+                    f"{problem}"
+                )
         return None
 
 
 class SwitchAllocator:
     """Separable two-stage switch allocator.
 
-    ``allocate(requests)`` returns the winning requests, at most one per
-    input port and one per output port (the crossbar constraint).
-
-    ``priorities`` (optional) maps ``(in_port, in_vc)`` to a QoS class;
-    within each arbitration only the highest-priority contenders compete
-    (strict priority with round-robin tie-breaking), which is the
-    QoS-provisioning mode of Sec. 3.3.
+    ``sa1[in_port]`` is the SA1 pointer over that input port's VCs;
+    ``sa2[out_port]`` is the SA2 pointer over the input ports.
     """
 
     def __init__(self, num_ports: int, num_vcs: int) -> None:
         self.num_ports = num_ports
         self.num_vcs = num_vcs
-        # SA1: one V:1 arbiter per input port.
-        self._sa1 = [RoundRobinArbiter(num_vcs) for _ in range(num_ports)]
-        # SA2: one P:1 arbiter per output port (inputs already reduced to
-        # one VC each by SA1).
-        self._sa2 = [RoundRobinArbiter(num_ports) for _ in range(num_ports)]
-
-    @staticmethod
-    def _priority_filter(
-        reqs: List[SARequest],
-        priorities: Optional[Dict[Tuple[int, int], int]],
-    ) -> List[SARequest]:
-        if not priorities or len(reqs) <= 1:
-            return reqs
-        best = max(priorities.get((r.in_port, r.in_vc), 0) for r in reqs)
-        return [r for r in reqs if priorities.get((r.in_port, r.in_vc), 0) == best]
+        self.sa1: List[int] = [0] * num_ports
+        self.sa2: List[int] = [0] * num_ports
 
     def allocate(
         self,
-        requests: Sequence[SARequest],
-        priorities: Optional[Dict[Tuple[int, int], int]] = None,
-    ) -> List[SARequest]:
-        # Stage 1: per input port, pick one requesting VC.
-        stage1: Dict[int, SARequest] = {}
-        by_in: Dict[int, List[SARequest]] = {}
-        for req in requests:
-            by_in.setdefault(req.in_port, []).append(req)
-        for in_port, reqs in by_in.items():
-            reqs = self._priority_filter(reqs, priorities)
-            lines = [False] * self.num_vcs
-            lookup: Dict[int, SARequest] = {}
-            for req in reqs:
-                lines[req.in_vc] = True
-                lookup[req.in_vc] = req
-            winner = self._sa1[in_port].grant(lines)
-            if winner is not None:
-                stage1[in_port] = lookup[winner]
+        units: Sequence[int],
+        out_port_of: Sequence[int],
+        priority: Optional[Mapping[int, int]] = None,
+    ):
+        """Grant the crossbar among the requesting input *units*
+        (ascending), unit ``i`` bidding for output port
+        ``out_port_of[i]``: at most one grant per input port and one per
+        output port.
 
-        # Stage 2: per output port, pick one input port.
-        grants: List[SARequest] = []
-        by_out: Dict[int, List[SARequest]] = {}
-        for req in stage1.values():
-            by_out.setdefault(req.out_port, []).append(req)
-        for out_port, reqs in by_out.items():
-            reqs = self._priority_filter(reqs, priorities)
-            lines = [False] * self.num_ports
-            lookup = {}
-            for req in reqs:
-                lines[req.in_port] = True
-                lookup[req.in_port] = req
-            winner = self._sa2[out_port].grant(lines)
-            if winner is not None:
-                grants.append(lookup[winner])
-        return grants
+        ``priority`` (QoS provisioning, Sec. 3.3) maps each unit to its
+        packet's priority (absent units count as 0); every arbitration
+        then grants only among its highest-priority contenders,
+        round-robin among ties.
+
+        Returns the granted units in traversal order: by each output
+        port's first appearance among the SA1 winners, which come in
+        ascending input-port order.
+        """
+        num_vcs = self.num_vcs
+        sa1 = self.sa1
+        # SA1: per input port, the VC its pointer reaches first.
+        stage1: Dict[int, int] = {}
+        for i in units:
+            port = i // num_vcs
+            cur = stage1.get(port)
+            if cur is None:
+                stage1[port] = i
+                continue
+            nxt = sa1[port]
+            better = (i - nxt) % num_vcs < (cur - nxt) % num_vcs
+            if priority is not None:
+                a, b = priority.get(i, 0), priority.get(cur, 0)
+                if a != b:
+                    better = a > b
+            if better:
+                stage1[port] = i
+        # SA2: per output port, the input port its pointer reaches
+        # first.  Every SA1 winner rotates its pointer, even one that
+        # then loses here.
+        num_ports = self.num_ports
+        sa2 = self.sa2
+        winners: Dict[int, int] = {}
+        for port, i in stage1.items():
+            sa1[port] = (i + 1) % num_vcs
+            out = out_port_of[i]
+            cur = winners.get(out)
+            if cur is None:
+                winners[out] = i
+                continue
+            nxt = sa2[out]
+            better = (port - nxt) % num_ports < (cur // num_vcs - nxt) % num_ports
+            if priority is not None:
+                a, b = priority.get(i, 0), priority.get(cur, 0)
+                if a != b:
+                    better = a > b
+            if better:
+                winners[out] = i
+        for out, i in winners.items():
+            sa2[out] = (i // num_vcs + 1) % num_ports
+        return winners.values()
 
     def check_sane(self) -> Optional[str]:
-        """``None`` when every arbiter's state is legal, else a message
-        naming the first corrupted one (sanitizer hook)."""
-        for in_port, arbiter in enumerate(self._sa1):
-            problem = arbiter.check_sane()
+        """``None`` when every pointer is legal, else a message naming
+        the first corrupted arbiter (sanitizer hook)."""
+        for in_port, nxt in enumerate(self.sa1):
+            problem = _pointer_problem(nxt, self.num_vcs)
             if problem:
                 return f"SA1 arbiter for input port {in_port}: {problem}"
-        for out_port, arbiter in enumerate(self._sa2):
-            problem = arbiter.check_sane()
+        for out_port, nxt in enumerate(self.sa2):
+            problem = _pointer_problem(nxt, self.num_ports)
             if problem:
                 return f"SA2 arbiter for output port {out_port}: {problem}"
         return None
+
+
+def _pointer_problem(nxt, size: int) -> Optional[str]:
+    """What is wrong with round-robin pointer *nxt* over *size*
+    requesters, or ``None``.  A corrupted pointer silently biases (or
+    wedges) arbitration long before anything crashes; ``bool`` is
+    rejected too, since it only passes for an ``int`` by subclassing."""
+    if type(nxt) is not int or not 0 <= nxt < size:
+        return f"round-robin pointer {nxt!r} outside [0, {size})"
+    return None

@@ -7,8 +7,11 @@ The paper's VA and SA logic are built from ``V:1`` and ``PV:1`` arbiters
 * :class:`MatrixArbiter` — least-recently-served matrix arbiter, the
   structure whose area model (``n^2`` state bits) backs Table 1.
 
-Both expose the same ``grant(requests)`` interface and are interchangeable
-in the allocators.
+Both expose the same ``grant(requests)`` interface over a bool request
+vector.  The router's allocators (:mod:`repro.noc.allocator`) implement
+round-robin arbitration directly on flat ``int`` pointer lists instead;
+:class:`RoundRobinArbiter` is the readable form they are tested
+against.
 """
 
 from __future__ import annotations
@@ -42,18 +45,6 @@ class RoundRobinArbiter:
             if requests[idx]:
                 self._next = (idx + 1) % self.size
                 return idx
-        return None
-
-    def check_sane(self) -> Optional[str]:
-        """``None`` when the rotation pointer is in range, else what is
-        wrong.  A corrupted pointer silently biases (or, if negative /
-        out of range in just the wrong way, wedges) arbitration long
-        before anything crashes, so the sanitizer audits it."""
-        if not isinstance(self._next, int) or not 0 <= self._next < self.size:
-            return (
-                f"round-robin pointer {self._next!r} outside "
-                f"[0, {self.size})"
-            )
         return None
 
 

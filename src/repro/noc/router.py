@@ -28,12 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.noc.allocator import (
-    SARequest,
-    SwitchAllocator,
-    VARequest,
-    VirtualChannelAllocator,
-)
+from repro.noc.allocator import SwitchAllocator, VirtualChannelAllocator
 from repro.noc.buffer import VirtualChannelBuffer
 from repro.noc.packet import Flit, PacketClass
 from repro.noc.routing import RoutingFunction
@@ -175,20 +170,6 @@ class Router:
 
         self._va = VirtualChannelAllocator(self.num_ports, num_vcs)
         self._sa = SwitchAllocator(self.num_ports, num_vcs)
-        # Pre-resolved arbiter objects so the fast paths rotate pointers
-        # without dict lookups (same instances the allocators scan).
-        self._va1_arbs = [
-            self._va._va1[(p, v)]
-            for p in range(self.num_ports)
-            for v in range(num_vcs)
-        ]
-        self._va2_arbs = [
-            self._va._va2[(p, v)]
-            for p in range(self.num_ports)
-            for v in range(num_vcs)
-        ]
-        self._sa1_arbs = list(self._sa._sa1)
-        self._sa2_arbs = list(self._sa._sa2)
         self._hop_cycles = (
             ST_LT_MERGED_CYCLES if combined_st_lt else ST_LT_SPLIT_CYCLES
         )
@@ -472,11 +453,7 @@ class Router:
                 self._route(i, cycle)
                 return
             if state == _VA:
-                if not self._va_single(i, cycle):
-                    if self._attrib is not None:
-                        self._charge_stall(i, STALL_VA_CONFLICT)
-                    return
-                if not self.speculative_sa:
+                if not self._va_stage((i,), cycle) or not self.speculative_sa:
                     return
                 # Speculative SA (Fig. 8b): the freshly granted VC bids
                 # for the crossbar in the same cycle.  A failed bid is a
@@ -526,37 +503,8 @@ class Router:
                 for i in order
                 if vc_state[i] == _VA and vc_ready[i] <= cycle
             ]
-            if len(va_units) == 1:
-                if (
-                    not self._va_single(va_units[0], cycle)
-                    and attrib is not None
-                ):
-                    self._charge_stall(va_units[0], STALL_VA_CONFLICT)
-            elif va_units:
-                requests = [
-                    VARequest(
-                        i // num_vcs,
-                        i % num_vcs,
-                        vc_out_port[i],
-                        self._allowed_vcs(i, vc_out_port[i], vc_fifos),
-                    )
-                    for i in va_units
-                ]
-                free = {
-                    req.out_port: [
-                        owner is None for owner in self.out_owner[req.out_port]
-                    ]
-                    for req in requests
-                }
-                grants = self._va.allocate(requests, free)
-                for (in_port, in_vc), (out_port, out_vc) in grants.items():
-                    self._apply_va_grant(
-                        in_port * num_vcs + in_vc, out_port, out_vc, cycle
-                    )
-                if attrib is not None and len(grants) < len(va_units):
-                    for i in va_units:
-                        if (i // num_vcs, i % num_vcs) not in grants:
-                            self._charge_stall(i, STALL_VA_CONFLICT)
+            if va_units:
+                self._va_stage(va_units, cycle)
 
         # --- SA + ST stage ---
         if self._n_active:
@@ -577,50 +525,8 @@ class Router:
             if n_sa == 1:
                 i = sa_units[0]
                 self._sa_win(i, i // num_vcs, cycle)
-            elif n_sa == 2:
-                # Two requesters, resolved here with the separable
-                # allocator's exact round-robin outcome.
-                a, b = sa_units
-                a_port, b_port = a // num_vcs, b // num_vcs
-                out_a = vc_out_port[a]
-                if a_port != b_port and out_a != vc_out_port[b]:
-                    # Disjoint input and output ports never conflict:
-                    # each is the sole contender in its SA1/SA2 arbiters.
-                    self._sa_win(a, a_port, cycle)
-                    self._sa_win(b, b_port, cycle)
-                elif self.qos_enabled:
-                    # Priority filtering can reshape either arbitration;
-                    # keep the allocator's general path authoritative.
-                    self._sa_general(sa_units, cycle)
-                else:
-                    # A round-robin arbiter grants the requester it
-                    # reaches first counting up from its pointer.
-                    if a_port == b_port:
-                        # Two VCs of one input port: SA1 arbitrates, the
-                        # winner is then sole contender at its output.
-                        nxt = self._sa1_arbs[a_port]._next
-                        if (a - nxt) % num_vcs < (b - nxt) % num_vcs:
-                            winner, loser = a, b
-                        else:
-                            winner, loser = b, a
-                    else:
-                        # Two input ports contending for one output port:
-                        # SA2 picks the input port.  Each requester won
-                        # its own SA1, so the loser's pointer rotates too.
-                        nxt = self._sa2_arbs[out_a]._next
-                        n = self.num_ports
-                        if (a_port - nxt) % n < (b_port - nxt) % n:
-                            winner, loser, l_port = a, b, b_port
-                        else:
-                            winner, loser, l_port = b, a, a_port
-                        self._sa1_arbs[l_port]._next = (
-                            loser - l_port * num_vcs + 1
-                        ) % num_vcs
-                    self._sa_win(winner, winner // num_vcs, cycle)
-                    if attrib is not None:
-                        self._charge_stall(loser, STALL_SA_LOSS)
             elif n_sa:
-                self._sa_general(sa_units, cycle)
+                self._sa_stage(sa_units, cycle)
 
         # No end-of-step prune: a VC leaves ``_active`` the moment its
         # last buffered flit is popped (in ``_traverse_flat``), so every
@@ -658,120 +564,85 @@ class Router:
                 callback(cycle, self.node, flit, stage)
 
     def _sa_win(self, i: int, in_port: int, cycle: int) -> None:
-        """Grant flat unit *i* the crossbar as the sole winner of its SA1
-        and SA2 arbitrations and traverse it.
+        """Grant flat unit *i* the crossbar as the sole contender of its
+        SA1 and SA2 arbitrations and traverse it.
 
-        A round-robin arbiter's pointer moves just past whoever it
-        grants, so both pointer updates are rotations — the same state
-        :class:`SwitchAllocator` leaves behind.
+        A round-robin pointer moves just past whoever it grants, so both
+        updates are rotations — the state :class:`SwitchAllocator` would
+        leave behind.
         """
-        num_vcs = self.num_vcs
-        self._sa1_arbs[in_port]._next = (i - in_port * num_vcs + 1) % num_vcs
-        self._sa2_arbs[self.vc_out_port[i]]._next = (
-            in_port + 1
-        ) % self.num_ports
+        sa = self._sa
+        sa.sa1[in_port] = (i + 1) % self.num_vcs
+        sa.sa2[self.vc_out_port[i]] = (in_port + 1) % self.num_ports
         self._traverse_flat(i, in_port, cycle)
 
-    def _allowed_vcs(
-        self, i: int, out_port: int, vc_fifos
-    ) -> Optional[Tuple[int, ...]]:
+    def _sa_stage(self, sa_units: List[int], cycle: int) -> None:
+        """Contended switch allocation: traverse the allocator's grants
+        in its order and charge every loser one ``sa_loss`` stall."""
+        priority = None
+        if self.qos_enabled:
+            vc_fifos = self.vc_fifos
+            priority = {i: vc_fifos[i][0].packet.priority for i in sa_units}
+        granted = self._sa.allocate(sa_units, self.vc_out_port, priority)
+        num_vcs = self.num_vcs
+        for i in granted:
+            self._traverse_flat(i, i // num_vcs, cycle)
+        if self._attrib is not None and len(granted) < len(sa_units):
+            won = set(granted)
+            for i in sa_units:
+                if i not in won:
+                    self._charge_stall(i, STALL_SA_LOSS)
+
+    def _allowed_vcs(self, i: int) -> Optional[Tuple[int, ...]]:
         """Output-VC restriction for the head flit of flat unit *i*."""
+        fifo = self.vc_fifos[i]
+        if not fifo:
+            return None
         if self._vc_discipline:
-            fifo = vc_fifos[i]
-            if fifo:
-                vcs = self.routing.allowed_vcs(
-                    fifo[0], self.node, self.port_names[out_port]
-                )
-                # None from the discipline means "unrestricted here"
-                # (e.g. ejection ports) — same meaning as no discipline.
-                return None if vcs is None else tuple(vcs)
-        elif self.vc_by_class:
-            fifo = vc_fifos[i]
-            if fifo:
-                return (self._class_vc(fifo[0]),)
+            vcs = self.routing.allowed_vcs(
+                fifo[0], self.node, self.port_names[self.vc_out_port[i]]
+            )
+            # None from the discipline means "unrestricted here" (e.g.
+            # ejection ports) — same meaning as no discipline.
+            return None if vcs is None else tuple(vcs)
+        if self.vc_by_class:
+            return (self._class_vc(fifo[0]),)
         return None
 
-    def _va_single(self, i: int, cycle: int) -> bool:
-        """VC allocation for a sole requester, on the flat arrays.
-
-        Stage 1 arbitrates among the free output VCs, stage 2 has one
-        contender and reduces to a pointer rotation — the state
-        :class:`VirtualChannelAllocator` would leave behind.  Returns
-        True when a VC was granted.
-        """
+    def _va_stage(self, va_units, cycle: int) -> bool:
+        """VC allocation for the ready requesters *va_units*
+        (ascending): commit every grant in the allocator's order and
+        charge every loser one ``va_conflict`` stall.  True when any VC
+        was granted."""
+        allowed = None
+        if self._vc_discipline or self.vc_by_class:
+            allowed = [self._allowed_vcs(i) for i in va_units]
+        grants = self._va.allocate(
+            va_units, self.vc_out_port, self.out_owner, allowed
+        )
         num_vcs = self.num_vcs
-        out_port = self.vc_out_port[i]
-        owners = self.out_owner[out_port]
-        allowed = self._allowed_vcs(i, out_port, self.vc_fifos)
-        if allowed is None:
-            lines = [owner is None for owner in owners]
-        else:
-            lines = [
-                owner is None and v in allowed
-                for v, owner in enumerate(owners)
-            ]
-        if True not in lines:
-            return False
-        arb = self._va1_arbs[i]
-        nxt = arb._next
-        for offset in range(num_vcs):
-            choice = nxt + offset
-            if choice >= num_vcs:
-                choice -= num_vcs
-            if lines[choice]:
-                arb._next = (choice + 1) % num_vcs
-                self._va2_arbs[out_port * num_vcs + choice]._next = (
-                    i + 1
-                ) % len(self.vc_state)
-                self._apply_va_grant(i, out_port, choice, cycle)
-                return True
-        return False
-
-    def _apply_va_grant(
-        self, i: int, out_port: int, out_vc: int, cycle: int
-    ) -> None:
-        """Commit one VA grant to the flat state (both VA paths)."""
-        self.vc_out_vc[i] = out_vc
-        self.vc_state[i] = _ACTIVE
         # Speculative switch allocation (Fig. 8b): the flit bids for the
         # crossbar in the same cycle its VC is granted.
-        self.vc_ready[i] = cycle if self.speculative_sa else cycle + 1
-        num_vcs = self.num_vcs
-        self.out_owner[out_port][out_vc] = (i // num_vcs, i % num_vcs)
-        self._n_va -= 1
-        self._n_active += 1
-        self.events.va_allocations += 1
-        if self._stage_callbacks:
-            fifo = self.vc_fifos[i]
-            if fifo:
-                self._fire_stage(cycle, fifo[0], "va")
-
-    def _sa_general(self, sa_units: List[int], cycle: int) -> None:
-        """Contended switch allocation through the separable allocator."""
-        num_vcs = self.num_vcs
-        sa_requests = [
-            SARequest(i // num_vcs, i % num_vcs, self.vc_out_port[i])
-            for i in sa_units
-        ]
-        priorities = None
-        if self.qos_enabled:
-            priorities = {}
-            for req, i in zip(sa_requests, sa_units):
+        ready = cycle if self.speculative_sa else cycle + 1
+        for key, i in grants.items():
+            self.vc_out_vc[i] = key % num_vcs
+            self.vc_state[i] = _ACTIVE
+            self.vc_ready[i] = ready
+            self.out_owner[key // num_vcs][key % num_vcs] = divmod(i, num_vcs)
+            if self._stage_callbacks:
                 fifo = self.vc_fifos[i]
                 if fifo:
-                    priorities[(req.in_port, req.in_vc)] = (
-                        fifo[0].packet.priority
-                    )
-        granted = set() if self._attrib is not None else None
-        for grant in self._sa.allocate(sa_requests, priorities):
-            gi = grant.in_port * num_vcs + grant.in_vc
-            if granted is not None:
-                granted.add(gi)
-            self._traverse_flat(gi, grant.in_port, cycle)
-        if granted is not None:
-            for i in sa_units:
-                if i not in granted:
-                    self._charge_stall(i, STALL_SA_LOSS)
+                    self._fire_stage(cycle, fifo[0], "va")
+        granted = len(grants)
+        self._n_va -= granted
+        self._n_active += granted
+        self.events.va_allocations += granted
+        if self._attrib is not None and granted < len(va_units):
+            won = set(grants.values())
+            for i in va_units:
+                if i not in won:
+                    self._charge_stall(i, STALL_VA_CONFLICT)
+        return granted > 0
 
     def _traverse_flat(self, i: int, in_port: int, cycle: int) -> None:
         """Move one flit through the crossbar and onto its output."""

@@ -32,9 +32,10 @@ trusting any counter the audited code updates itself:
   earlier audit must carry the identical mask on every later audit until
   ejection.  Layer-resolved power/thermal maps are only as good as this
   invariant.
-* **allocator state** — the stateful round-robin arbiter pointers inside
-  the VA/SA allocators stay within range (a corrupted rotation pointer
-  silently biases fairness long before it crashes).
+* **allocator state** — the four flat round-robin pointer lists of the
+  VA/SA allocators (VA1, VA2, SA1, SA2) hold in-range ``int`` values, never
+  a ``bool`` (a corrupted rotation pointer silently biases fairness
+  long before it crashes).
 * **deadlock/livelock watchdog** — when the network holds flits but
   delivers nothing for a configurable window, a :class:`WatchdogReport`
   snapshots the stalled VCs, their head flits, and what each one waits

@@ -5,9 +5,16 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import settings
 
 from repro.core.arch import make_2db, make_3db, make_3dm, make_3dme
 from repro.experiments.config import ExperimentSettings
+
+#: ``--hypothesis-profile=ci``: the CI allocator-differential step runs
+#: many more examples, derandomized so a failure reproduces exactly.
+settings.register_profile(
+    "ci", max_examples=1000, derandomize=True, deadline=None
+)
 
 
 @pytest.fixture(autouse=True, scope="session")

@@ -1,26 +1,28 @@
-"""The router's inline two-request switch allocation against the
-separable :class:`SwitchAllocator`.
+"""Router-level switch allocation against the reference allocator.
 
-With exactly two units bidding for the crossbar, ``Router.step``
-resolves the disjoint, same-input-port and same-output-port shapes
-itself instead of calling the allocator.  For every SA1 / SA2 pointer
-start, the inline rule must pick the allocator's winner and leave every
-arbiter pointer where the allocator would, and stall attribution must
-charge the loser one ``sa_loss`` cycle.  The golden digests only catch
-an off-by-one here when a run happens to hit the pointer state that
-exposes it.
+Two, three and four units of the 5-port centre router of a 3x3 mesh
+bid for the crossbar in one ``Router.step``.  Two requesters run from
+every uniform SA1 / SA2 pointer start; three and four draw an arbitrary
+pointer per port with each example.  The router must move exactly the
+reference's winners, traverse them in its grant order (the order their
+flits land in the arrival slot, which fixes delivery order downstream),
+leave every SA pointer where the reference does, and, with stall
+attribution attached, charge each loser exactly one ``sa_loss`` cycle.  The golden
+digests only catch an off-by-one here when a run happens to hit the
+pointer state that exposes it.
 """
 
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.noc.allocator import SARequest, SwitchAllocator
 from repro.noc.network import Network
 from repro.noc.packet import data_packet
-from repro.noc.router import _ACTIVE, STALL_SA_LOSS
+from repro.noc.router import _ACTIVE, NUM_STALL_CAUSES, STALL_SA_LOSS
 from repro.telemetry.attribution import StallAttribution
 from repro.topology.mesh2d import Mesh2D
+from tests.reference_allocator import ReferenceSA, SARequest
 
 CENTRE = 4  # the 5-port router of a 3x3 mesh
 NUM_PORTS = 5
@@ -44,11 +46,16 @@ def _shapes(num_vcs):
 
 
 def _bid(router, requests):
-    """Make each request an ACTIVE unit fronting a body flit, holding a
-    distinct output VC on its out port."""
+    """Make each request an ACTIVE unit fronting its own body flit and
+    holding an output VC with credit on its out port.  Returns the
+    units and a flit-id -> unit map."""
     units = []
-    for out_vc, (in_port, in_vc, out_port) in enumerate(requests):
+    unit_of = {}
+    held = {}
+    for in_port, in_vc, out_port in requests:
         i = in_port * router.num_vcs + in_vc
+        out_vc = held.get(out_port, 0) % router.num_vcs
+        held[out_port] = out_vc + 1
         flit = data_packet(0, 8).make_flits()[1]
         router.vc_fifos[i].append(flit)
         router.vc_state[i] = _ACTIVE
@@ -59,43 +66,100 @@ def _bid(router, requests):
         router._n_active += 1
         router._active.add(i)
         units.append(i)
-    return units
+        unit_of[id(flit)] = i
+    return units, unit_of
 
 
-def _pointers(allocator):
-    return (
-        [arb._next for arb in allocator._sa1],
-        [arb._next for arb in allocator._sa2],
-    )
+def _check_against_reference(num_vcs, requests, attributed, sa1, sa2):
+    """Run one SA step from the given SA1 / SA2 pointer lists and
+    compare it with the reference."""
+    network = Network(Mesh2D(3, 3, pitch_mm=1.0), num_vcs=num_vcs)
+    attribution = StallAttribution(network) if attributed else None
+    router = network.routers[CENTRE]
+    assert router.num_ports == NUM_PORTS
+    router._sa.sa1[:] = sa1
+    router._sa.sa2[:] = sa2
+    reference = ReferenceSA(NUM_PORTS, num_vcs, sa1, sa2)
+
+    units, unit_of = _bid(router, requests)
+    grants = reference.allocate([SARequest(*req) for req in sorted(requests)])
+    router.step(CYCLE)
+
+    case = (requests, sa1, sa2)
+    expected = [g.in_port * num_vcs + g.in_vc for g in grants]
+    arrivals = network._arrivals
+    slot = arrivals._slots[(CYCLE + router._hop_cycles) % arrivals._size]
+    assert [unit_of[id(entry[3])] for entry in slot] == expected, case
+    moved = {i for i in units if not router.vc_fifos[i]}
+    assert moved == set(expected), case
+    assert (router._sa.sa1, router._sa.sa2) == reference.pointers(), case
+    if attribution is not None:
+        base = attribution._unit_base[CENTRE]
+        sa_loss = [
+            attribution.unit_counts[base + i * NUM_STALL_CAUSES + STALL_SA_LOSS]
+            for i in units
+        ]
+        assert sa_loss == [0 if i in moved else 1 for i in units], case
 
 
 @pytest.mark.parametrize("attributed", [False, True])
 @pytest.mark.parametrize("shape", ["disjoint", "same_input", "same_output"])
 @pytest.mark.parametrize("num_vcs", [2, 3, 4])
 def test_inline_pair_matches_switch_allocator(num_vcs, shape, attributed):
-    for requests, sa1_start, sa2_start in itertools.product(
-        _shapes(num_vcs)[shape], range(num_vcs), range(NUM_PORTS)
-    ):
-        network = Network(Mesh2D(3, 3, pitch_mm=1.0), num_vcs=num_vcs)
-        attribution = StallAttribution(network) if attributed else None
-        router = network.routers[CENTRE]
-        assert router.num_ports == NUM_PORTS
-        reference = SwitchAllocator(NUM_PORTS, num_vcs)
-        for allocator in (router._sa, reference):
-            for arb in allocator._sa1:
-                arb._next = sa1_start
-            for arb in allocator._sa2:
-                arb._next = sa2_start
+    """The two-request shapes: disjoint ports, a shared input port and
+    a shared output port, from every SA1 / SA2 pointer start."""
+    for requests in _shapes(num_vcs)[shape]:
+        for sa1_start, sa2_start in itertools.product(
+            range(num_vcs), range(NUM_PORTS)
+        ):
+            _check_against_reference(
+                num_vcs,
+                requests,
+                attributed,
+                [sa1_start] * NUM_PORTS,
+                [sa2_start] * NUM_PORTS,
+            )
 
-        units = _bid(router, requests)
-        grants = reference.allocate([SARequest(*req) for req in requests])
-        router.step(CYCLE)
 
-        case = (requests, sa1_start, sa2_start)
-        granted = {g.in_port * num_vcs + g.in_vc for g in grants}
-        moved = {i for i in units if not router.vc_fifos[i]}
-        assert moved == granted, case
-        assert _pointers(router._sa) == _pointers(reference), case
-        if attribution is not None:
-            sa_loss = attribution.node_cause_counts()[CENTRE][STALL_SA_LOSS]
-            assert sa_loss == len(units) - len(grants), case
+@st.composite
+def _contended(draw):
+    """Three or four requests on distinct input VCs of the centre
+    router, each bound for a mesh (non-local) output port, and an
+    arbitrary SA1 / SA2 pointer per port."""
+    num_vcs = draw(st.integers(2, 4))
+    count = draw(st.integers(3, 4))
+    units = draw(
+        st.lists(
+            st.integers(0, NUM_PORTS * num_vcs - 1),
+            unique=True,
+            min_size=count,
+            max_size=count,
+        )
+    )
+    requests = [
+        (i // num_vcs, i % num_vcs, draw(st.integers(1, NUM_PORTS - 1)))
+        for i in units
+    ]
+    sa1 = draw(
+        st.lists(
+            st.integers(0, num_vcs - 1), min_size=NUM_PORTS, max_size=NUM_PORTS
+        )
+    )
+    sa2 = draw(
+        st.lists(
+            st.integers(0, NUM_PORTS - 1),
+            min_size=NUM_PORTS,
+            max_size=NUM_PORTS,
+        )
+    )
+    return num_vcs, requests, sa1, sa2
+
+
+@pytest.mark.parametrize("attributed", [False, True])
+@given(case=_contended())
+def test_contended_sa_matches_reference(case, attributed):
+    """Three and four requesters, any mix of shared input and output
+    ports."""
+    num_vcs, requests, sa1, sa2 = case
+    _check_against_reference(num_vcs, requests, attributed, sa1, sa2)
+

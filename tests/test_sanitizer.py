@@ -162,6 +162,38 @@ class TestSeededFaults:
         assert err.vc == 0
         assert f"node {router.node}" in str(err)
 
+    @pytest.mark.parametrize(
+        "allocator, pointers, label",
+        [
+            ("_va", "va1", "VA1 arbiter for input VC"),
+            ("_va", "va2", "VA2 arbiter for output VC"),
+            ("_sa", "sa1", "SA1 arbiter for input port"),
+            ("_sa", "sa2", "SA2 arbiter for output port"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", ["size", -1, True])
+    def test_corrupted_allocator_pointer_attributed(
+        self, allocator, pointers, label, bad
+    ):
+        network, _ = _warmed_network(cycles=20)
+        network.sanitizer.audit(network.cycle)  # healthy so far
+        router = network.routers[7]
+        flat = getattr(getattr(router, allocator), pointers)
+        size = {"va1": router.num_vcs, "sa1": router.num_vcs}.get(
+            pointers, len(flat)
+        )
+        # One past the end, negative, or a bool (an int subclass that
+        # must not pass for a pointer).
+        flat[-1] = size if bad == "size" else bad
+
+        with pytest.raises(SanityError) as excinfo:
+            network.sanitizer.audit(network.cycle)
+        err = excinfo.value
+        assert err.check == "allocator-state"
+        assert err.node == router.node
+        assert label in str(err)
+        assert f"node {router.node}" in str(err)
+
     def test_dropped_flit_attributed(self):
         network, sim = _warmed_network(rate=0.3, cycles=0, seed=9)
 
