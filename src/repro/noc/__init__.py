@@ -21,7 +21,6 @@ _EXPORTS = {
     "FlitType": ".packet",
     "Packet": ".packet",
     "PacketClass": ".packet",
-    "VirtualChannelBuffer": ".buffer",
     "RoundRobinArbiter": ".arbiter",
     "MatrixArbiter": ".arbiter",
     "RoutingFunction": ".routing",

@@ -2,7 +2,8 @@
 
 The network owns the per-cycle event buckets (flit arrivals, credit
 returns, ejections), the per-node source queues, and the global event
-counters.  It is deliberately separate from :class:`repro.noc.simulator.
+counters (:attr:`Network.events`, folded on read from per-router
+tallies).  It is deliberately separate from :class:`repro.noc.simulator.
 Simulator`, which adds warm-up/measurement/drain orchestration and power
 integration on top.
 """
@@ -10,7 +11,7 @@ integration on top.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Set
+from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.shutdown import ShortFlitDetector
 from repro.noc.packet import Flit, Packet, PacketClass
@@ -25,6 +26,11 @@ from repro.topology.base import Topology
 
 #: Callback invoked when a packet's tail flit leaves the network.
 DeliveryCallback = Callable[[Packet, int], None]
+
+
+def _nonzero_by_layers(histogram: List[int]) -> Dict[int, int]:
+    """``{k: count}`` for a histogram indexed ``k - 1``, zero counts omitted."""
+    return {k: n for k, n in enumerate(histogram, 1) if n}
 
 
 class _SourceQueue:
@@ -117,7 +123,17 @@ class Network:
         self.qos_enabled = qos_enabled
         self.vc_by_class = vc_by_class
         self.routing = routing or routing_for_topology(topology)
-        self.events = EventCounts()
+        self._events = EventCounts()
+        #: Link kind names, sorted; the index is the routers' link-kind id.
+        self.link_kinds: List[str] = sorted(
+            {link.kind.value for link in topology.links}
+        )
+        #: Link float accumulators, one add per link flit in traversal
+        #: order (see :attr:`events`): length x activity weight by
+        #: link-kind id, and length by effective active-layer count k
+        #: (index 0 unused).  The routers add into these lists directly.
+        self.link_mm_weighted_sums = [0.0] * len(self.link_kinds)
+        self.link_mm_by_layers_sums = [0.0] * (layer_groups + 1)
         self.stats = NetworkStats()
         #: Functional zero-detector bank at the injection ports: every
         #: flit is observed as its packet is serialised, stamping the
@@ -144,7 +160,7 @@ class Network:
                 combined_st_lt=combined_st_lt,
                 layer_groups=layer_groups,
                 shutdown_enabled=shutdown_enabled,
-                events=self.events,
+                events=self._events,
                 speculative_sa=speculative_sa,
                 lookahead_rc=lookahead_rc,
                 qos_enabled=qos_enabled,
@@ -194,6 +210,18 @@ class Network:
         # routers alias their slot lists directly (hot-path appends).
         for router in self.routers:
             router.attach(self)
+        #: (the router's ``port_flits`` row, link kind, channel) per link,
+        #: sorted by channel — what :attr:`events` folds.
+        self._link_tallies = sorted(
+            (
+                (router.port_flits[port], link.kind.value,
+                 (link.src, link.dst))
+                for router in self.routers
+                for port, link in enumerate(router.out_links)
+                if link is not None
+            ),
+            key=lambda tally: tally[2],
+        )
         self.active_scheduling = active_scheduling
         #: Attach a :class:`~repro.noc.profiling.NetworkProfiler` to
         #: collect cycles/sec, active-router ratio and per-phase wall
@@ -244,6 +272,61 @@ class Network:
             from repro.telemetry.sampler import NetworkTelemetry
 
             NetworkTelemetry(self, telemetry)  # registers as self.telemetry
+
+    @property
+    def events(self) -> EventCounts:
+        """The network's cumulative event counters, brought up to date.
+
+        Routers tally per-flit events in plain per-router ``int`` lists;
+        this folds them into the one :class:`EventCounts` object and
+        returns it (snapshot with ``copy()``).  Keys of the dict
+        counters appear, sorted, exactly when their count is > 0.
+
+        The activity-weighted floats are never derived from the integer
+        tallies: ``k / layer_groups`` and link lengths are not dyadic in
+        general, so each float keeps exactly one add per event in the
+        global traversal order.  Buffer floats are summed on the counters
+        directly, link floats into the network's ``link_mm_*_sums`` lists.
+        """
+        ev = self._events
+        routers = self.routers
+        switched = [
+            sum(col) for col in zip(*(r.flits_switched_by_layers for r in routers))
+        ]
+        writes = [sum(col) for col in zip(*(r.writes_by_layers for r in routers))]
+        rows = []
+        link_flits: Dict[str, int] = {}
+        channel_flits: Dict[Tuple[int, int], int] = {}
+        for row, kind, channel in self._link_tallies:
+            flits = sum(row)
+            if flits:
+                rows.append(row)
+                link_flits[kind] = link_flits.get(kind, 0) + flits
+                channel_flits[channel] = channel_flits.get(channel, 0) + flits
+        link_by_layers = [sum(col) for col in zip(*rows)]
+        hops = sum(switched)
+        ev.buffer_writes = sum(writes)
+        ev.buffer_reads = ev.sa_allocations = hops
+        ev.xbar_traversals = ev.flit_hops = hops
+        ev.xbar_traversals_weighted = ev.buffer_reads_weighted
+        ev.short_flit_hops = sum(r.short_flit_hops for r in routers)
+        ev.buffer_writes_by_layers = _nonzero_by_layers(writes)
+        ev.buffer_reads_by_layers = _nonzero_by_layers(switched)
+        ev.xbar_traversals_by_layers = _nonzero_by_layers(switched)
+        ev.flit_hops_by_layers = _nonzero_by_layers(switched)
+        ev.link_flits = dict(sorted(link_flits.items()))
+        ev.channel_flits = channel_flits
+        ev.link_mm_weighted = {
+            kind: self.link_mm_weighted_sums[idx]
+            for idx, kind in enumerate(self.link_kinds)
+            if kind in link_flits
+        }
+        ev.link_mm_by_layers = {
+            k: self.link_mm_by_layers_sums[k]
+            for k, n in enumerate(link_by_layers, 1)
+            if n
+        }
+        return ev
 
     # -- scheduling hooks used by routers -----------------------------------
 

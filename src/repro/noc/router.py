@@ -22,14 +22,21 @@ flat parallel arrays on the router — ``vc_state`` / ``vc_ready`` /
 slots instead of chasing attributes through thousands of tiny objects.
 Observers (sanitizer, telemetry sampler, tests) read and perturb those
 same arrays directly, so there is one copy of the pipeline state.
+
+Per-flit activity is tallied the same way: plain per-router ``int``
+lists (switched flits and buffer writes by active-layer count, flits per
+output port and layer count, short-flit hops) that
+:attr:`~repro.noc.network.Network.events` folds on read.  Only the
+activity-weighted floats are summed into shared accumulators per flit,
+because their value depends on the order of the adds.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.noc.allocator import SwitchAllocator, VirtualChannelAllocator
-from repro.noc.buffer import VirtualChannelBuffer
 from repro.noc.packet import Flit, PacketClass
 from repro.noc.routing import RoutingFunction
 from repro.noc.stats import EventCounts
@@ -127,6 +134,8 @@ class Router:
             raise ValueError(
                 "vc_by_class cannot be combined with a routing VC discipline"
             )
+        if buffer_depth < 1:
+            raise ValueError(f"buffer depth must be >= 1, got {buffer_depth}")
         if num_vcs < routing.required_vcs:
             raise ValueError(
                 f"routing function needs >= {routing.required_vcs} virtual "
@@ -147,12 +156,9 @@ class Router:
         self.vc_ready: List[int] = [0] * units
         self.vc_out_port: List[int] = [-1] * units
         self.vc_out_vc: List[int] = [-1] * units
-        self.vc_buffers: List[VirtualChannelBuffer] = [
-            VirtualChannelBuffer(buffer_depth) for _ in range(units)
-        ]
-        #: Aliases of ``vc_buffers[i].fifo`` — the engine tests emptiness
-        #: and pops through these without touching the buffer objects.
-        self.vc_fifos = [buf.fifo for buf in self.vc_buffers]
+        #: One bounded flit FIFO per input VC, front at index 0;
+        #: :meth:`receive_flit` enforces the depth.
+        self.vc_fifos: List[Deque[Flit]] = [deque() for _ in range(units)]
         # Output-side state. Local output has effectively infinite credits
         # (the ejection sink always accepts); model with None.
         self.out_links: List[Optional[LinkSpec]] = [None] * self.num_ports
@@ -177,14 +183,21 @@ class Router:
         #: 0 unused) — the same dyadic float the legacy per-event
         #: division produced, computed once.
         self._w_table = [k / layer_groups for k in range(layer_groups + 1)]
-        #: Flits this router has switched (for per-node power/thermal maps).
-        self.flits_switched = 0
         #: Histogram of switched flits by *effective* active-layer count:
         #: index ``k-1`` counts traversals that drove exactly ``k``
         #: datapath layers (k = flit.active_groups with shutdown enabled,
-        #: else layer_groups).  Feeds the per-router-per-layer power maps
-        #: handed to the thermal model.
+        #: else layer_groups).  One switched flit is one buffer read, one
+        #: SA grant, one crossbar traversal and one flit-hop, so this also
+        #: yields those network counters; it feeds the per-router-per-layer
+        #: power maps handed to the thermal model.
         self.flits_switched_by_layers = [0] * layer_groups
+        #: Buffer writes by effective active-layer count (index ``k-1``).
+        self.writes_by_layers = [0] * layer_groups
+        #: Link flits per output port by effective active-layer count:
+        #: ``port_flits[port][k - 1]`` (the local port's row stays zero).
+        self.port_flits = [[0] * layer_groups for _ in range(self.num_ports)]
+        #: Switched flits that carried a single active word group.
+        self.short_flit_hops = 0
         # Flat indices of input VCs that may have work this cycle.
         self._active: set[int] = set()
         # Alias of network.stage_callbacks (bound in attach); empty list
@@ -213,6 +226,11 @@ class Router:
         #: :meth:`attach` and rebuilt in place on a link kill.
         self.routes: list = []
 
+    @property
+    def flits_switched(self) -> int:
+        """Flits this router has switched (per-node power/thermal maps)."""
+        return sum(self.flits_switched_by_layers)
+
     def attach(self, network: "Network") -> None:
         self._network = network
         # Same list object the network mutates: callbacks registered
@@ -221,12 +239,13 @@ class Router:
         self.routes = network.routes[self.node]
         # Pre-resolve (dst node, dst input port) per output port so the
         # traversal hot path skips the per-flit string port lookups, and
-        # the per-link ``EventCounts.count_link`` arguments likewise.
-        # The downstream router's row per output port feeds look-ahead RC.
+        # the per-link accounting arguments (link-kind index, length,
+        # ``port_flits`` row) likewise.  The downstream router's row per
+        # output port feeds look-ahead RC.
         self._arrival_targets: List[Optional[Tuple[int, int]]] = []
-        self._link_args: List[Optional[Tuple[str, float, Tuple[int, int]]]] = []
+        self._link_args: List[Optional[Tuple[int, float, List[int]]]] = []
         self._next_routes: List[Optional[list]] = []
-        for link in self.out_links:
+        for port, link in enumerate(self.out_links):
             if link is None:
                 self._arrival_targets.append(None)
                 self._link_args.append(None)
@@ -237,9 +256,14 @@ class Router:
                     (link.dst, dst_router.port_index[link.dst_port])
                 )
                 self._next_routes.append(network.routes[link.dst])
-                self._link_args.append(
-                    (link.kind.value, link.length_mm, (link.src, link.dst))
-                )
+                self._link_args.append((
+                    network.link_kinds.index(link.kind.value),
+                    link.length_mm,
+                    self.port_flits[port],
+                ))
+        # The network-wide link float accumulators (see Network.events).
+        self._link_mm_weighted = network.link_mm_weighted_sums
+        self._link_mm_by_layers = network.link_mm_by_layers_sums
         # Direct slot aliases into the network's timing wheels and
         # active-router set.  Every in-simulator delay (credit return 1,
         # ejection 1, hop 2-3) is far inside the wheel horizon, so the
@@ -337,8 +361,6 @@ class Router:
     def receive_flit(self, port: int, vc: int, flit: Flit, cycle: int) -> None:
         """Write an arriving flit into its input VC buffer."""
         i = port * self.num_vcs + vc
-        # VirtualChannelBuffer.push, inlined for the hot path (the
-        # buffer's write counter stays truthful for power accounting).
         fifo = self.vc_fifos[i]
         if len(fifo) >= self.buffer_depth:
             raise OverflowError(
@@ -346,18 +368,12 @@ class Router:
                 "impossible"
             )
         fifo.append(flit)
-        self.vc_buffers[i].writes += 1
-        ev = self.events
         # Effective active-layer count: with shutdown disabled every
         # layer switches regardless of payload.  k/layer_groups is the
-        # activity weight (exactly 1.0 when k == layer_groups), so the
-        # layer histogram and the weighted float stay mutually
-        # consistent bit-for-bit.
+        # activity weight (exactly 1.0 when k == layer_groups).
         k = flit.active_groups if self.shutdown_enabled else self.layer_groups
-        ev.buffer_writes += 1
-        ev.buffer_writes_weighted += self._w_table[k]
-        by_layers = ev.buffer_writes_by_layers
-        by_layers[k] = by_layers.get(k, 0) + 1
+        self.events.buffer_writes_weighted += self._w_table[k]
+        self.writes_by_layers[k - 1] += 1
         if self.vc_state[i] == _IDLE:
             if not flit.is_head:
                 raise RuntimeError(
@@ -384,8 +400,7 @@ class Router:
         self._active.add(i)
         # Wakeup protocol: every flit reception (re-)activates this
         # router with the network's scheduler.
-        if self._network is not None:
-            self._wake_add(self.node)
+        self._wake_add(self.node)
 
     def receive_credit(self, port: int, vc: int) -> None:
         credits = self.credits[port]
@@ -646,12 +661,8 @@ class Router:
 
     def _traverse_flat(self, i: int, in_port: int, cycle: int) -> None:
         """Move one flit through the crossbar and onto its output."""
-        network = self._network
-        if network is None:
-            raise RuntimeError("router not attached to a network")
         fifo = self.vc_fifos[i]
         flit = fifo.popleft()
-        self.vc_buffers[i].reads += 1
         if not fifo:
             # Drained: deactivate now (replaces the end-of-step prune).
             self._active.discard(i)
@@ -659,23 +670,11 @@ class Router:
         # is the legacy activity weight, inlined for the hot path.
         k = flit.active_groups if self.shutdown_enabled else self.layer_groups
         weight = self._w_table[k]
-        ev = self.events
-        ev.buffer_reads += 1
-        ev.buffer_reads_weighted += weight
-        ev.sa_allocations += 1
-        ev.xbar_traversals += 1
-        ev.xbar_traversals_weighted += weight
-        ev.flit_hops += 1
-        by_layers = ev.buffer_reads_by_layers
-        by_layers[k] = by_layers.get(k, 0) + 1
-        by_layers = ev.xbar_traversals_by_layers
-        by_layers[k] = by_layers.get(k, 0) + 1
-        by_layers = ev.flit_hops_by_layers
-        by_layers[k] = by_layers.get(k, 0) + 1
-        self.flits_switched += 1
+        # One buffer read + SA grant + crossbar traversal + flit-hop.
+        self.events.buffer_reads_weighted += weight
         self.flits_switched_by_layers[k - 1] += 1
         if flit.active_groups == 1:
-            ev.short_flit_hops += 1
+            self.short_flit_hops += 1
         if self._stage_callbacks and flit.is_head:
             self._fire_stage(cycle, flit, "st")
 
@@ -709,16 +708,10 @@ class Router:
                     # NRC: look up the route for the *next* router while
                     # the flit crosses the switch (off the critical path).
                     self._look_ahead(flit, self._next_routes[out_port])
-            kind, length_mm, channel = self._link_args[out_port]
-            # count_link(), inlined for the hot path.
-            link_flits = ev.link_flits
-            link_flits[kind] = link_flits.get(kind, 0) + 1
-            link_mm = ev.link_mm_weighted
-            link_mm[kind] = link_mm.get(kind, 0.0) + length_mm * weight
-            channel_flits = ev.channel_flits
-            channel_flits[channel] = channel_flits.get(channel, 0) + 1
-            by_mm = ev.link_mm_by_layers
-            by_mm[k] = by_mm.get(k, 0.0) + length_mm
+            kind, length_mm, port_flits = self._link_args[out_port]
+            port_flits[k - 1] += 1
+            self._link_mm_weighted[kind] += length_mm * weight
+            self._link_mm_by_layers[k] += length_mm
             dst, dst_port = self._arrival_targets[out_port]
             self._arr_slots[(cycle + self._hop_cycles) % self._arr_size].append(
                 (dst, dst_port, out_vc, flit)

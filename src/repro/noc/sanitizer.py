@@ -227,6 +227,12 @@ class _PacketPresence:
         self.locations: List[Optional[Tuple[int, int, int]]] = []
 
 
+def _flit_hops(network: "Network") -> int:
+    """Flit-hops so far, summed off the routers' switched-flit tallies
+    (cheaper than folding every counter through ``network.events``)."""
+    return sum(router.flits_switched for router in network.routers)
+
+
 class NetworkSanitizer:
     """Re-derives the network's invariants from its live structures.
 
@@ -269,7 +275,7 @@ class NetworkSanitizer:
         self._audit_cycle = -1
         self._last_delivered = network.stats.flits_delivered
         self._progress_cycle = 0
-        self._progress_hops = network.events.flit_hops
+        self._progress_hops = _flit_hops(network)
         self._stall_reported = False
 
     # -- entry points ------------------------------------------------------
@@ -422,7 +428,7 @@ class NetworkSanitizer:
                         vc=vc, pid=pid,
                     )
 
-                flits = router.vc_buffers[i].flits()
+                flits = tuple(router.vc_fifos[i])
                 if len(flits) > router.buffer_depth:
                     raise err(
                         f"buffer holds {len(flits)} flits "
@@ -727,7 +733,7 @@ class NetworkSanitizer:
         if delivered != self._last_delivered or not busy:
             self._last_delivered = delivered
             self._progress_cycle = cycle
-            self._progress_hops = net.events.flit_hops
+            self._progress_hops = _flit_hops(net)
             self._stall_reported = False
             return
         stalled = cycle - self._progress_cycle
@@ -798,6 +804,6 @@ class NetworkSanitizer:
             cycle=cycle,
             stalled_cycles=stalled,
             flits_in_network=flits_in_network,
-            flit_hops_in_window=net.events.flit_hops - self._progress_hops,
+            flit_hops_in_window=_flit_hops(net) - self._progress_hops,
             stalled_vcs=tuple(stalled_vcs),
         )

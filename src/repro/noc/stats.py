@@ -7,7 +7,10 @@ Two concerns live here:
   operations).  Separable-module events carry an *activity weight*: the
   fraction of word groups actually switched, which is how the layer
   shutdown technique (Sec. 3.2.1) turns short flits into energy savings.
-  The Orion-style energy model consumes these counters.
+  The Orion-style energy model consumes these counters.  Routers tally
+  the per-flit integer events in their own lists, so the integer fields
+  are current only when read through ``Network.events`` (which folds
+  them in), not through the object a router holds as ``Router.events``.
 
 * :class:`NetworkStats` — packet latency / hop / throughput accounting
   over a measurement window.
@@ -81,25 +84,6 @@ class EventCounts:
     #: kinds pooled; the per-kind split stays in ``link_mm_weighted``).
     link_mm_by_layers: Dict[int, float] = field(default_factory=dict)
 
-    def count_link(
-        self,
-        kind: str,
-        length_mm: float,
-        weight: float,
-        channel: Optional[Tuple[int, int]] = None,
-        active_layers: Optional[int] = None,
-    ) -> None:
-        self.link_flits[kind] = self.link_flits.get(kind, 0) + 1
-        self.link_mm_weighted[kind] = (
-            self.link_mm_weighted.get(kind, 0.0) + length_mm * weight
-        )
-        if channel is not None:
-            self.channel_flits[channel] = self.channel_flits.get(channel, 0) + 1
-        if active_layers is not None:
-            self.link_mm_by_layers[active_layers] = (
-                self.link_mm_by_layers.get(active_layers, 0.0) + length_mm
-            )
-
     @staticmethod
     def events_at_layer(by_layers: Dict[int, int], layer: int) -> int:
         """Events during which datapath *layer* switched.
@@ -127,7 +111,9 @@ class EventCounts:
         """Counters accumulated since *earlier* (a snapshot of self).
 
         Field-generic like :meth:`copy`: scalar counters subtract, dict
-        counters subtract per key over the union of keys.
+        counters subtract per key over the union of keys, in sorted key
+        order (so float sums over ``values()`` never depend on the hash
+        seed or on insertion order).
         """
         out = EventCounts()
         for f in fields(self):
@@ -136,7 +122,7 @@ class EventCounts:
             if isinstance(mine, dict):
                 setattr(out, f.name, {
                     key: mine.get(key, 0) - theirs.get(key, 0)
-                    for key in set(mine) | set(theirs)
+                    for key in sorted(set(mine) | set(theirs))
                 })
             else:
                 setattr(out, f.name, mine - theirs)

@@ -593,8 +593,9 @@ class NetworkTelemetry:
         span = self._cycles_in_window
         num_nodes = net.topology.num_nodes
 
-        delta = net.events.delta(self._last_events)
-        self._last_events = net.events.copy()
+        events = net.events  # one fold per window
+        delta = events.delta(self._last_events)
+        self._last_events = events.copy()
         window = self._cursor.advance()
 
         self._c_injected.inc(window.packets_injected)

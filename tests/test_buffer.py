@@ -1,80 +1,69 @@
-"""Virtual-channel buffer tests."""
+"""Virtual-channel buffer tests.
+
+A router's input VC buffers are plain FIFOs of depth ``buffer_depth``;
+``receive_flit`` writes them and switch traversal reads them.  Each
+router tallies its writes (``writes_by_layers``) and reads
+(``flits_switched``), which ``Network.events`` folds network-wide.
+"""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.noc.buffer import VirtualChannelBuffer
-from repro.noc.packet import FlitType, Flit, ctrl_packet
-
-
-def _flit():
-    return Flit(ctrl_packet(0, 1), FlitType.SINGLE, 0)
+from repro.noc.network import Network
+from repro.noc.packet import data_packet
+from repro.topology.mesh2d import Mesh2D
 
 
-def test_starts_empty():
-    buf = VirtualChannelBuffer(4)
-    assert buf.is_empty and not buf.is_full
-    assert len(buf) == 0
-    assert buf.free_slots == 4
-    assert buf.front() is None
+def _network(depth):
+    network = Network(Mesh2D(2, 1, pitch_mm=1.0), buffer_depth=depth)
+    network.sanitizer = None  # hand-fed flits bypass the injection ledger
+    return network
 
 
-def test_push_pop_fifo_order():
-    buf = VirtualChannelBuffer(4)
-    flits = [_flit() for _ in range(3)]
-    for f in flits:
-        buf.push(f)
-    assert [buf.pop() for _ in range(3)] == flits
-
-
-def test_overflow_raises():
-    buf = VirtualChannelBuffer(2)
-    buf.push(_flit())
-    buf.push(_flit())
-    with pytest.raises(OverflowError):
-        buf.push(_flit())
-
-
-def test_underflow_raises():
-    buf = VirtualChannelBuffer(2)
-    with pytest.raises(IndexError):
-        buf.pop()
+def _writes(router):
+    return sum(router.writes_by_layers)
 
 
 def test_counts_reads_and_writes():
-    buf = VirtualChannelBuffer(4)
-    buf.push(_flit())
-    buf.push(_flit())
-    buf.pop()
-    assert buf.writes == 2
-    assert buf.reads == 1
-
-
-def test_front_does_not_consume():
-    buf = VirtualChannelBuffer(4)
-    f = _flit()
-    buf.push(f)
-    assert buf.front() is f
-    assert len(buf) == 1
+    network = _network(4)
+    router = network.routers[0]
+    head, body = data_packet(0, 1, created_cycle=0).make_flits()[:2]
+    router.receive_flit(router.local_port, 0, head, cycle=0)
+    router.receive_flit(router.local_port, 0, body, cycle=0)
+    assert (_writes(router), router.flits_switched) == (2, 0)
+    for _ in range(20):
+        network.step()
+        if router.flits_switched:
+            break
+    assert _writes(router) == 2
+    assert router.flits_switched == 1
+    assert router.occupancy() == 1
 
 
 def test_invalid_depth():
-    with pytest.raises(ValueError):
-        VirtualChannelBuffer(0)
+    for depth in (0, -1):
+        with pytest.raises(ValueError):
+            Network(Mesh2D(2, 1, pitch_mm=1.0), buffer_depth=depth)
 
 
+@settings(max_examples=50, deadline=None)
 @given(st.lists(st.booleans(), max_size=60), st.integers(min_value=1, max_value=8))
 def test_property_occupancy_invariant(ops, depth):
-    """Occupancy always in [0, depth]; free_slots complements it."""
-    buf = VirtualChannelBuffer(depth)
-    expected = 0
-    for is_push in ops:
-        if is_push and not buf.is_full:
-            buf.push(_flit())
-            expected += 1
-        elif not is_push and not buf.is_empty:
-            buf.pop()
-            expected -= 1
-        assert len(buf) == expected
-        assert buf.free_slots == depth - expected
-        assert 0 <= len(buf) <= depth
+    """Occupancy is writes minus reads and stays in [0, depth]; the
+    free-space check complements it."""
+    network = _network(depth)
+    router = network.routers[0]
+    fifo = router.vc_fifos[router.local_port * router.num_vcs]
+    pending = []
+    for is_write in ops:
+        if is_write:
+            if not pending and router.free_local_vc_is(0):
+                pending = data_packet(0, 1, created_cycle=0).make_flits()
+            if pending and router.local_vc_has_space(0):
+                router.receive_flit(router.local_port, 0, pending.pop(0), cycle=0)
+        else:
+            network.step()
+        assert router.occupancy() == _writes(router) - router.flits_switched
+        assert len(fifo) == router.occupancy()
+        assert 0 <= len(fifo) <= depth
+        assert router.local_vc_has_space(0) == (len(fifo) < depth)

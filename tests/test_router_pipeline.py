@@ -124,3 +124,46 @@ def test_credit_overflow_detected():
     east = router.port_index["E"]
     with pytest.raises(RuntimeError):
         router.receive_credit(east, 0)  # already at full credits
+
+
+def test_vc_fifos_start_empty():
+    network = Network(Mesh2D(2, 1, pitch_mm=1.0), buffer_depth=4)
+    router = network.routers[0]
+    assert router.occupancy() == 0
+    assert all(not fifo for fifo in router.vc_fifos)
+    assert router.free_local_vc() == 0
+    assert router.local_vc_has_space(0)
+
+
+def test_vc_fifo_keeps_arrival_order():
+    """A VC's FIFO holds flits front first in arrival order, and the
+    switch pops them in that order."""
+    network = Network(Mesh2D(2, 1, pitch_mm=1.0), buffer_depth=8)
+    network.sanitizer = None  # hand-fed flits bypass the injection ledger
+    router = network.routers[0]
+    flits = data_packet(0, 1, created_cycle=0).make_flits()
+    for flit in flits:
+        router.receive_flit(router.local_port, 0, flit, cycle=0)
+    fifo = router.vc_fifos[router.local_port * router.num_vcs]
+    assert list(fifo) == flits
+    popped = []
+    for _ in range(40):
+        front = fifo[0] if fifo else None
+        before = len(fifo)
+        network.step()
+        if len(fifo) < before:  # at most one pop per cycle per VC
+            popped.append(front)
+    assert popped == flits
+
+
+def test_receive_flit_overflow_raises():
+    """Credit flow control should make overflow impossible; a flit past
+    the buffer depth raises instead of being silently kept."""
+    network = Network(Mesh2D(2, 1, pitch_mm=1.0), buffer_depth=2)
+    router = network.routers[0]
+    flits = data_packet(0, 1, created_cycle=0).make_flits()
+    router.receive_flit(router.local_port, 0, flits[0], cycle=0)
+    router.receive_flit(router.local_port, 0, flits[1], cycle=0)
+    with pytest.raises(OverflowError):
+        router.receive_flit(router.local_port, 0, flits[2], cycle=0)
+    assert router.occupancy() == 2

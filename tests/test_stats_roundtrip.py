@@ -87,12 +87,26 @@ def test_delta_round_trips_every_field():
             assert value == 0, f.name
 
 
-def test_count_link_typed_channel():
-    ev = EventCounts()
-    ev.count_link("normal", 1.0, 0.5)  # channel omitted: no channel entry
-    ev.count_link("normal", 1.0, 0.5, channel=(3, 4))
-    assert ev.link_flits == {"normal": 2}
-    assert ev.channel_flits == {(3, 4): 1}
+def test_delta_emits_keys_sorted_whatever_the_insertion_order():
+    """Dicts built in different orders delta to the same key order, so
+    float sums over ``values()`` (``power_report``) never depend on
+    insertion order or on ``PYTHONHASHSEED``."""
+    kinds = ["vertical", "normal", "express"]
+    forward, backward = EventCounts(), EventCounts()
+    for kind in kinds:
+        forward.link_mm_weighted[kind] = 0.1
+        forward.channel_flits[(len(kind), 0)] = 1
+    for kind in reversed(kinds):
+        backward.link_mm_weighted[kind] = 0.1
+        backward.channel_flits[(len(kind), 0)] = 1
+    empty = EventCounts()
+    a, b = forward.delta(empty), backward.delta(empty)
+    assert list(a.link_mm_weighted) == list(b.link_mm_weighted) == sorted(kinds)
+    assert list(a.channel_flits) == list(b.channel_flits) == sorted(
+        forward.channel_flits
+    )
+    # Union keys (only in the earlier snapshot) join in sorted order too.
+    assert list(empty.delta(backward).link_mm_weighted) == sorted(kinds)
 
 
 # ---------------------------------------------------------------------------
