@@ -6,12 +6,8 @@ in the hot loop (router step / allocation) across changes.
 
 Low-load points are where the active-set scheduler pays: at 0.05
 flits/node/cycle most routers are quiescent most cycles and only the
-woken subset is stepped.  The ``scheduler_off`` variants benchmark the
-full-iteration debug mode at the same load for an apples-to-apples
-comparison (both modes are bit-identical in results).
+woken subset is stepped.
 """
-
-import pytest
 
 from repro.core.arch import make_2db, make_3dme
 from repro.noc.simulator import Simulator
@@ -22,9 +18,8 @@ RATE = 0.2
 LOW_RATE = 0.05
 
 
-def _run_once(config, rate=RATE, active_scheduling=True):
+def _run_once(config, rate=RATE):
     network = config.build_network()
-    network.active_scheduling = active_scheduling
     sim = Simulator(
         network,
         UniformRandomTraffic(num_nodes=config.num_nodes, flit_rate=rate, seed=3),
@@ -50,25 +45,17 @@ def test_simulation_speed_3dme(benchmark):
     assert result.cycles >= CYCLES
 
 
-@pytest.mark.parametrize("scheduler", ["active_set", "full_iteration"])
-def test_simulation_speed_2db_low_load(benchmark, scheduler):
+def test_simulation_speed_2db_low_load(benchmark):
     result = benchmark.pedantic(
-        lambda: _run_once(
-            make_2db(), rate=LOW_RATE,
-            active_scheduling=scheduler == "active_set",
-        ),
+        lambda: _run_once(make_2db(), rate=LOW_RATE),
         rounds=3, iterations=1, warmup_rounds=1,
     )
     assert result.cycles >= CYCLES
 
 
-@pytest.mark.parametrize("scheduler", ["active_set", "full_iteration"])
-def test_simulation_speed_3dme_low_load(benchmark, scheduler):
+def test_simulation_speed_3dme_low_load(benchmark):
     result = benchmark.pedantic(
-        lambda: _run_once(
-            make_3dme(), rate=LOW_RATE,
-            active_scheduling=scheduler == "active_set",
-        ),
+        lambda: _run_once(make_3dme(), rate=LOW_RATE),
         rounds=3, iterations=1, warmup_rounds=1,
     )
     assert result.cycles >= CYCLES

@@ -27,7 +27,12 @@ from repro.core.arch import (
 )
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_nuca_point, run_uniform_point
+from repro.experiments.runner import (
+    fault_plan_for_spec,
+    run_nuca_point,
+    run_uniform_point,
+    variation_sample_for_spec,
+)
 from repro.traffic.workloads import WORKLOADS
 
 _ARCH_BY_NAME = {arch.value: arch for arch in Architecture}
@@ -90,30 +95,31 @@ def _parse_stuck_vc(text: str) -> tuple:
     return node, port, vc
 
 
-def _fault_plan(args: argparse.Namespace, config):
-    """Build the FaultPlan the simulate flags describe, or ``None``."""
-    if not (args.inject_faults or args.fail_link or args.stick_vc):
-        return None
-    from repro.resilience.faults import FaultPlan, LinkFault, StuckVCFault
+def _point_spec(args: argparse.Namespace, config):
+    """The :class:`~repro.experiments.store.PointSpec` the simulate
+    flags describe; every fault lands at ``--fault-cycle``."""
+    from repro.experiments.store import PointSpec
 
-    links = [
-        LinkFault(cycle=args.fault_cycle, src=src, dst=dst)
-        for src, dst in (_parse_channel(t) for t in args.fail_link or ())
-    ]
-    if args.inject_faults:
-        sampled = FaultPlan.random_links(
-            config.build_topology(),
-            args.inject_faults,
-            args.fault_seed,
-            cycle=args.fault_cycle,
-            mode=args.fault_mode,
-        )
-        links.extend(sampled.links)
-    vcs = tuple(
-        StuckVCFault(cycle=args.fault_cycle, node=node, port=port, vc=vc)
-        for node, port, vc in (_parse_stuck_vc(t) for t in args.stick_vc or ())
+    cycle = args.fault_cycle
+    return PointSpec(
+        config,
+        args.traffic,
+        args.rate,
+        short_flit_fraction=args.short_flits,
+        shutdown_enabled=args.short_flits > 0,
+        fault_links=tuple(
+            (cycle, *_parse_channel(t)) for t in args.fail_link or ()
+        ),
+        fault_vcs=tuple(
+            (cycle, *_parse_stuck_vc(t)) for t in args.stick_vc or ()
+        ),
+        fault_random_links=args.inject_faults,
+        fault_seed=args.fault_seed,
+        fault_cycle=cycle,
+        fault_mode=args.fault_mode,
+        variation_sigma=args.variation_sigma,
+        variation_seed=args.variation_seed,
     )
-    return FaultPlan(links=tuple(links), vcs=vcs, mode=args.fault_mode)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -133,38 +139,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             trace_seed=args.trace_seed,
             arch_config=config,
         )
-    faults = _fault_plan(args, config)
-    variation = None
-    if args.variation_sigma:
-        from repro.resilience.variation import VariationModel
-
-        variation = VariationModel(
-            args.variation_sigma, seed=args.variation_seed
-        ).sample_for(config)
-    if args.traffic == "uniform":
-        point = run_uniform_point(
-            config, args.rate, settings,
-            short_flit_fraction=args.short_flits,
-            shutdown_enabled=args.short_flits > 0,
-            profile=args.profile,
-            sanitize=args.sanitize,
-            sanitize_interval=args.sanitize_interval,
-            telemetry=telemetry,
-            faults=faults,
-            variation=variation,
-        )
-    else:
-        point = run_nuca_point(
-            config, args.rate, settings,
-            short_flit_fraction=args.short_flits,
-            shutdown_enabled=args.short_flits > 0,
-            profile=args.profile,
-            sanitize=args.sanitize,
-            sanitize_interval=args.sanitize_interval,
-            telemetry=telemetry,
-            faults=faults,
-            variation=variation,
-        )
+    spec = _point_spec(args, config)
+    variation = variation_sample_for_spec(spec)
+    run = run_uniform_point if spec.kind == "uniform" else run_nuca_point
+    point = run(
+        config, spec.rate, settings,
+        short_flit_fraction=spec.short_flit_fraction,
+        shutdown_enabled=spec.shutdown_enabled,
+        profile=args.profile,
+        sanitize=args.sanitize,
+        sanitize_interval=args.sanitize_interval,
+        telemetry=telemetry,
+        faults=fault_plan_for_spec(spec),
+        variation=variation,
+    )
     print(f"architecture      : {point.arch}")
     print(f"traffic           : {point.label}")
     print(f"avg latency       : {point.avg_latency:.2f} cycles")

@@ -8,9 +8,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.cache.hierarchy import generate_trace
 from repro.core.arch import ArchitectureConfig, standard_configs
 from repro.experiments.config import ExperimentSettings
-from repro.experiments.latency import Sweep
+from repro.experiments.latency import (
+    Sweep,
+    fig11a_uniform_latency,
+    fig11b_nuca_latency,
+)
 from repro.experiments.runner import PointResult, run_trace_point
-from repro.experiments.store import PointSpec, ResultStore, cached_point_run
+from repro.experiments.store import ResultStore
 from repro.power.energy import PowerReport
 from repro.power.gating import shutdown_saving
 from repro.traffic.workloads import WORKLOADS
@@ -29,18 +33,11 @@ def fig12a_uniform_power(
 
     ``store`` (opt-in) serves previously simulated points from the
     content-addressed result cache and fills it with fresh ones.  The
-    uniform points here share keys with :func:`fig11a_uniform_latency`,
-    so running both against one store simulates each point once.
+    grid is :func:`fig11a_uniform_latency`'s (each point carries both
+    latency and power), so running both against one store simulates
+    each point once.
     """
-    settings = settings or ExperimentSettings.from_env()
-    out: Sweep = {}
-    for config in _configs(configs):
-        out[config.name] = [
-            (rate, cached_point_run(
-                store, PointSpec(config, "uniform", rate), settings))
-            for rate in settings.uniform_rates
-        ]
-    return out
+    return fig11a_uniform_latency(settings, configs, store)
 
 
 def fig12b_nuca_power(
@@ -48,16 +45,9 @@ def fig12b_nuca_power(
     configs: Optional[List[ArchitectureConfig]] = None,
     store: Optional[ResultStore] = None,
 ) -> Sweep:
-    """Fig. 12b: average power vs request rate (NUCA-UR)."""
-    settings = settings or ExperimentSettings.from_env()
-    out: Sweep = {}
-    for config in _configs(configs):
-        out[config.name] = [
-            (rate, cached_point_run(
-                store, PointSpec(config, "nuca", rate), settings))
-            for rate in settings.nuca_rates
-        ]
-    return out
+    """Fig. 12b: average power vs request rate (NUCA-UR) — the grid of
+    :func:`fig11b_nuca_latency`."""
+    return fig11b_nuca_latency(settings, configs, store)
 
 
 def _analytic_shutdown_point(

@@ -105,7 +105,7 @@ def point_telemetry_config(
     (``<dir>/<stem>.trace.json``) the same way.  *trace*, when given, enables lifecycle capture with
     production-grade defaults — sampled, not full — overridable via the
     dict keys ``sample_rate`` (default 0.05), ``head_tail`` (default
-    16), ``seed``, ``ring_events``, and ``max_packets``.
+    16) and ``seed``.
     *attribution* additionally turns on per-unit stall attribution and
     writes each point's stall report to ``<dir>/<stem>.stalls.json``.
     """
@@ -121,10 +121,6 @@ def point_telemetry_config(
         kwargs["trace_sample_rate"] = trace.get("sample_rate", 0.05)
         kwargs["trace_head_tail"] = trace.get("head_tail", 16)
         kwargs["trace_seed"] = trace.get("seed", 0)
-        if "ring_events" in trace:
-            kwargs["trace_ring_events"] = trace["ring_events"]
-        if "max_packets" in trace:
-            kwargs["max_trace_packets"] = trace["max_packets"]
     if attribution:
         kwargs["attribution"] = True
         kwargs["attribution_path"] = os.path.join(

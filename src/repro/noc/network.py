@@ -11,18 +11,23 @@ integration on top.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (
+    Callable, Deque, Dict, FrozenSet, List, Optional, Set, Tuple,
+    TYPE_CHECKING,
+)
 
 from repro.core.shutdown import ShortFlitDetector
 from repro.noc.packet import Flit, Packet, PacketClass
 from repro.noc.profiling import NetworkProfiler
 from repro.noc.router import Router
-from repro.noc.sanitizer import DEFAULT_WATCHDOG_WINDOW, NetworkSanitizer
 from repro.noc.routing import Channel, RoutingFunction, routing_for_topology
 from repro.noc.scheduling import TimingWheel
 from repro.noc.stats import EventCounts, NetworkStats
 from repro.noc.table_routing import build_route_table
 from repro.topology.base import Topology
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.noc.sanitizer import NetworkSanitizer
 
 #: Callback invoked when a packet's tail flit leaves the network.
 DeliveryCallback = Callable[[Packet, int], None]
@@ -70,27 +75,12 @@ class Network:
             deterministic routing for the topology.  Its decisions are
             tabulated once into :attr:`routes` and proved deadlock-free
             (:func:`~repro.noc.table_routing.build_route_table`).
-        active_scheduling: step only routers with pending work each
-            cycle (default).  ``False`` falls back to iterating every
-            router — a debug mode kept so results can be diffed against
-            the scheduler; both produce bit-identical statistics.
-        sanitize: attach a :class:`~repro.noc.sanitizer.NetworkSanitizer`
-            that audits flit conservation, credit accounting, and VC
-            state legality, raising
-            :class:`~repro.noc.sanitizer.SanityError` on the first
-            violation.  Audits never mutate state, so sanitized runs are
-            bit-identical; disabled, the cost is one ``is None`` check
-            per cycle (same guard as the profiler).
-        sanitize_interval: audit every N cycles (default 1 = every
-            cycle).
-        watchdog_window: cycles without a flit delivery (while traffic
-            is in the network) before the sanitizer's deadlock/livelock
-            watchdog snapshots the stalled VCs.
-        telemetry: a :class:`~repro.telemetry.TelemetryConfig` to attach
-            a :class:`~repro.telemetry.NetworkTelemetry` sampler
-            (windowed metric streams + lifecycle traces).  ``None`` (the
-            default) costs one ``is None`` check per cycle, exactly like
-            the profiler and sanitizer.
+
+    Observers are not constructor options.  Each attaches one way: the
+    profiler and sanitizer by assignment to their attribute, the
+    telemetry sampler by its constructor, the fault injector and trace
+    recorder by their ``attach``.  ``Simulator(profile=, sanitize=,
+    telemetry=, faults=)`` is the run-level shorthand for the same.
     """
 
     def __init__(
@@ -106,11 +96,6 @@ class Network:
         lookahead_rc: bool = False,
         qos_enabled: bool = False,
         vc_by_class: bool = False,
-        active_scheduling: bool = True,
-        sanitize: bool = False,
-        sanitize_interval: int = 1,
-        watchdog_window: int = DEFAULT_WATCHDOG_WINDOW,
-        telemetry=None,
     ) -> None:
         self.topology = topology
         self.num_vcs = num_vcs
@@ -202,8 +187,7 @@ class Network:
         self._busy_sources: Set[int] = set()
         #: Routers that may have pipeline work this cycle.  Maintained
         #: as a *superset* of the busy routers (routers only become busy
-        #: through ``receive_flit``, which wakes them here), so the flag
-        #: can be toggled at any time without losing work.
+        #: through ``receive_flit``, which wakes them here).
         self._active_routers: Set[int] = set()
 
         # Attach after the wheels / credit targets / active set exist:
@@ -222,22 +206,16 @@ class Network:
             ),
             key=lambda tally: tally[2],
         )
-        self.active_scheduling = active_scheduling
         #: Attach a :class:`~repro.noc.profiling.NetworkProfiler` to
         #: collect cycles/sec, active-router ratio and per-phase wall
-        #: times; ``None`` (the default) costs one check per cycle.
+        #: times; ``None`` (the default) costs ``is not None`` tests
+        #: per cycle and no clock read.
         self.profiler: Optional[NetworkProfiler] = None
-        #: Opt-in invariant auditor; ``None`` (the default) costs one
-        #: check per cycle, exactly like the profiler.
-        self.sanitizer: Optional[NetworkSanitizer] = (
-            NetworkSanitizer(
-                self,
-                interval=sanitize_interval,
-                watchdog_window=watchdog_window,
-            )
-            if sanitize
-            else None
-        )
+        #: Opt-in invariant auditor
+        #: (``network.sanitizer = NetworkSanitizer(network, ...)``);
+        #: ``None`` (the default) costs one check per cycle, exactly
+        #: like the profiler.
+        self.sanitizer: Optional[NetworkSanitizer] = None
         self.delivery_callbacks: List[DeliveryCallback] = []
         #: The delivery hook owned by the current Simulator, if any —
         #: lets a new Simulator over this network replace (rather than
@@ -251,9 +229,10 @@ class Network:
         #: still fire (first sight = admission).  ``None`` disables the
         #: filter; it never affects ``delivery_callbacks``.
         self.trace_drop_filter: Optional[Dict[int, int]] = None
-        #: Opt-in windowed metrics/trace sampler; ``None`` (the
-        #: default) costs one check per cycle, exactly like the
-        #: profiler and sanitizer.
+        #: Opt-in windowed metrics/trace sampler (a
+        #: :class:`~repro.telemetry.NetworkTelemetry` registers itself
+        #: here when built over this network); ``None`` (the default)
+        #: costs one check per cycle, exactly like the profiler.
         self.telemetry = None
         #: Opt-in stall-cause accounting
         #: (:class:`repro.telemetry.attribution.StallAttribution`);
@@ -266,12 +245,6 @@ class Network:
         #: ``is None`` check per cycle, exactly like the profiler.
         self.fault_injector = None
         self.cycle = 0
-        if telemetry is not None:
-            # Lazy import: the telemetry package is only pulled in when
-            # a network actually asks for it.
-            from repro.telemetry.sampler import NetworkTelemetry
-
-            NetworkTelemetry(self, telemetry)  # registers as self.telemetry
 
     @property
     def events(self) -> EventCounts:
@@ -483,16 +456,12 @@ class Network:
                     callback(packet, cycle)
 
     def _step_routers(self, cycle: int) -> int:
-        """Run router pipelines; returns how many routers were stepped.
+        """Step the woken routers in ascending node order; returns how
+        many were stepped.
 
-        Active-set mode visits only woken routers, in ascending node
-        order — the same relative order as the full iteration, which is
-        what keeps event-bucket contents (and hence closed-loop RNG
-        draws) bit-identical between the two modes."""
-        if not self.active_scheduling:
-            for router in self.routers:
-                router.step(cycle)
-            return len(self.routers)
+        Ascending order is the order a full iteration would use, which
+        keeps event-bucket contents (and hence closed-loop RNG draws)
+        identical to stepping every router every cycle."""
         active = self._active_routers
         if not active:
             return 0
@@ -505,45 +474,46 @@ class Network:
         return len(order)
 
     def step(self) -> None:
-        """Advance the network by one clock cycle."""
+        """Advance the network by one clock cycle.
+
+        With a profiler attached, four clock reads split the cycle into
+        the deliver / inject / route phases, and an attached sanitizer
+        or telemetry sampler is timed as its own phase; without one, the
+        cycle makes no clock call."""
         cycle = self.cycle
         prof = self.profiler
         san = self.sanitizer
         tel = self.telemetry
         fi = self.fault_injector
-        if prof is None:
-            self._deliver(cycle)
-            self._inject(cycle)
-            if fi is not None:
-                # Apply scheduled fault events due this cycle and
-                # re-freeze stuck VCs after arrivals/injections landed
-                # (receive_flit re-stamps vc_ready), before routers step.
-                fi.on_cycle(cycle)
-            self._step_routers(cycle)
-            if san is not None:
-                san.maybe_audit(cycle)
-            if tel is not None:
-                tel.on_cycle(cycle)
-        else:
+        if prof is not None:
             clock = prof.clock
             t0 = clock()
-            self._deliver(cycle)
+        self._deliver(cycle)
+        if prof is not None:
             t1 = clock()
-            self._inject(cycle)
-            if fi is not None:
-                fi.on_cycle(cycle)
+        self._inject(cycle)
+        if fi is not None:
+            # Apply scheduled fault events due this cycle and re-freeze
+            # stuck VCs after arrivals/injections landed (receive_flit
+            # re-stamps vc_ready), before routers step.
+            fi.on_cycle(cycle)
+        if prof is not None:
             t2 = clock()
-            stepped = self._step_routers(cycle)
+        stepped = self._step_routers(cycle)
+        if prof is not None:
             t3 = clock()
-            sanitize_s = 0.0
-            if san is not None:
-                san.maybe_audit(cycle)
+        sanitize_s = telemetry_s = 0.0
+        if san is not None:
+            san.maybe_audit(cycle)
+            if prof is not None:
                 sanitize_s = clock() - t3
-            telemetry_s = 0.0
-            if tel is not None:
+        if tel is not None:
+            if prof is not None:
                 t4 = clock()
-                tel.on_cycle(cycle)
+            tel.on_cycle(cycle)
+            if prof is not None:
                 telemetry_s = clock() - t4
+        if prof is not None:
             prof.record_cycle(
                 t1 - t0, t2 - t1, t3 - t2, stepped, len(self.routers),
                 sanitize_s=sanitize_s, telemetry_s=telemetry_s,

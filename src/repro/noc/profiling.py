@@ -5,14 +5,16 @@ a first-class performance signal: at the low injection rates that
 dominate the paper's sweeps most routers are quiescent most cycles, and
 the simulator's speed hinges on skipping them.  A
 :class:`NetworkProfiler` attached to a network
-(``network.profiler = NetworkProfiler()`` or ``Simulator(...,
-profile=True)``) records, per cycle,
+(``network.profiler = NetworkProfiler()``; for one run
+``Simulator(..., profile=True)``) records, per cycle,
 
 * wall time spent in each of the three ``Network.step`` phases
-  (event delivery, injection, router pipelines),
+  (event delivery, injection, router pipelines) — four clock reads,
+  plus one for an attached sanitizer and two for attached telemetry,
 * how many routers were stepped vs. the router population.
 
-An unattached network pays a single ``is None`` check per cycle.
+Every clock read in ``Network.step`` sits behind the profiler's
+``is not None`` guard, so an unattached network reads no clock.
 Snapshots are immutable and ride along on
 :class:`~repro.noc.simulator.SimulationResult`.
 """

@@ -3,8 +3,9 @@
 The simulator's latency/power/thermal figures are only as trustworthy as
 its internal bookkeeping: one mis-counted credit or leaked flit silently
 skews every downstream number.  :class:`NetworkSanitizer` is an opt-in
-audit layer (``Network(sanitize=True)``, ``Simulator(sanitize=True)`` or
-the ``--sanitize`` CLI flag) that re-derives, every cycle or every N
+audit layer (``network.sanitizer = NetworkSanitizer(network)``, or for
+one run ``Simulator(sanitize=True)`` and the ``--sanitize`` CLI flag)
+that re-derives, every cycle or every N
 cycles, the invariants the router/network code is supposed to maintain —
 from first principles, by walking the live data structures rather than
 trusting any counter the audited code updates itself:
@@ -236,10 +237,10 @@ def _flit_hops(network: "Network") -> int:
 class NetworkSanitizer:
     """Re-derives the network's invariants from its live structures.
 
-    Attach via ``Network(sanitize=True)`` (or assign
-    ``network.sanitizer``); :meth:`maybe_audit` is called by
-    ``Network.step`` at the end of every cycle and runs a full audit
-    every ``interval`` cycles.  The sanitizer never mutates network
+    Attach by assigning ``network.sanitizer = NetworkSanitizer(network)``
+    (``Simulator(sanitize=True)`` does the same); :meth:`maybe_audit` is
+    called by ``Network.step`` at the end of every cycle and runs a full
+    audit every ``interval`` cycles.  The sanitizer never mutates network
     state, so sanitized runs are bit-identical to bare runs.
     """
 
@@ -486,18 +487,18 @@ class NetworkSanitizer:
                 for flit in flits:
                     self._note_flit(present, flit, (node, port, vc))
 
-            if router._active and router._network is not None:
-                if (
-                    net.active_scheduling
-                    and node not in net._active_routers
-                ):
-                    raise SanityError(
-                        "vc-state",
-                        "router has active VCs but is missing from the "
-                        "network's active-router set (scheduler would "
-                        "never step it)",
-                        cycle, node=node,
-                    )
+            if (
+                router._active
+                and router._network is not None
+                and node not in net._active_routers
+            ):
+                raise SanityError(
+                    "vc-state",
+                    "router has active VCs but is missing from the "
+                    "network's active-router set (scheduler would "
+                    "never step it)",
+                    cycle, node=node,
+                )
 
             if (
                 router._n_rc != state_counts[_RC]

@@ -1,8 +1,9 @@
 """The network telemetry sampler: windowed metrics + lifecycle traces.
 
-:class:`NetworkTelemetry` attaches to a
-:class:`~repro.noc.network.Network` (``Simulator(..., telemetry=...)``,
-``Network(..., telemetry=...)``, or the ``--metrics-out`` /
+:class:`NetworkTelemetry` attaches itself to a
+:class:`~repro.noc.network.Network` when constructed over it
+(``NetworkTelemetry(network, config)``; for one run,
+``Simulator(..., telemetry=config)`` or the ``--metrics-out`` /
 ``--trace-out`` CLI flags) and, every ``interval`` cycles, samples a
 :class:`~repro.telemetry.metrics.MetricsRegistry` with the signals the
 paper's time-resolved claims hang on:
@@ -92,12 +93,6 @@ class TelemetryConfig:
     #: Retain samples on ``NetworkTelemetry.samples`` (always on when no
     #: metrics_path is given, so an in-memory run is still inspectable).
     keep_samples: bool = False
-    #: Include the per-router occupancy vector in samples and emit
-    #: per-router counter tracks into the trace.
-    per_router: bool = True
-    #: Include per-channel flit counts in samples (the channel-load map;
-    #: sizeable on big meshes, hence the switch).
-    per_channel: bool = True
     #: Lifecycle capture cap: packets beyond this are counted as dropped
     #: and the trace is marked truncated.
     max_trace_packets: int = 5000
@@ -110,9 +105,6 @@ class TelemetryConfig:
     trace_head_tail: int = 0
     #: Seed for the sampling hash: same seed, same captured packets.
     trace_seed: int = 0
-    #: Ring-buffer capacity in event records; the oldest records are
-    #: overwritten (and counted) when a run outgrows the ring.
-    trace_ring_events: int = DEFAULT_RING_EVENTS
     #: Architecture config enabling windowed Orion energy pricing (and
     #: thermal sampling when ``thermal`` is set).  Kept untyped to avoid
     #: importing the arch/power stack until actually used.
@@ -140,11 +132,6 @@ class TelemetryConfig:
             raise ValueError(
                 "trace_head_tail must be >= 0, got "
                 f"{self.trace_head_tail}"
-            )
-        if self.trace_ring_events < 1:
-            raise ValueError(
-                "trace_ring_events must be >= 1, got "
-                f"{self.trace_ring_events}"
             )
         if self.attribution_top_k < 1:
             raise ValueError(
@@ -507,7 +494,6 @@ class NetworkTelemetry:
                 sample_rate=config.trace_sample_rate,
                 head_tail=config.trace_head_tail,
                 seed=config.trace_seed,
-                ring_events=config.trace_ring_events,
                 max_packets=config.max_trace_packets,
             )
             self._last_trace_events = 0
@@ -549,9 +535,7 @@ class NetworkTelemetry:
                         "sample_rate": self.config.trace_sample_rate,
                         "head_tail": self.config.trace_head_tail,
                         "seed": self.config.trace_seed,
-                        "ring_capacity_events": (
-                            self.config.trace_ring_events
-                        ),
+                        "ring_capacity_events": DEFAULT_RING_EVENTS,
                     }
                 }
                 if self._recorder is not None
@@ -743,14 +727,12 @@ class NetworkTelemetry:
             "window": span,
             **self.registry.sample(),
         }
-        if config.per_router:
-            record["per_router"] = {"occupancy": occupancy}
-        if config.per_channel:
-            record["channels"] = {
-                f"{src}->{dst}": flits
-                for (src, dst), flits in sorted(delta.channel_flits.items())
-                if flits
-            }
+        record["per_router"] = {"occupancy": occupancy}
+        record["channels"] = {
+            f"{src}->{dst}": flits
+            for (src, dst), flits in sorted(delta.channel_flits.items())
+            if flits
+        }
         if self._writer is not None:
             self._writer.write(record)
         if self._writer is None or config.keep_samples:
@@ -781,11 +763,10 @@ class NetworkTelemetry:
                 points.append(
                     ("active layer fraction", end_cycle, "fraction", layers)
                 )
-            if config.per_router:
-                for node, occ in enumerate(occupancy):
-                    points.append(
-                        (f"occupancy r{node}", end_cycle, "flits", occ)
-                    )
+            for node, occ in enumerate(occupancy):
+                points.append(
+                    (f"occupancy r{node}", end_cycle, "flits", occ)
+                )
 
         self.windows += 1
         self._window_start = end_cycle

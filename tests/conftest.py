@@ -22,24 +22,25 @@ def _sanitize_from_env():
     """Opt the whole suite into the NoC sanitizer via ``REPRO_SANITIZE=1``.
 
     CI runs a second tier-1 pass with the variable set; every
-    :class:`~repro.noc.network.Network` any test builds then audits the
-    flit-conservation / credit / VC-state invariants as it steps
-    (``REPRO_SANITIZE_INTERVAL`` controls the audit cadence, default
-    every cycle).  Tests that pass ``sanitize=...`` explicitly are left
-    alone.
+    :class:`~repro.noc.network.Network` any test builds then gets a
+    :class:`~repro.noc.sanitizer.NetworkSanitizer` attached right after
+    construction, auditing the flit-conservation / credit / VC-state
+    invariants as it steps (``REPRO_SANITIZE_INTERVAL`` controls the
+    audit cadence, default every cycle).
     """
     if os.environ.get("REPRO_SANITIZE", "") in ("", "0"):
         yield
         return
     from repro.noc.network import Network
+    from repro.noc.sanitizer import NetworkSanitizer
 
     interval = int(os.environ.get("REPRO_SANITIZE_INTERVAL", "1"))
     original = Network.__init__
 
     def sanitizing_init(self, *args, **kwargs):
-        kwargs.setdefault("sanitize", True)
-        kwargs.setdefault("sanitize_interval", interval)
         original(self, *args, **kwargs)
+        if self.sanitizer is None:
+            self.sanitizer = NetworkSanitizer(self, interval=interval)
 
     Network.__init__ = sanitizing_init
     try:

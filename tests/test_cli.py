@@ -42,6 +42,44 @@ def test_simulate_nuca_with_short_flits(capsys):
     assert "NUCA" in out
 
 
+def test_simulate_fault_and_variation_flags_match_point_spec(
+    capsys, monkeypatch
+):
+    """The fault and variation flags describe a PointSpec: `simulate`
+    prints what run_point_spec gives on the equivalent spec."""
+    from repro.core.arch import make_2db
+    from repro.experiments.config import ExperimentSettings
+    from repro.experiments.runner import run_point_spec
+    from repro.experiments.store import PointSpec
+
+    monkeypatch.setenv("REPRO_SCALE", "quick")
+    assert main([
+        "simulate", "--arch", "2DB", "--rate", "0.1",
+        "--fail-link", "8:9", "--stick-vc", "9:1:0",
+        "--inject-faults", "2", "--fault-cycle", "100",
+        "--variation-sigma", "0.05",
+    ]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    spec = PointSpec(
+        make_2db(), "uniform", 0.1,
+        fault_links=((100, 8, 9),),
+        fault_vcs=((100, 9, 1, 0),),
+        fault_random_links=2,
+        fault_cycle=100,
+        variation_sigma=0.05,
+    )
+    point = run_point_spec(spec, ExperimentSettings.quick())
+    assert f"avg latency       : {point.avg_latency:.2f} cycles" in lines
+    assert f"avg hops          : {point.avg_hops:.2f}" in lines
+    assert f"network power     : {point.total_power_w:.3f} W" in lines
+    assert any(
+        line.startswith("faults            : 3 links killed (hard), "
+                        "1 VCs stuck")
+        for line in lines
+    )
+    assert any(line.startswith("variation         : sigma 0.05") for line in lines)
+
+
 def test_simulate_unknown_arch_exits():
     with pytest.raises(SystemExit):
         main(["simulate", "--arch", "bogus"])

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
-from repro.core.arch import make_2db
+import pytest
+
+from repro.core.arch import make_2db, standard_configs
 from repro.noc.profiling import NetworkProfiler, ProfileSnapshot
 from repro.noc.simulator import Simulator
 from repro.traffic.synthetic import UniformRandomTraffic
@@ -144,3 +147,27 @@ def test_profiled_telemetry_run_reports_phase(tmp_path):
     snap = sim.run().profile
     assert "telemetry" in snap.phase_wall_s
     assert snap.phase_wall_s["telemetry"] > 0.0
+
+
+@pytest.mark.parametrize("config", standard_configs(), ids=lambda c: c.name)
+def test_profiling_changes_no_result(config):
+    """A profiled run equals an unprofiled one in every field but the
+    profile itself (wall times)."""
+
+    def run(profile):
+        sim = Simulator(
+            config.build_network(),
+            UniformRandomTraffic(
+                num_nodes=config.num_nodes, flit_rate=0.1, seed=7
+            ),
+            warmup_cycles=30, measure_cycles=200, drain_cycles=2500,
+            profile=profile,
+        )
+        result = dataclasses.asdict(sim.run())
+        return result.pop("profile"), result
+
+    profile, profiled = run(True)
+    assert profile is not None
+    no_profile, bare = run(False)
+    assert no_profile is None
+    assert profiled == bare

@@ -15,6 +15,8 @@ Three layers:
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.arch import make_2db, make_3dme, standard_configs
@@ -352,3 +354,19 @@ class TestPlumbing:
         assert "port 'E'" in text
         assert "vc 2" in text
         assert "pid 77" in text
+
+
+@pytest.mark.skipif(
+    os.environ.get("REPRO_SANITIZE", "") in ("", "0"),
+    reason="checks the REPRO_SANITIZE suite fixture",
+)
+def test_sanitize_env_attaches_to_every_network():
+    """Under ``REPRO_SANITIZE`` every freshly built network audits, so
+    the sanitized suite run cannot pass without auditing."""
+    from repro.noc.network import Network
+    from repro.topology.mesh2d import Mesh2D
+
+    interval = int(os.environ.get("REPRO_SANITIZE_INTERVAL", "1"))
+    for network in (make_2db().build_network(), Network(Mesh2D(2, 2, 1.0))):
+        assert isinstance(network.sanitizer, NetworkSanitizer)
+        assert network.sanitizer.interval == interval

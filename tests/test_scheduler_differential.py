@@ -2,11 +2,13 @@
 
 The active-set scheduler is a pure performance optimisation — stepping
 only woken routers must produce bit-identical results to stepping every
-router every cycle.  These tests run each architecture under both modes
-and assert every ``SimulationResult`` field (including the full
-``EventCounts``) matches exactly, for open-loop uniform traffic and for
-the closed-loop NUCA request/response source (whose RNG draw order is
-sensitive to ejection ordering).
+router every cycle.  The full iteration lives here as the reference
+(:func:`_step_every_router`, patched over ``network._step_routers``);
+these tests run each architecture both ways and assert every
+``SimulationResult`` field (including the full ``EventCounts``) matches
+exactly, for open-loop uniform traffic and for the closed-loop NUCA
+request/response source (whose RNG draw order is sensitive to ejection
+ordering).
 """
 
 from __future__ import annotations
@@ -36,9 +38,22 @@ def _traffic(config, kind: str, seed: int = 11):
     )
 
 
+def _step_every_router(network):
+    """The full-iteration reference for ``network._step_routers``: step
+    every router in node order, leaving the active set untouched."""
+
+    def step_routers(cycle: int) -> int:
+        for router in network.routers:
+            router.step(cycle)
+        return len(network.routers)
+
+    return step_routers
+
+
 def _run(config, kind: str, active_scheduling: bool):
     network = config.build_network()
-    network.active_scheduling = active_scheduling
+    if not active_scheduling:
+        network._step_routers = _step_every_router(network)
     sim = Simulator(
         network,
         _traffic(config, kind),
@@ -64,11 +79,12 @@ def test_scheduler_is_bit_identical(name, kind):
 
 def test_scheduler_toggle_mid_run(cfg_2db):
     """The active set is a superset of busy routers at all times, so the
-    flag can be flipped mid-run without losing work."""
+    scheduler and the full iteration can swap mid-run without losing
+    work."""
     reference, _ = _run(cfg_2db, "uniform", active_scheduling=False)
 
     network = cfg_2db.build_network()
-    network.active_scheduling = True
+    full_iteration = _step_every_router(network)
     traffic = _traffic(cfg_2db, "uniform")
     sim = Simulator(
         network, traffic, warmup_cycles=30, measure_cycles=200,
@@ -77,9 +93,12 @@ def test_scheduler_toggle_mid_run(cfg_2db):
     original_tick = sim._tick
 
     def toggling_tick(generate):
-        # Flip the mode every 17 cycles while the simulation runs.
+        # Swap the mode every 17 cycles while the simulation runs.
         if network.cycle % 17 == 0:
-            network.active_scheduling = not network.active_scheduling
+            if "_step_routers" in vars(network):
+                del network._step_routers
+            else:
+                network._step_routers = full_iteration
         original_tick(generate)
 
     sim._tick = toggling_tick
@@ -132,8 +151,9 @@ def test_quiescence_protocol(cfg_2db):
 
 def test_full_iteration_steps_every_router(cfg_2db):
     network = cfg_2db.build_network()
-    network.active_scheduling = False
+    network._step_routers = _step_every_router(network)
     assert network._step_routers(0) == len(network.routers)
+    assert network._active_routers == set()
 
 
 def test_active_scheduling_steps_only_woken_routers(cfg_2db):

@@ -375,13 +375,6 @@ def test_detach_removes_all_hooks(tmp_path):
     assert telemetry.cycles_observed == 0
 
 
-def test_network_telemetry_kwarg_attaches():
-    network = Network(
-        Mesh2D(2, 2, pitch_mm=1.0), telemetry=TelemetryConfig(interval=10)
-    )
-    assert isinstance(network.telemetry, NetworkTelemetry)
-
-
 # ---------------------------------------------------------------------------
 # Determinism: telemetry must never perturb the simulation
 
