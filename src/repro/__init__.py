@@ -92,8 +92,6 @@ _EXPORTS = {
     "channel_utilization": ".analysis",
     "find_saturation_rate": ".analysis",
     "hottest_channels": ".analysis",
-    "latency_throughput_curve": ".analysis",
-    "render_utilization_grid": ".analysis",
     "run_replicated": ".analysis",
 }
 

@@ -8,7 +8,7 @@ design saturate, and which channels carry the load?
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple  # noqa: F401
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.arch import ArchitectureConfig
 from repro.experiments.config import ExperimentSettings
@@ -95,8 +95,9 @@ def channel_load_map(point: PointResult) -> Dict[Tuple[int, int], int]:
 def channel_utilization(
     point: PointResult, window_cycles: Optional[int] = None
 ) -> Dict[Tuple[int, int], float]:
-    """Per-channel utilisation in flits/cycle over the measured window."""
-    window = window_cycles or point.sim.window_cycles
+    """Per-channel utilisation in flits/cycle over the measured window
+    (or over *window_cycles*, which must be positive when given)."""
+    window = point.sim.window_cycles if window_cycles is None else window_cycles
     if window <= 0:
         raise ValueError("window must be positive")
     return {
@@ -114,56 +115,6 @@ def hottest_channels(
     utilisation = channel_utilization(point)
     ranked = sorted(utilisation.items(), key=lambda kv: kv[1], reverse=True)
     return ranked[:count]
-
-
-#: Glyph ramp for the utilisation heatmap, cold to hot.
-_HEAT_GLYPHS = " .:-=+*#%@"
-
-
-def render_utilization_grid(point: PointResult, width: int, height: int) -> str:
-    """ASCII heatmap of per-*node* switch load on a 2D mesh.
-
-    Each tile shows the summed utilisation of its outgoing channels,
-    bucketed onto a ten-glyph ramp (`` .:-=+*#%@``) normalised to the
-    hottest node — a quick visual of where X-Y routing piles up traffic.
-    """
-    if width * height <= 0:
-        raise ValueError("grid dimensions must be positive")
-    util = channel_utilization(point)
-    node_load = [0.0] * (width * height)
-    for (src, _), value in util.items():
-        if 0 <= src < len(node_load):
-            node_load[src] += value
-    peak = max(node_load) or 1.0
-    lines = []
-    for y in range(height):
-        row = []
-        for x in range(width):
-            level = node_load[y * width + x] / peak
-            idx = min(len(_HEAT_GLYPHS) - 1, int(level * (len(_HEAT_GLYPHS) - 1) + 0.5))
-            row.append(_HEAT_GLYPHS[idx] * 2)
-        lines.append("".join(row))
-    return "\n".join(lines)
-
-
-def latency_throughput_curve(
-    config: ArchitectureConfig,
-    rates: Sequence[float],
-    settings: Optional[ExperimentSettings] = None,
-) -> List[Tuple[float, float, float]]:
-    """The classic offered-load curve: (offered, accepted, latency).
-
-    Below saturation accepted tracks offered; past it, accepted flattens
-    while latency diverges — the knee is the network's capacity.
-    """
-    settings = settings or ExperimentSettings.from_env()
-    if not rates:
-        raise ValueError("need at least one rate")
-    curve: List[Tuple[float, float, float]] = []
-    for rate in rates:
-        point = run_uniform_point(config, rate, settings)
-        curve.append((rate, point.sim.accepted_throughput, point.avg_latency))
-    return curve
 
 
 @dataclass(frozen=True)

@@ -20,52 +20,15 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
-from repro.traffic.patterns import (
-    PatternKind,
-    WORDS_PER_LINE,
-    classify_word,
-)
+from repro.traffic.patterns import WORDS_PER_LINE
 from repro.traffic.traces import TraceRecord
 
-#: FPC prefix bits per word.
+#: FPC prefix bits per word (a redundant word compresses to its prefix).
 PREFIX_BITS = 3
-
-#: Encoded payload bits per pattern class (prefix + residue).
-ENCODED_BITS = {
-    PatternKind.ZERO: PREFIX_BITS,
-    PatternKind.ONE: PREFIX_BITS,
-    PatternKind.SIGN8: PREFIX_BITS + 8,
-    PatternKind.SIGN16: PREFIX_BITS + 16,
-    PatternKind.REPEATED: PREFIX_BITS + 8,
-    PatternKind.RANDOM: PREFIX_BITS + 32,
-}
 
 #: Pipeline latency of the (de)compressor at each endpoint, cycles.  FPC
 #: reports a small fixed pipeline; two cycles per side is conservative.
 COMPRESSION_LATENCY_CYCLES = 2
-
-
-def fpc_encoded_bits(words: Sequence[int]) -> int:
-    """Encoded size of a cache line in bits."""
-    if len(words) != WORDS_PER_LINE:
-        raise ValueError(f"a cache line has {WORDS_PER_LINE} words")
-    return sum(ENCODED_BITS[classify_word(w)] for w in words)
-
-
-def compressed_payload_flits(words: Sequence[int], flit_bits: int = 128) -> int:
-    """Payload flits a compressed line occupies (1..4).
-
-    A line that does not compress below its raw size is sent raw (the
-    FPC rule), so the count never exceeds the uncompressed four flits.
-    """
-    bits = min(fpc_encoded_bits(words), WORDS_PER_LINE * 32)
-    return max(1, min(4, math.ceil(bits / flit_bits)))
-
-
-def compression_ratio(words: Sequence[int]) -> float:
-    """Raw bits over encoded bits (>= 1 thanks to the raw fallback)."""
-    raw = WORDS_PER_LINE * 32
-    return raw / min(fpc_encoded_bits(words), raw)
 
 
 def compress_record(record: TraceRecord, flit_bits: int = 128) -> TraceRecord:

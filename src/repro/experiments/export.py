@@ -59,18 +59,6 @@ def sweep_to_dict(
     }
 
 
-def workload_matrix_to_dict(
-    results: Dict[str, Dict[str, PointResult]],
-) -> Dict[str, Dict[str, Dict[str, Any]]]:
-    """Serialise workload x arch results (Figs. 11c, 12c shape)."""
-    return {
-        workload: {
-            arch: point_to_dict(point) for arch, point in per_arch.items()
-        }
-        for workload, per_arch in results.items()
-    }
-
-
 def _jsonify(value: Any) -> Any:
     if is_dataclass(value) and not isinstance(value, type):
         return _jsonify(asdict(value))

@@ -139,15 +139,6 @@ def fig_resilience(
     }
 
 
-def distribution_cdf(values: Sequence[float]) -> List[Tuple[float, float]]:
-    """Empirical CDF points ``(value, cumulative fraction)``."""
-    ordered = sorted(values)
-    n = len(ordered)
-    if n == 0:
-        return []
-    return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
-
-
 def variation_summary(series: Series) -> Dict[str, Dict[str, float]]:
     """Per-arch spread statistics over the variation distribution."""
     out: Dict[str, Dict[str, float]] = {}

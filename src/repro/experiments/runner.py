@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 from repro.core.arch import ArchitectureConfig
 from repro.experiments.config import ExperimentSettings
@@ -95,17 +95,12 @@ def point_telemetry_config(
     telemetry_dir: str,
     stem: str,
     interval: int = 100,
-    trace: Optional[Dict[str, Any]] = None,
     attribution: bool = False,
 ) -> "TelemetryConfig":
-    """Per-sweep-point telemetry: JSONL stream plus optional sampled trace.
+    """Per-sweep-point telemetry: a JSONL metric stream.
 
     Used for every sweep point, inline or pooled, so a 54-point sweep
-    names its streams (``<dir>/<stem>.jsonl``) and traces
-    (``<dir>/<stem>.trace.json``) the same way.  *trace*, when given, enables lifecycle capture with
-    production-grade defaults — sampled, not full — overridable via the
-    dict keys ``sample_rate`` (default 0.05), ``head_tail`` (default
-    16) and ``seed``.
+    names its streams (``<dir>/<stem>.jsonl``) the same way.
     *attribution* additionally turns on per-unit stall attribution and
     writes each point's stall report to ``<dir>/<stem>.stalls.json``.
     """
@@ -113,23 +108,14 @@ def point_telemetry_config(
 
     from repro.telemetry.sampler import TelemetryConfig
 
-    kwargs: Dict[str, Any] = {}
-    if trace is not None:
-        kwargs["trace_path"] = os.path.join(
-            telemetry_dir, stem + ".trace.json"
-        )
-        kwargs["trace_sample_rate"] = trace.get("sample_rate", 0.05)
-        kwargs["trace_head_tail"] = trace.get("head_tail", 16)
-        kwargs["trace_seed"] = trace.get("seed", 0)
-    if attribution:
-        kwargs["attribution"] = True
-        kwargs["attribution_path"] = os.path.join(
-            telemetry_dir, stem + ".stalls.json"
-        )
     return TelemetryConfig(
         interval=interval,
         metrics_path=os.path.join(telemetry_dir, stem + ".jsonl"),
-        **kwargs,
+        attribution=attribution,
+        attribution_path=(
+            os.path.join(telemetry_dir, stem + ".stalls.json")
+            if attribution else None
+        ),
     )
 
 

@@ -136,7 +136,6 @@ def _run_point(
     settings: ExperimentSettings,
     telemetry_dir: Optional[str],
     telemetry_interval: int,
-    telemetry_trace: Optional[Dict[str, Any]],
     telemetry_attribution: bool,
 ) -> PointResult:
     """The default worker: run one spec, streaming its telemetry to
@@ -150,7 +149,6 @@ def _run_point(
             telemetry_dir,
             f"{spec.arch_name}_{spec.kind}@{spec.rate:g}",
             interval=telemetry_interval,
-            trace=telemetry_trace,
             attribution=telemetry_attribution,
         )
     return run_point_spec(spec, settings, telemetry=telemetry)
@@ -334,7 +332,6 @@ def run_sweep(
     failure_mode: str = "report",
     telemetry_dir: Optional[str] = None,
     telemetry_interval: int = 100,
-    telemetry_trace: Optional[Dict[str, Any]] = None,
     telemetry_attribution: bool = False,
     progress: bool = False,
     progress_stream: Optional[IO[str]] = None,
@@ -357,10 +354,6 @@ def run_sweep(
     previously finished points) and appends to an existing journal
     instead of truncating it.
 
-    ``telemetry_trace`` (with ``telemetry_dir``) additionally writes a
-    sampled lifecycle trace per point (``<dir>/<stem>.trace.json``);
-    pass ``{}`` for the production defaults or override the knobs (see
-    :func:`~repro.experiments.runner.point_telemetry_config`).
     ``telemetry_attribution`` (with ``telemetry_dir``) turns on stall
     attribution per point and writes each point's stall report to
     ``<dir>/<stem>.stalls.json``.  The telemetry options apply to the
@@ -440,7 +433,6 @@ def run_sweep(
             _run_point,
             telemetry_dir=telemetry_dir,
             telemetry_interval=telemetry_interval,
-            telemetry_trace=telemetry_trace,
             telemetry_attribution=telemetry_attribution,
         )
         if pending:

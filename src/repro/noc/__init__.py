@@ -21,15 +21,12 @@ _EXPORTS = {
     "FlitType": ".packet",
     "Packet": ".packet",
     "PacketClass": ".packet",
-    "RoundRobinArbiter": ".arbiter",
-    "MatrixArbiter": ".arbiter",
     "RoutingFunction": ".routing",
     "XYRouting": ".routing",
     "XYZRouting": ".routing",
     "ExpressXYRouting": ".routing",
     "TorusXYRouting": ".routing",
     "routing_for_topology": ".routing",
-    "WestFirstAdaptiveRouting": ".adaptive",
     "NetworkProfiler": ".profiling",
     "ProfileSnapshot": ".profiling",
     "Router": ".router",

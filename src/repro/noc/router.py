@@ -115,17 +115,6 @@ class Router:
         self.vc_by_class = vc_by_class
         if vc_by_class and num_vcs < 2:
             raise ValueError("vc_by_class needs at least 2 virtual channels")
-        #: Adaptive routing functions offer several productive ports; the
-        #: RC stage then picks the one with the most downstream credits.
-        #: These capability flags are part of the RoutingFunction
-        #: protocol (RoutingBase supplies defaults), so no getattr
-        #: duck-typing probes are needed.
-        self._adaptive = routing.is_adaptive
-        if self._adaptive and lookahead_rc:
-            raise ValueError(
-                "look-ahead RC precomputes one port; adaptive routing "
-                "chooses among candidates at RC time"
-            )
         #: Routing functions with a VC discipline (torus datelines,
         #: escape-layer tables) dictate the permissible out VCs per
         #: packet at VA time.
@@ -221,10 +210,10 @@ class Router:
         self._stall_out_base = 0
         self._stall_layer_counts = None
         #: This router's next-port row (``routes[dst]``: output-port
-        #: index, ``-1`` = unroutable, a candidate tuple for adaptive
-        #: routing) — an alias of ``network.routes[node]``, bound in
-        #: :meth:`attach` and rebuilt in place on a link kill.
-        self.routes: list = []
+        #: index, ``-1`` = unroutable) — an alias of
+        #: ``network.routes[node]``, bound in :meth:`attach` and rebuilt
+        #: in place on a link kill.
+        self.routes: List[int] = []
 
     @property
     def flits_switched(self) -> int:
@@ -285,18 +274,6 @@ class Router:
     def _class_vc(flit: Flit) -> int:
         """VC dedicated to this flit's traffic class: 0 ctrl, 1 data."""
         return 1 if flit.packet.klass is PacketClass.DATA else 0
-
-    def _pick_adaptive_port(self, candidates: Tuple[int, ...]) -> int:
-        """Most-credited candidate port (ties keep preference order);
-        ``-1`` when the table left no candidate (a counted drop)."""
-        best_idx = -1
-        best_score = -1
-        for idx in candidates:
-            credits = self.credits[idx]
-            score = (1 << 30) if credits is None else sum(credits)
-            if score > best_score:
-                best_idx, best_score = idx, score
-        return best_idx
 
     def _look_ahead(self, flit: Flit, row: list) -> None:
         """Look-ahead RC (Fig. 8c): stamp head *flit* with its output
@@ -556,8 +533,6 @@ class Router:
             return
         flit = fifo[0]
         out = self.routes[flit.packet.dst]
-        if self._adaptive:
-            out = self._pick_adaptive_port(out)
         if out < 0:
             out = self._drop_route(flit)
         self.vc_out_port[i] = out

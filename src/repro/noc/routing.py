@@ -58,16 +58,13 @@ class RoutingFunction(Protocol):
     """Deterministic output-port selector.
 
     Beyond the core :meth:`output_port` map, every routing function
-    carries three capability attributes and two VC-discipline hooks.
+    carries two capability attributes and two VC-discipline hooks.
     The attributes were formerly probed with ``getattr`` duck-typing in
     the router's constructor; they are now part of the protocol, with
     neutral defaults provided by :class:`RoutingBase`, so the router
     reads them directly.
     """
 
-    #: Offers several productive ports (``candidate_ports``); the RC
-    #: stage picks the one with the most downstream credits.
-    is_adaptive: bool
     #: Dictates the permissible output VCs per packet at VA time
     #: (torus datelines, escape-layer table routing).
     has_vc_discipline: bool
@@ -106,11 +103,10 @@ class RoutingBase:
     """Default implementations of the :class:`RoutingFunction` protocol.
 
     Concrete routing functions subclass this and override what they
-    need; the defaults are the common case (deterministic, single
-    candidate port, no VC discipline, deadlock-free with one VC).
+    need; the defaults are the common case (no VC discipline,
+    deadlock-free with one VC).
     """
 
-    is_adaptive = False
     has_vc_discipline = False
     required_vcs = 1
 

@@ -429,47 +429,40 @@ def build_route_table(
     routing: RoutingFunction,
     failed: FrozenSet[Channel] = frozenset(),
     num_vcs: Optional[int] = None,
-) -> List[list]:
+) -> List[List[int]]:
     """Every router's next-port row under *routing*, proved deadlock-free.
 
     ``rows[node][dst]`` is the index, in ``topology.port_names(node)``
     order (the router's own port order), of the output port a packet at
     *node* takes towards *dst*, or ``-1`` when it is unroutable there and
-    drops.  An adaptive rule's entry is the tuple of its candidate
-    indices instead (empty = unroutable).  Three steps:
+    drops.  Three steps:
 
     1. Ask the rule for every ``(node, dst)`` pair, handing it the
        *failed* channels so a rule that can steer around them does.  A
-       pair the rule declares unroutable, and an entry (or candidate)
-       onto a failed channel, is dropped.
-    2. For a deterministic rule, mark unroutable the nodes lying *on* a
-       routing cycle for a destination — a packet would circle them
-       forever.  Entries that merely lead into an unroutable node are
-       kept, so the packet drops at that node.
+       pair the rule declares unroutable, and an entry onto a failed
+       channel, is dropped.
+    2. Mark unroutable the nodes lying *on* a routing cycle for a
+       destination — a packet would circle them forever.  Entries that
+       merely lead into an unroutable node are kept, so the packet drops
+       at that node.
     3. Prove the channel dependency graph acyclic — over ``(channel,
        VC)`` units with *num_vcs* VCs (default: the rule's minimum) when
-       the rule has a VC discipline, over every candidate when it is
-       adaptive — or raise :class:`DeadlockError` carrying the cycle.
+       the rule has a VC discipline — or raise :class:`DeadlockError`
+       carrying the cycle.
     """
     for src, dst in failed:
         topology.link_between(src, dst)  # a channel that does not exist is a typo
     n = topology.num_nodes
     links = port_links(topology)
-    rows: List[list] = []
+    rows: List[List[int]] = []
     for node in range(n):
         index = {name: i for i, name in enumerate(topology.port_names(node))}
         live = [
             link is None or (node, link.dst) not in failed
             for link in links[node]
         ]
-        row: list = []
+        row: List[int] = []
         for dst in range(n):
-            if routing.is_adaptive:
-                candidates = (
-                    index[name] for name in routing.candidate_ports(node, dst)
-                )
-                row.append(tuple(i for i in candidates if live[i]))
-                continue
             try:
                 port = index[routing.output_port(node, dst, failed)]
             except UnroutableError:
@@ -478,17 +471,16 @@ def build_route_table(
             row.append(port if live[port] else -1)
         rows.append(row)
 
-    if not routing.is_adaptive:
-        for dst in range(n):
-            for start in range(n):
-                walk: List[int] = []
-                node = start
-                while node != dst and rows[node][dst] >= 0 and node not in walk:
-                    walk.append(node)
-                    node = links[node][rows[node][dst]].dst
-                if node in walk:  # the route came back: a routing cycle
-                    for looped in walk[walk.index(node):]:
-                        rows[looped][dst] = -1
+    for dst in range(n):
+        for start in range(n):
+            walk: List[int] = []
+            node = start
+            while node != dst and rows[node][dst] >= 0 and node not in walk:
+                walk.append(node)
+                node = links[node][rows[node][dst]].dst
+            if node in walk:  # the route came back: a routing cycle
+                for looped in walk[walk.index(node):]:
+                    rows[looped][dst] = -1
 
     if routing.has_vc_discipline:
         graph = vc_channel_dependency_graph(

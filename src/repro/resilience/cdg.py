@@ -32,35 +32,35 @@ def port_links(topology: Topology) -> List[List[Optional[LinkSpec]]]:
     ]
 
 
-def _hops(links: Sequence[Optional[LinkSpec]], entry) -> List[LinkSpec]:
-    """Links a table entry may take: none for ``-1`` or the local port,
-    every candidate of an adaptive entry's tuple."""
-    entries = entry if isinstance(entry, tuple) else (entry,)
-    return [links[e] for e in entries if e >= 0 and links[e] is not None]
+def _hop(links: Sequence[Optional[LinkSpec]], entry: int) -> Optional[LinkSpec]:
+    """The link a table entry takes: none for ``-1`` or the local port."""
+    return links[entry] if entry >= 0 else None
 
 
 def channel_dependency_graph(
-    topology: Topology, rows: Sequence[Sequence]
+    topology: Topology, rows: Sequence[Sequence[int]]
 ) -> Dict[Channel, Set[Channel]]:
     """CDG of the next-port table *rows* (``rows[node][dst]``).
 
-    Every channel an entry takes towards ``dst`` depends on every
-    channel the next router's entry for the same ``dst`` may take —
-    each candidate, for adaptive entries.  That is the union of the
-    consecutive channel pairs of every route, including the prefix a
-    packet holds before it reaches an unroutable entry and drops.
-    Channels no entry takes do not appear as keys.
+    Every channel an entry takes towards ``dst`` depends on the channel
+    the next router's entry for the same ``dst`` takes.  That is the
+    union of the consecutive channel pairs of every route, including the
+    prefix a packet holds before it reaches an unroutable entry and
+    drops.  Channels no entry takes do not appear as keys.
     """
     links = port_links(topology)
     graph: Dict[Channel, Set[Channel]] = {}
     for node, row in enumerate(rows):
         for dst, entry in enumerate(row):
-            for link in _hops(links[node], entry):
-                wanted = graph.setdefault((node, link.dst), set())
-                nxt = link.dst
-                if nxt != dst:
-                    for onward in _hops(links[nxt], rows[nxt][dst]):
-                        wanted.add((nxt, onward.dst))
+            link = _hop(links[node], entry)
+            if link is None:
+                continue
+            wanted = graph.setdefault((node, link.dst), set())
+            nxt = link.dst
+            if nxt != dst:
+                onward = _hop(links[nxt], rows[nxt][dst])
+                if onward is not None:
+                    wanted.add((nxt, onward.dst))
     return graph
 
 

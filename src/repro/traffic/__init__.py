@@ -19,9 +19,6 @@ _EXPORTS = {
     "ScheduledTraffic": ".base",
     "UniformRandomTraffic": ".synthetic",
     "BurstyUniformRandomTraffic": ".synthetic",
-    "BitComplementTraffic": ".synthetic",
-    "TransposeTraffic": ".synthetic",
-    "HotspotTraffic": ".synthetic",
     "NucaUniformTraffic": ".nuca",
     "PatternKind": ".patterns",
     "classify_word": ".patterns",

@@ -2,8 +2,7 @@
 
 :class:`UniformRandomTraffic` is the paper's UR workload: every node
 injects packets to uniformly random destinations at a controlled flit
-rate.  The classic adversarial patterns (transpose, bit-complement,
-hotspot) are included for wider coverage; they share the same machinery.
+rate.  :class:`BurstyUniformRandomTraffic` is its ON/OFF variant.
 """
 
 from __future__ import annotations
@@ -20,12 +19,13 @@ from repro.noc.packet import (
 from repro.traffic.base import BaseTraffic
 
 
-class _RandomInjectionTraffic(BaseTraffic):
-    """Shared Bernoulli-injection machinery.
+class UniformRandomTraffic(BaseTraffic):
+    """Uniform random traffic (the paper's UR workload).
 
-    ``flit_rate`` is the offered load in flits per node per cycle; it is
-    converted to a per-cycle packet-injection probability using the mean
-    packet size implied by ``data_fraction``.
+    Every source injects with a Bernoulli draw per cycle to a uniformly
+    random other node.  ``flit_rate`` is the offered load in flits per
+    node per cycle; it is converted to a per-cycle packet-injection
+    probability using the mean packet size implied by ``data_fraction``.
     """
 
     def __init__(
@@ -63,9 +63,6 @@ class _RandomInjectionTraffic(BaseTraffic):
         )
         self.packet_prob = min(1.0, flit_rate / mean_size)
 
-    def destination(self, src: int) -> int:
-        raise NotImplementedError
-
     def _payload_groups(self, size_flits: int) -> Optional[List[int]]:
         if self.short_flit_fraction <= 0.0 or size_flits == 1:
             return None
@@ -83,9 +80,9 @@ class _RandomInjectionTraffic(BaseTraffic):
         for src in self.sources:
             if rng.random() >= self.packet_prob:
                 continue
-            dst = self.destination(src)
-            if dst == src:
-                continue
+            dst = rng.randrange(self.num_nodes - 1)
+            if dst >= src:
+                dst += 1
             if rng.random() < self.data_fraction:
                 size, klass = DATA_PACKET_FLITS, PacketClass.DATA
             else:
@@ -108,14 +105,6 @@ class _RandomInjectionTraffic(BaseTraffic):
                 )
             )
         return packets
-
-
-class UniformRandomTraffic(_RandomInjectionTraffic):
-    """Uniform random traffic (the paper's UR workload)."""
-
-    def destination(self, src: int) -> int:
-        dst = self.rng.randrange(self.num_nodes - 1)
-        return dst if dst < src else dst + 1
 
 
 class BurstyUniformRandomTraffic(UniformRandomTraffic):
@@ -170,51 +159,3 @@ class BurstyUniformRandomTraffic(UniformRandomTraffic):
             return super().packets_for_cycle(cycle)
         finally:
             self.sources = saved
-
-
-class TransposeTraffic(_RandomInjectionTraffic):
-    """Matrix-transpose traffic on a ``width`` x ``width`` mesh."""
-
-    def __init__(self, width: int, flit_rate: float, **kwargs) -> None:
-        self.width = width
-        super().__init__(num_nodes=width * width, flit_rate=flit_rate, **kwargs)
-
-    def destination(self, src: int) -> int:
-        x, y = src % self.width, src // self.width
-        return x * self.width + y
-
-
-class BitComplementTraffic(_RandomInjectionTraffic):
-    """Bit-complement traffic: node ``i`` sends to ``~i``."""
-
-    def destination(self, src: int) -> int:
-        bits = max(1, (self.num_nodes - 1).bit_length())
-        return (~src) & ((1 << bits) - 1) if self.num_nodes & (self.num_nodes - 1) == 0 else (
-            self.num_nodes - 1 - src
-        )
-
-
-class HotspotTraffic(_RandomInjectionTraffic):
-    """Uniform random with extra probability mass on hotspot nodes."""
-
-    def __init__(
-        self,
-        num_nodes: int,
-        flit_rate: float,
-        hotspots: Sequence[int],
-        hotspot_fraction: float = 0.3,
-        **kwargs,
-    ) -> None:
-        if not hotspots:
-            raise ValueError("need at least one hotspot node")
-        if not 0.0 <= hotspot_fraction <= 1.0:
-            raise ValueError("hotspot_fraction must be in [0, 1]")
-        super().__init__(num_nodes=num_nodes, flit_rate=flit_rate, **kwargs)
-        self.hotspots = list(hotspots)
-        self.hotspot_fraction = hotspot_fraction
-
-    def destination(self, src: int) -> int:
-        if self.rng.random() < self.hotspot_fraction:
-            return self.rng.choice(self.hotspots)
-        dst = self.rng.randrange(self.num_nodes - 1)
-        return dst if dst < src else dst + 1

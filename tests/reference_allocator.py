@@ -2,7 +2,7 @@
 
 The VA and SA algorithms of the paper (Sec. 3.2.5, 3.2.6) as first
 written: one request tuple per requesting input VC, a dict of
-:class:`~repro.noc.arbiter.RoundRobinArbiter` objects, and one
+:class:`RoundRobinArbiter` objects, and one
 ``grant`` call over a bool request vector per arbitration.  Slow, but
 each step reads like the paper.  :mod:`repro.noc.allocator` must pick
 the same winners, in the same grant order, and leave every round-robin
@@ -19,7 +19,34 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.noc.arbiter import RoundRobinArbiter
+
+class RoundRobinArbiter:
+    """Rotating-priority arbiter over *size* requesters."""
+
+    __slots__ = ("size", "_next")
+
+    def __init__(self, size: int) -> None:
+        if size < 1:
+            raise ValueError(f"arbiter size must be >= 1, got {size}")
+        self.size = size
+        self._next = 0
+
+    def grant(self, requests: Sequence[bool]) -> Optional[int]:
+        """Grant one of the asserted *requests*; ``None`` if none asserted.
+
+        The winner becomes the lowest-priority requester for the next
+        arbitration, giving round-robin fairness.
+        """
+        if len(requests) != self.size:
+            raise ValueError(
+                f"expected {self.size} request lines, got {len(requests)}"
+            )
+        for offset in range(self.size):
+            idx = (self._next + offset) % self.size
+            if requests[idx]:
+                self._next = (idx + 1) % self.size
+                return idx
+        return None
 
 
 class VARequest(NamedTuple):

@@ -1,8 +1,8 @@
 """Differential tests: the flat-index allocators against the reference.
 
 :mod:`tests.reference_allocator` keeps the separable algorithm with one
-request tuple per requester and one
-:class:`~repro.noc.arbiter.RoundRobinArbiter` grant per arbitration.
+request tuple per requester and one ``RoundRobinArbiter`` grant per
+arbitration.
 For drawn router shapes (2-7 ports, 1-4 VCs), arbitrary pointer states,
 request subsets, output ports, owned/free output VCs, allowed-VC
 restrictions and QoS priorities, :mod:`repro.noc.allocator` must grant

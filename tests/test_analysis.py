@@ -95,6 +95,13 @@ class TestChannelLoads:
         with pytest.raises(ValueError):
             hottest_channels(point, count=0)
 
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_channel_utilization_rejects_non_positive_window(self, point, window):
+        """An explicit window of 0 raises like -5; it is not swapped for
+        the measured window."""
+        with pytest.raises(ValueError):
+            channel_utilization(point, window_cycles=window)
+
 
 class TestPercentiles:
     def test_percentile_nearest_rank(self):

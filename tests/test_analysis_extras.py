@@ -1,15 +1,10 @@
-"""Heatmap rendering and replicated-run tests."""
+"""Replicated-run tests."""
 
 import pytest
 
-from repro.analysis import (
-    ReplicatedResult,
-    render_utilization_grid,
-    run_replicated,
-)
+from repro.analysis import ReplicatedResult, run_replicated
 from repro.core.arch import make_2db
 from repro.experiments.config import ExperimentSettings
-from repro.experiments.runner import run_uniform_point
 
 
 @pytest.fixture(scope="module")
@@ -24,70 +19,6 @@ def settings():
         workloads=("tpcw",),
         seed=31,
     )
-
-
-@pytest.fixture(scope="module")
-def point(settings):
-    return run_uniform_point(make_2db(), 0.2, settings)
-
-
-class TestHeatmap:
-    def test_grid_shape(self, point):
-        grid = render_utilization_grid(point, 6, 6)
-        lines = grid.splitlines()
-        assert len(lines) == 6
-        assert all(len(line) == 12 for line in lines)  # 2 glyphs per tile
-
-    def test_peak_tile_uses_hottest_glyph(self, point):
-        grid = render_utilization_grid(point, 6, 6)
-        assert "@" in grid
-
-    def test_centre_hotter_than_corners(self, point):
-        from repro.analysis import _HEAT_GLYPHS
-
-        grid = render_utilization_grid(point, 6, 6).splitlines()
-
-        def level(x, y):
-            return _HEAT_GLYPHS.index(grid[y][2 * x])
-
-        centre = level(2, 2) + level(3, 3) + level(2, 3) + level(3, 2)
-        corners = level(0, 0) + level(5, 5) + level(0, 5) + level(5, 0)
-        assert centre > corners
-
-    def test_validation(self, point):
-        with pytest.raises(ValueError):
-            render_utilization_grid(point, 0, 6)
-
-
-class TestLatencyThroughputCurve:
-    def test_curve_shape(self, settings):
-        from repro.analysis import latency_throughput_curve
-
-        curve = latency_throughput_curve(
-            make_2db(), rates=(0.05, 0.15, 0.6), settings=settings
-        )
-        assert len(curve) == 3
-        offered = [o for o, _, _ in curve]
-        latency = [l for _, _, l in curve]
-        assert offered == sorted(offered)
-        # Latency diverges at overload while accepted throughput
-        # saturates below the offered 0.6.
-        assert latency[-1] > 2 * latency[0]
-        assert curve[-1][1] < 0.6
-
-    def test_below_saturation_accepted_tracks_offered(self, settings):
-        from repro.analysis import latency_throughput_curve
-
-        ((offered, accepted, _),) = latency_throughput_curve(
-            make_2db(), rates=(0.1,), settings=settings
-        )
-        assert accepted == pytest.approx(offered, rel=0.15)
-
-    def test_empty_rates_rejected(self, settings):
-        from repro.analysis import latency_throughput_curve
-
-        with pytest.raises(ValueError):
-            latency_throughput_curve(make_2db(), rates=(), settings=settings)
 
 
 class TestReplicated:

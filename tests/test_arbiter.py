@@ -1,24 +1,28 @@
-"""Arbiter tests: single grant, fairness, rotation, LRS behaviour."""
+"""Round-robin arbiter tests: single grant, fairness, rotation.
+
+The arbiter is the readable form the router's flat-pointer allocators
+are pinned against (:mod:`tests.reference_allocator`).
+"""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.noc.arbiter import MatrixArbiter, RoundRobinArbiter
+from tests.reference_allocator import RoundRobinArbiter
 
 
-@pytest.mark.parametrize("cls", [RoundRobinArbiter, MatrixArbiter])
+@pytest.mark.parametrize("cls", [RoundRobinArbiter])
 def test_no_request_no_grant(cls):
     arb = cls(4)
     assert arb.grant([False] * 4) is None
 
 
-@pytest.mark.parametrize("cls", [RoundRobinArbiter, MatrixArbiter])
+@pytest.mark.parametrize("cls", [RoundRobinArbiter])
 def test_single_request_granted(cls):
     arb = cls(4)
     assert arb.grant([False, False, True, False]) == 2
 
 
-@pytest.mark.parametrize("cls", [RoundRobinArbiter, MatrixArbiter])
+@pytest.mark.parametrize("cls", [RoundRobinArbiter])
 def test_grant_is_a_requester(cls):
     arb = cls(5)
     requests = [True, False, True, False, True]
@@ -27,14 +31,14 @@ def test_grant_is_a_requester(cls):
         assert winner in (0, 2, 4)
 
 
-@pytest.mark.parametrize("cls", [RoundRobinArbiter, MatrixArbiter])
+@pytest.mark.parametrize("cls", [RoundRobinArbiter])
 def test_wrong_width_rejected(cls):
     arb = cls(3)
     with pytest.raises(ValueError):
         arb.grant([True, False])
 
 
-@pytest.mark.parametrize("cls", [RoundRobinArbiter, MatrixArbiter])
+@pytest.mark.parametrize("cls", [RoundRobinArbiter])
 def test_size_validation(cls):
     with pytest.raises(ValueError):
         cls(0)
@@ -54,24 +58,7 @@ def test_round_robin_skips_idle():
     assert arb.grant([True, False, False, True]) == 0
 
 
-def test_matrix_arbiter_least_recently_served():
-    arb = MatrixArbiter(3)
-    all_on = [True, True, True]
-    first = arb.grant(all_on)
-    second = arb.grant(all_on)
-    third = arb.grant(all_on)
-    assert {first, second, third} == {0, 1, 2}
-    # The earliest winner is now least-recently served again.
-    assert arb.grant(all_on) == first
-
-
-def test_matrix_arbiter_winner_drops_priority():
-    arb = MatrixArbiter(2)
-    assert arb.grant([True, True]) == 0
-    assert arb.grant([True, True]) == 1
-
-
-@pytest.mark.parametrize("cls", [RoundRobinArbiter, MatrixArbiter])
+@pytest.mark.parametrize("cls", [RoundRobinArbiter])
 def test_fairness_under_saturation(cls):
     """With all requesters always asserted, grants are perfectly fair."""
     n = 4
@@ -87,17 +74,15 @@ def test_fairness_under_saturation(cls):
     st.lists(st.lists(st.booleans(), min_size=1, max_size=6), min_size=1, max_size=40),
 )
 def test_property_grant_always_valid(size, request_rounds):
-    """Both arbiters: grant is None iff no requests, else an asserted line."""
-    rr = RoundRobinArbiter(size)
-    mx = MatrixArbiter(size)
+    """Grant is None iff no requests, else an asserted line."""
+    arb = RoundRobinArbiter(size)
     for round_requests in request_rounds:
         requests = (round_requests * size)[:size]
-        for arb in (rr, mx):
-            winner = arb.grant(requests)
-            if any(requests):
-                assert winner is not None and requests[winner]
-            else:
-                assert winner is None
+        winner = arb.grant(requests)
+        if any(requests):
+            assert winner is not None and requests[winner]
+        else:
+            assert winner is None
 
 
 @given(st.integers(min_value=2, max_value=6))

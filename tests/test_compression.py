@@ -1,60 +1,14 @@
-"""FPC compression tests (encoding + trace transform + experiment)."""
+"""FPC compression tests (trace transform + experiment)."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.core.compression import (
     COMPRESSION_LATENCY_CYCLES,
     compress_record,
     compress_trace,
-    compressed_payload_flits,
-    compression_ratio,
-    fpc_encoded_bits,
 )
 from repro.noc.packet import PacketClass
-from repro.traffic.patterns import WORD_MASK, WORDS_PER_LINE
 from repro.traffic.traces import TraceRecord
-
-
-def _line(fill=0x12345678):
-    return [fill] * WORDS_PER_LINE
-
-
-class TestEncoding:
-    def test_all_zero_line_compresses_maximally(self):
-        bits = fpc_encoded_bits(_line(0))
-        assert bits == WORDS_PER_LINE * 3
-        assert compressed_payload_flits(_line(0)) == 1
-        assert compression_ratio(_line(0)) > 10
-
-    def test_random_line_does_not_compress(self):
-        line = [0x9ABCDEF0 + i * 0x01010101 for i in range(WORDS_PER_LINE)]
-        assert compressed_payload_flits(line) == 4
-        assert compression_ratio(line) == pytest.approx(1.0)
-
-    def test_sign8_line(self):
-        bits = fpc_encoded_bits(_line(5))
-        assert bits == WORDS_PER_LINE * 11
-        assert compressed_payload_flits(_line(5)) == 2
-
-    def test_mixed_line(self):
-        line = [0] * 8 + [0x13572468] * 8
-        # 8 * 3 + 8 * 35 = 304 bits -> 3 flits.
-        assert fpc_encoded_bits(line) == 304
-        assert compressed_payload_flits(line) == 3
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            fpc_encoded_bits([0] * 4)
-
-    @given(st.lists(st.integers(0, WORD_MASK), min_size=16, max_size=16))
-    def test_property_flits_bounded(self, words):
-        flits = compressed_payload_flits(words)
-        assert 1 <= flits <= 4
-
-    @given(st.lists(st.integers(0, WORD_MASK), min_size=16, max_size=16))
-    def test_property_ratio_at_least_one(self, words):
-        assert compression_ratio(words) >= 1.0
 
 
 class TestTraceTransform:

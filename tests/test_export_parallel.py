@@ -14,7 +14,6 @@ from repro.experiments.export import (
     export_json,
     point_to_dict,
     sweep_to_dict,
-    workload_matrix_to_dict,
 )
 from repro.experiments.runner import run_uniform_point
 from repro.experiments.store import SweepPointError
@@ -57,10 +56,6 @@ class TestExport:
         sweep = {"2DB": [(0.1, point)]}
         data = sweep_to_dict(sweep)
         assert data["2DB"][0]["rate"] == 0.1
-
-    def test_workload_matrix(self, point):
-        data = workload_matrix_to_dict({"tpcw": {"2DB": point}})
-        assert data["tpcw"]["2DB"]["arch"] == "2DB"
 
     def test_export_json_roundtrip(self, tmp_path, point):
         path = export_json(

@@ -4,10 +4,10 @@ digests never reach.
 ``tests/test_golden_e2e.py`` runs every architecture at rate 0.1 with
 the default pipeline, so QoS arbitration, the class-dedicated VC
 policy, speculative SA with look-ahead RC, the torus dateline VC
-discipline, west-first adaptive routing and many-way contention are
-all outside its reach.  Each case here drives one of those at a
-contended load through a bare :class:`~repro.noc.network.Network` with
-seeded synthetic traffic, then hashes the complete
+discipline and many-way contention are all outside its reach.  Each
+case here drives one of those at a contended load through a bare
+:class:`~repro.noc.network.Network` with seeded synthetic traffic,
+then hashes the complete
 :class:`~repro.noc.stats.NetworkStats` and
 :class:`~repro.noc.stats.EventCounts` with ``canonical_json``.  Any
 change to who wins an allocation moves latencies and counters and fails
@@ -32,7 +32,6 @@ import pytest
 
 from repro.core.arch import make_2db
 from repro.experiments.store import canonical_json
-from repro.noc.adaptive import WestFirstAdaptiveRouting
 from repro.noc.network import Network
 from repro.noc.simulator import Simulator
 from repro.topology.mesh2d import Mesh2D
@@ -51,11 +50,6 @@ def _mesh() -> Mesh2D:
     return Mesh2D(4, 4, pitch_mm=1.0)
 
 
-def _west_first() -> Network:
-    mesh = _mesh()
-    return Network(mesh, routing=WestFirstAdaptiveRouting(mesh))
-
-
 #: name -> (network factory, offered flit rate, high-priority fraction)
 CASES: Dict[str, tuple[Callable[[], Network], float, float]] = {
     "qos_mixed_priority": (
@@ -70,7 +64,6 @@ CASES: Dict[str, tuple[Callable[[], Network], float, float]] = {
         0.0,
     ),
     "torus_4x4": (lambda: Network(Torus2D(4, 4, pitch_mm=1.0)), 0.35, 0.0),
-    "west_first_adaptive": (_west_first, 0.35, 0.0),
     "2DB_ur_0.35": (lambda: make_2db().build_network(), 0.35, 0.0),
 }
 

@@ -31,26 +31,6 @@ def test_receive_credit_on_local_port_raises():
         router.receive_credit(router.local_port, 0)
 
 
-def test_adaptive_without_candidates_drops_packet():
-    """No surviving candidate is a counted drop, not an abort (the
-    fault-injection contract: damaged routes degrade gracefully)."""
-    from repro.noc.adaptive import WestFirstAdaptiveRouting
-
-    mesh = Mesh2D(3, 1, pitch_mm=1.0)
-
-    class Broken(WestFirstAdaptiveRouting):
-        def candidate_ports(self, node, dst):
-            return []
-
-    network = Network(mesh, routing=Broken(mesh))
-    network.enqueue_packet(ctrl_packet(0, 2, created_cycle=0))
-    for _ in range(20):
-        network.step()
-    assert network.stats.packets_dropped == 1
-    assert network.stats.packets_delivered == 0
-    assert network.stats.drops_by_node == {0: 1}
-
-
 def test_network_nodes_validated_on_enqueue():
     network = Network(Mesh2D(2, 2, pitch_mm=1.0))
     bad = ctrl_packet(0, 1, created_cycle=0)

@@ -4,12 +4,7 @@ import pytest
 
 from repro.noc.packet import PacketClass
 from repro.traffic.base import ScheduledTraffic
-from repro.traffic.synthetic import (
-    BitComplementTraffic,
-    HotspotTraffic,
-    TransposeTraffic,
-    UniformRandomTraffic,
-)
+from repro.traffic.synthetic import UniformRandomTraffic
 
 
 def _collect(traffic, cycles):
@@ -80,28 +75,6 @@ def test_different_seeds_differ():
     assert [(p.src, p.dst) for p in a] != [(p.src, p.dst) for p in b]
 
 
-def test_transpose_destination():
-    traffic = TransposeTraffic(width=4, flit_rate=0.5, seed=1)
-    for packet in _collect(traffic, 300):
-        x, y = packet.src % 4, packet.src // 4
-        assert packet.dst == x * 4 + y
-
-
-def test_bit_complement_destination():
-    traffic = BitComplementTraffic(num_nodes=16, flit_rate=0.5, seed=1)
-    for packet in _collect(traffic, 300):
-        assert packet.dst == 15 - packet.src
-
-
-def test_hotspot_bias():
-    traffic = HotspotTraffic(
-        num_nodes=16, flit_rate=0.5, hotspots=[5], hotspot_fraction=0.5, seed=1
-    )
-    packets = _collect(traffic, 3000)
-    to_hotspot = sum(p.dst == 5 for p in packets)
-    assert to_hotspot / len(packets) > 0.3
-
-
 def test_nodes_restriction():
     traffic = UniformRandomTraffic(
         num_nodes=16, flit_rate=0.9, seed=1, nodes=[0, 1]
@@ -117,8 +90,6 @@ def test_parameter_validation():
         UniformRandomTraffic(num_nodes=4, flit_rate=0.0)
     with pytest.raises(ValueError):
         UniformRandomTraffic(num_nodes=4, flit_rate=0.1, data_fraction=1.5)
-    with pytest.raises(ValueError):
-        HotspotTraffic(num_nodes=4, flit_rate=0.1, hotspots=[])
 
 
 def test_scheduled_traffic_emits_at_creation_cycle():
