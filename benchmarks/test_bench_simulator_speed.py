@@ -7,9 +7,12 @@ in the hot loop (router step / allocation) across changes.
 Low-load points are where the active-set scheduler pays: at 0.05
 flits/node/cycle most routers are quiescent most cycles and only the
 woken subset is stepped.
+
+The ring point routes from escape-VC tables, so its VA stage runs the
+VC-disciplined path the meshes never reach.
 """
 
-from repro.core.arch import make_2db, make_3dme
+from repro.core.arch import make_2db, make_3dme, make_ring
 from repro.noc.simulator import Simulator
 from repro.traffic.synthetic import UniformRandomTraffic
 
@@ -41,6 +44,15 @@ def test_simulation_speed_3dme(benchmark):
     """The 9-port express router is the most expensive to simulate."""
     result = benchmark.pedantic(
         lambda: _run_once(make_3dme()), rounds=3, iterations=1, warmup_rounds=1
+    )
+    assert result.cycles >= CYCLES
+
+
+def test_simulation_speed_ring(benchmark):
+    config = make_ring()
+    assert config.build_network().routing.has_vc_discipline
+    result = benchmark.pedantic(
+        lambda: _run_once(config), rounds=3, iterations=1, warmup_rounds=1
     )
     assert result.cycles >= CYCLES
 

@@ -17,6 +17,7 @@ Gives downstream users one-line access to the main flows:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -75,6 +76,19 @@ def _make_config(args: argparse.Namespace):
             )
         kwargs["topology_file"] = topology_file
     return make_architecture(arch, **kwargs)
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for injection rates: a bad rate is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}"
+        )
+    return value
 
 
 def _parse_channel(text: str) -> tuple:
@@ -631,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--topology-file", default=None, metavar="PATH",
         help="JSON link-list file for --topology irregular",
     )
-    sim.add_argument("--rate", type=float, default=0.2)
+    sim.add_argument("--rate", type=_positive_float, default=0.2)
     sim.add_argument("--traffic", choices=["uniform", "nuca"], default="uniform")
     sim.add_argument("--short-flits", type=float, default=0.0)
     sim.add_argument(
@@ -714,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     cmp_ = sub.add_parser("compare", help="compare all six configurations")
-    cmp_.add_argument("--rate", type=float, default=0.2)
+    cmp_.add_argument("--rate", type=_positive_float, default=0.2)
     cmp_.add_argument(
         "--json", default=None, metavar="PATH",
         help="also write the comparison as machine-readable JSON "
@@ -729,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diag.add_argument("--arch", default="3DM", help="2DB/3DB/3DM/3DM-E/...")
     diag.add_argument(
-        "--rate", type=float, default=0.35,
+        "--rate", type=_positive_float, default=0.35,
         help="injection rate; defaults high (0.35) so there is "
         "congestion worth diagnosing",
     )

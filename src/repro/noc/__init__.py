@@ -34,7 +34,6 @@ _EXPORTS = {
     "SanityError": ".sanitizer",
     "SanitySnapshot": ".sanitizer",
     "WatchdogReport": ".sanitizer",
-    "TimingWheel": ".scheduling",
     "Network": ".network",
     "Simulator": ".simulator",
     "SimulationResult": ".simulator",

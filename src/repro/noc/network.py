@@ -1,11 +1,11 @@
 """The network: routers + links + injection/ejection plumbing.
 
-The network owns the per-cycle event buckets (flit arrivals, credit
+The network owns the per-cycle event rings (flit arrivals, credit
 returns, ejections), the per-node source queues, and the global event
 counters (:attr:`Network.events`, folded on read from per-router
-tallies).  It is deliberately separate from :class:`repro.noc.simulator.
-Simulator`, which adds warm-up/measurement/drain orchestration and power
-integration on top.
+tallies and the network's float accumulators).  It is deliberately
+separate from :class:`repro.noc.simulator.Simulator`, which adds
+warm-up/measurement/drain orchestration and power integration on top.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from typing import (
 from repro.core.shutdown import ShortFlitDetector
 from repro.noc.packet import Flit, Packet, PacketClass
 from repro.noc.profiling import NetworkProfiler
-from repro.noc.router import Router
+from repro.noc.router import EVENT_RING_SLOTS, Router
 from repro.noc.routing import Channel, RoutingFunction, routing_for_topology
-from repro.noc.scheduling import TimingWheel
 from repro.noc.stats import EventCounts, NetworkStats
 from repro.noc.table_routing import build_route_table
 from repro.topology.base import Topology
@@ -113,10 +112,12 @@ class Network:
         self.link_kinds: List[str] = sorted(
             {link.kind.value for link in topology.links}
         )
-        #: Link float accumulators, one add per link flit in traversal
-        #: order (see :attr:`events`): length x activity weight by
-        #: link-kind id, and length by effective active-layer count k
-        #: (index 0 unused).  The routers add into these lists directly.
+        #: Float accumulators, one add per flit in traversal order (see
+        #: :attr:`events`): buffer write and read activity weights;
+        #: link length x activity weight by link-kind id, and link
+        #: length by effective active-layer count k (index 0 unused).
+        #: The routers add into these lists directly.
+        self.buffer_weighted_sums = [0.0, 0.0]
         self.link_mm_weighted_sums = [0.0] * len(self.link_kinds)
         self.link_mm_by_layers_sums = [0.0] * (layer_groups + 1)
         self.stats = NetworkStats()
@@ -145,7 +146,6 @@ class Network:
                 combined_st_lt=combined_st_lt,
                 layer_groups=layer_groups,
                 shutdown_enabled=shutdown_enabled,
-                events=self._events,
                 speculative_sa=speculative_sa,
                 lookahead_rc=lookahead_rc,
                 qos_enabled=qos_enabled,
@@ -177,10 +177,14 @@ class Network:
                     )
             self._credit_targets.append(targets)
 
-        # Event buckets: small timing wheels keyed by absolute cycle.
-        self._arrivals = TimingWheel()   # (node, port, vc, flit)
-        self._credits = TimingWheel()    # (node, port, vc)
-        self._ejections = TimingWheel()  # flit
+        #: Event rings: slot ``cycle % EVENT_RING_SLOTS`` holds the
+        #: events due at ``cycle`` — arrivals ``(node, port, vc, flit)``,
+        #: credits ``(node, port, vc)`` bound upstream, and ejecting
+        #: flits.  Routers append into them; :meth:`_deliver` takes the
+        #: current slot of each and leaves a fresh list in its place.
+        self.arrival_slots: List[list] = [[] for _ in range(EVENT_RING_SLOTS)]
+        self.credit_slots: List[list] = [[] for _ in range(EVENT_RING_SLOTS)]
+        self.ejection_slots: List[list] = [[] for _ in range(EVENT_RING_SLOTS)]
         self._sources: List[_SourceQueue] = [
             _SourceQueue() for _ in topology.iter_nodes()
         ]
@@ -190,8 +194,8 @@ class Network:
         #: through ``receive_flit``, which wakes them here).
         self._active_routers: Set[int] = set()
 
-        # Attach after the wheels / credit targets / active set exist:
-        # routers alias their slot lists directly (hot-path appends).
+        # Attach after the rings / credit targets / active set exist:
+        # routers alias them directly (hot-path appends).
         for router in self.routers:
             router.attach(self)
         #: (the router's ``port_flits`` row, link kind, channel) per link,
@@ -258,11 +262,15 @@ class Network:
         The activity-weighted floats are never derived from the integer
         tallies: ``k / layer_groups`` and link lengths are not dyadic in
         general, so each float keeps exactly one add per event in the
-        global traversal order.  Buffer floats are summed on the counters
-        directly, link floats into the network's ``link_mm_*_sums`` lists.
+        global traversal order, into the network's
+        ``buffer_weighted_sums`` and ``link_mm_*_sums`` lists.
         """
         ev = self._events
         routers = self.routers
+        ev.buffer_writes_weighted, reads_weighted = self.buffer_weighted_sums
+        ev.buffer_reads_weighted = ev.xbar_traversals_weighted = reads_weighted
+        ev.rc_computations = sum(r.rc_computations for r in routers)
+        ev.va_allocations = sum(r.va_allocations for r in routers)
         switched = [
             sum(col) for col in zip(*(r.flits_switched_by_layers for r in routers))
         ]
@@ -281,7 +289,6 @@ class Network:
         ev.buffer_writes = sum(writes)
         ev.buffer_reads = ev.sa_allocations = hops
         ev.xbar_traversals = ev.flit_hops = hops
-        ev.xbar_traversals_weighted = ev.buffer_reads_weighted
         ev.short_flit_hops = sum(r.short_flit_hops for r in routers)
         ev.buffer_writes_by_layers = _nonzero_by_layers(writes)
         ev.buffer_reads_by_layers = _nonzero_by_layers(switched)
@@ -300,24 +307,6 @@ class Network:
             if n
         }
         return ev
-
-    # -- scheduling hooks used by routers -----------------------------------
-
-    def return_credit(self, node: int, in_port: int, vc: int, cycle: int) -> None:
-        """Return one credit to the router feeding ``(node, in_port)``."""
-        target = self._credit_targets[node][in_port]
-        if target is None:
-            port_name = self.routers[node].port_names[in_port]
-            raise RuntimeError(f"no upstream link into node {node} port {port_name}")
-        self._credits.push(cycle, (target[0], target[1], vc))
-
-    def wake(self, node: int) -> None:
-        """Mark *node*'s router as having pipeline work to step.
-
-        Called by :meth:`Router.receive_flit` on every flit reception
-        (arrival or injection); the router stays in the active set until
-        a step leaves it quiescent."""
-        self._active_routers.add(node)
 
     def reroute(self, failed: FrozenSet[Channel]) -> None:
         """Rebuild every router's next-port row around the *failed*
@@ -355,7 +344,11 @@ class Network:
     def in_flight(self) -> int:
         """Flits buffered in routers or travelling on links."""
         buffered = sum(router.occupancy() for router in self.routers)
-        return buffered + self._arrivals.pending() + self._ejections.pending()
+        return (
+            buffered
+            + sum(map(len, self.arrival_slots))
+            + sum(map(len, self.ejection_slots))
+        )
 
     def idle(self) -> bool:
         """True when no flit is queued, buffered, or in flight."""
@@ -421,8 +414,14 @@ class Network:
     def _deliver(self, cycle: int) -> None:
         """Land this cycle's scheduled arrivals, credits, and ejections."""
         routers = self.routers
-        for node, port, vc, flit in self._arrivals.pop_due(cycle):
+        slot = cycle % EVENT_RING_SLOTS
+        arrivals = self.arrival_slots[slot]
+        self.arrival_slots[slot] = []
+        for node, port, vc, flit in arrivals:
             routers[node].receive_flit(port, vc, flit, cycle)
+
+        credits = self.credit_slots[slot]
+        self.credit_slots[slot] = []
 
         fi = self.fault_injector
         if fi is not None and fi.dead_credit_targets:
@@ -432,16 +431,18 @@ class Network:
             # injector ledgers each confiscation so the sanitizer's
             # credit-conservation audit still balances.
             dead = fi.dead_credit_targets
-            for node, port, vc in self._credits.pop_due(cycle):
+            for node, port, vc in credits:
                 if (node, port) in dead:
                     fi.confiscate(node, port, vc)
                 else:
                     routers[node].receive_credit(port, vc)
         else:
-            for node, port, vc in self._credits.pop_due(cycle):
+            for node, port, vc in credits:
                 routers[node].receive_credit(port, vc)
 
-        for flit in self._ejections.pop_due(cycle):
+        ejections = self.ejection_slots[slot]
+        self.ejection_slots[slot] = []
+        for flit in ejections:
             if flit.is_tail:
                 packet = flit.packet
                 packet.delivered_cycle = cycle
@@ -460,7 +461,7 @@ class Network:
         many were stepped.
 
         Ascending order is the order a full iteration would use, which
-        keeps event-bucket contents (and hence closed-loop RNG draws)
+        keeps event-ring contents (and hence closed-loop RNG draws)
         identical to stepping every router every cycle."""
         active = self._active_routers
         if not active:

@@ -150,15 +150,9 @@ class Flit:
     #: ``__post_init__`` and conserved hop-to-hop (audited by the
     #: sanitizer's layer-mask invariant).
     layer_mask: int = 0
-    #: Routers traversed so far; maintained by the network.
-    hops: int = 0
     #: With look-ahead routing (Fig. 8c): output port index at the
     #: *next* router, looked up one hop in advance; None otherwise.
     lookahead_port: Optional[int] = None
-    #: Torus dateline state: set per dimension once the packet crosses a
-    #: wrap-around channel (forces the escape VC from then on).
-    wrapped_x: bool = False
-    wrapped_y: bool = False
     #: Cached flit-type predicates, derived from ``kind`` in
     #: ``__post_init__``: the router pipeline consults these on every
     #: traversal and flit type never changes after creation.

@@ -24,11 +24,14 @@ Observers (sanitizer, telemetry sampler, tests) read and perturb those
 same arrays directly, so there is one copy of the pipeline state.
 
 Per-flit activity is tallied the same way: plain per-router ``int``
-lists (switched flits and buffer writes by active-layer count, flits per
-output port and layer count, short-flit hops) that
-:attr:`~repro.noc.network.Network.events` folds on read.  Only the
-activity-weighted floats are summed into shared accumulators per flit,
-because their value depends on the order of the adds.
+fields and lists (switched flits and buffer writes by active-layer
+count, flits per output port and layer count, short-flit hops, RC and
+VA operations) that :attr:`~repro.noc.network.Network.events` folds on
+read.  Only the activity-weighted floats are summed into the network's
+accumulator lists per flit, because their value depends on the order of
+the adds.  Scheduled arrivals, credits and ejections go straight into
+the network's event rings, so a router writes only its own state and
+the network's lists.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 from repro.noc.allocator import SwitchAllocator, VirtualChannelAllocator
 from repro.noc.packet import Flit, PacketClass
 from repro.noc.routing import RoutingFunction
-from repro.noc.stats import EventCounts
 from repro.topology.base import LOCAL_PORT, LinkSpec, Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -55,6 +57,16 @@ VC_STATE_NAMES = {_IDLE: "idle", _RC: "rc", _VA: "va", _ACTIVE: "active"}
 #: Cycles from SA grant to the flit being RC-ready at the next router.
 ST_LT_MERGED_CYCLES = 2
 ST_LT_SPLIT_CYCLES = 3
+#: Slots in each of the network's event rings (arrivals, credits,
+#: ejections): an event due ``d`` cycles ahead lands in slot
+#: ``(cycle + d) % EVENT_RING_SLOTS``, so every delay must be shorter
+#: than the ring.  Credit return and ejection take one cycle.
+EVENT_RING_SLOTS = 4
+if not 1 <= ST_LT_MERGED_CYCLES <= ST_LT_SPLIT_CYCLES < EVENT_RING_SLOTS:
+    raise ValueError(
+        f"event delays 1..{ST_LT_SPLIT_CYCLES} do not fit "
+        f"{EVENT_RING_SLOTS} ring slots"
+    )
 
 # Stall-attribution cause codes: every cycle a buffered head flit fails
 # to advance is charged to exactly one of these.  The counters live in
@@ -88,7 +100,6 @@ class Router:
         combined_st_lt: bool,
         layer_groups: int,
         shutdown_enabled: bool,
-        events: EventCounts,
         speculative_sa: bool = False,
         lookahead_rc: bool = False,
         qos_enabled: bool = False,
@@ -102,7 +113,6 @@ class Router:
         self.combined_st_lt = combined_st_lt
         self.layer_groups = layer_groups
         self.shutdown_enabled = shutdown_enabled
-        self.events = events
         #: Fig. 8b: switch allocation speculatively overlaps VA.
         self.speculative_sa = speculative_sa
         #: Fig. 8c: the route arrives with the head flit (computed one
@@ -187,6 +197,10 @@ class Router:
         self.port_flits = [[0] * layer_groups for _ in range(self.num_ports)]
         #: Switched flits that carried a single active word group.
         self.short_flit_hops = 0
+        #: Route computations (look-ahead ones included) and granted
+        #: output VCs.
+        self.rc_computations = 0
+        self.va_allocations = 0
         # Flat indices of input VCs that may have work this cycle.
         self._active: set[int] = set()
         # Alias of network.stage_callbacks (bound in attach); empty list
@@ -250,21 +264,15 @@ class Router:
                     link.length_mm,
                     self.port_flits[port],
                 ))
-        # The network-wide link float accumulators (see Network.events).
+        # The network-wide float accumulators (see Network.events).
+        self._buffer_weighted = network.buffer_weighted_sums
         self._link_mm_weighted = network.link_mm_weighted_sums
         self._link_mm_by_layers = network.link_mm_by_layers_sums
-        # Direct slot aliases into the network's timing wheels and
-        # active-router set.  Every in-simulator delay (credit return 1,
-        # ejection 1, hop 2-3) is far inside the wheel horizon, so the
-        # traversal hot path appends into the due slot directly instead
-        # of going through TimingWheel.push; the wheels' slot *list*
-        # objects are stable (pop_due swaps the inner lists only).
-        self._arr_slots = network._arrivals._slots
-        self._arr_size = network._arrivals._size
-        self._credit_slots = network._credits._slots
-        self._credit_size = network._credits._size
-        self._ej_slots = network._ejections._slots
-        self._ej_size = network._ejections._size
+        # The network's event rings (the ring lists are stable; the
+        # network swaps only the slot it delivers) and active-router set.
+        self._arr_slots = network.arrival_slots
+        self._credit_slots = network.credit_slots
+        self._ej_slots = network.ejection_slots
         self._wake_add = network._active_routers.add
         self._upstream = network._credit_targets[self.node]
 
@@ -284,7 +292,7 @@ class Router:
             flit.lookahead_port = None
         else:
             flit.lookahead_port = port
-            self.events.rc_computations += 1
+            self.rc_computations += 1
 
     def _drop_route(self, flit: Flit) -> int:
         """Mark *flit*'s packet as a fault drop; route it to ejection.
@@ -349,7 +357,7 @@ class Router:
         # layer switches regardless of payload.  k/layer_groups is the
         # activity weight (exactly 1.0 when k == layer_groups).
         k = flit.active_groups if self.shutdown_enabled else self.layer_groups
-        self.events.buffer_writes_weighted += self._w_table[k]
+        self._buffer_weighted[0] += self._w_table[k]
         self.writes_by_layers[k - 1] += 1
         if self.vc_state[i] == _IDLE:
             if not flit.is_head:
@@ -540,7 +548,7 @@ class Router:
         self.vc_ready[i] = cycle + 1
         self._n_rc -= 1
         self._n_va += 1
-        self.events.rc_computations += 1
+        self.rc_computations += 1
         if self._stage_callbacks:
             self._fire_stage(cycle, flit, "rc")
 
@@ -589,8 +597,10 @@ class Router:
         if not fifo:
             return None
         if self._vc_discipline:
+            packet = fifo[0].packet
             vcs = self.routing.allowed_vcs(
-                fifo[0], self.node, self.port_names[self.vc_out_port[i]]
+                packet.src, packet.dst, self.node,
+                self.port_names[self.vc_out_port[i]],
             )
             # None from the discipline means "unrestricted here" (e.g.
             # ejection ports) — same meaning as no discipline.
@@ -626,7 +636,7 @@ class Router:
         granted = len(grants)
         self._n_va -= granted
         self._n_active += granted
-        self.events.va_allocations += granted
+        self.va_allocations += granted
         if self._attrib is not None and granted < len(va_units):
             won = set(grants.values())
             for i in va_units:
@@ -646,7 +656,7 @@ class Router:
         k = flit.active_groups if self.shutdown_enabled else self.layer_groups
         weight = self._w_table[k]
         # One buffer read + SA grant + crossbar traversal + flit-hop.
-        self.events.buffer_reads_weighted += weight
+        self._buffer_weighted[1] += weight
         self.flits_switched_by_layers[k - 1] += 1
         if flit.active_groups == 1:
             self.short_flit_hops += 1
@@ -663,22 +673,18 @@ class Router:
                     f"router {self.node}: negative credit on port {out_port}"
                 )
         if in_port != self.local_port:
-            # Credit return, one cycle upstream-bound: direct slot append
-            # (the 1-cycle delay is always inside the wheel horizon).
+            # Credit return, one cycle upstream-bound.
             upstream = self._upstream[in_port]
-            self._credit_slots[(cycle + 1) % self._credit_size].append(
+            self._credit_slots[(cycle + 1) % EVENT_RING_SLOTS].append(
                 (upstream[0], upstream[1], i - in_port * self.num_vcs)
             )
 
         if out_port == self.local_port:
             # Ejection: one ST cycle, no link traversal.
-            self._ej_slots[(cycle + 1) % self._ej_size].append(flit)
+            self._ej_slots[(cycle + 1) % EVENT_RING_SLOTS].append(flit)
         else:
             if flit.is_head:
-                link = self.out_links[out_port]
                 flit.packet.hops += 1
-                if self._vc_discipline:
-                    self.routing.note_traverse(flit, link)
                 if self.lookahead_rc:
                     # NRC: look up the route for the *next* router while
                     # the flit crosses the switch (off the critical path).
@@ -688,9 +694,8 @@ class Router:
             self._link_mm_weighted[kind] += length_mm * weight
             self._link_mm_by_layers[k] += length_mm
             dst, dst_port = self._arrival_targets[out_port]
-            self._arr_slots[(cycle + self._hop_cycles) % self._arr_size].append(
-                (dst, dst_port, out_vc, flit)
-            )
+            slot = (cycle + self._hop_cycles) % EVENT_RING_SLOTS
+            self._arr_slots[slot].append((dst, dst_port, out_vc, flit))
 
         if flit.is_tail:
             self.out_owner[out_port][out_vc] = None

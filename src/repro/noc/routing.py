@@ -58,7 +58,7 @@ class RoutingFunction(Protocol):
     """Deterministic output-port selector.
 
     Beyond the core :meth:`output_port` map, every routing function
-    carries two capability attributes and two VC-discipline hooks.
+    carries two capability attributes and one VC-discipline hook.
     The attributes were formerly probed with ``getattr`` duck-typing in
     the router's constructor; they are now part of the protocol, with
     neutral defaults provided by :class:`RoutingBase`, so the router
@@ -85,17 +85,17 @@ class RoutingFunction(Protocol):
         """
         ...
 
-    def allowed_vcs(self, flit, node: int, out_port: str) -> Optional[Tuple[int, ...]]:
-        """VC set the packet may claim on *out_port* at *node*.
+    def allowed_vcs(
+        self, src: int, dst: int, node: int, out_port: str
+    ) -> Optional[Tuple[int, ...]]:
+        """VC set a packet from *src* to *dst* may claim on *out_port*
+        at *node*.
 
-        ``None`` means unrestricted (any VC); only consulted when
+        A pure function of the route: routes are deterministic, so the
+        position on the route fixes the answer.  ``None`` means
+        unrestricted (any VC); only consulted when
         :attr:`has_vc_discipline` is true.
         """
-        ...
-
-    def note_traverse(self, flit, link) -> None:
-        """Discipline-state update on every switch traversal of a head
-        flit; only invoked when :attr:`has_vc_discipline` is true."""
         ...
 
 
@@ -113,11 +113,10 @@ class RoutingBase:
     def output_port(self, node: int, dst: int, failed=frozenset()) -> str:
         raise NotImplementedError
 
-    def allowed_vcs(self, flit, node: int, out_port: str) -> Optional[Tuple[int, ...]]:
+    def allowed_vcs(
+        self, src: int, dst: int, node: int, out_port: str
+    ) -> Optional[Tuple[int, ...]]:
         return None  # unrestricted
-
-    def note_traverse(self, flit, link) -> None:
-        return None
 
 
 class XYRouting(RoutingBase):
@@ -222,8 +221,7 @@ class TorusXYRouting(RoutingBase):
     (ties go east/south).  Packets request VC 0 until they traverse a
     wrap channel in the current dimension, then VC 1 — the dateline
     split that cuts each ring's cyclic channel dependency.  The router
-    consults :meth:`allowed_vcs` at VA time and calls
-    :meth:`note_traverse` on every switch traversal.
+    consults :meth:`allowed_vcs` at VA time.
     """
 
     #: Routers must ask us for the permitted VCs per packet.
@@ -261,22 +259,25 @@ class TorusXYRouting(RoutingBase):
 
     # -- dateline discipline hooks -----------------------------------------
 
-    def allowed_vcs(self, flit, node: int, out_port: str) -> tuple:
-        """VC set the packet may claim on *out_port* at *node*."""
-        if out_port in (EAST, WEST):
-            return (1,) if flit.wrapped_x else (0,)
-        if out_port in (NORTH, SOUTH):
-            return (1,) if flit.wrapped_y else (0,)
-        return (0, 1)  # ejection: any
+    def allowed_vcs(self, src: int, dst: int, node: int, out_port: str) -> tuple:
+        """VC set the packet may claim on *out_port* at *node*.
 
-    def note_traverse(self, flit, link) -> None:
-        """Update dateline state when a wrap channel is crossed."""
-        if not link.wrap:
-            return
-        if link.src_port in (EAST, WEST):
-            flit.wrapped_x = True
-        else:
-            flit.wrapped_y = True
+        A packet runs the shorter way round each ring, never a full lap,
+        so it has crossed the current dimension's wrap channel exactly
+        when it sits on the far side of its source coordinate: below it
+        when heading east/south, above it when heading west/north.
+        """
+        x, y = self.topology.coordinates(node)
+        sx, sy = self.topology.coordinates(src)
+        if out_port == EAST:
+            return (1,) if x < sx else (0,)
+        if out_port == WEST:
+            return (1,) if x > sx else (0,)
+        if out_port == SOUTH:
+            return (1,) if y < sy else (0,)
+        if out_port == NORTH:
+            return (1,) if y > sy else (0,)
+        return (0, 1)  # ejection: any
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ wall time is reported as its own profiler phase.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
@@ -223,7 +224,7 @@ class _PacketPresence:
     def __init__(self, packet) -> None:
         self.packet = packet
         self.seqs: List[int] = []
-        #: Parallel to ``seqs``: (node, port, vc) or None for wheel slots
+        #: Parallel to ``seqs``: (node, port, vc) or None for ring slots
         #: that carry no router-local position (ejection queue).
         self.locations: List[Optional[Tuple[int, int, int]]] = []
 
@@ -313,7 +314,7 @@ class NetworkSanitizer:
         self._audit_cycle = cycle
         self._mask_next = {}
 
-        arrivals_by_vc = self._walk_wheels(cycle, present)
+        arrivals_by_vc = self._walk_rings(cycle, present)
         self._walk_routers(cycle, present)
         self._check_credits(cycle, arrivals_by_vc)
         self._check_conservation(cycle, present)
@@ -380,17 +381,17 @@ class NetworkSanitizer:
         self._mask_next[key] = flit.layer_mask
         self.masks_checked += 1
 
-    def _walk_wheels(
+    def _walk_rings(
         self, cycle: int, present: Dict[int, _PacketPresence]
     ) -> Dict[Tuple[int, int, int], int]:
         """Record in-flight flits; return arrival counts per (node, port, vc)."""
         net = self.network
         arrivals_by_vc: Dict[Tuple[int, int, int], int] = {}
-        for node, port, vc, flit in net._arrivals.items():
+        for node, port, vc, flit in itertools.chain(*net.arrival_slots):
             key = (node, port, vc)
             arrivals_by_vc[key] = arrivals_by_vc.get(key, 0) + 1
             self._note_flit(present, flit, key)
-        for flit in net._ejections.items():
+        for flit in itertools.chain(*net.ejection_slots):
             if flit.packet.delivered_cycle is not None:
                 raise SanityError(
                     "flit-conservation",
@@ -588,7 +589,7 @@ class NetworkSanitizer:
         """Upstream credits == depth - occupancy - flits/credits in flight."""
         net = self.network
         credits_in_flight: Dict[Tuple[int, int, int], int] = {}
-        for node, port, vc in net._credits.items():
+        for node, port, vc in itertools.chain(*net.credit_slots):
             key = (node, port, vc)
             credits_in_flight[key] = credits_in_flight.get(key, 0) + 1
 

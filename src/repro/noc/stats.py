@@ -7,10 +7,10 @@ Two concerns live here:
   operations).  Separable-module events carry an *activity weight*: the
   fraction of word groups actually switched, which is how the layer
   shutdown technique (Sec. 3.2.1) turns short flits into energy savings.
-  The Orion-style energy model consumes these counters.  Routers tally
-  the per-flit integer events in their own lists, so the integer fields
-  are current only when read through ``Network.events`` (which folds
-  them in), not through the object a router holds as ``Router.events``.
+  The Orion-style energy model consumes these counters.  Routers hold
+  no ``EventCounts``: they tally events in their own fields and lists
+  and the network's float accumulators, and ``Network.events`` folds
+  those into one object on read.
 
 * :class:`NetworkStats` — packet latency / hop / throughput accounting
   over a measurement window.

@@ -385,21 +385,17 @@ class TableRouting(RoutingBase):
             )
         return port
 
-    def allowed_vcs(self, flit, node: int, out_port: str):
+    def allowed_vcs(self, src: int, dst: int, node: int, out_port: str):
         """Escape discipline: the packet's VC class on the out channel.
 
         The class is the number of forbidden turns already taken —
         derivable from ``(src, dst, channel)`` alone because the tables
-        are deterministic, so no flit state is consulted or mutated.
+        are deterministic.
         """
         if out_port == LOCAL_PORT:
             return None  # ejection: any VC
-        packet = flit.packet
         channel = (node, self.topology.out_ports[node][out_port].dst)
-        taken = self._total[(packet.src, packet.dst)] - self._rem[
-            (channel, packet.dst)
-        ]
-        return (taken,)
+        return (self._total[(src, dst)] - self._rem[(channel, dst)],)
 
     # -- introspection ----------------------------------------------------
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.noc.packet import Packet
 from repro.noc.routing import Channel
 from repro.topology.base import LinkSpec, Topology
 
@@ -73,13 +72,12 @@ def vc_channel_dependency_graph(
     For schemes like torus datelines or escape-layer table routing the
     *physical* channel graph is cyclic by design; deadlock freedom comes
     from splitting each channel into per-VC resources.  This builds the
-    CDG over ``(channel, vc)`` nodes: every ordered pair walks the table
-    with a probe flit, the discipline's :meth:`allowed_vcs` gives the VC
-    set the packet may hold on each channel (``None`` = all
-    ``num_vcs``), and :meth:`note_traverse` advances any per-flit
-    discipline state (e.g. dateline crossings) exactly as the router
-    would.  Acyclicity of this graph is the Dally & Seitz condition for
-    the disciplined network.
+    CDG over ``(channel, vc)`` nodes: every ordered pair walks the table,
+    and at each hop the discipline's ``allowed_vcs(src, dst, node,
+    port)`` — the question the router asks at VA — gives the VC set the
+    packet may hold on the channel (``None`` = all ``num_vcs``).
+    Acyclicity of this graph is the Dally & Seitz condition for the
+    disciplined network.
     """
     links = port_links(topology)
     graph: Dict[VCChannel, Set[VCChannel]] = {}
@@ -87,9 +85,6 @@ def vc_channel_dependency_graph(
         for dst in range(topology.num_nodes):
             if src == dst:
                 continue
-            # A real packet/flit pair, so discipline hooks that read or
-            # mutate flit state (dateline flags) see the true interface.
-            flit = Packet(src=src, dst=dst, size_flits=1).make_flits()[0]
             node = src
             held: Optional[List[VCChannel]] = None
             while node != dst:
@@ -97,7 +92,7 @@ def vc_channel_dependency_graph(
                 link = links[node][entry] if entry >= 0 else None
                 if link is None:
                     break  # counted drop in simulation; no dependency
-                vcs = routing.allowed_vcs(flit, node, link.src_port)
+                vcs = routing.allowed_vcs(src, dst, node, link.src_port)
                 if vcs is None:
                     vcs = range(num_vcs)
                 wanted = [((node, link.dst), vc) for vc in vcs]
@@ -106,7 +101,6 @@ def vc_channel_dependency_graph(
                 if held is not None:
                     for held_unit in held:
                         graph[held_unit].update(wanted)
-                routing.note_traverse(flit, link)
                 held = wanted
                 node = link.dst
     return graph

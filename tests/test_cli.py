@@ -85,6 +85,15 @@ def test_simulate_unknown_arch_exits():
         main(["simulate", "--arch", "bogus"])
 
 
+@pytest.mark.parametrize("rate", ["0", "-0.1"])
+@pytest.mark.parametrize("command", ["simulate", "compare", "diagnose"])
+def test_non_positive_rate_is_a_usage_error(command, rate, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--rate", rate])
+    assert exc.value.code == 2
+    assert "--rate" in capsys.readouterr().err
+
+
 def test_trace_command(tmp_path, capsys):
     output = tmp_path / "trace.txt"
     assert main([

@@ -12,6 +12,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.noc.network import Network
+from repro.noc.router import _VA
 from repro.topology.chiplet import ChipletMesh
 from repro.topology.express_mesh import ExpressMesh
 from repro.topology.irregular import IrregularTopology, duplex
@@ -86,6 +87,11 @@ def test_fold_invariants(params):
     # Every write not yet read is a flit sitting in a buffer.
     assert ev.buffer_writes - ev.buffer_reads == sum(
         r.occupancy() for r in routers
+    )
+    # Every route computed and not yet granted an output VC is a unit
+    # waiting in VA.
+    assert ev.rc_computations - ev.va_allocations == sum(
+        state == _VA for r in routers for state in r.vc_state
     )
 
     # Link flits: the per-channel map and the per-kind map agree, kind

@@ -17,13 +17,6 @@ def test_simulator_rejects_negative_sample_interval():
                   measure_cycles=10, drain_cycles=10, sample_interval=-1)
 
 
-def test_return_credit_without_upstream_raises():
-    network = Network(Mesh2D(2, 1, pitch_mm=1.0))
-    with pytest.raises(RuntimeError):
-        # Local port has no upstream link.
-        network.return_credit(0, network.routers[0].local_port, 0, cycle=1)
-
-
 def test_receive_credit_on_local_port_raises():
     network = Network(Mesh2D(2, 1, pitch_mm=1.0))
     router = network.routers[0]

@@ -87,8 +87,9 @@ def _check_against_reference(num_vcs, requests, attributed, sa1, sa2):
 
     case = (requests, sa1, sa2)
     expected = [g.in_port * num_vcs + g.in_vc for g in grants]
-    arrivals = network._arrivals
-    slot = arrivals._slots[(CYCLE + router._hop_cycles) % arrivals._size]
+    slot = network.arrival_slots[
+        (CYCLE + router._hop_cycles) % len(network.arrival_slots)
+    ]
     assert [unit_of[id(entry[3])] for entry in slot] == expected, case
     moved = {i for i in units if not router.vc_fifos[i]}
     assert moved == set(expected), case

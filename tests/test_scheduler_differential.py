@@ -159,7 +159,7 @@ def test_full_iteration_steps_every_router(cfg_2db):
 def test_active_scheduling_steps_only_woken_routers(cfg_2db):
     network = cfg_2db.build_network()
     assert network._step_routers(0) == 0
-    network.wake(5)
+    network._active_routers.add(5)
     # Node 5 holds no work, so it is stepped once and then pruned.
     assert network._step_routers(1) == 1
     assert network._step_routers(2) == 0

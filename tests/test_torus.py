@@ -5,9 +5,10 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro.core.express import average_hops, hop_count, route_path
 from repro.noc.network import Network
-from repro.noc.packet import ctrl_packet, data_packet
+from repro.noc.packet import ctrl_packet
 from repro.noc.routing import TorusXYRouting
 from repro.noc.simulator import Simulator
+from repro.topology.base import LOCAL_PORT
 from repro.topology.mesh2d import EAST, Mesh2D, WEST
 from repro.topology.torus import Torus2D
 from repro.traffic.base import ScheduledTraffic
@@ -104,21 +105,36 @@ class TestDateline:
         assert packet.delivered_cycle is not None
         assert packet.hops == 2
 
-    def test_dateline_state_set_after_wrap(self):
-        torus = Torus2D(5, 5, pitch_mm=1.0)
-        packet = data_packet(torus.node_at((4, 0)), torus.node_at((1, 0)),
-                             created_cycle=0)
-        self._deliver([packet])
-        flits = []  # the head flit keeps its state post-run
-        # Re-run with direct flit access.
-        network = Network(Torus2D(5, 5, pitch_mm=1.0))
-        p = data_packet(torus.node_at((4, 0)), torus.node_at((1, 0)),
-                        created_cycle=0)
-        sim = Simulator(network, ScheduledTraffic([p]), warmup_cycles=0,
-                        measure_cycles=200, drain_cycles=1000)
-        sim.run()
-        assert p.delivered_cycle is not None
-        del flits
+    @pytest.mark.parametrize(
+        "size", [(3, 3), (4, 4), (5, 3), (4, 7)], ids=lambda s: "%dx%d" % s
+    )
+    def test_allowed_vcs_match_wrap_walk(self, size):
+        """Every hop of every route asks for VC 0 before its dimension's
+        wrap channel and VC 1 after it, as a walk over the links finds
+        by counting ``LinkSpec.wrap`` crossings per dimension."""
+        torus = Torus2D(*size, pitch_mm=1.0)
+        routing = TorusXYRouting(torus)
+        wrap_crossings = {"x": 0, "y": 0}
+        for src in torus.iter_nodes():
+            for dst in torus.iter_nodes():
+                if src == dst:
+                    continue
+                wrapped = {"x": False, "y": False}
+                node = src
+                while node != dst:
+                    port = routing.output_port(node, dst)
+                    dim = "x" if port in (EAST, WEST) else "y"
+                    expected = (1,) if wrapped[dim] else (0,)
+                    got = routing.allowed_vcs(src, dst, node, port)
+                    assert got == expected, (src, dst, node, port)
+                    link = torus.out_ports[node][port]
+                    if link.wrap:
+                        wrapped[dim] = True
+                        wrap_crossings[dim] += 1
+                    node = link.dst
+                assert routing.allowed_vcs(src, dst, dst, LOCAL_PORT) == (0, 1)
+        # Routes cross the wrap channels of both dimensions.
+        assert wrap_crossings["x"] and wrap_crossings["y"]
 
     def test_dateline_vc_assignment(self):
         """Channels before the wrap are claimed on VC 0, after on VC 1."""
