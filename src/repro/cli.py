@@ -91,6 +91,20 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _fraction(text: str) -> float:
+    """argparse type for fractions: a value outside [0, 1] is a usage
+    error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0.0 <= value <= 1.0:  # NaN fails this too
+        raise argparse.ArgumentTypeError(
+            f"must be a fraction in [0, 1], got {text!r}"
+        )
+    return value
+
+
 def _parse_channel(text: str) -> tuple:
     """``"SRC:DST"`` -> (src, dst)."""
     try:
@@ -647,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--rate", type=_positive_float, default=0.2)
     sim.add_argument("--traffic", choices=["uniform", "nuca"], default="uniform")
-    sim.add_argument("--short-flits", type=float, default=0.0)
+    sim.add_argument("--short-flits", type=_fraction, default=0.0)
     sim.add_argument(
         "--profile", action="store_true",
         help="report cycles/sec, active-router ratio and phase wall times",
@@ -750,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument(
         "--traffic", choices=["uniform", "nuca"], default="uniform"
     )
-    diag.add_argument("--short-flits", type=float, default=0.0)
+    diag.add_argument("--short-flits", type=_fraction, default=0.0)
     diag.add_argument(
         "--top", type=int, default=5, metavar="K",
         help="hotspot links/routers listed in the report (default 5)",

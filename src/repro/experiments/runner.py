@@ -140,7 +140,7 @@ def _run(
     network = config.build_network(shutdown_enabled=shutdown_enabled)
     if telemetry is not None and telemetry.arch_config is None:
         # The runner knows the architecture; hand it to the sampler so
-        # windowed energy (and thermal, if asked) price correctly.
+        # windowed energy prices correctly.
         telemetry.arch_config = config
     sim = Simulator(
         network,

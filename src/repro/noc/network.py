@@ -16,7 +16,6 @@ from typing import (
     TYPE_CHECKING,
 )
 
-from repro.core.shutdown import ShortFlitDetector
 from repro.noc.packet import Flit, Packet, PacketClass
 from repro.noc.profiling import NetworkProfiler
 from repro.noc.router import EVENT_RING_SLOTS, Router
@@ -79,7 +78,8 @@ class Network:
     profiler and sanitizer by assignment to their attribute, the
     telemetry sampler by its constructor, the fault injector and trace
     recorder by their ``attach``.  ``Simulator(profile=, sanitize=,
-    telemetry=, faults=)`` is the run-level shorthand for the same.
+    telemetry=, faults=)`` is the run-level shorthand for the same; a
+    simulator's own delivery hook is registered only while it runs.
     """
 
     def __init__(
@@ -121,20 +121,6 @@ class Network:
         self.link_mm_weighted_sums = [0.0] * len(self.link_kinds)
         self.link_mm_by_layers_sums = [0.0] * (layer_groups + 1)
         self.stats = NetworkStats()
-        #: Functional zero-detector bank at the injection ports: every
-        #: flit is observed as its packet is serialised, stamping the
-        #: flit's layer mask and accumulating the *measured* short-flit
-        #: fraction (``short_flit_detector.observed_short_fraction``)
-        #: that the simulated shutdown-power path reports.
-        self.short_flit_detector = ShortFlitDetector(layer_groups)
-        #: The one pipeline hook: invoked on head-flit stage events as
-        #: ``(cycle, node, flit, stage)`` with stage ``"rc"``, ``"va"``
-        #: or ``"st"`` (switch grant + traversal; body flits never fire)
-        #: — the raw feed for lifecycle traces
-        #: (:meth:`repro.telemetry.recorder.TraceRecorder.attach`).
-        #: Empty = zero cost.  Created before the routers, which alias
-        #: it at attach time.
-        self.stage_callbacks: List = []
 
         self.routers: List[Router] = [
             Router(
@@ -220,19 +206,16 @@ class Network:
         #: ``None`` (the default) costs one check per cycle, exactly
         #: like the profiler.
         self.sanitizer: Optional[NetworkSanitizer] = None
+        #: Called ``(packet, cycle)`` as each delivered packet's tail
+        #: ejects: the telemetry sampler's read-only hook, and a
+        #: :class:`~repro.noc.simulator.Simulator`'s for the length of
+        #: its ``run()``.
         self.delivery_callbacks: List[DeliveryCallback] = []
-        #: The delivery hook owned by the current Simulator, if any —
-        #: lets a new Simulator over this network replace (rather than
-        #: double-register) its predecessor's closed-loop hook.
-        self.simulator_hook: Optional[DeliveryCallback] = None
-        #: Optional pid -> capture-code map owned by an attached trace
-        #: recorder.  When a packet's pid maps to ``0`` (dropped /
-        #: sampled out), the routers skip the stage hooks for it at the
-        #: call site — a dict probe instead of a Python call per event,
-        #: which is what makes sampled tracing cheap.  Unknown pids
-        #: still fire (first sight = admission).  ``None`` disables the
-        #: filter; it never affects ``delivery_callbacks``.
-        self.trace_drop_filter: Optional[Dict[int, int]] = None
+        #: Opt-in lifecycle trace recorder
+        #: (:class:`repro.telemetry.recorder.TraceRecorder`, registered
+        #: via its ``attach``); ``None`` (the default) costs the routers
+        #: one ``is not None`` test per RC, VA grant and switch traversal.
+        self.recorder = None
         #: Opt-in windowed metrics/trace sampler (a
         #: :class:`~repro.telemetry.NetworkTelemetry` registers itself
         #: here when built over this network); ``None`` (the default)
@@ -383,11 +366,6 @@ class Network:
                     continue
                 packet = src.packets.popleft()
                 src.flits = packet.make_flits(self.layer_groups)
-                detector = self.short_flit_detector
-                for new_flit in src.flits:
-                    new_flit.layer_mask = detector.observe(
-                        new_flit.active_groups
-                    )
                 src.flit_idx = 0
                 src.vc = vc
                 packet.injected_cycle = cycle

@@ -142,14 +142,11 @@ class Flit:
     kind: FlitType
     seq: int
     #: Word groups carrying non-redundant data (1..layer_groups).
+    #: Valid data fills word groups bottom-up (group 0 holds the header
+    #: word), so the flit drives layers ``0 .. active_groups - 1``; the
+    #: count is fixed here and conserved hop-to-hop (audited by the
+    #: sanitizer's layer-mask check).
     active_groups: int = DEFAULT_LAYER_GROUPS
-    #: Bitmask of datapath layers this flit drives: bit ``i`` set means
-    #: word group ``i`` carries valid data.  Valid data always fills word
-    #: groups bottom-up (group 0 holds the header/address word), so the
-    #: mask is contiguous: ``(1 << active_groups) - 1``.  Derived in
-    #: ``__post_init__`` and conserved hop-to-hop (audited by the
-    #: sanitizer's layer-mask invariant).
-    layer_mask: int = 0
     #: With look-ahead routing (Fig. 8c): output port index at the
     #: *next* router, looked up one hop in advance; None otherwise.
     lookahead_port: Optional[int] = None
@@ -166,8 +163,6 @@ class Flit:
             raise ValueError(
                 f"flit must drive >= 1 word group, got {self.active_groups}"
             )
-        if not self.layer_mask:
-            self.layer_mask = (1 << self.active_groups) - 1
 
     def is_short(self) -> bool:
         """True when only the top word group carries valid data.

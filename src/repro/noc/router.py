@@ -32,6 +32,11 @@ accumulator lists per flit, because their value depends on the order of
 the adds.  Scheduled arrivals, credits and ejections go straight into
 the network's event rings, so a router writes only its own state and
 the network's lists.
+
+The one pipeline hook is the network's trace recorder (aliased per
+router as ``_recorder``): at a head flit's RC, VA and ST the router
+probes the recorder's capture map and calls ``on_stage`` only for
+packets not mapped to ``0``.
 """
 
 from __future__ import annotations
@@ -203,9 +208,10 @@ class Router:
         self.va_allocations = 0
         # Flat indices of input VCs that may have work this cycle.
         self._active: set[int] = set()
-        # Alias of network.stage_callbacks (bound in attach); empty list
-        # until then so an unattached router never fires hooks.
-        self._stage_callbacks: List = []
+        # The network's trace recorder (``network.recorder``), aliased
+        # here by TraceRecorder.attach; None (the default) costs one
+        # ``is not None`` test per RC, VA grant and switch traversal.
+        self._recorder = None
         # How many input VCs sit in each non-idle pipeline state.  Kept
         # in lockstep with the state transitions so :meth:`step` can skip
         # whole stages that cannot match any VC (a pass over zero
@@ -236,9 +242,6 @@ class Router:
 
     def attach(self, network: "Network") -> None:
         self._network = network
-        # Same list object the network mutates: callbacks registered
-        # later are seen here without re-attachment.
-        self._stage_callbacks = network.stage_callbacks
         self.routes = network.routes[self.node]
         # Pre-resolve (dst node, dst input port) per output port so the
         # traversal hot path skips the per-flit string port lookups, and
@@ -549,17 +552,12 @@ class Router:
         self._n_rc -= 1
         self._n_va += 1
         self.rc_computations += 1
-        if self._stage_callbacks:
-            self._fire_stage(cycle, flit, "rc")
-
-    def _fire_stage(self, cycle: int, flit: Flit, stage: str) -> None:
-        """Run the stage hooks for one head-flit ``"rc"`` / ``"va"`` /
-        ``"st"`` event.  Call-site drop filter: a dict probe instead of
-        a Python call per hook for sampled-out pids."""
-        drop = self._network.trace_drop_filter
-        if drop is None or drop.get(flit.packet.pid, 1):
-            for callback in self._stage_callbacks:
-                callback(cycle, self.node, flit, stage)
+        # Trace hook.  The recorder's capture map is probed here, so a
+        # sampled-out pid (mapped to 0) costs a dict probe and no call;
+        # an unseen pid calls through, which admits it.
+        rec = self._recorder
+        if rec is not None and rec.decisions.get(flit.packet.pid, 1):
+            rec.on_stage(cycle, self.node, flit, "rc")
 
     def _sa_win(self, i: int, in_port: int, cycle: int) -> None:
         """Grant flat unit *i* the crossbar as the sole contender of its
@@ -624,15 +622,16 @@ class Router:
         # Speculative switch allocation (Fig. 8b): the flit bids for the
         # crossbar in the same cycle its VC is granted.
         ready = cycle if self.speculative_sa else cycle + 1
+        rec = self._recorder
         for key, i in grants.items():
             self.vc_out_vc[i] = key % num_vcs
             self.vc_state[i] = _ACTIVE
             self.vc_ready[i] = ready
             self.out_owner[key // num_vcs][key % num_vcs] = divmod(i, num_vcs)
-            if self._stage_callbacks:
+            if rec is not None:
                 fifo = self.vc_fifos[i]
-                if fifo:
-                    self._fire_stage(cycle, fifo[0], "va")
+                if fifo and rec.decisions.get(fifo[0].packet.pid, 1):
+                    rec.on_stage(cycle, self.node, fifo[0], "va")
         granted = len(grants)
         self._n_va -= granted
         self._n_active += granted
@@ -660,8 +659,13 @@ class Router:
         self.flits_switched_by_layers[k - 1] += 1
         if flit.active_groups == 1:
             self.short_flit_hops += 1
-        if self._stage_callbacks and flit.is_head:
-            self._fire_stage(cycle, flit, "st")
+        rec = self._recorder
+        if (
+            rec is not None
+            and flit.is_head
+            and rec.decisions.get(flit.packet.pid, 1)
+        ):
+            rec.on_stage(cycle, self.node, flit, "st")
 
         out_port = self.vc_out_port[i]
         out_vc = self.vc_out_vc[i]

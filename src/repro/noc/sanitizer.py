@@ -26,12 +26,13 @@ trusting any counter the audited code updates itself:
   router's pipeline-stage population counters and active sets agree with
   the actual VC states (a buffered flit outside the active set would be
   stranded forever).
-* **layer-mask integrity** — every in-network flit's active-layer mask
-  is well-formed (``1 <= active_groups <= layer_groups``, mask is the
-  contiguous bottom-up ``(1 << active_groups) - 1`` with the always-on
-  top group set) and is conserved hop-to-hop: a flit observed on an
-  earlier audit must carry the identical mask on every later audit until
-  ejection.  Layer-resolved power/thermal maps are only as good as this
+* **layer-mask integrity** — every in-network flit drives a legal
+  number of datapath layers (``1 <= active_groups <= layer_groups``; the
+  layers it drives are the contiguous bottom-up word groups, so the
+  count is the whole mask) and that count is conserved hop-to-hop: a
+  flit observed on an earlier audit must carry the identical
+  ``active_groups`` on every later audit until ejection.
+  Layer-resolved power/thermal maps are only as good as this
   invariant.
 * **allocator state** — the four flat round-robin pointer lists of the
   VA/SA allocators (VA1, VA2, SA1, SA2) hold in-range ``int`` values, never
@@ -268,8 +269,8 @@ class NetworkSanitizer:
         self.masks_checked = 0
         self.watchdog_reports: List[WatchdogReport] = []
         self._next_audit = 0
-        #: Layer mask by (pid, seq) for flits seen in-network on the
-        #: previous audit — the cross-audit baseline for the hop-to-hop
+        #: ``active_groups`` by (pid, seq) for flits seen in-network on
+        #: the previous audit — the cross-audit baseline for the hop-to-hop
         #: mask-conservation check.  Pruned to the currently present
         #: flits each audit so ejected packets don't accumulate.
         self._mask_seen: Dict[Tuple[int, int], int] = {}
@@ -341,44 +342,34 @@ class NetworkSanitizer:
         rec.seqs.append(flit.seq)
         rec.locations.append(location)
         self.flits_checked += 1
-        self._check_layer_mask(flit, location)
+        self._check_active_layers(flit, location)
 
-    def _check_layer_mask(
+    def _check_active_layers(
         self, flit: Flit, location: Optional[Tuple[int, int, int]]
     ) -> None:
-        """Mask well-formedness + hop-to-hop conservation for one flit."""
+        """Active-layer range + hop-to-hop conservation for one flit."""
         cycle = self._audit_cycle
         node, port, vc = location if location else (None, None, None)
         layer_groups = self.network.layer_groups
-        if not 1 <= flit.active_groups <= layer_groups:
+        groups = flit.active_groups
+        if not 1 <= groups <= layer_groups:
             raise SanityError(
                 "layer-mask",
-                f"flit seq {flit.seq} drives {flit.active_groups} layers, "
+                f"flit seq {flit.seq} drives {groups} layers, "
                 f"outside [1, {layer_groups}]",
-                cycle, node=node, port=port, vc=vc, pid=flit.packet.pid,
-            )
-        expected = (1 << flit.active_groups) - 1
-        if flit.layer_mask != expected:
-            raise SanityError(
-                "layer-mask",
-                f"flit seq {flit.seq} carries mask "
-                f"{flit.layer_mask:#06b} but {flit.active_groups} active "
-                f"groups imply the contiguous {expected:#06b} "
-                "(top group always on, valid words fill bottom-up)",
                 cycle, node=node, port=port, vc=vc, pid=flit.packet.pid,
             )
         key = (flit.packet.pid, flit.seq)
         seen = self._mask_seen.get(key)
-        if seen is not None and seen != flit.layer_mask:
+        if seen is not None and seen != groups:
             raise SanityError(
                 "layer-mask",
-                f"flit seq {flit.seq} changed layer mask in flight: "
-                f"{seen:#06b} on the previous audit, now "
-                f"{flit.layer_mask:#06b} (masks are fixed at injection "
-                "and conserved hop-to-hop)",
+                f"flit seq {flit.seq} changed active layers in flight: "
+                f"{seen} on the previous audit, now {groups} (fixed at "
+                "packetisation and conserved hop-to-hop)",
                 cycle, node=node, port=port, vc=vc, pid=flit.packet.pid,
             )
-        self._mask_next[key] = flit.layer_mask
+        self._mask_next[key] = groups
         self.masks_checked += 1
 
     def _walk_rings(

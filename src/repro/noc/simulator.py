@@ -185,24 +185,6 @@ class Simulator:
 
             FaultInjector(faults).attach(network)
         self._future: Dict[int, List[Packet]] = {}
-        # A network carries at most one simulator delivery hook: a
-        # previous Simulator over the same network is deregistered so
-        # closed-loop responses are not double-scheduled.
-        if (
-            network.simulator_hook is not None
-            and network.simulator_hook in network.delivery_callbacks
-        ):
-            network.delivery_callbacks.remove(network.simulator_hook)
-        network.delivery_callbacks.append(self._deliver_hook)
-        network.simulator_hook = self._deliver_hook
-
-    def detach(self) -> None:
-        """Deregister this simulator's delivery hook from the network."""
-        network = self.network
-        if self._deliver_hook in network.delivery_callbacks:
-            network.delivery_callbacks.remove(self._deliver_hook)
-        if network.simulator_hook == self._deliver_hook:
-            network.simulator_hook = None
 
     def _schedule(self, packets, cycle: int) -> None:
         for packet in packets:
@@ -233,7 +215,21 @@ class Simulator:
         self.network.step()
 
     def run(self) -> SimulationResult:
-        """Execute the full warm-up / measurement / drain schedule."""
+        """Execute the full warm-up / measurement / drain schedule.
+
+        The traffic source hears of deliveries (and schedules closed-loop
+        responses) only while this runs: the delivery hook is registered
+        on entry and removed on exit, so simulators run one after another
+        over one network never see each other's deliveries.
+        """
+        callbacks = self.network.delivery_callbacks
+        callbacks.append(self._deliver_hook)
+        try:
+            return self._run()
+        finally:
+            callbacks.remove(self._deliver_hook)
+
+    def _run(self) -> SimulationResult:
         net = self.network
         stats = net.stats
         window_start = net.cycle + self.warmup_cycles

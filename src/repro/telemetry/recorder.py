@@ -6,15 +6,15 @@ and appended Chrome-trace event dicts per pipeline event — measured at a
 module replaces the live object churn with:
 
 * a **preallocated flat ring buffer** (``array('q')``, fixed four-field
-  records) that the network's stage hook writes RC/VA/ST events into
-  with no per-event object allocation; when the ring wraps, the oldest
-  events are overwritten and counted, never silently lost;
+  records) that the routers' head-flit RC/VA/ST events are written
+  into with no per-event object allocation; when the ring wraps, the
+  oldest events are overwritten and counted, never silently lost;
 * **packet sampling** — head capture of the first *K* packets, tail
   capture of the last *K* (a sliding reference window, rendered as
   spans), and deterministic probabilistic sampling by a seeded
   packet-id hash; unsampled packets early-out in O(1), and the routers
-  skip the hooks for them entirely via
-  ``Network.trace_drop_filter`` — the zero-call early-out;
+  skip the call for them entirely by probing
+  :attr:`TraceRecorder.decisions` first — the zero-call early-out;
 * **deferred rendering** — Perfetto lifecycles are reconstructed from
   the surviving ring records at ``finish()`` time, off the hot path,
   through the same :class:`~repro.telemetry.export.PacketLife` /
@@ -52,7 +52,7 @@ RECORD_WIDTH = 4
 #: cross-reads ``packet.delivered_cycle`` off the held object.
 KIND_RC, KIND_VA, KIND_ST, KIND_EJECT = 0, 1, 2, 3
 
-#: Stage-hook name -> record kind, and back.
+#: Stage name -> record kind, and back.
 _STAGE_KIND = {"rc": KIND_RC, "va": KIND_VA, "st": KIND_ST}
 _KIND_STAGE = {kind: stage for stage, kind in _STAGE_KIND.items()}
 
@@ -60,7 +60,7 @@ _KIND_STAGE = {kind: stage for stage, kind in _STAGE_KIND.items()}
 DEFAULT_RING_EVENTS = 1 << 18
 
 #: Per-packet capture decisions.  ``_DROP`` packets early-out in O(1)
-#: (and the routers skip their hooks entirely via the drop filter).
+#: (and the routers skip the call entirely: they probe the map first).
 #: ``_TAIL`` is a transient admission verdict: tail candidates are
 #: stored at ``_DROP`` because their capture is span-only.
 _DROP, _HEAD, _HASH, _TAIL = 0, 1, 2, 3
@@ -96,7 +96,7 @@ class TraceRecorder:
        packets arrive, so whatever survives to ``finish()`` is, by
        construction, the last ``head_tail`` packets.  Tail candidates
        are span-only: their pipeline events are **not** recorded (they
-       sit at ``0`` in the drop filter, so the routers skip the hooks
+       sit at ``0`` in :attr:`decisions`, so the routers skip the call
        entirely) — recording hops provisionally for every packet would
        cost half of full tracing.  They render as packet spans with
        injection/delivery timing; hop slices come from head and hash
@@ -113,7 +113,7 @@ class TraceRecorder:
 
     __slots__ = (
         "sample_rate", "head_tail", "seed", "capacity", "max_packets",
-        "_size", "_ring", "_w", "events_recorded", "_decisions",
+        "_size", "_ring", "_w", "events_recorded", "decisions",
         "_packets", "_tail_window", "packets_seen", "head_captured",
         "hash_sampled", "sampled_out", "tail_evicted", "dropped_pids",
         "_network",
@@ -148,7 +148,10 @@ class TraceRecorder:
         #: have been overwritten once it exceeds the capacity).
         self.events_recorded = 0
 
-        self._decisions: Dict[int, int] = {}
+        #: pid -> capture code, decided on first sight; ``0`` means
+        #: no stage events are recorded.  The routers probe it before
+        #: calling :meth:`on_stage`.
+        self.decisions: Dict[int, int] = {}
         #: pid -> captured packet object; insertion order is admission
         #: order, which fixes the rendered track order.
         self._packets: Dict[int, "Packet"] = {}
@@ -180,7 +183,7 @@ class TraceRecorder:
         if code in (_HEAD, _HASH):
             if self.head_captured + self.hash_sampled >= self.max_packets:
                 self.dropped_pids.add(pid)
-                self._decisions[pid] = _DROP
+                self.decisions[pid] = _DROP
                 return _DROP
             if code == _HEAD:
                 self.head_captured += 1
@@ -195,13 +198,13 @@ class TraceRecorder:
                 self.tail_evicted += 1
             window.append(pid)
             self._packets[pid] = packet
-            # Span-only capture: park the pid at _DROP so the hooks
-            # (and the routers' call-site filter) skip its events.
-            self._decisions[pid] = _DROP
+            # Span-only capture: park the pid at _DROP so the routers
+            # skip its stage events.
+            self.decisions[pid] = _DROP
             return _DROP
         else:
             self.sampled_out += 1
-        self._decisions[pid] = code
+        self.decisions[pid] = code
         return code
 
     # -- network attachment --------------------------------------------------
@@ -209,42 +212,42 @@ class TraceRecorder:
     def attach(self, network: "Network") -> "TraceRecorder":
         """Record *network*'s head-flit stage events from now on.
 
-        Registers :meth:`on_stage` on ``network.stage_callbacks`` and
-        installs the live pid -> capture-code map as
-        ``network.trace_drop_filter``: routers probe it at the call site
-        and skip the hook entirely for pids that map to ``0``.
-        :meth:`on_stage` keeps its own early-out, so the filter is an
-        optimization, never a correctness requirement.
+        Fills ``network.recorder`` and every router's alias of it.  At
+        each head-flit RC / VA / ST the router probes :attr:`decisions`
+        and calls :meth:`on_stage` only for pids not mapped to ``0``.
+        :meth:`on_stage` keeps its own early-out, so the probe is an
+        optimization, never a correctness requirement.  A network holds
+        one recorder.
         """
         if self._network is not None:
             raise RuntimeError("trace recorder is already attached")
+        if network.recorder is not None:
+            raise RuntimeError("network already has a trace recorder")
         self._network = network
-        network.stage_callbacks.append(self.on_stage)
-        network.trace_drop_filter = self._decisions
+        network.recorder = self
+        for router in network.routers:
+            router._recorder = self
         return self
 
     def detach(self) -> None:
-        """Remove the stage hook and the drop filter; idempotent."""
+        """Clear the network's recorder slot; idempotent."""
         network = self._network
         if network is None:
             return
         self._network = None
-        try:
-            network.stage_callbacks.remove(self.on_stage)
-        except ValueError:
-            pass
-        if network.trace_drop_filter is self._decisions:
-            network.trace_drop_filter = None
+        for router in network.routers:
+            router._recorder = None
+        network.recorder = None
 
-    # -- hot-path hooks (network callbacks) ---------------------------------
+    # -- hot-path hooks (router and sampler calls) --------------------------
 
     def on_stage(
         self, cycle: int, node: int, flit: "Flit", stage: str
     ) -> None:
-        """Stage hook: a head flit's RC, VA or ST (switch grant plus
-        traversal) at *node*."""
+        """A head flit's RC, VA or ST (switch grant plus traversal) at
+        *node*; called by the routers."""
         pid = flit.packet.pid
-        code = self._decisions.get(pid)
+        code = self.decisions.get(pid)
         if code is None:
             code = self._admit(flit.packet)
         if code == 0:
@@ -266,7 +269,7 @@ class TraceRecorder:
         delivered packet, not per flit), so the cost for sampled-out
         packets is one dict probe.
         """
-        code = self._decisions.get(packet.pid)
+        code = self.decisions.get(packet.pid)
         if code is None:
             code = self._admit(packet)
         if code == 0:

@@ -15,15 +15,18 @@ paper's time-resolved claims hang on:
   :class:`~repro.noc.stats.StatsCursor`),
 * the layer-shutdown signal — active-layer fraction and short-flit
   ratio over the window (Sec. 3.2.1),
-* windowed Orion energy and transient thermal samples when an
-  architecture config is supplied (Sec. 4.2.3's power-trace flow,
-  streamed instead of post-processed).
+* windowed Orion energy when an architecture config is supplied.
+
+Transient temperature is not sampled here: the Sec. 4.2.3 flow prices
+the simulator's activity windows offline
+(``Simulator(sample_interval=...)`` -> :mod:`repro.thermal.transient`).
 
 Samples stream to a JSONL file as they are taken; when a trace path is
 given the sampler additionally records per-packet pipeline events
-(inject -> per-hop RC/VA/SA/ST -> eject) through the network's stage
-hook and delivery callbacks and renders them as a Perfetto-loadable
-``trace.json`` on :meth:`~NetworkTelemetry.finish`.
+(inject -> per-hop RC/VA/SA/ST -> eject) through a
+:class:`~repro.telemetry.recorder.TraceRecorder` in the network's
+``recorder`` slot plus a delivery callback, and renders them as a
+Perfetto-loadable ``trace.json`` on :meth:`~NetworkTelemetry.finish`.
 
 The sampler never mutates network state, so telemetry-enabled runs are
 bit-identical to bare runs; detached (the default) the cost is one
@@ -69,8 +72,8 @@ class TelemetryConfig:
 
     #: Sampling window in cycles.
     interval: int = DEFAULT_INTERVAL
-    #: JSONL metrics stream destination; ``None`` keeps samples
-    #: in-memory only (``keep_samples`` governs retention).
+    #: JSONL metrics stream destination; ``None`` keeps the samples
+    #: in memory instead, on ``NetworkTelemetry.samples``.
     metrics_path: Optional[str] = None
     #: Chrome-trace destination; ``None`` disables lifecycle capture
     #: entirely (no callbacks are registered, zero per-event cost).
@@ -90,12 +93,6 @@ class TelemetryConfig:
     attribution_path: Optional[str] = None
     #: Hotspot links/routers/backpressure chains per report section.
     attribution_top_k: int = DEFAULT_TOP_K
-    #: Retain samples on ``NetworkTelemetry.samples`` (always on when no
-    #: metrics_path is given, so an in-memory run is still inspectable).
-    keep_samples: bool = False
-    #: Lifecycle capture cap: packets beyond this are counted as dropped
-    #: and the trace is marked truncated.
-    max_trace_packets: int = 5000
     #: Deterministic per-packet capture probability (seeded id hash).
     #: 1.0 (the default) captures every packet — the full-trace mode;
     #: production runs use a small rate plus ``trace_head_tail``.
@@ -105,23 +102,15 @@ class TelemetryConfig:
     trace_head_tail: int = 0
     #: Seed for the sampling hash: same seed, same captured packets.
     trace_seed: int = 0
-    #: Architecture config enabling windowed Orion energy pricing (and
-    #: thermal sampling when ``thermal`` is set).  Kept untyped to avoid
-    #: importing the arch/power stack until actually used.
+    #: Architecture config enabling windowed Orion energy pricing.
+    #: Kept untyped to avoid importing the arch/power stack until
+    #: actually used.
     arch_config: Any = None
-    #: Sample transient chip temperature per window (needs arch_config
-    #: and scipy; one solver step per window).
-    thermal: bool = False
 
     def validate(self) -> None:
         if self.interval < 1:
             raise ValueError(
                 f"telemetry interval must be >= 1, got {self.interval}"
-            )
-        if self.max_trace_packets < 1:
-            raise ValueError(
-                "max_trace_packets must be >= 1, got "
-                f"{self.max_trace_packets}"
             )
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ValueError(
@@ -137,11 +126,6 @@ class TelemetryConfig:
             raise ValueError(
                 "attribution_top_k must be >= 1, got "
                 f"{self.attribution_top_k}"
-            )
-        if self.thermal and self.arch_config is None:
-            raise ValueError(
-                "thermal sampling needs an arch_config to build the "
-                "floorplan and power model"
             )
 
     @property
@@ -166,7 +150,8 @@ class TelemetrySnapshot:
     #: ``packets_traced`` this accounts for every lifecycle the trace
     #: file contains: 0 before ``finish`` and when tracing was off.
     packets_in_flight: int
-    #: Packets beyond ``max_trace_packets`` that were not captured.
+    #: Packets beyond the recorder's ``max_packets`` cap that were not
+    #: captured.
     packets_dropped: int
     #: True when any lifecycle was dropped: the trace is a prefix, not
     #: the whole run.
@@ -259,117 +244,12 @@ class TelemetrySnapshot:
         return "\n".join(lines)
 
 
-class _ThermalProbe:
-    """Incremental transient-thermal sampling, one solver step per window.
-
-    The offline flow (:mod:`repro.thermal.transient`) post-processes a
-    whole activity trace; this probe runs the same backward-Euler step
-    online so temperature appears in the live metric stream.  Solvers
-    are cached per window span (the trailing partial window is shorter).
-    """
-
-    def __init__(self, arch_config: Any, network: "Network") -> None:
-        from repro.power import technology as tech
-        from repro.thermal.floorplan import floorplan_for
-        from repro.thermal.solver import ThermalGrid
-
-        self._arch_config = arch_config
-        self._floorplan_for = floorplan_for
-        self._grid = ThermalGrid(floorplan_for(arch_config))
-        self._cycle_s = tech.CYCLE_S
-        self._last_switched_by_layers = [
-            list(r.flits_switched_by_layers) for r in network.routers
-        ]
-        self._solvers: Dict[int, Any] = {}
-        self._temps = None
-
-    def router_layer_power(
-        self, network: "Network", span: int, delta: EventCounts
-    ) -> List[List[float]]:
-        """Per-node, per-layer router power (W) over the last window.
-
-        Mirrors the offline Fig. 13c flow
-        (:meth:`repro.experiments.runner.PointResult.router_layer_power_per_node`):
-        each datapath layer's windowed dynamic power
-        (:func:`~repro.power.energy.layer_power_report` over the window's
-        event delta) is split across routers by that layer's own
-        activity shares, measured from the per-router
-        ``flits_switched_by_layers`` histogram deltas; leakage is split
-        evenly over nodes and layers."""
-        from repro.power.energy import layer_power_report
-
-        switched = [
-            list(r.flits_switched_by_layers) for r in network.routers
-        ]
-        groups = len(switched[0]) if switched else 1
-        # Node n's window flits that drove layer l: effective
-        # active-layer count k > l, i.e. histogram indices k-1 >= l.
-        layer_flits = [
-            [
-                sum(now[i] - before[i] for i in range(layer, groups))
-                for layer in range(groups)
-            ]
-            for now, before in zip(switched, self._last_switched_by_layers)
-        ]
-        self._last_switched_by_layers = switched
-        layer_totals = [
-            sum(per_node[layer] for per_node in layer_flits)
-            for layer in range(groups)
-        ]
-        lp = layer_power_report(
-            self._arch_config, delta, span,
-            shutdown_enabled=network.shutdown_enabled,
-        )
-        n = len(layer_flits) or 1
-        leak_each = lp.leakage_w / (n * groups)
-        return [
-            [
-                (
-                    lp.layer_dynamic_w[layer]
-                    * per_node[layer] / layer_totals[layer]
-                    if layer_totals[layer]
-                    else 0.0
-                )
-                + leak_each
-                for layer in range(groups)
-            ]
-            for per_node in layer_flits
-        ]
-
-    def sample(
-        self, network: "Network", span: int, delta: EventCounts
-    ) -> Dict[str, float]:
-        from repro.thermal.transient import TransientSolver
-
-        window_s = span * self._cycle_s
-        power = self._floorplan_for(
-            self._arch_config,
-            router_layer_power_w=self.router_layer_power(
-                network, span, delta
-            ),
-        ).power_w
-        if self._temps is None:
-            # HotSpot-style warm start: steady state under the first
-            # window's power.
-            self._temps = self._grid.solve(power)
-        solver = self._solvers.get(span)
-        if solver is None:
-            solver = self._solvers[span] = TransientSolver(
-                self._grid, dt_s=window_s
-            )
-        self._temps = solver.step(self._temps, power)
-        return {
-            "mean_k": float(self._temps.mean()),
-            "max_k": float(self._temps.max()),
-        }
-
-
 class NetworkTelemetry:
     """Windowed observability attached to a live network.
 
     Construction registers the instance as ``network.telemetry`` (the
     hook ``Network.step`` checks) and, when a trace is requested,
-    attaches a :class:`TraceRecorder` to the stage hook and adds a
+    attaches a :class:`TraceRecorder` to the network and adds a
     read-only delivery callback for lifecycle capture.
     Call :meth:`finish` (the Simulator does) to flush the trailing
     partial window and write the trace file; :meth:`detach` removes
@@ -379,17 +259,13 @@ class NetworkTelemetry:
     def __init__(
         self,
         network: "Network",
-        config: Optional[TelemetryConfig] = None,
-        **kwargs,
+        config: TelemetryConfig,
     ) -> None:
-        if config is None:
-            config = TelemetryConfig(**kwargs)
-        elif kwargs:
-            raise TypeError("pass either a TelemetryConfig or kwargs, not both")
         config.validate()
         self.network = network
         self.config = config
         self.registry = MetricsRegistry()
+        #: Sample records, kept here when no metrics stream is written.
         self.samples: List[Dict[str, Any]] = []
         self.windows = 0
         self.cycles_observed = 0
@@ -445,10 +321,6 @@ class NetworkTelemetry:
             self._g_energy_j = reg.gauge("energy.window_j")
             self._g_dynamic_w = reg.gauge("energy.dynamic_w")
             self._g_total_w = reg.gauge("energy.total_w")
-        if config.thermal:
-            self._g_temp_mean = reg.gauge("thermal.mean_k")
-            self._g_temp_max = reg.gauge("thermal.max_k")
-        self._thermal: Optional[_ThermalProbe] = None
 
         # Stall attribution: adopt an already-attached StallAttribution
         # (ownership stays with whoever built it) or build and own one.
@@ -494,14 +366,13 @@ class NetworkTelemetry:
                 sample_rate=config.trace_sample_rate,
                 head_tail=config.trace_head_tail,
                 seed=config.trace_seed,
-                max_packets=config.max_trace_packets,
             )
             self._last_trace_events = 0
             self._last_trace_packets = 0
-            # The recorder sits on the stage hook itself — one O(1) hop
-            # per head-flit event, no sampler-level indirection.
-            # Delivery keeps a sampler wrapper for the hook-consistency
-            # guard and the latency rollups.
+            # The routers call the recorder directly — no sampler-level
+            # indirection per head-flit event.  Delivery keeps a sampler
+            # wrapper for the hook-consistency guard and the latency
+            # rollups.
             self._recorder.attach(network)
             network.delivery_callbacks.append(self._on_delivered)
 
@@ -673,13 +544,6 @@ class NetworkTelemetry:
             self._g_total_w.set(report.total_w)
             self._g_energy_j.set(report.total_w * span * tech.CYCLE_S)
 
-        if config.thermal:
-            if self._thermal is None:
-                self._thermal = _ThermalProbe(config.arch_config, net)
-            temps = self._thermal.sample(net, span, delta)
-            self._g_temp_mean.set(temps["mean_k"])
-            self._g_temp_max.set(temps["max_k"])
-
         attribution = self._attribution
         if attribution is not None:
             # Rollup scans are the only recurring attribution cost the
@@ -735,7 +599,7 @@ class NetworkTelemetry:
         }
         if self._writer is not None:
             self._writer.write(record)
-        if self._writer is None or config.keep_samples:
+        if self._writer is None:
             self.samples.append(record)
 
         if recorder is not None:

@@ -94,6 +94,20 @@ def test_non_positive_rate_is_a_usage_error(command, rate, capsys):
     assert "--rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fraction", ["-0.1", "1.5", "nan"])
+@pytest.mark.parametrize("command", ["simulate", "diagnose"])
+def test_short_flits_outside_unit_interval_is_a_usage_error(
+    command, fraction, capsys
+):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            command, "--arch", "2DB", "--rate", "0.05",
+            "--short-flits", fraction,
+        ])
+    assert exc.value.code == 2
+    assert "--short-flits" in capsys.readouterr().err
+
+
 def test_trace_command(tmp_path, capsys):
     output = tmp_path / "trace.txt"
     assert main([

@@ -2,8 +2,8 @@
 
 Covers three bugs fixed together with the active-set scheduler work:
 
-* ``Simulator.__init__`` double-registering delivery hooks when two
-  simulators drive the same network in sequence,
+* delivery hooks accumulating when two simulators drive the same
+  network in sequence (the hook now lives for one ``run()``),
 * the trailing partial activity window being silently dropped when
   ``measure_cycles`` is not a multiple of ``sample_interval``,
 * ``NetworkStats.latency_percentile`` misrounding the nearest rank
@@ -40,65 +40,76 @@ def _sim(network, config, **kwargs):
 # -- delivery-hook registration ------------------------------------------
 
 
-def test_second_simulator_replaces_predecessors_hook():
+def test_hook_absent_before_and_after_run():
     config = make_2db()
     network = config.build_network()
-    first = _sim(network, config)
-    assert network.delivery_callbacks.count(first._deliver_hook) == 1
+    sim = _sim(network, config)
+    assert network.delivery_callbacks == []
+    during = []
+    network.delivery_callbacks.append(
+        lambda packet, cycle: during.append(
+            sim._deliver_hook in network.delivery_callbacks
+        )
+    )
+    sim.run()
+    assert during and all(during)
+    assert len(network.delivery_callbacks) == 1  # the probe only
 
-    second = _sim(network, config)
-    # The first simulator's hook is gone, not accumulated.
-    assert first._deliver_hook not in network.delivery_callbacks
-    assert network.delivery_callbacks.count(second._deliver_hook) == 1
-    # Bound methods compare by identity of the underlying object, not
-    # the method-object reference (fresh on each attribute access).
-    assert network.simulator_hook == second._deliver_hook
+
+def test_run_deregisters_hook_on_error():
+    config = make_2db()
+    network = config.build_network()
+    sim = _sim(network, config)
+
+    def fail(packet, cycle):
+        raise RuntimeError("traffic failed")
+
+    sim.traffic.on_delivered = fail
+    with pytest.raises(RuntimeError, match="traffic failed"):
+        sim.run()
+    assert network.delivery_callbacks == []
 
 
 def test_foreign_callbacks_survive_simulator_registration():
     config = make_2db()
     network = config.build_network()
     seen = []
-    network.delivery_callbacks.append(lambda packet, cycle: seen.append(packet))
-    _sim(network, config)
-    _sim(network, config)
-    # One user callback + exactly one simulator hook.
-    assert len(network.delivery_callbacks) == 2
-
-
-def test_detach_deregisters_hook():
-    config = make_2db()
-    network = config.build_network()
-    sim = _sim(network, config)
-    sim.detach()
-    assert sim._deliver_hook not in network.delivery_callbacks
-    assert network.simulator_hook is None
-    # Detaching twice is harmless.
-    sim.detach()
+    foreign = lambda packet, cycle: seen.append(packet.pid)  # noqa: E731
+    network.delivery_callbacks.append(foreign)
+    _sim(network, config).run()
+    _sim(network, config).run()
+    assert network.delivery_callbacks == [foreign]
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_sequential_simulators_deliver_each_packet_once():
-    """With the double-registered hook, closed-loop sources saw every
-    delivery twice; on an open-loop source the symptom is simply two
-    hook invocations per packet."""
+    """Two simulators run back to back over one network: each traffic
+    source hears of exactly the packets delivered during its own run,
+    once each (a hook left behind by the first run would make the first
+    source hear the second run's deliveries too)."""
     config = make_2db()
     network = config.build_network()
-    _sim(network, config)  # stale simulator, never run
-    sim = _sim(network, config)
+    delivered = []
+    network.delivery_callbacks.append(
+        lambda packet, cycle: delivered.append(packet.pid)
+    )
+    runs = []
+    for _ in range(2):
+        sim = _sim(network, config)
+        heard = []
+        original = sim.traffic.on_delivered
 
-    calls = []
-    original = sim._deliver_hook
+        def on_delivered(packet, cycle, heard=heard, original=original):
+            heard.append(packet.pid)
+            return original(packet, cycle)
 
-    def counting_hook(packet, cycle):
-        calls.append(packet.pid)
-        original(packet, cycle)
-
-    # Re-register the counting wrapper through the same dedup path.
-    network.delivery_callbacks.remove(original)
-    network.delivery_callbacks.append(counting_hook)
-    network.simulator_hook = counting_hook
-    sim.run()
-    assert len(calls) == len(set(calls))
+        sim.traffic.on_delivered = on_delivered
+        delivered.clear()
+        sim.run()
+        runs.append((heard, list(delivered)))
+    for heard, during_run in runs:
+        assert heard and heard == during_run
+        assert len(heard) == len(set(heard))
 
 
 # -- trailing partial activity window ------------------------------------

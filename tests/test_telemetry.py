@@ -172,10 +172,6 @@ def _run_3dm(telemetry=None, short=0.6, seed=11, measure=400):
 def test_config_validation():
     with pytest.raises(ValueError):
         TelemetryConfig(interval=0).validate()
-    with pytest.raises(ValueError):
-        TelemetryConfig(max_trace_packets=0).validate()
-    with pytest.raises(ValueError):
-        TelemetryConfig(thermal=True).validate()  # needs arch_config
     network = Network(Mesh2D(2, 2, pitch_mm=1.0))
     with pytest.raises(ValueError):
         NetworkTelemetry(network, TelemetryConfig(interval=-5))
@@ -185,6 +181,9 @@ def test_constructor_rejects_config_plus_kwargs():
     network = Network(Mesh2D(2, 2, pitch_mm=1.0))
     with pytest.raises(TypeError):
         NetworkTelemetry(network, TelemetryConfig(), interval=5)
+    with pytest.raises(TypeError):
+        NetworkTelemetry(network)  # the config is required
+    assert network.telemetry is None
 
 
 def test_jsonl_stream_schema(tmp_path):
@@ -301,13 +300,21 @@ def test_trace_json_schema_and_nesting(tmp_path):
 
 def test_trace_truncation_is_loud(tmp_path):
     trace_path = tmp_path / "trace.json"
-    result = _run_3dm(
-        TelemetryConfig(
-            interval=100, trace_path=str(trace_path), max_trace_packets=10,
-        ),
-        measure=200,
+    config = make_3dm()
+    network = config.build_network(shutdown_enabled=True)
+    NetworkTelemetry(
+        network, TelemetryConfig(interval=100, trace_path=str(trace_path))
     )
-    snap = result.telemetry
+    network.recorder.max_packets = 10  # the sampler's recorder
+    sim = Simulator(
+        network,
+        UniformRandomTraffic(
+            num_nodes=config.num_nodes, flit_rate=0.15, seed=11,
+            short_flit_fraction=0.6,
+        ),
+        warmup_cycles=100, measure_cycles=200, drain_cycles=4000,
+    )
+    snap = sim.run().telemetry
     assert snap.truncated
     assert snap.packets_traced <= 10
     assert snap.packets_dropped > 0
@@ -324,25 +331,26 @@ def test_in_memory_samples_without_paths():
 
 
 def test_keep_samples_retains_records(tmp_path):
+    """Samples stay in memory exactly when no metrics stream is
+    written."""
     config = make_3dm()
-    network = config.build_network()
-    telemetry = NetworkTelemetry(
-        network,
-        TelemetryConfig(
-            interval=50,
-            metrics_path=str(tmp_path / "m.jsonl"),
-            keep_samples=True,
-        ),
-    )
-    sim = Simulator(
-        network,
-        UniformRandomTraffic(num_nodes=config.num_nodes, flit_rate=0.1,
-                             seed=2),
-        warmup_cycles=0, measure_cycles=120, drain_cycles=2000,
-    )
-    sim.run()
-    assert len(telemetry.samples) == telemetry.windows
-    assert telemetry.samples[0]["window"] == 50
+    kept = {}
+    for path in (None, str(tmp_path / "m.jsonl")):
+        network = config.build_network()
+        telemetry = NetworkTelemetry(
+            network, TelemetryConfig(interval=50, metrics_path=path)
+        )
+        Simulator(
+            network,
+            UniformRandomTraffic(num_nodes=config.num_nodes, flit_rate=0.1,
+                                 seed=2),
+            warmup_cycles=0, measure_cycles=120, drain_cycles=2000,
+        ).run()
+        kept[path is None] = telemetry
+    in_memory, streamed = kept[True], kept[False]
+    assert len(in_memory.samples) == in_memory.windows > 0
+    assert in_memory.samples[0]["window"] == 50
+    assert streamed.windows > 0 and streamed.samples == []
 
 
 def test_trailing_partial_window_has_true_span():
@@ -365,11 +373,9 @@ def test_detach_removes_all_hooks(tmp_path):
         network, TelemetryConfig(trace_path=str(tmp_path / "t.json"))
     ) as telemetry:
         assert network.telemetry is telemetry
-        recorder = telemetry._recorder
-        assert recorder.on_stage in network.stage_callbacks
+        assert network.recorder is telemetry._recorder
     assert network.telemetry is None
-    assert recorder.on_stage not in network.stage_callbacks
-    assert network.trace_drop_filter is None
+    assert network.recorder is None
     assert telemetry._on_delivered not in network.delivery_callbacks
     network.step()  # no sampling after detach
     assert telemetry.cycles_observed == 0
@@ -444,82 +450,6 @@ def test_windowed_counters_sum_to_run_totals(tmp_path):
         network.stats.flits_delivered
     )
     assert telemetry.windows == len(samples)
-
-
-# ---------------------------------------------------------------------------
-# Thermal probe: layer-resolved power (the online Fig. 13c path)
-
-
-def test_thermal_probe_power_matches_fig13c_runner():
-    """The probe's per-node-per-layer power map agrees with the offline
-    experiment runner's ``router_layer_power_per_node`` when both price
-    the same run: same event delta, same per-router layer histograms."""
-    from repro.experiments.config import ExperimentSettings
-    from repro.experiments.runner import run_uniform_point
-    from repro.telemetry.sampler import _ThermalProbe
-
-    config = make_3dm()
-    settings = ExperimentSettings(
-        warmup_cycles=50, measure_cycles=400, drain_cycles=5000,
-        uniform_rates=(), nuca_rates=(), trace_cycles=0, workloads=(),
-        seed=5,
-    )
-    point = run_uniform_point(
-        config, 0.1, settings, short_flit_fraction=0.5,
-        shutdown_enabled=True, seed=5,
-    )
-
-    network = config.build_network(shutdown_enabled=True)
-    probe = _ThermalProbe(config, network)  # baselines at zero counters
-    sim = Simulator(
-        network,
-        UniformRandomTraffic(
-            num_nodes=config.num_nodes, flit_rate=0.1, seed=5,
-            short_flit_fraction=0.5,
-        ),
-        warmup_cycles=50, measure_cycles=400, drain_cycles=5000,
-    )
-    result = sim.run()
-    probe_map = probe.router_layer_power(
-        network, result.window_cycles, result.events
-    )
-    expected = point.router_layer_power_per_node()
-    assert len(probe_map) == len(expected) == config.num_nodes
-    for probe_row, runner_row in zip(probe_map, expected):
-        assert probe_row == pytest.approx(runner_row)
-    # Layer-resolved pricing is not flat: the always-on top layer must
-    # carry more power than the gated bottom layers under short flits.
-    top = sum(row[0] for row in probe_map)
-    bottom = sum(row[-1] for row in probe_map)
-    assert top > bottom
-
-
-def test_thermal_sampling_streams_finite_temperatures():
-    config = make_3dm()
-    network = config.build_network(shutdown_enabled=True)
-    telemetry = NetworkTelemetry(
-        network,
-        TelemetryConfig(
-            interval=100, arch_config=config, thermal=True,
-            keep_samples=True,
-        ),
-    )
-    sim = Simulator(
-        network,
-        UniformRandomTraffic(
-            num_nodes=config.num_nodes, flit_rate=0.1, seed=3,
-            short_flit_fraction=0.5,
-        ),
-        warmup_cycles=0, measure_cycles=300, drain_cycles=3000,
-    )
-    sim.run()
-    telemetry.finish()
-    assert telemetry.samples
-    for sample in telemetry.samples:
-        mean_k = sample["gauges"]["thermal.mean_k"]
-        max_k = sample["gauges"]["thermal.max_k"]
-        assert mean_k is not None and mean_k > 250.0
-        assert max_k >= mean_k
 
 
 def test_in_flight_spans_consistent_in_snapshot(tmp_path):

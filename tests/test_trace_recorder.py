@@ -193,6 +193,33 @@ class TestSamplingMeta:
             TraceRecorder(ring_events=0)
 
 
+class CallLog(TraceRecorder):
+    """A recorder that also logs every ``on_stage`` call it receives."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.calls = []
+
+    def on_stage(self, cycle, node, flit, stage):
+        self.calls.append((flit, stage))
+        super().on_stage(cycle, node, flit, stage)
+
+
+def run_logged(**recorder_kwargs):
+    """Run 3DM UR 0.05 with a :class:`CallLog` attached; return it."""
+    config = make_3dm()
+    network = config.build_network(shutdown_enabled=True)
+    recorder = CallLog(**recorder_kwargs).attach(network)
+    Simulator(
+        network,
+        UniformRandomTraffic(
+            num_nodes=config.num_nodes, flit_rate=0.05, seed=2
+        ),
+        warmup_cycles=20, measure_cycles=100, drain_cycles=1000,
+    ).run()
+    return recorder
+
+
 def run_traced(tmp_path, **trace_kwargs):
     config = make_3dm()
     network = config.build_network(shutdown_enabled=True)
@@ -289,8 +316,8 @@ class TestEndToEnd:
         assert traced.events.flit_hops == bare.events.flit_hops
 
     def test_router_filter_skips_dropped_pids(self, tmp_path):
-        """The call-site drop filter must hide sampled-out packets from
-        the hooks without losing admissions."""
+        """The routers' capture-map probe must hide sampled-out packets
+        from the recorder without losing admissions."""
         result, trace = run_traced(
             tmp_path, trace_sample_rate=0.0, trace_head_tail=0
         )
@@ -300,24 +327,24 @@ class TestEndToEnd:
         assert sampling["events_recorded"] == 0
 
     def test_stage_hook_sees_heads_only(self):
-        config = make_3dm()
-        network = config.build_network(shutdown_enabled=True)
-        seen = []
-        network.stage_callbacks.append(
-            lambda cycle, node, flit, stage: seen.append((flit, stage))
-        )
-        sim = Simulator(
-            network,
-            UniformRandomTraffic(
-                num_nodes=config.num_nodes, flit_rate=0.05, seed=2
-            ),
-            warmup_cycles=20, measure_cycles=100, drain_cycles=1000,
-        )
-        sim.run()
+        recorder = run_logged()
+        seen = recorder.calls
         assert seen
         assert all(flit.is_head for flit, _ in seen)
         assert {stage for _, stage in seen} <= {"rc", "va", "st"}
         assert any(stage == "st" for _, stage in seen)
+        # Full capture: every call is recorded.
+        assert recorder.events_recorded == len(seen)
+
+    def test_sampled_out_packets_cost_one_call_each(self):
+        """A sampled-out packet reaches ``on_stage`` once — its
+        admission — and never again: the routers probe the capture map
+        first and skip the call for pids mapped to 0."""
+        recorder = run_logged(sample_rate=0.0, head_tail=0)
+        pids = [flit.packet.pid for flit, _ in recorder.calls]
+        assert len(pids) == len(set(pids)) == recorder.packets_seen > 0
+        assert recorder.sampled_out == recorder.packets_seen
+        assert recorder.events_recorded == 0
 
     def test_optimized_mode_keeps_metadata(self, tmp_path):
         """``python -O`` must not strip the sampling/truncation

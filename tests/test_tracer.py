@@ -1,9 +1,9 @@
 """Trace-path tests: per-flit counts and hook removal.
 
 Per-router flit counts come from ``Router.flits_switched``; packet stage
-events come from a ``TraceRecorder`` on the network's one stage hook,
-attached by ``TraceRecorder.attach`` or by ``NetworkTelemetry``.  The
-recorder's route checks live in ``test_trace_recorder.TestAttach``.
+events come from a ``TraceRecorder`` in the network's one recorder
+slot, attached by ``TraceRecorder.attach`` or by ``NetworkTelemetry``.
+The recorder's route checks live in ``test_trace_recorder.TestAttach``.
 """
 
 import pytest
@@ -42,13 +42,15 @@ def test_utilization_by_node():
 def test_detach_stops_recording():
     network = Network(Mesh2D(2, 1, pitch_mm=1.0))
     recorder = TraceRecorder().attach(network)
-    assert network.stage_callbacks == [recorder.on_stage]
-    assert network.trace_drop_filter is not None
+    assert network.recorder is recorder
+    assert all(router._recorder is recorder for router in network.routers)
     with pytest.raises(RuntimeError, match="already attached"):
         recorder.attach(network)
+    with pytest.raises(RuntimeError, match="already has a trace recorder"):
+        TraceRecorder().attach(network)
     recorder.detach()
-    assert network.stage_callbacks == []
-    assert network.trace_drop_filter is None
+    assert network.recorder is None
+    assert all(router._recorder is None for router in network.routers)
     recorder.detach()  # idempotent
     _run(network, [ctrl_packet(0, 1, created_cycle=0)])
     assert recorder.events_recorded == 0
@@ -58,6 +60,6 @@ def test_context_manager_detaches():
     network = Network(Mesh2D(2, 1, pitch_mm=1.0))
     with NetworkTelemetry(network, TelemetryConfig(trace_capture=True)) as tel:
         recorder = tel._recorder
-        assert network.stage_callbacks == [recorder.on_stage]
-    assert recorder.on_stage not in network.stage_callbacks
-    assert network.trace_drop_filter is None
+        assert network.recorder is recorder
+    assert network.recorder is None
+    assert all(router._recorder is None for router in network.routers)
