@@ -78,31 +78,50 @@ def _make_config(args: argparse.Namespace):
     return make_architecture(arch, **kwargs)
 
 
-def _positive_float(text: str) -> float:
-    """argparse type for injection rates: a bad rate is a usage error."""
+def _number(text: str, parse, valid, what: str):
+    """Parse an option value with *parse* (``int`` or ``float``); a value
+    that does not parse or fails *valid* is a usage error, not a
+    traceback from deep inside the run."""
     try:
-        value = float(text)
+        value = parse(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(
-            f"must be a positive finite number, got {text!r}"
-        )
+    if not valid(value):
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
     return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for injection rates."""
+    return _number(
+        text, float, lambda v: v > 0 and math.isfinite(v),
+        "a positive finite number",
+    )
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse type for spreads such as a variation sigma."""
+    return _number(
+        text, float, lambda v: v >= 0 and math.isfinite(v),
+        "a non-negative finite number",
+    )
 
 
 def _fraction(text: str) -> float:
-    """argparse type for fractions: a value outside [0, 1] is a usage
-    error."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not 0.0 <= value <= 1.0:  # NaN fails this too
-        raise argparse.ArgumentTypeError(
-            f"must be a fraction in [0, 1], got {text!r}"
-        )
-    return value
+    """argparse type for fractions in [0, 1] (NaN fails too)."""
+    return _number(
+        text, float, lambda v: 0.0 <= v <= 1.0, "a fraction in [0, 1]"
+    )
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for cycle intervals."""
+    return _number(text, int, lambda v: v >= 1, "an integer >= 1")
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts."""
+    return _number(text, int, lambda v: v >= 0, "an integer >= 0")
 
 
 def _parse_channel(text: str) -> tuple:
@@ -672,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
         "every cycle and fail fast on the first violation",
     )
     sim.add_argument(
-        "--sanitize-interval", type=int, default=1, metavar="N",
+        "--sanitize-interval", type=_positive_int, default=1, metavar="N",
         help="with --sanitize: audit every N cycles (default 1)",
     )
     sim.add_argument(
@@ -685,11 +704,11 @@ def build_parser() -> argparse.ArgumentParser:
         "to PATH (JSON)",
     )
     sim.add_argument(
-        "--metrics-interval", type=int, default=100, metavar="N",
+        "--metrics-interval", type=_positive_int, default=100, metavar="N",
         help="telemetry sampling window in cycles (default 100)",
     )
     sim.add_argument(
-        "--trace-sample-rate", type=float, default=1.0, metavar="P",
+        "--trace-sample-rate", type=_fraction, default=1.0, metavar="P",
         help="with --trace-out: capture each packet's lifecycle with "
         "probability P (deterministic seeded id hash; default 1.0 = "
         "capture everything)",
@@ -705,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
         "captured packets (default 0)",
     )
     sim.add_argument(
-        "--inject-faults", type=int, default=0, metavar="N",
+        "--inject-faults", type=_non_negative_int, default=0, metavar="N",
         help="kill N seeded-random directed links (see --fault-seed / "
         "--fault-cycle / --fault-mode)",
     )
@@ -731,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="freeze this input VC at --fault-cycle (repeatable)",
     )
     sim.add_argument(
-        "--variation-sigma", type=float, default=0.0, metavar="S",
+        "--variation-sigma", type=_non_negative_float, default=0.0, metavar="S",
         help="process-variation sigma; latency/power reflect the "
         "sampled corner (default 0 = no variation)",
     )
@@ -766,20 +785,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diag.add_argument("--short-flits", type=_fraction, default=0.0)
     diag.add_argument(
-        "--top", type=int, default=5, metavar="K",
+        "--top", type=_positive_int, default=5, metavar="K",
         help="hotspot links/routers listed in the report (default 5)",
     )
     diag.add_argument(
-        "--interval", type=int, default=100, metavar="N",
+        "--interval", type=_positive_int, default=100, metavar="N",
         help="telemetry sampling window in cycles (default 100)",
     )
     diag.add_argument(
-        "--sample-rate", type=float, default=0.25, metavar="P",
+        "--sample-rate", type=_fraction, default=0.25, metavar="P",
         help="fraction of packets whose lifecycles feed the latency "
         "decomposition (default 0.25)",
     )
     diag.add_argument(
-        "--head-tail", type=int, default=16, metavar="K",
+        "--head-tail", type=_non_negative_int, default=16, metavar="K",
         help="always decompose the first/last K packets too (default 16)",
     )
     diag.add_argument(

@@ -17,9 +17,9 @@ then moves to ``winner + 1``.
 Every VA request, the sole requester included, goes through
 :meth:`VirtualChannelAllocator.allocate`, and every switch allocation
 with two or more requesters through :meth:`SwitchAllocator.allocate`.
-The router handles one shape itself: a sole SA requester is the only
-contender in both of its arbitrations, so ``Router._sa_win`` just
-rotates its two pointers.
+The router loop (``Network._step_nodes``) handles one shape itself: a
+sole SA requester is the only contender in both of its arbitrations, so
+the loop just rotates its two pointers.
 """
 
 from __future__ import annotations

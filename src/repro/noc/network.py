@@ -6,6 +6,11 @@ counters (:attr:`Network.events`, folded on read from per-router
 tallies and the network's float accumulators).  It is deliberately
 separate from :class:`repro.noc.simulator.Simulator`, which adds
 warm-up/measurement/drain orchestration and power integration on top.
+
+It also runs the router pipeline: one router loop
+(:meth:`Network._step_nodes`) and one landing loop each for flits and
+credits, so a flit-hop costs no Python call of its own; only contended
+VC and switch allocation call out, to :mod:`repro.noc.allocator`.
 """
 
 from __future__ import annotations
@@ -18,7 +23,10 @@ from typing import (
 
 from repro.noc.packet import Flit, Packet, PacketClass
 from repro.noc.profiling import NetworkProfiler
-from repro.noc.router import EVENT_RING_SLOTS, Router
+from repro.noc.router import (
+    EVENT_RING_SLOTS, ST_LT_MERGED_CYCLES, ST_LT_SPLIT_CYCLES, STALL_RC_WAIT,
+    STALL_SA_LOSS, STALL_SERIALIZATION, Router, _ACTIVE, _IDLE, _RC, _VA,
+)
 from repro.noc.routing import Channel, RoutingFunction, routing_for_topology
 from repro.noc.stats import EventCounts, NetworkStats
 from repro.noc.table_routing import build_route_table
@@ -103,7 +111,10 @@ class Network:
         self.layer_groups = layer_groups
         self.shutdown_enabled = shutdown_enabled
         self.speculative_sa = speculative_sa
+        #: Fig. 8c: the route arrives with the head flit (computed one
+        #: hop upstream), so RC is off the critical path.
         self.lookahead_rc = lookahead_rc
+        #: Priority-aware switch allocation (QoS provisioning, Sec. 3.3).
         self.qos_enabled = qos_enabled
         self.vc_by_class = vc_by_class
         self.routing = routing or routing_for_topology(topology)
@@ -120,6 +131,14 @@ class Network:
         self.buffer_weighted_sums = [0.0, 0.0]
         self.link_mm_weighted_sums = [0.0] * len(self.link_kinds)
         self.link_mm_by_layers_sums = [0.0] * (layer_groups + 1)
+        #: Activity weight k/L for each effective layer count k (index
+        #: 0 unused), the dyadic float every flit's buffer, crossbar and
+        #: link activity is weighted by.
+        self._w_table = [k / layer_groups for k in range(layer_groups + 1)]
+        #: Cycles from a switch grant to the flit's arrival downstream.
+        self._hop_cycles = (
+            ST_LT_MERGED_CYCLES if combined_st_lt else ST_LT_SPLIT_CYCLES
+        )
         self.stats = NetworkStats()
 
         self.routers: List[Router] = [
@@ -129,12 +148,9 @@ class Network:
                 routing=self.routing,
                 num_vcs=num_vcs,
                 buffer_depth=buffer_depth,
-                combined_st_lt=combined_st_lt,
                 layer_groups=layer_groups,
                 shutdown_enabled=shutdown_enabled,
                 speculative_sa=speculative_sa,
-                lookahead_rc=lookahead_rc,
-                qos_enabled=qos_enabled,
                 vc_by_class=vc_by_class,
             )
             for node in topology.iter_nodes()
@@ -177,7 +193,7 @@ class Network:
         self._busy_sources: Set[int] = set()
         #: Routers that may have pipeline work this cycle.  Maintained
         #: as a *superset* of the busy routers (routers only become busy
-        #: through ``receive_flit``, which wakes them here).
+        #: through :meth:`_land_flits`, which wakes them here).
         self._active_routers: Set[int] = set()
 
         # Attach after the rings / credit targets / active set exist:
@@ -342,7 +358,12 @@ class Network:
         )
 
     def _inject(self, cycle: int) -> None:
+        """Stream one flit per busy source into its local-port VC.
+
+        Each source touches only its own router, so the flits land
+        together after the source loop, in ascending node order."""
         done_sources: List[int] = []
+        landed: list = []
         for node in sorted(self._busy_sources):
             src = self._sources[node]
             router = self.routers[node]
@@ -373,8 +394,9 @@ class Network:
                     # First-hop route looked up at injection (Fig. 8c).
                     router._look_ahead(src.flits[0], router.routes)
             if router.local_vc_has_space(src.vc):
-                flit = src.flits[src.flit_idx]
-                router.receive_flit(router.local_port, src.vc, flit, cycle)
+                landed.append(
+                    (node, router.local_port, src.vc, src.flits[src.flit_idx])
+                )
                 src.flit_idx += 1
                 if src.flit_idx >= len(src.flits):
                     src.flits = []
@@ -382,25 +404,89 @@ class Network:
                     src.vc = -1
                     if not src.packets:
                         done_sources.append(node)
+        if landed:
+            self._land_flits(landed, cycle)
         for node in done_sources:
             src = self._sources[node]
             if src.idle:
                 self._busy_sources.discard(node)
 
+    def _land_flits(self, arrivals, cycle: int) -> None:
+        """Write each arriving ``(node, port, vc, flit)`` into its input
+        VC buffer and wake its router.  A head flit on an idle VC starts
+        the VC's pipeline: at RC, or at VA when look-ahead RC brought a
+        route that is still current."""
+        routers = self.routers
+        num_vcs = self.num_vcs
+        depth = self.buffer_depth
+        shutdown = self.shutdown_enabled
+        groups = self.layer_groups
+        w_table = self._w_table
+        buffer_sums = self.buffer_weighted_sums
+        lookahead = self.lookahead_rc
+        wake = self._active_routers.add
+        for node, port, vc, flit in arrivals:
+            r = routers[node]
+            i = port * num_vcs + vc
+            fifo = r.vc_fifos[i]
+            if len(fifo) >= depth:
+                raise OverflowError(
+                    "buffer overflow: credit-based flow control should make "
+                    "this impossible"
+                )
+            fifo.append(flit)
+            # Effective active-layer count: with shutdown disabled every
+            # layer switches regardless of payload.
+            k = flit.active_groups if shutdown else groups
+            buffer_sums[0] += w_table[k]
+            r.writes_by_layers[k - 1] += 1
+            vc_state = r.vc_state
+            if vc_state[i] == _IDLE:
+                if not flit.is_head:
+                    raise RuntimeError(
+                        f"router {node}: body flit arrived on idle VC "
+                        f"({port},{vc}); wormhole ordering violated"
+                    )
+                if lookahead and flit.lookahead_port is not None and (
+                    flit.lookahead_port == r.routes[flit.packet.dst]
+                ):
+                    # The route travelled with the flit: skip to VA.
+                    r.vc_out_port[i] = flit.lookahead_port
+                    vc_state[i] = _VA
+                else:
+                    # No look-ahead route, or a stale one (the table was
+                    # rebuilt while the flit was in flight): RC.
+                    vc_state[i] = _RC
+                r.vc_ready[i] = cycle
+            r._active.add(i)
+            wake(node)
+
+    def _land_credits(self, credits) -> None:
+        """Return each ``(node, port, vc)`` credit to its output VC."""
+        routers = self.routers
+        depth = self.buffer_depth
+        for node, port, vc in credits:
+            held = routers[node].credits[port]
+            if held is None:
+                raise RuntimeError(f"credit for local/unconnected port {port}")
+            held[vc] += 1
+            if held[vc] > depth:
+                raise RuntimeError(
+                    f"router {node}: credit overflow on port {port} vc {vc}"
+                )
+
     # -- main loop -------------------------------------------------------------
 
     def _deliver(self, cycle: int) -> None:
         """Land this cycle's scheduled arrivals, credits, and ejections."""
-        routers = self.routers
         slot = cycle % EVENT_RING_SLOTS
         arrivals = self.arrival_slots[slot]
         self.arrival_slots[slot] = []
-        for node, port, vc, flit in arrivals:
-            routers[node].receive_flit(port, vc, flit, cycle)
+        if arrivals:
+            self._land_flits(arrivals, cycle)
 
         credits = self.credit_slots[slot]
         self.credit_slots[slot] = []
-
         fi = self.fault_injector
         if fi is not None and fi.dead_credit_targets:
             # Hard link faults: credits bound for a dead output port are
@@ -409,14 +495,15 @@ class Network:
             # injector ledgers each confiscation so the sanitizer's
             # credit-conservation audit still balances.
             dead = fi.dead_credit_targets
-            for node, port, vc in credits:
-                if (node, port) in dead:
-                    fi.confiscate(node, port, vc)
+            live = []
+            for credit in credits:
+                if credit[:2] in dead:
+                    fi.confiscate(*credit)
                 else:
-                    routers[node].receive_credit(port, vc)
-        else:
-            for node, port, vc in credits:
-                routers[node].receive_credit(port, vc)
+                    live.append(credit)
+            credits = live
+        if credits:
+            self._land_credits(credits)
 
         ejections = self.ejection_slots[slot]
         self.ejection_slots[slot] = []
@@ -445,12 +532,213 @@ class Network:
         if not active:
             return 0
         order = sorted(active)
-        for node in order:
-            router = self.routers[node]
-            router.step(cycle)
-            if not router._active:  # quiescent: no VC holds work
-                active.discard(node)
+        self._step_nodes(order, cycle)
         return len(order)
+
+    def _step_nodes(self, nodes, cycle: int) -> None:
+        """The router loop: run the pipeline of each router in *nodes*,
+        in that order, for *cycle*; a router left with no buffered work
+        leaves the active set.
+
+        One pass over a router's units (ascending) routes each RC-ready
+        head inline and collects the VA requesters and the SA bidders.
+        Then VA runs (``Router._va_stage``; under speculative SA its
+        fresh grants join the bidders), then SA, and every granted flit
+        crosses the switch inline, in grant order.  With stall
+        attribution attached, each unit that does not advance is charged
+        one cause where it fails.
+        """
+        routers = self.routers
+        num_vcs = self.num_vcs
+        credit_slot = self.credit_slots[(cycle + 1) % EVENT_RING_SLOTS]
+        ejection_slot = self.ejection_slots[(cycle + 1) % EVENT_RING_SLOTS]
+        arrival_slot = self.arrival_slots[
+            (cycle + self._hop_cycles) % EVENT_RING_SLOTS
+        ]
+        buffer_sums = self.buffer_weighted_sums
+        mm_weighted = self.link_mm_weighted_sums
+        mm_by_layers = self.link_mm_by_layers_sums
+        w_table = self._w_table
+        shutdown = self.shutdown_enabled
+        groups = self.layer_groups
+        speculative = self.speculative_sa
+        lookahead = self.lookahead_rc
+        qos = self.qos_enabled
+        attrib = self.attribution
+        rec = self.recorder
+        decisions = None if rec is None else rec.decisions
+        sleep = self._active_routers.discard
+        for node in nodes:
+            r = routers[node]
+            active = r._active
+            if not active:
+                sleep(node)
+                continue
+            if len(active) == 1:
+                order = tuple(active)
+            else:
+                order = sorted(active)
+            vc_state = r.vc_state
+            vc_ready = r.vc_ready
+            vc_out_port = r.vc_out_port
+            vc_out_vc = r.vc_out_vc
+            vc_fifos = r.vc_fifos
+            credits_by_port = r.credits
+            va_units = []
+            bidders = []
+            for i in order:
+                if vc_ready[i] > cycle:
+                    if attrib is not None:
+                        r._charge_stall(
+                            i,
+                            STALL_SERIALIZATION
+                            if vc_state[i] == _ACTIVE
+                            else STALL_RC_WAIT,
+                        )
+                    continue
+                state = vc_state[i]
+                if state == _ACTIVE:
+                    if vc_fifos[i]:
+                        out = vc_out_port[i]
+                        credits = credits_by_port[out]
+                        if credits is None or credits[vc_out_vc[i]] > 0:
+                            bidders.append(i)
+                        elif attrib is not None:
+                            r._charge_credit_stall(i, out)
+                elif state == _VA:
+                    va_units.append(i)
+                elif state == _RC and vc_fifos[i]:
+                    # RC: the head flit's output port from the table.
+                    flit = vc_fifos[i][0]
+                    out = r.routes[flit.packet.dst]
+                    if out < 0:
+                        out = r._drop_route(flit)
+                    vc_out_port[i] = out
+                    vc_state[i] = _VA
+                    vc_ready[i] = cycle + 1
+                    r.rc_computations += 1
+                    # A sampled-out pid (mapped to 0) costs a dict probe
+                    # and no call; an unseen pid calls through, which
+                    # admits it.
+                    if rec is not None and decisions.get(flit.packet.pid, 1):
+                        rec.on_stage(cycle, node, flit, "rc")
+
+            if va_units and r._va_stage(va_units, cycle) and speculative:
+                # Speculative SA (Fig. 8b): a freshly granted VC bids for
+                # the crossbar in the same cycle.  A failed bid is a
+                # credit stall: the VA grant landed but downstream is
+                # full.
+                joined = False
+                for i in va_units:
+                    if vc_state[i] == _ACTIVE and vc_fifos[i]:
+                        out = vc_out_port[i]
+                        credits = credits_by_port[out]
+                        if credits is None or credits[vc_out_vc[i]] > 0:
+                            bidders.append(i)
+                            joined = True
+                        elif attrib is not None:
+                            r._charge_credit_stall(i, out)
+                if joined:
+                    bidders.sort()
+
+            if not bidders:
+                if not active:
+                    sleep(node)
+                continue
+            if len(bidders) == 1:
+                # The sole contender of its SA1 and SA2 arbitrations:
+                # both pointers move just past it, the state
+                # SwitchAllocator.allocate would leave behind.
+                granted = bidders
+                i = bidders[0]
+                in_port = i // num_vcs
+                sa = r._sa
+                sa.sa1[in_port] = (i + 1) % num_vcs
+                sa.sa2[vc_out_port[i]] = (in_port + 1) % r.num_ports
+            else:
+                priority = None
+                if qos:
+                    priority = {
+                        i: vc_fifos[i][0].packet.priority for i in bidders
+                    }
+                granted = r._sa.allocate(bidders, vc_out_port, priority)
+
+            # Switch traversal of every granted flit, in grant order.
+            switched = r.flits_switched_by_layers
+            out_owner = r.out_owner
+            local_port = r.local_port
+            credit_returns = r._credit_returns
+            for i in granted:
+                fifo = vc_fifos[i]
+                flit = fifo.popleft()
+                if not fifo:
+                    active.discard(i)
+                k = flit.active_groups if shutdown else groups
+                weight = w_table[k]
+                # One buffer read + SA grant + crossbar traversal +
+                # flit-hop.
+                buffer_sums[1] += weight
+                switched[k - 1] += 1
+                if flit.active_groups == 1:
+                    r.short_flit_hops += 1
+                if (
+                    rec is not None
+                    and flit.is_head
+                    and decisions.get(flit.packet.pid, 1)
+                ):
+                    rec.on_stage(cycle, node, flit, "st")
+                out_port = vc_out_port[i]
+                out_vc = vc_out_vc[i]
+                credits = credits_by_port[out_port]
+                if credits is not None:
+                    credits[out_vc] -= 1
+                    if credits[out_vc] < 0:
+                        raise RuntimeError(
+                            f"router {node}: negative credit on port "
+                            f"{out_port}"
+                        )
+                credit_return = credit_returns[i]
+                if credit_return is not None:
+                    credit_slot.append(credit_return)
+                if out_port == local_port:
+                    # Ejection: one ST cycle, no link traversal.
+                    ejection_slot.append(flit)
+                else:
+                    if flit.is_head:
+                        flit.packet.hops += 1
+                        if lookahead:
+                            # NRC: the route at the *next* router, looked
+                            # up while the flit crosses the switch.
+                            r._look_ahead(flit, r._next_routes[out_port])
+                    kind, length_mm, port_flits = r._link_args[out_port]
+                    port_flits[k - 1] += 1
+                    mm_weighted[kind] += length_mm * weight
+                    mm_by_layers[k] += length_mm
+                    dst, dst_port = r._arrival_targets[out_port]
+                    arrival_slot.append((dst, dst_port, out_vc, flit))
+                if flit.is_tail:
+                    out_owner[out_port][out_vc] = None
+                    vc_out_port[i] = -1
+                    vc_out_vc[i] = -1
+                    if not fifo:
+                        vc_state[i] = _IDLE
+                    else:
+                        if not fifo[0].is_head:
+                            raise RuntimeError(
+                                f"router {node}: non-head flit follows "
+                                "tail in VC"
+                            )
+                        vc_state[i] = _RC
+                        vc_ready[i] = cycle + 1
+                else:
+                    vc_ready[i] = cycle + 1
+            if attrib is not None and len(granted) < len(bidders):
+                won = set(granted)
+                for i in bidders:
+                    if i not in won:
+                        r._charge_stall(i, STALL_SA_LOSS)
+            if not active:
+                sleep(node)
 
     def step(self) -> None:
         """Advance the network by one clock cycle.
@@ -473,7 +761,7 @@ class Network:
         self._inject(cycle)
         if fi is not None:
             # Apply scheduled fault events due this cycle and re-freeze
-            # stuck VCs after arrivals/injections landed (receive_flit
+            # stuck VCs after arrivals/injections landed (landing
             # re-stamps vc_ready), before routers step.
             fi.on_cycle(cycle)
         if prof is not None:

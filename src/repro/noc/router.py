@@ -18,8 +18,9 @@ flat parallel arrays on the router — ``vc_state`` / ``vc_ready`` /
 ``vc_out_port`` / ``vc_out_vc`` / ``vc_fifos`` indexed by
 ``port * num_vcs + vc`` — not in per-VC objects.  Together with the
 ``Network.routers`` list this is a structure-of-arrays keyed by
-``(node, port, vc)``: :meth:`step` runs tight loops over plain list
-slots instead of chasing attributes through thousands of tiny objects.
+``(node, port, vc)``.  The network's router loop runs the pipeline
+over these plain list slots; :meth:`step`, :meth:`receive_flit` and
+:meth:`receive_credit` are one-item entries into its loops.
 Observers (sanitizer, telemetry sampler, tests) read and perturb those
 same arrays directly, so there is one copy of the pipeline state.
 
@@ -30,11 +31,11 @@ VA operations) that :attr:`~repro.noc.network.Network.events` folds on
 read.  Only the activity-weighted floats are summed into the network's
 accumulator lists per flit, because their value depends on the order of
 the adds.  Scheduled arrivals, credits and ejections go straight into
-the network's event rings, so a router writes only its own state and
-the network's lists.
+the network's event rings, so a router's pipeline writes only its own
+state and the network's lists.
 
 The one pipeline hook is the network's trace recorder (aliased per
-router as ``_recorder``): at a head flit's RC, VA and ST the router
+router as ``_recorder``): at a head flit's RC, VA and ST the pipeline
 probes the recorder's capture map and calls ``on_stage`` only for
 packets not mapped to ``0``.
 """
@@ -102,12 +103,9 @@ class Router:
         routing: RoutingFunction,
         num_vcs: int,
         buffer_depth: int,
-        combined_st_lt: bool,
         layer_groups: int,
         shutdown_enabled: bool,
         speculative_sa: bool = False,
-        lookahead_rc: bool = False,
-        qos_enabled: bool = False,
         vc_by_class: bool = False,
     ) -> None:
         self.node = node
@@ -115,16 +113,10 @@ class Router:
         self.routing = routing
         self.num_vcs = num_vcs
         self.buffer_depth = buffer_depth
-        self.combined_st_lt = combined_st_lt
         self.layer_groups = layer_groups
         self.shutdown_enabled = shutdown_enabled
         #: Fig. 8b: switch allocation speculatively overlaps VA.
         self.speculative_sa = speculative_sa
-        #: Fig. 8c: the route arrives with the head flit (computed one
-        #: hop upstream), so RC is off the critical path.
-        self.lookahead_rc = lookahead_rc
-        #: Priority-aware switch allocation (QoS provisioning, Sec. 3.3).
-        self.qos_enabled = qos_enabled
         #: Sec. 3.2.4 (ii): dedicate one VC to control and one to data
         #: traffic — VC 0 carries control packets, VC 1 data packets.
         self.vc_by_class = vc_by_class
@@ -161,7 +153,7 @@ class Router:
         self.vc_out_port: List[int] = [-1] * units
         self.vc_out_vc: List[int] = [-1] * units
         #: One bounded flit FIFO per input VC, front at index 0;
-        #: :meth:`receive_flit` enforces the depth.
+        #: the network's landing loop enforces the depth.
         self.vc_fifos: List[Deque[Flit]] = [deque() for _ in range(units)]
         # Output-side state. Local output has effectively infinite credits
         # (the ejection sink always accepts); model with None.
@@ -180,13 +172,6 @@ class Router:
 
         self._va = VirtualChannelAllocator(self.num_ports, num_vcs)
         self._sa = SwitchAllocator(self.num_ports, num_vcs)
-        self._hop_cycles = (
-            ST_LT_MERGED_CYCLES if combined_st_lt else ST_LT_SPLIT_CYCLES
-        )
-        #: Activity weight k/L for each effective layer count k (index
-        #: 0 unused) — the same dyadic float the legacy per-event
-        #: division produced, computed once.
-        self._w_table = [k / layer_groups for k in range(layer_groups + 1)]
         #: Histogram of switched flits by *effective* active-layer count:
         #: index ``k-1`` counts traversals that drove exactly ``k``
         #: datapath layers (k = flit.active_groups with shutdown enabled,
@@ -212,13 +197,6 @@ class Router:
         # here by TraceRecorder.attach; None (the default) costs one
         # ``is not None`` test per RC, VA grant and switch traversal.
         self._recorder = None
-        # How many input VCs sit in each non-idle pipeline state.  Kept
-        # in lockstep with the state transitions so :meth:`step` can skip
-        # whole stages that cannot match any VC (a pass over zero
-        # matching units is a no-op, so skipping it is bit-identical).
-        self._n_rc = 0
-        self._n_va = 0
-        self._n_active = 0
         # Stall attribution (repro.telemetry.attribution).  Detached —
         # the default — everything stays None and the hot path pays one
         # ``is not None`` test on stall branches only; StallAttribution
@@ -242,6 +220,7 @@ class Router:
 
     def attach(self, network: "Network") -> None:
         self._network = network
+        self._hop_cycles = network._hop_cycles
         self.routes = network.routes[self.node]
         # Pre-resolve (dst node, dst input port) per output port so the
         # traversal hot path skips the per-flit string port lookups, and
@@ -267,17 +246,15 @@ class Router:
                     link.length_mm,
                     self.port_flits[port],
                 ))
-        # The network-wide float accumulators (see Network.events).
-        self._buffer_weighted = network.buffer_weighted_sums
-        self._link_mm_weighted = network.link_mm_weighted_sums
-        self._link_mm_by_layers = network.link_mm_by_layers_sums
-        # The network's event rings (the ring lists are stable; the
-        # network swaps only the slot it delivers) and active-router set.
-        self._arr_slots = network.arrival_slots
-        self._credit_slots = network.credit_slots
-        self._ej_slots = network.ejection_slots
-        self._wake_add = network._active_routers.add
-        self._upstream = network._credit_targets[self.node]
+        #: The credit-return entry ``(upstream node, upstream output
+        #: port, vc)`` per input unit, appended to the credit ring as is
+        #: when a flit leaves that unit; ``None`` on the local port.
+        self._credit_returns: List[Optional[Tuple[int, int, int]]] = []
+        for upstream in network._credit_targets[self.node]:
+            for vc in range(self.num_vcs):
+                self._credit_returns.append(
+                    None if upstream is None else (*upstream, vc)
+                )
 
     # -- helpers -----------------------------------------------------------
 
@@ -337,7 +314,7 @@ class Router:
         holds no pending RC/VA/SA work, so an empty active set means
         every VC is either ``_IDLE`` or waiting on an upstream flit —
         the network's active-set scheduler deactivates the router then
-        and :meth:`receive_flit` wakes it again."""
+        and the next flit landed here wakes it again."""
         return not self._active
 
     def occupancy(self) -> int:
@@ -347,58 +324,15 @@ class Router:
     # -- flit reception ----------------------------------------------------
 
     def receive_flit(self, port: int, vc: int, flit: Flit, cycle: int) -> None:
-        """Write an arriving flit into its input VC buffer."""
-        i = port * self.num_vcs + vc
-        fifo = self.vc_fifos[i]
-        if len(fifo) >= self.buffer_depth:
-            raise OverflowError(
-                "buffer overflow: credit-based flow control should make this "
-                "impossible"
-            )
-        fifo.append(flit)
-        # Effective active-layer count: with shutdown disabled every
-        # layer switches regardless of payload.  k/layer_groups is the
-        # activity weight (exactly 1.0 when k == layer_groups).
-        k = flit.active_groups if self.shutdown_enabled else self.layer_groups
-        self._buffer_weighted[0] += self._w_table[k]
-        self.writes_by_layers[k - 1] += 1
-        if self.vc_state[i] == _IDLE:
-            if not flit.is_head:
-                raise RuntimeError(
-                    f"router {self.node}: body flit arrived on idle VC "
-                    f"({port},{vc}); wormhole ordering violated"
-                )
-            if self.lookahead_rc and flit.lookahead_port is not None:
-                port_idx = flit.lookahead_port
-                if port_idx != self.routes[flit.packet.dst]:
-                    # The table was rebuilt while the flit was in flight
-                    # (a link died): the precomputed route is stale, so
-                    # recompute in RC.
-                    self.vc_state[i] = _RC
-                    self._n_rc += 1
-                else:
-                    # The route travelled with the flit: skip to VA.
-                    self.vc_out_port[i] = port_idx
-                    self.vc_state[i] = _VA
-                    self._n_va += 1
-            else:
-                self.vc_state[i] = _RC
-                self._n_rc += 1
-            self.vc_ready[i] = cycle
-        self._active.add(i)
-        # Wakeup protocol: every flit reception (re-)activates this
-        # router with the network's scheduler.
-        self._wake_add(self.node)
+        """Write an arriving flit into its input VC buffer: the network's
+        landing loop (:meth:`~repro.noc.network.Network._land_flits`)
+        over this one flit."""
+        self._network._land_flits(((self.node, port, vc, flit),), cycle)
 
     def receive_credit(self, port: int, vc: int) -> None:
-        credits = self.credits[port]
-        if credits is None:
-            raise RuntimeError(f"credit for local/unconnected port {port}")
-        credits[vc] += 1
-        if credits[vc] > self.buffer_depth:
-            raise RuntimeError(
-                f"router {self.node}: credit overflow on port {port} vc {vc}"
-            )
+        """Return one credit to output VC *vc* of *port*, through the
+        network's credit loop."""
+        self._network._land_credits(((self.node, port, vc),))
 
     # -- stall attribution -------------------------------------------------
 
@@ -406,7 +340,7 @@ class Router:
         """Charge one stalled cycle on flat unit *i* to *cause*.
 
         Called only with attribution attached, and only from the failure
-        branches of :meth:`step`: a unit whose head flit advanced this
+        branches of the router loop: a unit whose head flit advanced this
         cycle is never charged, and a unit with a drained FIFO holds no
         head flit that could stall, so it is skipped.  Counter writes
         only — attribution never perturbs pipeline state, so enabled
@@ -433,161 +367,10 @@ class Router:
     # -- pipeline ----------------------------------------------------------
 
     def step(self, cycle: int) -> None:
-        active = self._active
-        if not active:
-            return
-        if len(active) == 1:
-            # Dominant case (one VC streaming): dispatch on its state
-            # directly, skipping the sort and the three stage scans.
-            # Stage behaviour, arbiter pointer updates, and counter
-            # maintenance are identical to the general path below.
-            (i,) = active
-            if self.vc_ready[i] > cycle:
-                if self._attrib is not None:
-                    self._charge_stall(
-                        i,
-                        STALL_SERIALIZATION
-                        if self.vc_state[i] == _ACTIVE
-                        else STALL_RC_WAIT,
-                    )
-                return
-            state = self.vc_state[i]
-            if state == _RC:
-                self._route(i, cycle)
-                return
-            if state == _VA:
-                if not self._va_stage((i,), cycle) or not self.speculative_sa:
-                    return
-                # Speculative SA (Fig. 8b): the freshly granted VC bids
-                # for the crossbar in the same cycle.  A failed bid is a
-                # credit stall: the VA grant landed but downstream is
-                # full.
-            out_port = self.vc_out_port[i]
-            credits = self.credits[out_port]
-            if credits is None or credits[self.vc_out_vc[i]] > 0:
-                self._sa_win(i, i // self.num_vcs, cycle)
-            elif self._attrib is not None:
-                self._charge_credit_stall(i, out_port)
-            return
-        order = sorted(active)
-        vc_state = self.vc_state
-        vc_ready = self.vc_ready
-        vc_out_port = self.vc_out_port
-        vc_out_vc = self.vc_out_vc
-        vc_fifos = self.vc_fifos
-        num_vcs = self.num_vcs
-        attrib = self._attrib
-        if attrib is not None:
-            # Attribution pre-pass: units stamped ready in the future
-            # are in pipeline transit and the stage scans below never
-            # visit them, so their stalled cycle is charged here — to
-            # their own wormhole cadence when streaming (_ACTIVE), to
-            # rc_wait while a head works toward VA readiness.
-            for i in order:
-                if vc_ready[i] > cycle:
-                    self._charge_stall(
-                        i,
-                        STALL_SERIALIZATION
-                        if vc_state[i] == _ACTIVE
-                        else STALL_RC_WAIT,
-                    )
-
-        # --- RC stage --- (skipped when no VC is in the RC state; an
-        # empty pass is a no-op, so the skip is bit-identical)
-        if self._n_rc:
-            for i in order:
-                if vc_state[i] == _RC and vc_ready[i] <= cycle:
-                    self._route(i, cycle)
-
-        # --- VA stage ---
-        if self._n_va:
-            va_units = [
-                i
-                for i in order
-                if vc_state[i] == _VA and vc_ready[i] <= cycle
-            ]
-            if va_units:
-                self._va_stage(va_units, cycle)
-
-        # --- SA + ST stage ---
-        if self._n_active:
-            credits_by_port = self.credits
-            sa_units: List[int] = []
-            for i in order:
-                if (
-                    vc_state[i] == _ACTIVE
-                    and vc_ready[i] <= cycle
-                    and vc_fifos[i]  # non-empty; hot-path inline
-                ):
-                    credits = credits_by_port[vc_out_port[i]]
-                    if credits is None or credits[vc_out_vc[i]] > 0:
-                        sa_units.append(i)
-                    elif attrib is not None:
-                        self._charge_credit_stall(i, vc_out_port[i])
-            n_sa = len(sa_units)
-            if n_sa == 1:
-                i = sa_units[0]
-                self._sa_win(i, i // num_vcs, cycle)
-            elif n_sa:
-                self._sa_stage(sa_units, cycle)
-
-        # No end-of-step prune: a VC leaves ``_active`` the moment its
-        # last buffered flit is popped (in ``_traverse_flat``), so every
-        # unit in the set has a non-empty FIFO at step entry — the same
-        # membership the legacy end-of-cycle prune produced.
-
-    def _route(self, i: int, cycle: int) -> None:
-        """RC stage for flat unit *i*: pick the head flit's output port
-        and move the unit on to VA."""
-        fifo = self.vc_fifos[i]
-        if not fifo:
-            return
-        flit = fifo[0]
-        out = self.routes[flit.packet.dst]
-        if out < 0:
-            out = self._drop_route(flit)
-        self.vc_out_port[i] = out
-        self.vc_state[i] = _VA
-        self.vc_ready[i] = cycle + 1
-        self._n_rc -= 1
-        self._n_va += 1
-        self.rc_computations += 1
-        # Trace hook.  The recorder's capture map is probed here, so a
-        # sampled-out pid (mapped to 0) costs a dict probe and no call;
-        # an unseen pid calls through, which admits it.
-        rec = self._recorder
-        if rec is not None and rec.decisions.get(flit.packet.pid, 1):
-            rec.on_stage(cycle, self.node, flit, "rc")
-
-    def _sa_win(self, i: int, in_port: int, cycle: int) -> None:
-        """Grant flat unit *i* the crossbar as the sole contender of its
-        SA1 and SA2 arbitrations and traverse it.
-
-        A round-robin pointer moves just past whoever it grants, so both
-        updates are rotations — the state :class:`SwitchAllocator` would
-        leave behind.
-        """
-        sa = self._sa
-        sa.sa1[in_port] = (i + 1) % self.num_vcs
-        sa.sa2[self.vc_out_port[i]] = (in_port + 1) % self.num_ports
-        self._traverse_flat(i, in_port, cycle)
-
-    def _sa_stage(self, sa_units: List[int], cycle: int) -> None:
-        """Contended switch allocation: traverse the allocator's grants
-        in its order and charge every loser one ``sa_loss`` stall."""
-        priority = None
-        if self.qos_enabled:
-            vc_fifos = self.vc_fifos
-            priority = {i: vc_fifos[i][0].packet.priority for i in sa_units}
-        granted = self._sa.allocate(sa_units, self.vc_out_port, priority)
-        num_vcs = self.num_vcs
-        for i in granted:
-            self._traverse_flat(i, i // num_vcs, cycle)
-        if self._attrib is not None and len(granted) < len(sa_units):
-            won = set(granted)
-            for i in sa_units:
-                if i not in won:
-                    self._charge_stall(i, STALL_SA_LOSS)
+        """Run this router's pipeline for *cycle*: the network's router
+        loop (:meth:`~repro.noc.network.Network._step_nodes`) over this
+        one node."""
+        self._network._step_nodes((self.node,), cycle)
 
     def _allowed_vcs(self, i: int) -> Optional[Tuple[int, ...]]:
         """Output-VC restriction for the head flit of flat unit *i*."""
@@ -633,8 +416,6 @@ class Router:
                 if fifo and rec.decisions.get(fifo[0].packet.pid, 1):
                     rec.on_stage(cycle, self.node, fifo[0], "va")
         granted = len(grants)
-        self._n_va -= granted
-        self._n_active += granted
         self.va_allocations += granted
         if self._attrib is not None and granted < len(va_units):
             won = set(grants.values())
@@ -642,80 +423,3 @@ class Router:
                 if i not in won:
                     self._charge_stall(i, STALL_VA_CONFLICT)
         return granted > 0
-
-    def _traverse_flat(self, i: int, in_port: int, cycle: int) -> None:
-        """Move one flit through the crossbar and onto its output."""
-        fifo = self.vc_fifos[i]
-        flit = fifo.popleft()
-        if not fifo:
-            # Drained: deactivate now (replaces the end-of-step prune).
-            self._active.discard(i)
-        # Effective active-layer count (see receive_flit); k/layer_groups
-        # is the legacy activity weight, inlined for the hot path.
-        k = flit.active_groups if self.shutdown_enabled else self.layer_groups
-        weight = self._w_table[k]
-        # One buffer read + SA grant + crossbar traversal + flit-hop.
-        self._buffer_weighted[1] += weight
-        self.flits_switched_by_layers[k - 1] += 1
-        if flit.active_groups == 1:
-            self.short_flit_hops += 1
-        rec = self._recorder
-        if (
-            rec is not None
-            and flit.is_head
-            and rec.decisions.get(flit.packet.pid, 1)
-        ):
-            rec.on_stage(cycle, self.node, flit, "st")
-
-        out_port = self.vc_out_port[i]
-        out_vc = self.vc_out_vc[i]
-        credits = self.credits[out_port]
-        if credits is not None:
-            credits[out_vc] -= 1
-            if credits[out_vc] < 0:
-                raise RuntimeError(
-                    f"router {self.node}: negative credit on port {out_port}"
-                )
-        if in_port != self.local_port:
-            # Credit return, one cycle upstream-bound.
-            upstream = self._upstream[in_port]
-            self._credit_slots[(cycle + 1) % EVENT_RING_SLOTS].append(
-                (upstream[0], upstream[1], i - in_port * self.num_vcs)
-            )
-
-        if out_port == self.local_port:
-            # Ejection: one ST cycle, no link traversal.
-            self._ej_slots[(cycle + 1) % EVENT_RING_SLOTS].append(flit)
-        else:
-            if flit.is_head:
-                flit.packet.hops += 1
-                if self.lookahead_rc:
-                    # NRC: look up the route for the *next* router while
-                    # the flit crosses the switch (off the critical path).
-                    self._look_ahead(flit, self._next_routes[out_port])
-            kind, length_mm, port_flits = self._link_args[out_port]
-            port_flits[k - 1] += 1
-            self._link_mm_weighted[kind] += length_mm * weight
-            self._link_mm_by_layers[k] += length_mm
-            dst, dst_port = self._arrival_targets[out_port]
-            slot = (cycle + self._hop_cycles) % EVENT_RING_SLOTS
-            self._arr_slots[slot].append((dst, dst_port, out_vc, flit))
-
-        if flit.is_tail:
-            self.out_owner[out_port][out_vc] = None
-            self.vc_out_port[i] = -1
-            self.vc_out_vc[i] = -1
-            self._n_active -= 1
-            if not fifo:
-                self.vc_state[i] = _IDLE
-            else:
-                nxt = fifo[0]
-                if not nxt.is_head:
-                    raise RuntimeError(
-                        f"router {self.node}: non-head flit follows tail in VC"
-                    )
-                self.vc_state[i] = _RC
-                self.vc_ready[i] = cycle + 1
-                self._n_rc += 1
-        else:
-            self.vc_ready[i] = cycle + 1

@@ -23,9 +23,8 @@ trusting any counter the audited code updates itself:
   a head flit, active VCs own exactly the output VC the owner table says
   they do (and vice versa: tails release ownership exactly once), flits
   within one buffer form legal head..tail wormhole runs, and the
-  router's pipeline-stage population counters and active sets agree with
-  the actual VC states (a buffered flit outside the active set would be
-  stranded forever).
+  router's active sets agree with the actual VC states (a buffered flit
+  outside the active set would be stranded forever).
 * **layer-mask integrity** — every in-network flit drives a legal
   number of datapath layers (``1 <= active_groups <= layer_groups``; the
   layers it drives are the contiguous bottom-up word groups, so the
@@ -406,7 +405,6 @@ class NetworkSanitizer:
             # Expected owners derived from the input side, to reconcile
             # against the output-side ownership table.
             owned: Dict[Tuple[int, int], Tuple[int, int]] = {}
-            state_counts = {_RC: 0, _VA: 0, _ACTIVE: 0}
 
             for i, state in enumerate(router.vc_state):
                 self.vcs_checked += 1
@@ -427,9 +425,7 @@ class NetworkSanitizer:
                         f"buffer holds {len(flits)} flits "
                         f"(depth {router.buffer_depth})"
                     )
-                if state in state_counts:
-                    state_counts[state] += 1
-                elif state != _IDLE:
+                if state not in VC_STATE_NAMES:
                     raise err(f"unknown VC state {state!r}")
                 if state == _IDLE:
                     if flits:
@@ -489,21 +485,6 @@ class NetworkSanitizer:
                     "router has active VCs but is missing from the "
                     "network's active-router set (scheduler would "
                     "never step it)",
-                    cycle, node=node,
-                )
-
-            if (
-                router._n_rc != state_counts[_RC]
-                or router._n_va != state_counts[_VA]
-                or router._n_active != state_counts[_ACTIVE]
-            ):
-                raise SanityError(
-                    "vc-state",
-                    "pipeline-stage population counters drifted: counted "
-                    f"rc={state_counts[_RC]} va={state_counts[_VA]} "
-                    f"active={state_counts[_ACTIVE]}, recorded "
-                    f"rc={router._n_rc} va={router._n_va} "
-                    f"active={router._n_active}",
                     cycle, node=node,
                 )
 

@@ -108,6 +108,32 @@ def test_short_flits_outside_unit_interval_is_a_usage_error(
     assert "--short-flits" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, option, value, needs", [
+    ("simulate", "--trace-sample-rate", "2", ["--trace-out", "trace.json"]),
+    ("simulate", "--metrics-interval", "0", ["--metrics-out", "m.jsonl"]),
+    ("simulate", "--sanitize-interval", "0", ["--sanitize"]),
+    ("simulate", "--inject-faults", "-1", []),
+    ("simulate", "--variation-sigma", "-1", []),
+    ("diagnose", "--interval", "0", []),
+    ("diagnose", "--sample-rate", "2", []),
+    ("diagnose", "--head-tail", "-1", []),
+    ("diagnose", "--top", "0", []),
+])
+def test_out_of_range_option_is_a_usage_error(
+    command, option, value, needs, tmp_path, capsys
+):
+    needs = [str(tmp_path / arg) if "." in arg else arg for arg in needs]
+    with pytest.raises(SystemExit) as exc:
+        main([
+            command, "--arch", "2DB", "--rate", "0.05", option, value,
+            *needs,
+        ])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert option in err
+
+
 def test_trace_command(tmp_path, capsys):
     output = tmp_path / "trace.txt"
     assert main([

@@ -63,7 +63,6 @@ def _bid(router, requests):
         router.vc_out_port[i] = out_port
         router.vc_out_vc[i] = out_vc
         router.out_owner[out_port][out_vc] = (in_port, in_vc)
-        router._n_active += 1
         router._active.add(i)
         units.append(i)
         unit_of[id(flit)] = i

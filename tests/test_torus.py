@@ -143,22 +143,20 @@ class TestDateline:
         # (4,0) -E wrap-> (0,0) -E-> (1,0): crosses the dateline mid-path.
         src, dst = torus.node_at((4, 0)), torus.node_at((1, 0))
         packet = ctrl_packet(src, dst, created_cycle=0)
+        network.enqueue_packet(packet)
+        # The VC a router claims on an output channel is the VC of the
+        # flit's arrival-ring entry (node, port, vc, flit) downstream.
         vc_claims = {}
-
-        original = network.routers[0].__class__._traverse_flat
-
-        def spy(router, i, in_port, cycle):
-            fifo = router.vc_fifos[i]
-            flit = fifo[0] if fifo else None
-            if flit is not None and flit.packet is packet:
-                vc_claims[router.node] = router.vc_out_vc[i]
-            return original(router, i, in_port, cycle)
-
-        for router in network.routers:
-            router._traverse_flat = spy.__get__(router)
-        sim = Simulator(network, ScheduledTraffic([packet]), warmup_cycles=0,
-                        measure_cycles=200, drain_cycles=1000)
-        sim.run()
+        for _ in range(200):
+            network.step()
+            for slot in network.arrival_slots:
+                for node, port, vc, flit in slot:
+                    if flit.packet is packet and flit.is_head:
+                        port_name = network.routers[node].port_names[port]
+                        upstream = torus.in_ports[node][port_name].src
+                        vc_claims[upstream] = vc
+            if packet.delivered_cycle is not None:
+                break
         assert vc_claims[torus.node_at((4, 0))] == 0  # the wrap channel
         assert vc_claims[torus.node_at((0, 0))] == 1  # post-dateline
 
