@@ -124,21 +124,23 @@ def _non_negative_int(text: str) -> int:
     return _number(text, int, lambda v: v >= 0, "an integer >= 0")
 
 
-def _parse_channel(text: str) -> tuple:
-    """``"SRC:DST"`` -> (src, dst)."""
+def _channel(text: str) -> tuple:
+    """argparse type: ``"SRC:DST"`` -> (src, dst)."""
     try:
         src, dst = (int(part) for part in text.split(":"))
     except ValueError:
-        raise SystemExit(f"expected SRC:DST, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected SRC:DST, got {text!r}")
     return src, dst
 
 
-def _parse_stuck_vc(text: str) -> tuple:
-    """``"NODE:PORT:VC"`` -> (node, port, vc)."""
+def _stuck_vc(text: str) -> tuple:
+    """argparse type: ``"NODE:PORT:VC"`` -> (node, port, vc)."""
     try:
         node, port, vc = (int(part) for part in text.split(":"))
     except ValueError:
-        raise SystemExit(f"expected NODE:PORT:VC, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected NODE:PORT:VC, got {text!r}"
+        )
     return node, port, vc
 
 
@@ -155,11 +157,9 @@ def _point_spec(args: argparse.Namespace, config):
         short_flit_fraction=args.short_flits,
         shutdown_enabled=args.short_flits > 0,
         fault_links=tuple(
-            (cycle, *_parse_channel(t)) for t in args.fail_link or ()
+            (cycle, *channel) for channel in args.fail_link or ()
         ),
-        fault_vcs=tuple(
-            (cycle, *_parse_stuck_vc(t)) for t in args.stick_vc or ()
-        ),
+        fault_vcs=tuple((cycle, *unit) for unit in args.stick_vc or ()),
         fault_random_links=args.inject_faults,
         fault_seed=args.fault_seed,
         fault_cycle=cycle,
@@ -187,6 +187,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             arch_config=config,
         )
     spec = _point_spec(args, config)
+    faults = fault_plan_for_spec(spec)
+    if faults is not None:
+        # A fault the network cannot take is a usage error before cycle 0.
+        try:
+            faults.check(config.build_topology(), config.vcs)
+        except ValueError as err:
+            args.usage_error(f"argument --fail-link/--stick-vc: {err}")
     variation = variation_sample_for_spec(spec)
     run = run_uniform_point if spec.kind == "uniform" else run_nuca_point
     point = run(
@@ -197,7 +204,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         sanitize=args.sanitize,
         sanitize_interval=args.sanitize_interval,
         telemetry=telemetry,
-        faults=fault_plan_for_spec(spec),
+        faults=faults,
         variation=variation,
     )
     print(f"architecture      : {point.arch}")
@@ -733,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="RNG seed for the random link sample (default 0)",
     )
     sim.add_argument(
-        "--fault-cycle", type=int, default=0, metavar="C",
+        "--fault-cycle", type=_non_negative_int, default=0, metavar="C",
         help="cycle the injected faults apply at (default 0)",
     )
     sim.add_argument(
@@ -742,11 +749,12 @@ def build_parser() -> argparse.ArgumentParser:
         "routing-level fence, committed wormholes finish (default hard)",
     )
     sim.add_argument(
-        "--fail-link", action="append", metavar="SRC:DST",
+        "--fail-link", action="append", type=_channel, metavar="SRC:DST",
         help="kill this directed channel (repeatable)",
     )
     sim.add_argument(
-        "--stick-vc", action="append", metavar="NODE:PORT:VC",
+        "--stick-vc", action="append", type=_stuck_vc,
+        metavar="NODE:PORT:VC",
         help="freeze this input VC at --fault-cycle (repeatable)",
     )
     sim.add_argument(
@@ -758,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--variation-seed", type=int, default=0, metavar="S",
         help="variation sample seed (default 0)",
     )
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=cmd_simulate, usage_error=sim.error)
 
     cmp_ = sub.add_parser("compare", help="compare all six configurations")
     cmp_.add_argument("--rate", type=_positive_float, default=0.2)

@@ -10,7 +10,12 @@ warm-up/measurement/drain orchestration and power integration on top.
 It also runs the router pipeline: one router loop
 (:meth:`Network._step_nodes`) and one landing loop each for flits and
 credits, so a flit-hop costs no Python call of its own; only contended
-VC and switch allocation call out, to :mod:`repro.noc.allocator`.
+VC and switch allocation call out, to :mod:`repro.noc.allocator`.  The
+loop visits each busy unit once per cycle and the event rings delay
+each arrival by the hop time, which is the whole of the stage timing.
+
+The network is the one owner of its settings and observers: routers
+hold their node's pipeline state and read the rest from here.
 """
 
 from __future__ import annotations
@@ -110,14 +115,30 @@ class Network:
         self.combined_st_lt = combined_st_lt
         self.layer_groups = layer_groups
         self.shutdown_enabled = shutdown_enabled
+        #: Fig. 8b: switch allocation speculatively overlaps VA.
         self.speculative_sa = speculative_sa
         #: Fig. 8c: the route arrives with the head flit (computed one
         #: hop upstream), so RC is off the critical path.
         self.lookahead_rc = lookahead_rc
         #: Priority-aware switch allocation (QoS provisioning, Sec. 3.3).
         self.qos_enabled = qos_enabled
+        #: Sec. 3.2.4 (ii): dedicate one VC to control and one to data
+        #: traffic — VC 0 carries control packets, VC 1 data packets.
         self.vc_by_class = vc_by_class
-        self.routing = routing or routing_for_topology(topology)
+        self.routing = routing = routing or routing_for_topology(topology)
+        if vc_by_class and num_vcs < 2:
+            raise ValueError("vc_by_class needs at least 2 virtual channels")
+        if vc_by_class and routing.has_vc_discipline:
+            raise ValueError(
+                "vc_by_class cannot be combined with a routing VC discipline"
+            )
+        if buffer_depth < 1:
+            raise ValueError(f"buffer depth must be >= 1, got {buffer_depth}")
+        if num_vcs < routing.required_vcs:
+            raise ValueError(
+                f"routing function needs >= {routing.required_vcs} virtual "
+                f"channels, got {num_vcs}"
+            )
         self._events = EventCounts()
         #: Link kind names, sorted; the index is the routers' link-kind id.
         self.link_kinds: List[str] = sorted(
@@ -141,26 +162,12 @@ class Network:
         )
         self.stats = NetworkStats()
 
-        self.routers: List[Router] = [
-            Router(
-                node=node,
-                topology=topology,
-                routing=self.routing,
-                num_vcs=num_vcs,
-                buffer_depth=buffer_depth,
-                layer_groups=layer_groups,
-                shutdown_enabled=shutdown_enabled,
-                speculative_sa=speculative_sa,
-                vc_by_class=vc_by_class,
-            )
-            for node in topology.iter_nodes()
-        ]
-
         #: One next-port row per router (``routes[node][dst]``), proved
         #: deadlock-free; :meth:`reroute` rebuilds it in place.
-        self.routes = build_route_table(
-            topology, self.routing, num_vcs=num_vcs
-        )
+        self.routes = build_route_table(topology, routing, num_vcs=num_vcs)
+        self.routers: List[Router] = [
+            Router(node, self) for node in topology.iter_nodes()
+        ]
 
         # Upstream (src node, src out-port) feeding each (node, in-port),
         # resolved once so per-flit credit returns skip the string-keyed
@@ -196,10 +203,9 @@ class Network:
         #: through :meth:`_land_flits`, which wakes them here).
         self._active_routers: Set[int] = set()
 
-        # Attach after the rings / credit targets / active set exist:
-        # routers alias them directly (hot-path appends).
+        # Attach after every router and the credit targets exist.
         for router in self.routers:
-            router.attach(self)
+            router.attach()
         #: (the router's ``port_flits`` row, link kind, channel) per link,
         #: sorted by channel — what :attr:`events` folds.
         self._link_tallies = sorted(
@@ -229,8 +235,9 @@ class Network:
         self.delivery_callbacks: List[DeliveryCallback] = []
         #: Opt-in lifecycle trace recorder
         #: (:class:`repro.telemetry.recorder.TraceRecorder`, registered
-        #: via its ``attach``); ``None`` (the default) costs the routers
-        #: one ``is not None`` test per RC, VA grant and switch traversal.
+        #: via its ``attach``); ``None`` (the default) costs the router
+        #: loop one ``is not None`` test per RC, VA grant and switch
+        #: traversal.
         self.recorder = None
         #: Opt-in windowed metrics/trace sampler (a
         #: :class:`~repro.telemetry.NetworkTelemetry` registers itself
@@ -240,7 +247,7 @@ class Network:
         #: Opt-in stall-cause accounting
         #: (:class:`repro.telemetry.attribution.StallAttribution`);
         #: ``None`` (the default) costs one ``is not None`` test on the
-        #: routers' stall branches only — nothing per cycle.
+        #: router loop's stall branches only — nothing per cycle.
         self.attribution = None
         #: Opt-in runtime fault injector
         #: (:class:`repro.resilience.faults.FaultInjector`, registered
@@ -405,17 +412,18 @@ class Network:
                     if not src.packets:
                         done_sources.append(node)
         if landed:
-            self._land_flits(landed, cycle)
+            self._land_flits(landed)
         for node in done_sources:
             src = self._sources[node]
             if src.idle:
                 self._busy_sources.discard(node)
 
-    def _land_flits(self, arrivals, cycle: int) -> None:
+    def _land_flits(self, arrivals) -> None:
         """Write each arriving ``(node, port, vc, flit)`` into its input
         VC buffer and wake its router.  A head flit on an idle VC starts
-        the VC's pipeline: at RC, or at VA when look-ahead RC brought a
-        route that is still current."""
+        the VC's pipeline, which takes its first step when the router
+        next steps: RC, or VA when look-ahead RC brought a route that is
+        still current."""
         routers = self.routers
         num_vcs = self.num_vcs
         depth = self.buffer_depth
@@ -457,7 +465,6 @@ class Network:
                     # No look-ahead route, or a stale one (the table was
                     # rebuilt while the flit was in flight): RC.
                     vc_state[i] = _RC
-                r.vc_ready[i] = cycle
             r._active.add(i)
             wake(node)
 
@@ -483,7 +490,7 @@ class Network:
         arrivals = self.arrival_slots[slot]
         self.arrival_slots[slot] = []
         if arrivals:
-            self._land_flits(arrivals, cycle)
+            self._land_flits(arrivals)
 
         credits = self.credit_slots[slot]
         self.credit_slots[slot] = []
@@ -540,11 +547,16 @@ class Network:
         in that order, for *cycle*; a router left with no buffered work
         leaves the active set.
 
-        One pass over a router's units (ascending) routes each RC-ready
-        head inline and collects the VA requesters and the SA bidders.
-        Then VA runs (``Router._va_stage``; under speculative SA its
-        fresh grants join the bidders), then SA, and every granted flit
-        crosses the switch inline, in grant order.  With stall
+        The loop visits each busy unit once, and a unit makes at most
+        one transition per visit, so a transition made in *cycle* takes
+        effect at the unit's next visit; that, and the ring delays, is
+        the whole of the stage timing.  One pass over a router's units
+        (ascending) routes each head at RC inline and collects the VA
+        requesters and the SA bidders.  Then VA runs
+        (``Router._va_stage``; under speculative SA its fresh grants join
+        the bidders in the same cycle), then SA, and every granted flit
+        crosses the switch inline, in grant order.  Units a stuck-VC
+        fault holds (``Router.stuck``) are skipped.  With stall
         attribution attached, each unit that does not advance is charged
         one cause where it fails.
         """
@@ -579,7 +591,7 @@ class Network:
             else:
                 order = sorted(active)
             vc_state = r.vc_state
-            vc_ready = r.vc_ready
+            stuck = r.stuck
             vc_out_port = r.vc_out_port
             vc_out_vc = r.vc_out_vc
             vc_fifos = r.vc_fifos
@@ -587,10 +599,11 @@ class Network:
             va_units = []
             bidders = []
             for i in order:
-                if vc_ready[i] > cycle:
+                if i in stuck:
+                    # A stuck-VC fault holds this unit: it never advances.
                     if attrib is not None:
-                        r._charge_stall(
-                            i,
+                        attrib.charge(
+                            r, i,
                             STALL_SERIALIZATION
                             if vc_state[i] == _ACTIVE
                             else STALL_RC_WAIT,
@@ -604,7 +617,7 @@ class Network:
                         if credits is None or credits[vc_out_vc[i]] > 0:
                             bidders.append(i)
                         elif attrib is not None:
-                            r._charge_credit_stall(i, out)
+                            attrib.charge_credit(r, i, out)
                 elif state == _VA:
                     va_units.append(i)
                 elif state == _RC and vc_fifos[i]:
@@ -615,7 +628,6 @@ class Network:
                         out = r._drop_route(flit)
                     vc_out_port[i] = out
                     vc_state[i] = _VA
-                    vc_ready[i] = cycle + 1
                     r.rc_computations += 1
                     # A sampled-out pid (mapped to 0) costs a dict probe
                     # and no call; an unseen pid calls through, which
@@ -637,7 +649,7 @@ class Network:
                             bidders.append(i)
                             joined = True
                         elif attrib is not None:
-                            r._charge_credit_stall(i, out)
+                            attrib.charge_credit(r, i, out)
                 if joined:
                     bidders.sort()
 
@@ -729,14 +741,11 @@ class Network:
                                 "tail in VC"
                             )
                         vc_state[i] = _RC
-                        vc_ready[i] = cycle + 1
-                else:
-                    vc_ready[i] = cycle + 1
             if attrib is not None and len(granted) < len(bidders):
                 won = set(granted)
                 for i in bidders:
                     if i not in won:
-                        r._charge_stall(i, STALL_SA_LOSS)
+                        attrib.charge(r, i, STALL_SA_LOSS)
             if not active:
                 sleep(node)
 
@@ -760,9 +769,7 @@ class Network:
             t1 = clock()
         self._inject(cycle)
         if fi is not None:
-            # Apply scheduled fault events due this cycle and re-freeze
-            # stuck VCs after arrivals/injections landed (landing
-            # re-stamps vc_ready), before routers step.
+            # Apply the fault events due this cycle before routers step.
             fi.on_cycle(cycle)
         if prof is not None:
             t2 = clock()

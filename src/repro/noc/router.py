@@ -6,23 +6,27 @@ traversal (ST) — followed by link traversal (LT).  Head flits walk all
 stages; body/tail flits inherit the route and VC and only arbitrate for
 the switch, which is wormhole flow control.
 
-Stage timing is enforced with per-VC ``ready_cycle`` stamps: a VC performs
-at most one pipeline action per cycle.  With a switch-allocation grant at
-cycle ``c`` the flit reaches the next router's input buffer ready for RC
-at ``c + 2`` when ST and LT are merged (the 3DM/3DM-E single-stage
-traversal of Fig. 8d) or ``c + 3`` otherwise, which yields the paper's
+Stage timing is the network's router loop, which visits each busy unit
+once per cycle: a VC makes at most one pipeline transition per visit,
+and a transition made in cycle ``c`` takes effect at the next visit.
+With a switch-allocation grant at cycle ``c`` the flit lands in the next
+router's input buffer, ready for RC, at ``c + 2`` when ST and LT are
+merged (the 3DM/3DM-E single-stage traversal of Fig. 8d) or ``c + 3``
+otherwise (the network's arrival-ring delay), which yields the paper's
 4-cycle vs 5-cycle per-hop latency.
 
-Hot-path layout (the event-driven engine): per-VC pipeline state lives in
-flat parallel arrays on the router — ``vc_state`` / ``vc_ready`` /
+A :class:`Router` holds its node's pipeline state and nothing else: the
+per-VC state lives in flat parallel lists — ``vc_state`` /
 ``vc_out_port`` / ``vc_out_vc`` / ``vc_fifos`` indexed by
 ``port * num_vcs + vc`` — not in per-VC objects.  Together with the
 ``Network.routers`` list this is a structure-of-arrays keyed by
-``(node, port, vc)``.  The network's router loop runs the pipeline
-over these plain list slots; :meth:`step`, :meth:`receive_flit` and
-:meth:`receive_credit` are one-item entries into its loops.
-Observers (sanitizer, telemetry sampler, tests) read and perturb those
-same arrays directly, so there is one copy of the pipeline state.
+``(node, port, vc)``.  The network's settings (routing, buffer depth,
+pipeline options) and observers are read from the network, never copied
+here.  The network's router loop runs the pipeline over these plain list
+slots; :meth:`step`, :meth:`receive_flit` and :meth:`receive_credit` are
+one-item entries into its loops.  Observers (sanitizer, telemetry
+sampler, tests) read and perturb those same lists directly, so there is
+one copy of the pipeline state.
 
 Per-flit activity is tallied the same way: plain per-router ``int``
 fields and lists (switched flits and buffer writes by active-layer
@@ -34,8 +38,8 @@ the adds.  Scheduled arrivals, credits and ejections go straight into
 the network's event rings, so a router's pipeline writes only its own
 state and the network's lists.
 
-The one pipeline hook is the network's trace recorder (aliased per
-router as ``_recorder``): at a head flit's RC, VA and ST the pipeline
+The one pipeline hook is the network's trace recorder
+(``network.recorder``): at a head flit's RC, VA and ST the pipeline
 probes the recorder's capture map and calls ``on_stage`` only for
 packets not mapped to ``0``.
 """
@@ -47,8 +51,7 @@ from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.noc.allocator import SwitchAllocator, VirtualChannelAllocator
 from repro.noc.packet import Flit, PacketClass
-from repro.noc.routing import RoutingFunction
-from repro.topology.base import LOCAL_PORT, LinkSpec, Topology
+from repro.topology.base import LOCAL_PORT, LinkSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.network import Network
@@ -77,12 +80,14 @@ if not 1 <= ST_LT_MERGED_CYCLES <= ST_LT_SPLIT_CYCLES < EVENT_RING_SLOTS:
 # Stall-attribution cause codes: every cycle a buffered head flit fails
 # to advance is charged to exactly one of these.  The counters live in
 # repro.telemetry.attribution.StallAttribution; the codes are defined
-# here so the hot path never imports the telemetry package.
-STALL_RC_WAIT = 0        # pipeline transit toward RC/VA readiness
+# here so the hot path never imports the telemetry package.  A healthy
+# pipeline never charges rc_wait or serialization: only a unit held by a
+# stuck-VC fault (repro.resilience.faults) is charged them.
+STALL_RC_WAIT = 0        # held by a stuck-VC fault before its VC grant
 STALL_VA_CONFLICT = 1    # requested an output VC, none granted
 STALL_SA_LOSS = 2        # bid for the crossbar, lost switch allocation
 STALL_CREDIT = 3         # output VC held but downstream buffer is full
-STALL_SERIALIZATION = 4  # own wormhole cadence (one flit per cycle)
+STALL_SERIALIZATION = 4  # held by a stuck-VC fault after its VC grant
 NUM_STALL_CAUSES = 5
 STALL_CAUSE_NAMES = (
     "rc_wait", "va_conflict", "sa_loss", "credit_stall", "serialization"
@@ -96,48 +101,12 @@ class Router:
     instantiated directly.
     """
 
-    def __init__(
-        self,
-        node: int,
-        topology: Topology,
-        routing: RoutingFunction,
-        num_vcs: int,
-        buffer_depth: int,
-        layer_groups: int,
-        shutdown_enabled: bool,
-        speculative_sa: bool = False,
-        vc_by_class: bool = False,
-    ) -> None:
+    def __init__(self, node: int, network: "Network") -> None:
         self.node = node
-        self.topology = topology
-        self.routing = routing
-        self.num_vcs = num_vcs
-        self.buffer_depth = buffer_depth
-        self.layer_groups = layer_groups
-        self.shutdown_enabled = shutdown_enabled
-        #: Fig. 8b: switch allocation speculatively overlaps VA.
-        self.speculative_sa = speculative_sa
-        #: Sec. 3.2.4 (ii): dedicate one VC to control and one to data
-        #: traffic — VC 0 carries control packets, VC 1 data packets.
-        self.vc_by_class = vc_by_class
-        if vc_by_class and num_vcs < 2:
-            raise ValueError("vc_by_class needs at least 2 virtual channels")
-        #: Routing functions with a VC discipline (torus datelines,
-        #: escape-layer tables) dictate the permissible out VCs per
-        #: packet at VA time.
-        self._vc_discipline = routing.has_vc_discipline
-        if self._vc_discipline and vc_by_class:
-            raise ValueError(
-                "vc_by_class cannot be combined with a routing VC discipline"
-            )
-        if buffer_depth < 1:
-            raise ValueError(f"buffer depth must be >= 1, got {buffer_depth}")
-        if num_vcs < routing.required_vcs:
-            raise ValueError(
-                f"routing function needs >= {routing.required_vcs} virtual "
-                f"channels, got {num_vcs}"
-            )
-        self._network: Optional["Network"] = None
+        self._network = network
+        topology = network.topology
+        num_vcs = self.num_vcs = network.num_vcs
+        layer_groups = network.layer_groups
 
         self.port_names: List[str] = topology.port_names(node)
         self.port_index: Dict[str, int] = {
@@ -149,7 +118,6 @@ class Router:
         # Flat per-VC hot-path state, indexed by port * num_vcs + vc.
         units = self.num_ports * num_vcs
         self.vc_state: List[int] = [_IDLE] * units
-        self.vc_ready: List[int] = [0] * units
         self.vc_out_port: List[int] = [-1] * units
         self.vc_out_vc: List[int] = [-1] * units
         #: One bounded flit FIFO per input VC, front at index 0;
@@ -165,7 +133,7 @@ class Router:
             if p == self.local_port or self.out_links[p] is None:
                 self.credits.append(None)
             else:
-                self.credits.append([buffer_depth] * num_vcs)
+                self.credits.append([network.buffer_depth] * num_vcs)
         self.out_owner: List[List[Optional[Tuple[int, int]]]] = [
             [None] * num_vcs for _ in range(self.num_ports)
         ]
@@ -193,35 +161,24 @@ class Router:
         self.va_allocations = 0
         # Flat indices of input VCs that may have work this cycle.
         self._active: set[int] = set()
-        # The network's trace recorder (``network.recorder``), aliased
-        # here by TraceRecorder.attach; None (the default) costs one
-        # ``is not None`` test per RC, VA grant and switch traversal.
-        self._recorder = None
-        # Stall attribution (repro.telemetry.attribution).  Detached —
-        # the default — everything stays None and the hot path pays one
-        # ``is not None`` test on stall branches only; StallAttribution
-        # aliases its flat count arrays here on attach.
-        self._attrib = None
-        self._stall_counts = None
-        self._stall_base = 0
-        self._stall_out_counts = None
-        self._stall_out_base = 0
-        self._stall_layer_counts = None
+        #: Flat indices of the units a stuck-VC fault holds
+        #: (:class:`~repro.resilience.faults.FaultInjector` fills it
+        #: once): the router loop skips them, so they never advance.
+        self.stuck: set[int] = set()
         #: This router's next-port row (``routes[dst]``: output-port
         #: index, ``-1`` = unroutable) — an alias of
-        #: ``network.routes[node]``, bound in :meth:`attach` and rebuilt
-        #: in place on a link kill.
-        self.routes: List[int] = []
+        #: ``network.routes[node]``, rebuilt in place on a link kill.
+        self.routes: List[int] = network.routes[node]
 
     @property
     def flits_switched(self) -> int:
         """Flits this router has switched (per-node power/thermal maps)."""
         return sum(self.flits_switched_by_layers)
 
-    def attach(self, network: "Network") -> None:
-        self._network = network
-        self._hop_cycles = network._hop_cycles
-        self.routes = network.routes[self.node]
+    def attach(self) -> None:
+        """Resolve this router's links to the network's other routers,
+        once every router exists."""
+        network = self._network
         # Pre-resolve (dst node, dst input port) per output port so the
         # traversal hot path skips the per-flit string port lookups, and
         # the per-link accounting arguments (link-kind index, length,
@@ -304,7 +261,7 @@ class Router:
 
     def local_vc_has_space(self, vc: int) -> bool:
         fifo = self.vc_fifos[self.local_port * self.num_vcs + vc]
-        return len(fifo) < self.buffer_depth
+        return len(fifo) < self._network.buffer_depth
 
     def is_quiescent(self) -> bool:
         """True when :meth:`step` would be a no-op this cycle and every
@@ -326,43 +283,14 @@ class Router:
     def receive_flit(self, port: int, vc: int, flit: Flit, cycle: int) -> None:
         """Write an arriving flit into its input VC buffer: the network's
         landing loop (:meth:`~repro.noc.network.Network._land_flits`)
-        over this one flit."""
-        self._network._land_flits(((self.node, port, vc, flit),), cycle)
+        over this one flit.  Landing is the same in every cycle; the
+        flit's unit acts at its router's next step."""
+        self._network._land_flits(((self.node, port, vc, flit),))
 
     def receive_credit(self, port: int, vc: int) -> None:
         """Return one credit to output VC *vc* of *port*, through the
         network's credit loop."""
         self._network._land_credits(((self.node, port, vc),))
-
-    # -- stall attribution -------------------------------------------------
-
-    def _charge_stall(self, i: int, cause: int) -> None:
-        """Charge one stalled cycle on flat unit *i* to *cause*.
-
-        Called only with attribution attached, and only from the failure
-        branches of the router loop: a unit whose head flit advanced this
-        cycle is never charged, and a unit with a drained FIFO holds no
-        head flit that could stall, so it is skipped.  Counter writes
-        only — attribution never perturbs pipeline state, so enabled
-        runs stay bit-identical.
-        """
-        fifo = self.vc_fifos[i]
-        if not fifo:
-            return
-        self._stall_counts[
-            self._stall_base + i * NUM_STALL_CAUSES + cause
-        ] += 1
-        flit = fifo[0]
-        k = flit.active_groups if self.shutdown_enabled else self.layer_groups
-        self._stall_layer_counts[(k - 1) * NUM_STALL_CAUSES + cause] += 1
-
-    def _charge_credit_stall(self, i: int, out_port: int) -> None:
-        """Credit starvation is additionally billed to the starved
-        output port, so backpressure chains can be followed link by
-        link (which upstream hop this stall propagates from)."""
-        if self.vc_fifos[i]:
-            self._charge_stall(i, STALL_CREDIT)
-            self._stall_out_counts[self._stall_out_base + out_port] += 1
 
     # -- pipeline ----------------------------------------------------------
 
@@ -377,39 +305,38 @@ class Router:
         fifo = self.vc_fifos[i]
         if not fifo:
             return None
-        if self._vc_discipline:
+        network = self._network
+        routing = network.routing
+        if routing.has_vc_discipline:
             packet = fifo[0].packet
-            vcs = self.routing.allowed_vcs(
+            vcs = routing.allowed_vcs(
                 packet.src, packet.dst, self.node,
                 self.port_names[self.vc_out_port[i]],
             )
             # None from the discipline means "unrestricted here" (e.g.
             # ejection ports) — same meaning as no discipline.
             return None if vcs is None else tuple(vcs)
-        if self.vc_by_class:
+        if network.vc_by_class:
             return (self._class_vc(fifo[0]),)
         return None
 
     def _va_stage(self, va_units, cycle: int) -> bool:
-        """VC allocation for the ready requesters *va_units*
+        """VC allocation in *cycle* for the requesters *va_units*
         (ascending): commit every grant in the allocator's order and
         charge every loser one ``va_conflict`` stall.  True when any VC
         was granted."""
+        network = self._network
         allowed = None
-        if self._vc_discipline or self.vc_by_class:
+        if network.routing.has_vc_discipline or network.vc_by_class:
             allowed = [self._allowed_vcs(i) for i in va_units]
         grants = self._va.allocate(
             va_units, self.vc_out_port, self.out_owner, allowed
         )
         num_vcs = self.num_vcs
-        # Speculative switch allocation (Fig. 8b): the flit bids for the
-        # crossbar in the same cycle its VC is granted.
-        ready = cycle if self.speculative_sa else cycle + 1
-        rec = self._recorder
+        rec = network.recorder
         for key, i in grants.items():
             self.vc_out_vc[i] = key % num_vcs
             self.vc_state[i] = _ACTIVE
-            self.vc_ready[i] = ready
             self.out_owner[key // num_vcs][key % num_vcs] = divmod(i, num_vcs)
             if rec is not None:
                 fifo = self.vc_fifos[i]
@@ -417,9 +344,10 @@ class Router:
                     rec.on_stage(cycle, self.node, fifo[0], "va")
         granted = len(grants)
         self.va_allocations += granted
-        if self._attrib is not None and granted < len(va_units):
+        attrib = network.attribution
+        if attrib is not None and granted < len(va_units):
             won = set(grants.values())
             for i in va_units:
                 if i not in won:
-                    self._charge_stall(i, STALL_VA_CONFLICT)
+                    attrib.charge(self, i, STALL_VA_CONFLICT)
         return granted > 0

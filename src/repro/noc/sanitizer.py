@@ -399,6 +399,7 @@ class NetworkSanitizer:
         self, cycle: int, present: Dict[int, _PacketPresence]
     ) -> None:
         net = self.network
+        depth = net.buffer_depth
         for router in net.routers:
             node = router.node
             num_vcs = router.num_vcs
@@ -420,10 +421,9 @@ class NetworkSanitizer:
                     )
 
                 flits = tuple(router.vc_fifos[i])
-                if len(flits) > router.buffer_depth:
+                if len(flits) > depth:
                     raise err(
-                        f"buffer holds {len(flits)} flits "
-                        f"(depth {router.buffer_depth})"
+                        f"buffer holds {len(flits)} flits (depth {depth})"
                     )
                 if state not in VC_STATE_NAMES:
                     raise err(f"unknown VC state {state!r}")
@@ -570,8 +570,8 @@ class NetworkSanitizer:
         fi = net.fault_injector
         confiscated = fi.confiscated if fi is not None else None
 
+        depth = net.buffer_depth
         for router in net.routers:
-            depth = router.buffer_depth
             for port, credits in enumerate(router.credits):
                 if credits is None:
                     continue

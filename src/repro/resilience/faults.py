@@ -28,6 +28,10 @@ sibling channels (Sec. 3.3); any route still onto a dead channel, or
 caught in a routing cycle, becomes a counted packet drop instead of a
 protocol violation or a livelock.
 
+A plan is checked against the network when the injector attaches: an
+entry naming a node, port, VC or channel the network does not have is a
+``ValueError`` before cycle 0.
+
 Detached cost is one ``is None`` check per
 :meth:`~repro.noc.network.Network.step`; a fault-free attached injector
 (empty plan) performs no state changes, keeping runs bit-identical.
@@ -42,10 +46,6 @@ from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.network import Network
     from repro.topology.base import Topology
-
-#: ``vc_ready`` stamp that keeps a VC unit perpetually "not yet ready".
-#: Re-stamped every cycle because flit reception overwrites the stamp.
-STUCK_READY_CYCLE = 1 << 60
 
 _MODES = ("hard", "drain")
 
@@ -67,9 +67,10 @@ class LinkFault:
 class StuckVCFault:
     """Freeze input VC ``vc`` of input port index ``port`` at ``node``.
 
-    The unit's pipeline stamp is pinned past any reachable cycle, so
-    buffered flits never progress — the stuck-at fault of a VC control
-    FSM.  Upstream traffic wedges against the full buffer; the sanitizer
+    The unit joins its router's ``stuck`` set, which the router loop
+    skips, so buffered flits never progress — the stuck-at fault of a VC
+    control FSM.  Flits still land in its buffer until it is full.
+    Upstream traffic wedges against the full buffer; the sanitizer
     keeps auditing conservation and the watchdog reports the stall.
     """
 
@@ -99,6 +100,36 @@ class FaultPlan:
 
     def __bool__(self) -> bool:
         return bool(self.links or self.vcs)
+
+    def check(self, topology: "Topology", num_vcs: int) -> None:
+        """Raise ``ValueError`` naming the first entry a network over
+        *topology* with *num_vcs* VCs per port does not have: a link
+        fault on a missing channel, or a stuck VC at a missing node,
+        input port or VC."""
+        channels = {(link.src, link.dst) for link in topology.links}
+        for fault in self.links:
+            if (fault.src, fault.dst) not in channels:
+                raise ValueError(
+                    f"link fault {fault.src}:{fault.dst}: no channel "
+                    f"{fault.src} -> {fault.dst}"
+                )
+        for fault in self.vcs:
+            entry = f"stuck VC {fault.node}:{fault.port}:{fault.vc}"
+            if not 0 <= fault.node < topology.num_nodes:
+                raise ValueError(
+                    f"{entry}: no node {fault.node} (nodes 0.."
+                    f"{topology.num_nodes - 1})"
+                )
+            ports = len(topology.port_names(fault.node))
+            if not 0 <= fault.port < ports:
+                raise ValueError(
+                    f"{entry}: node {fault.node} has no input port "
+                    f"{fault.port} (ports 0..{ports - 1})"
+                )
+            if not 0 <= fault.vc < num_vcs:
+                raise ValueError(
+                    f"{entry}: no VC {fault.vc} (VCs 0..{num_vcs - 1})"
+                )
 
     @staticmethod
     def random_links(
@@ -160,8 +191,6 @@ class FaultInjector:
         #: ``(node, out_port, vc) -> credits confiscated`` — the ledger
         #: the sanitizer's credit-conservation audit balances against.
         self.confiscated: Dict[Tuple[int, int, int], int] = {}
-        #: ``(node, flat unit index)`` of VCs frozen so far.
-        self._stuck: List[Tuple[int, int]] = []
         self.links_killed = 0
         self.vcs_stuck = 0
         self.credits_confiscated = 0
@@ -181,9 +210,11 @@ class FaultInjector:
     # -- wiring --------------------------------------------------------------
 
     def attach(self, network: "Network") -> "FaultInjector":
-        """Register on *network* (``network.fault_injector``)."""
+        """Register on *network* (``network.fault_injector``) after
+        checking every plan entry against it (:meth:`FaultPlan.check`)."""
         if network.fault_injector is not None:
             raise RuntimeError("network already has a fault injector")
+        self.plan.check(network.topology, network.num_vcs)
         self.network = network
         network.fault_injector = self
         return self
@@ -191,11 +222,11 @@ class FaultInjector:
     # -- per-cycle hook ------------------------------------------------------
 
     def on_cycle(self, cycle: int) -> None:
-        """Apply events due at *cycle* and re-freeze stuck VCs.
+        """Apply the events due at *cycle*.
 
-        Called by :meth:`Network.step` after arrivals and injections
-        (both re-stamp ``vc_ready``) and before the routers step, so a
-        frozen unit can never advance a pipeline stage.
+        Called by :meth:`Network.step` after arrivals and injections and
+        before the routers step, so a VC stuck at *cycle* never advances
+        from *cycle* on.
         """
         schedule = self._schedule
         while self._next < len(schedule) and schedule[self._next].cycle <= cycle:
@@ -205,16 +236,12 @@ class FaultInjector:
                 self._kill_link(*event.payload)
             else:
                 self._stick_vc(*event.payload)
-        if self._stuck:
-            routers = self.network.routers
-            for node, unit in self._stuck:
-                routers[node].vc_ready[unit] = STUCK_READY_CYCLE
 
     # -- fault application ---------------------------------------------------
 
     def _kill_link(self, src: int, dst: int) -> None:
         network = self.network
-        link = network.topology.link_between(src, dst)  # must exist
+        link = network.topology.link_between(src, dst)  # checked at attach
         if (src, dst) in self.failed:
             return
         self.failed.add((src, dst))
@@ -239,14 +266,8 @@ class FaultInjector:
 
     def _stick_vc(self, node: int, port: int, vc: int) -> None:
         router = self.network.routers[node]
-        if not 0 <= port < router.num_ports:
-            raise ValueError(f"node {node} has no input port {port}")
-        if not 0 <= vc < router.num_vcs:
-            raise ValueError(f"router has no VC {vc}")
-        unit = port * router.num_vcs + vc
-        self._stuck.append((node, unit))
+        router.stuck.add(port * router.num_vcs + vc)
         self.vcs_stuck += 1
-        router.vc_ready[unit] = STUCK_READY_CYCLE
 
     # -- credit interception -------------------------------------------------
 

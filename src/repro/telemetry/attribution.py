@@ -3,12 +3,12 @@
 Three cooperating pieces answer "*why* was this packet slow?":
 
 * :class:`StallAttribution` — flat per-(port, VC) stall-cause counters
-  charged inline by the routers: every cycle a buffered head flit fails
-  to advance is billed to exactly one cause (``rc_wait``,
-  ``va_conflict``, ``sa_loss``, ``credit_stall``, ``serialization``),
-  with rollups per link, per node, and per effective active-layer count
-  (the MIRA angle: how the stall mix shifts when short flits gate
-  datapath layers).  Credit stalls are additionally billed to the
+  charged inline by the network's router loop: every cycle a buffered
+  head flit fails to advance is billed to exactly one cause
+  (``rc_wait``, ``va_conflict``, ``sa_loss``, ``credit_stall``,
+  ``serialization``), with rollups per link, per node, and per
+  effective active-layer count (the MIRA angle: how the stall mix
+  shifts when short flits gate datapath layers).  Credit stalls are additionally billed to the
   starved *output port*, which is what lets a backpressure chain be
   followed upstream link by link.
 * :func:`decompose_life` — exact latency decomposition of a sampled
@@ -25,9 +25,13 @@ Three cooperating pieces answer "*why* was this packet slow?":
   human-readable rendering.
 
 Cost discipline matches the rest of the telemetry stack: detached (the
-default) the routers pay one ``is not None`` test on their stall
+default) the router loop pays one ``is not None`` test on its stall
 branches only, and attribution never mutates pipeline state, so enabled
 runs are bit-identical (golden e2e digests, all six architectures).
+
+On a healthy network ``rc_wait`` and ``serialization`` stay 0: the
+pipeline moves every unit one stage per cycle, and only a unit held by
+a stuck-VC fault (:mod:`repro.resilience.faults`) is charged either.
 
 One deliberate exception to "one charge per stalled unit-cycle": under
 speculative SA (Fig. 8b) a unit can win VA and lose its same-cycle
@@ -50,6 +54,7 @@ from repro.noc.router import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.network import Network
+    from repro.noc.router import Router
     from repro.telemetry.export import PacketLife
     from repro.telemetry.recorder import TraceRecorder
 
@@ -77,8 +82,10 @@ class StallAttribution:
       ``(k - 1) * N + cause``.
 
     Attach/detach follows the sanitizer convention: construction
-    attaches to ``network.attribution`` and aliases the arrays onto
-    every router; :meth:`detach` restores the zero-cost state.
+    fills ``network.attribution``, the one slot the router loop reads;
+    :meth:`detach` clears it.  Only this class knows the counter
+    layout: the loop charges through :meth:`charge` and
+    :meth:`charge_credit`.
     """
 
     def __init__(self, network: "Network") -> None:
@@ -99,26 +106,42 @@ class StallAttribution:
         self.layer_counts = array(
             "q", bytes(8 * network.layer_groups * _N)
         )
-        for node, router in enumerate(network.routers):
-            router._attrib = self
-            router._stall_counts = self.unit_counts
-            router._stall_base = self._unit_base[node]
-            router._stall_out_counts = self.out_counts
-            router._stall_out_base = self._out_base[node]
-            router._stall_layer_counts = self.layer_counts
+        # What a charge reads, bound once.
+        self._shutdown = network.shutdown_enabled
+        self._groups = network.layer_groups
         network.attribution = self
 
     def detach(self) -> None:
         """Restore the zero-cost detached state (counters survive)."""
-        for router in self.network.routers:
-            router._attrib = None
-            router._stall_counts = None
-            router._stall_base = 0
-            router._stall_out_counts = None
-            router._stall_out_base = 0
-            router._stall_layer_counts = None
         if self.network.attribution is self:
             self.network.attribution = None
+
+    # -- charges (the router loop's stall branches) -------------------------
+
+    def charge(self, router: "Router", i: int, cause: int) -> None:
+        """Charge one stalled cycle on *router*'s flat unit *i* to
+        *cause*.
+
+        Called only from the failure branches of the router loop: a unit
+        whose head flit advanced this cycle is never charged, and a unit
+        with a drained FIFO holds no head flit that could stall, so it
+        is skipped.  Counter writes only — attribution never perturbs
+        pipeline state, so enabled runs stay bit-identical.
+        """
+        fifo = router.vc_fifos[i]
+        if not fifo:
+            return
+        self.unit_counts[self._unit_base[router.node] + i * _N + cause] += 1
+        k = fifo[0].active_groups if self._shutdown else self._groups
+        self.layer_counts[(k - 1) * _N + cause] += 1
+
+    def charge_credit(self, router: "Router", i: int, out_port: int) -> None:
+        """A credit stall on unit *i*, additionally billed to the
+        starved output port, so backpressure chains can be followed link
+        by link (which upstream hop this stall propagates from)."""
+        if router.vc_fifos[i]:
+            self.charge(router, i, STALL_CREDIT)
+            self.out_counts[self._out_base[router.node] + out_port] += 1
 
     # -- rollups (cold path: report / sampling time) ------------------------
 

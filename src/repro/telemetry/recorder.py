@@ -212,8 +212,8 @@ class TraceRecorder:
     def attach(self, network: "Network") -> "TraceRecorder":
         """Record *network*'s head-flit stage events from now on.
 
-        Fills ``network.recorder`` and every router's alias of it.  At
-        each head-flit RC / VA / ST the router probes :attr:`decisions`
+        Fills ``network.recorder``, the one slot the router loop reads.
+        At each head-flit RC / VA / ST the loop probes :attr:`decisions`
         and calls :meth:`on_stage` only for pids not mapped to ``0``.
         :meth:`on_stage` keeps its own early-out, so the probe is an
         optimization, never a correctness requirement.  A network holds
@@ -225,8 +225,6 @@ class TraceRecorder:
             raise RuntimeError("network already has a trace recorder")
         self._network = network
         network.recorder = self
-        for router in network.routers:
-            router._recorder = self
         return self
 
     def detach(self) -> None:
@@ -235,8 +233,6 @@ class TraceRecorder:
         if network is None:
             return
         self._network = None
-        for router in network.routers:
-            router._recorder = None
         network.recorder = None
 
     # -- hot-path hooks (router and sampler calls) --------------------------

@@ -689,7 +689,7 @@ class NetworkTelemetry:
             skipped = 0
             if recorder is not None:
                 decompositions, skipped = decompose_recorder(
-                    recorder, self.network.routers[0]._hop_cycles
+                    recorder, self.network._hop_cycles
                 )
             self.stall_report = build_stall_report(
                 attribution,

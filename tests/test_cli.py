@@ -118,6 +118,10 @@ def test_short_flits_outside_unit_interval_is_a_usage_error(
     ("diagnose", "--sample-rate", "2", []),
     ("diagnose", "--head-tail", "-1", []),
     ("diagnose", "--top", "0", []),
+    ("simulate", "--fault-cycle", "-3", []),
+    # A fault the network does not have: no node 99, no channel 0 -> 5.
+    ("simulate", "--stick-vc", "99:0:0", []),
+    ("simulate", "--fail-link", "0:5", []),
 ])
 def test_out_of_range_option_is_a_usage_error(
     command, option, value, needs, tmp_path, capsys

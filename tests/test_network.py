@@ -1,4 +1,5 @@
-"""Network-level tests: delivery, conservation, credits, callbacks."""
+"""Network-level tests: construction checks, delivery, conservation,
+credits, callbacks and observer slots."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +7,13 @@ from hypothesis import given, settings, strategies as st
 from repro.noc.network import Network
 from repro.noc.packet import Packet, PacketClass, ctrl_packet, data_packet
 from repro.noc.simulator import Simulator
+from repro.resilience.faults import FaultInjector, FaultPlan, StuckVCFault
+from repro.telemetry import NetworkTelemetry, TelemetryConfig, TraceRecorder
+from repro.telemetry.attribution import StallAttribution
 from repro.topology.express_mesh import ExpressMesh
 from repro.topology.mesh2d import Mesh2D
 from repro.topology.mesh3d import Mesh3D
+from repro.topology.torus import Torus2D
 from repro.traffic.base import ScheduledTraffic
 
 
@@ -23,6 +28,48 @@ def _run_network(topology, packets, cycles=3000, **net_kwargs):
     )
     result = sim.run()
     return network, result
+
+
+@pytest.mark.parametrize("topology, kwargs, message", [
+    (Mesh2D(2, 1, pitch_mm=1.0), {"num_vcs": 1, "vc_by_class": True},
+     "vc_by_class needs at least 2 virtual channels"),
+    (Torus2D(4, 4, pitch_mm=1.0), {"vc_by_class": True},
+     "vc_by_class cannot be combined with a routing VC discipline"),
+    (Mesh2D(2, 1, pitch_mm=1.0), {"buffer_depth": 0},
+     "buffer depth must be >= 1, got 0"),
+    (Torus2D(4, 4, pitch_mm=1.0), {"num_vcs": 1},
+     "routing function needs >= 2 virtual channels, got 1"),
+], ids=["class-vcs-1", "class-on-torus", "depth-0", "torus-vcs-1"])
+def test_bad_settings_rejected(topology, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        Network(topology, **kwargs)
+
+
+@pytest.mark.parametrize("slot, attach", [
+    ("attribution", StallAttribution),
+    ("recorder", lambda network: TraceRecorder().attach(network)),
+    ("telemetry", lambda network: NetworkTelemetry(
+        network, TelemetryConfig(trace_capture=True, attribution=True)
+    )),
+    ("fault_injector", lambda network: FaultInjector(
+        FaultPlan(vcs=(StuckVCFault(0, 4, 0, 0),))
+    ).attach(network)),
+])
+def test_observer_attach_rebinds_no_router_attribute(slot, attach):
+    """Each observer lives in its one network slot: attaching it binds
+    no attribute of any router."""
+    network = Network(Mesh2D(3, 3, pitch_mm=1.0))
+
+    def bindings():
+        return [
+            {name: id(value) for name, value in vars(router).items()}
+            for router in network.routers
+        ]
+
+    before = bindings()
+    attach(network)
+    assert getattr(network, slot) is not None
+    assert bindings() == before
 
 
 def test_every_packet_delivered_exactly_once():

@@ -14,7 +14,6 @@ from repro.core.arch import make_2db, make_3dm, make_3dme
 from repro.noc.routing import UnroutableError
 from repro.noc.simulator import Simulator
 from repro.resilience.faults import (
-    STUCK_READY_CYCLE,
     FaultInjector,
     FaultPlan,
     LinkFault,
@@ -176,8 +175,9 @@ class TestLinkKill:
 
 class TestStuckVC:
     def test_freeze_survives_flit_reception(self):
-        """receive_flit re-stamps vc_ready; on_cycle must re-freeze the
-        unit after arrivals land, every cycle."""
+        """Flits keep landing in a stuck unit (node 0's local VC 0, which
+        takes the first injected packet) but none ever leaves it, and
+        the unit stays held every cycle."""
         config = make_2db()
         network = config.build_network()
         router = network.routers[0]
@@ -190,8 +190,28 @@ class TestStuckVC:
             measure_cycles=100,
             drain_cycles=0,
         )
-        sim.run()
-        assert router.vc_ready[0] == STUCK_READY_CYCLE
+        fifo = router.vc_fifos[0]
+        held = []
+        for _ in range(100):
+            sim._tick(generate=True)
+            assert [id(flit) for flit in fifo][:len(held)] == held
+            held = [id(flit) for flit in fifo]
+            assert router.stuck == {0}
+        assert held  # the first packet's flits landed and stayed
+
+    @pytest.mark.parametrize("plan, entry", [
+        (FaultPlan(vcs=(StuckVCFault(0, -1, 0, 0),)), "stuck VC -1:0:0"),
+        (FaultPlan(vcs=(StuckVCFault(0, 99, 0, 0),)), "stuck VC 99:0:0"),
+        (FaultPlan(links=(LinkFault(0, 0, 5),)), "link fault 0:5"),
+    ])
+    def test_attach_rejects_entry_the_network_lacks(self, plan, entry):
+        """A node outside the network (no wrap to the last router) or a
+        channel it does not have is a ValueError naming the entry, at
+        attach, before any cycle runs."""
+        network = make_2db().build_network()
+        with pytest.raises(ValueError, match=entry):
+            FaultInjector(plan).attach(network)
+        assert network.fault_injector is None
 
     def test_bad_port_or_vc_rejected(self):
         network = make_2db().build_network()

@@ -59,7 +59,6 @@ def _bid(router, requests):
         flit = data_packet(0, 8).make_flits()[1]
         router.vc_fifos[i].append(flit)
         router.vc_state[i] = _ACTIVE
-        router.vc_ready[i] = CYCLE
         router.vc_out_port[i] = out_port
         router.vc_out_vc[i] = out_vc
         router.out_owner[out_port][out_vc] = (in_port, in_vc)
@@ -87,7 +86,7 @@ def _check_against_reference(num_vcs, requests, attributed, sa1, sa2):
     case = (requests, sa1, sa2)
     expected = [g.in_port * num_vcs + g.in_vc for g in grants]
     slot = network.arrival_slots[
-        (CYCLE + router._hop_cycles) % len(network.arrival_slots)
+        (CYCLE + network._hop_cycles) % len(network.arrival_slots)
     ]
     assert [unit_of[id(entry[3])] for entry in slot] == expected, case
     moved = {i for i in units if not router.vc_fifos[i]}

@@ -244,7 +244,7 @@ class TestSeededFaults:
             for unit, fifo in enumerate(router.vc_fifos) if len(fifo) > 0
         )
         wedged_node = router.node
-        router.vc_ready[wedged] = 10 ** 9  # VC never becomes ready again
+        router.stuck.add(wedged)  # a stuck-VC fault: it never advances again
 
         # Stop generating; everything not stuck behind the wedge drains,
         # then deliveries cease and the watchdog window starts counting.
