@@ -94,10 +94,10 @@ class PointResult:
 def point_telemetry_config(
     telemetry_dir: str,
     stem: str,
-    interval: int = 100,
     attribution: bool = False,
 ) -> "TelemetryConfig":
-    """Per-sweep-point telemetry: a JSONL metric stream.
+    """Per-sweep-point telemetry: a JSONL metric stream, sampled every
+    :data:`~repro.telemetry.sampler.DEFAULT_INTERVAL` cycles.
 
     Used for every sweep point, inline or pooled, so a 54-point sweep
     names its streams (``<dir>/<stem>.jsonl``) the same way.
@@ -109,7 +109,6 @@ def point_telemetry_config(
     from repro.telemetry.sampler import TelemetryConfig
 
     return TelemetryConfig(
-        interval=interval,
         metrics_path=os.path.join(telemetry_dir, stem + ".jsonl"),
         attribution=attribution,
         attribution_path=(

@@ -458,15 +458,6 @@ class RunJournal:
                 continue  # torn write from a killed process
         return records
 
-    @staticmethod
-    def completed_keys(path: Union[str, Path]) -> List[str]:
-        """Keys of points the journal records as done (cache-backed)."""
-        return [
-            r["key"]
-            for r in RunJournal.load(path)
-            if r.get("type") == "point" and r.get("status") == "done"
-        ]
-
 
 # ---------------------------------------------------------------------------
 # Sweep outcome structures

@@ -57,6 +57,9 @@ WorkerFn = Callable[[PointSpec, ExperimentSettings], PointResult]
 #: Scheduler poll interval (s); short enough that sub-second
 #: point timeouts in the crash-injection tests are honoured.
 _POLL_S = 0.01
+#: Retry backoff growth: retry *n* of a point waits
+#: ``backoff_s * _BACKOFF_FACTOR ** (n - 1)`` seconds.
+_BACKOFF_FACTOR = 2.0
 
 
 def specs_for_grid(
@@ -135,7 +138,6 @@ def _run_point(
     spec: PointSpec,
     settings: ExperimentSettings,
     telemetry_dir: Optional[str],
-    telemetry_interval: int,
     telemetry_attribution: bool,
 ) -> PointResult:
     """The default worker: run one spec, streaming its telemetry to
@@ -148,7 +150,6 @@ def _run_point(
         telemetry = point_telemetry_config(
             telemetry_dir,
             f"{spec.arch_name}_{spec.kind}@{spec.rate:g}",
-            interval=telemetry_interval,
             attribution=telemetry_attribution,
         )
     return run_point_spec(spec, settings, telemetry=telemetry)
@@ -327,11 +328,9 @@ def run_sweep(
     resume: bool = False,
     retries: int = 0,
     backoff_s: float = 0.5,
-    backoff_factor: float = 2.0,
     point_timeout: Optional[float] = None,
     failure_mode: str = "report",
     telemetry_dir: Optional[str] = None,
-    telemetry_interval: int = 100,
     telemetry_attribution: bool = False,
     progress: bool = False,
     progress_stream: Optional[IO[str]] = None,
@@ -432,22 +431,21 @@ def run_sweep(
         worker = worker_fn if worker_fn is not None else functools.partial(
             _run_point,
             telemetry_dir=telemetry_dir,
-            telemetry_interval=telemetry_interval,
             telemetry_attribution=telemetry_attribution,
         )
         if pending:
             if processes == 0:
                 _run_inline(
                     pending, settings, worker, retries, backoff_s,
-                    backoff_factor, failure_mode, store, journal, stats,
-                    results, failures, emitter,
+                    failure_mode, store, journal, stats, results, failures,
+                    emitter,
                 )
             else:
                 _preload_opt_in_layers(pending, telemetry_dir)
                 _run_pooled(
                     pending, settings, worker, processes, retries, backoff_s,
-                    backoff_factor, point_timeout, failure_mode, store,
-                    journal, stats, results, failures, emitter,
+                    point_timeout, failure_mode, store, journal, stats,
+                    results, failures, emitter,
                 )
         stats.phase_wall_s["run"] = time.monotonic() - run_start
 
@@ -488,8 +486,8 @@ def run_sweep(
     return outcome
 
 
-def _backoff_delay(backoff_s: float, backoff_factor: float, attempts: int) -> float:
-    return backoff_s * (backoff_factor ** max(attempts - 1, 0))
+def _backoff_delay(backoff_s: float, attempts: int) -> float:
+    return backoff_s * (_BACKOFF_FACTOR ** max(attempts - 1, 0))
 
 
 def _record_failure(
@@ -527,7 +525,6 @@ def _handle_attempt_failure(
     task: _Task,
     retries: int,
     backoff_s: float,
-    backoff_factor: float,
     failure_mode: str,
     stats: SweepStats,
     failures: List[PointFailure],
@@ -544,8 +541,8 @@ def _handle_attempt_failure(
         stats.errors += 1
     if task.attempts <= retries:
         stats.retried_attempts += 1
-        task.not_before = time.monotonic() + _backoff_delay(
-            backoff_s, backoff_factor, task.attempts
+        task.not_before = (
+            time.monotonic() + _backoff_delay(backoff_s, task.attempts)
         )
         _journal_point(journal, task, "retry", progress=progress)
         waiting.append(task)
@@ -562,7 +559,6 @@ def _run_inline(
     worker: WorkerFn,
     retries: int,
     backoff_s: float,
-    backoff_factor: float,
     failure_mode: str,
     store: Optional[ResultStore],
     journal: Optional[RunJournal],
@@ -585,9 +581,7 @@ def _run_inline(
                     stats.errors += 1
                     stats.retried_attempts += 1
                     _journal_point(journal, task, "retry", progress=progress)
-                    time.sleep(
-                        _backoff_delay(backoff_s, backoff_factor, task.attempts)
-                    )
+                    time.sleep(_backoff_delay(backoff_s, task.attempts))
                     continue
                 stats.errors += 1
                 _record_failure(
@@ -610,7 +604,6 @@ def _run_pooled(
     processes: int,
     retries: int,
     backoff_s: float,
-    backoff_factor: float,
     point_timeout: Optional[float],
     failure_mode: str,
     store: Optional[ResultStore],
@@ -671,8 +664,8 @@ def _run_pooled(
             )
             task.tb = ""
         _handle_attempt_failure(
-            task, retries, backoff_s, backoff_factor, failure_mode,
-            stats, failures, journal, waiting, progress=progress,
+            task, retries, backoff_s, failure_mode, stats, failures,
+            journal, waiting, progress=progress,
         )
 
     try:
@@ -725,9 +718,8 @@ def _run_pooled(
                     )
                     run.task.tb = ""
                     _handle_attempt_failure(
-                        run.task, retries, backoff_s, backoff_factor,
-                        failure_mode, stats, failures, journal, waiting,
-                        progress=progress,
+                        run.task, retries, backoff_s, failure_mode, stats,
+                        failures, journal, waiting, progress=progress,
                     )
                     progressed = True
                 else:

@@ -7,15 +7,21 @@ tallies and the network's float accumulators).  It is deliberately
 separate from :class:`repro.noc.simulator.Simulator`, which adds
 warm-up/measurement/drain orchestration and power integration on top.
 
-It also runs the router pipeline: one router loop
-(:meth:`Network._step_nodes`) and one landing loop each for flits and
-credits, so a flit-hop costs no Python call of its own; only contended
-VC and switch allocation call out, to :mod:`repro.noc.allocator`.  The
-loop visits each busy unit once per cycle and the event rings delay
-each arrival by the hop time, which is the whole of the stage timing.
+It also runs the whole router pipeline: injection, one router loop
+(:meth:`Network._step_nodes`: RC, VA, SA and switch traversal) and one
+landing loop each for flits and credits, so a flit-hop costs no Python
+call of its own; only contended VC and switch allocation call out, to
+:mod:`repro.noc.allocator`.  The loop visits each busy unit once per
+cycle and the event rings delay each arrival by the hop time, which is
+the whole of the stage timing.
 
 The network is the one owner of its settings and observers: routers
-hold their node's pipeline state and read the rest from here.
+(:class:`~repro.noc.router.Router`) hold their node's pipeline state,
+tallies and link tables, and the network resolves every link's endpoints
+once, when it is built.  The one pipeline hook is the trace recorder
+(``network.recorder``): at a head flit's RC, VA and ST the router loop
+probes the recorder's capture map and calls ``on_stage`` only for
+packets not mapped to ``0``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ from repro.noc.packet import Flit, Packet, PacketClass
 from repro.noc.profiling import NetworkProfiler
 from repro.noc.router import (
     EVENT_RING_SLOTS, ST_LT_MERGED_CYCLES, ST_LT_SPLIT_CYCLES, STALL_RC_WAIT,
-    STALL_SA_LOSS, STALL_SERIALIZATION, Router, _ACTIVE, _IDLE, _RC, _VA,
+    STALL_SA_LOSS, STALL_SERIALIZATION, STALL_VA_CONFLICT, Router, _ACTIVE,
+    _IDLE, _RC, _VA,
 )
 from repro.noc.routing import Channel, RoutingFunction, routing_for_topology
 from repro.noc.stats import EventCounts, NetworkStats
@@ -42,6 +49,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Callback invoked when a packet's tail flit leaves the network.
 DeliveryCallback = Callable[[Packet, int], None]
+
+#: Sec. 3.2.4 (ii), under ``vc_by_class``: the one VC each traffic class
+#: is injected on and allocated — VC 0 control, VC 1 data.
+CLASS_VC = {PacketClass.CTRL: 0, PacketClass.DATA: 1}
 
 
 def _nonzero_by_layers(histogram: List[int]) -> Dict[int, int]:
@@ -168,23 +179,32 @@ class Network:
         self.routers: List[Router] = [
             Router(node, self) for node in topology.iter_nodes()
         ]
-
-        # Upstream (src node, src out-port) feeding each (node, in-port),
-        # resolved once so per-flit credit returns skip the string-keyed
-        # topology lookups; None = no upstream link (local port).
-        self._credit_targets: List[List[Optional[tuple]]] = []
-        for node, router in enumerate(self.routers):
-            targets: List[Optional[tuple]] = []
-            for port_name in router.port_names:
-                link = topology.in_ports[node].get(port_name)
-                if link is None:
-                    targets.append(None)
-                else:
-                    src_router = self.routers[link.src]
-                    targets.append(
-                        (link.src, src_router.port_index[link.src_port])
-                    )
-            self._credit_targets.append(targets)
+        # Resolve every link's endpoints once, into the routers' link
+        # tables, so the router loop makes no string-keyed port lookup.
+        routers = self.routers
+        link_tallies = []
+        for link in topology.links:
+            up, down = routers[link.src], routers[link.dst]
+            out = up.port_index[link.src_port]
+            in_port = down.port_index[link.dst_port]
+            up.credits[out] = [buffer_depth] * num_vcs
+            up.arrival_targets[out] = (link.dst, in_port)
+            up.link_args[out] = (
+                self.link_kinds.index(link.kind.value),
+                link.length_mm,
+                up.port_flits[out],
+            )
+            up.next_routes[out] = self.routes[link.dst]
+            for vc in range(num_vcs):
+                down.credit_returns[in_port * num_vcs + vc] = (
+                    link.src, out, vc
+                )
+            link_tallies.append(
+                (up.port_flits[out], link.kind.value, (link.src, link.dst))
+            )
+        #: (the router's ``port_flits`` row, link kind, channel) per link,
+        #: sorted by channel — what :attr:`events` folds.
+        self._link_tallies = sorted(link_tallies, key=lambda tally: tally[2])
 
         #: Event rings: slot ``cycle % EVENT_RING_SLOTS`` holds the
         #: events due at ``cycle`` — arrivals ``(node, port, vc, flit)``,
@@ -202,22 +222,6 @@ class Network:
         #: as a *superset* of the busy routers (routers only become busy
         #: through :meth:`_land_flits`, which wakes them here).
         self._active_routers: Set[int] = set()
-
-        # Attach after every router and the credit targets exist.
-        for router in self.routers:
-            router.attach()
-        #: (the router's ``port_flits`` row, link kind, channel) per link,
-        #: sorted by channel — what :attr:`events` folds.
-        self._link_tallies = sorted(
-            (
-                (router.port_flits[port], link.kind.value,
-                 (link.src, link.dst))
-                for router in self.routers
-                for port, link in enumerate(router.out_links)
-                if link is not None
-            ),
-            key=lambda tally: tally[2],
-        )
         #: Attach a :class:`~repro.noc.profiling.NetworkProfiler` to
         #: collect cycles/sec, active-router ratio and per-phase wall
         #: times; ``None`` (the default) costs ``is not None`` tests
@@ -371,38 +375,43 @@ class Network:
         together after the source loop, in ascending node order."""
         done_sources: List[int] = []
         landed: list = []
+        routers = self.routers
+        num_vcs = self.num_vcs
+        all_vcs = range(num_vcs)
         for node in sorted(self._busy_sources):
             src = self._sources[node]
-            router = self.routers[node]
+            r = routers[node]
+            base = r.local_port * num_vcs
             if not src.flits:
                 if not src.packets:
                     done_sources.append(node)
                     continue
+                # The packet takes an idle, empty local VC: its traffic
+                # class's own under vc_by_class, else the lowest free.
+                vcs = all_vcs
                 if self.vc_by_class:
-                    # Inject on the traffic class's dedicated VC.
-                    wanted = (
-                        1 if src.packets[0].klass is PacketClass.DATA else 0
-                    )
-                    vc = (
-                        wanted
-                        if router.free_local_vc_is(wanted)
-                        else None
-                    )
+                    vcs = (CLASS_VC[src.packets[0].klass],)
+                for vc in vcs:
+                    i = base + vc
+                    if r.vc_state[i] == _IDLE and not r.vc_fifos[i]:
+                        break
                 else:
-                    vc = router.free_local_vc()
-                if vc is None:
-                    continue
+                    continue  # none free this cycle
                 packet = src.packets.popleft()
                 src.flits = packet.make_flits(self.layer_groups)
                 src.flit_idx = 0
                 src.vc = vc
                 packet.injected_cycle = cycle
                 if self.lookahead_rc:
-                    # First-hop route looked up at injection (Fig. 8c).
-                    router._look_ahead(src.flits[0], router.routes)
-            if router.local_vc_has_space(src.vc):
+                    # First-hop route looked up at injection (Fig. 8c);
+                    # an unroutable entry leaves the drop to RC.
+                    port = r.routes[packet.dst]
+                    if port >= 0:
+                        src.flits[0].lookahead_port = port
+                        r.rc_computations += 1
+            if len(r.vc_fifos[base + src.vc]) < self.buffer_depth:
                 landed.append(
-                    (node, router.local_port, src.vc, src.flits[src.flit_idx])
+                    (node, r.local_port, src.vc, src.flits[src.flit_idx])
                 )
                 src.flit_idx += 1
                 if src.flit_idx >= len(src.flits):
@@ -552,9 +561,9 @@ class Network:
         effect at the unit's next visit; that, and the ring delays, is
         the whole of the stage timing.  One pass over a router's units
         (ascending) routes each head at RC inline and collects the VA
-        requesters and the SA bidders.  Then VA runs
-        (``Router._va_stage``; under speculative SA its fresh grants join
-        the bidders in the same cycle), then SA, and every granted flit
+        requesters and the SA bidders.  Then VA grants output VCs to the
+        requesters (under speculative SA its fresh grants join the
+        bidders in the same cycle), then SA, and every granted flit
         crosses the switch inline, in grant order.  Units a stuck-VC
         fault holds (``Router.stuck``) are skipped.  With stall
         attribution attached, each unit that does not advance is charged
@@ -576,6 +585,9 @@ class Network:
         speculative = self.speculative_sa
         lookahead = self.lookahead_rc
         qos = self.qos_enabled
+        vc_discipline = self.routing.has_vc_discipline
+        allowed_vcs = self.routing.allowed_vcs
+        by_class = self.vc_by_class
         attrib = self.attribution
         rec = self.recorder
         decisions = None if rec is None else rec.decisions
@@ -596,6 +608,7 @@ class Network:
             vc_out_vc = r.vc_out_vc
             vc_fifos = r.vc_fifos
             credits_by_port = r.credits
+            out_owner = r.out_owner
             va_units = []
             bidders = []
             for i in order:
@@ -623,35 +636,79 @@ class Network:
                 elif state == _RC and vc_fifos[i]:
                     # RC: the head flit's output port from the table.
                     flit = vc_fifos[i][0]
-                    out = r.routes[flit.packet.dst]
+                    packet = flit.packet
+                    out = r.routes[packet.dst]
                     if out < 0:
-                        out = r._drop_route(flit)
+                        # Unroutable: the packet drains to ejection as a
+                        # fault drop (flit conservation and credits stay
+                        # intact), counted when its tail ejects.
+                        packet.dropped = True
+                        packet.drop_node = node
+                        out = r.local_port
                     vc_out_port[i] = out
                     vc_state[i] = _VA
                     r.rc_computations += 1
                     # A sampled-out pid (mapped to 0) costs a dict probe
                     # and no call; an unseen pid calls through, which
                     # admits it.
-                    if rec is not None and decisions.get(flit.packet.pid, 1):
+                    if rec is not None and decisions.get(packet.pid, 1):
                         rec.on_stage(cycle, node, flit, "rc")
 
-            if va_units and r._va_stage(va_units, cycle) and speculative:
-                # Speculative SA (Fig. 8b): a freshly granted VC bids for
-                # the crossbar in the same cycle.  A failed bid is a
-                # credit stall: the VA grant landed but downstream is
-                # full.
-                joined = False
-                for i in va_units:
-                    if vc_state[i] == _ACTIVE and vc_fifos[i]:
-                        out = vc_out_port[i]
-                        credits = credits_by_port[out]
-                        if credits is None or credits[vc_out_vc[i]] > 0:
-                            bidders.append(i)
-                            joined = True
-                        elif attrib is not None:
-                            attrib.charge_credit(r, i, out)
-                if joined:
-                    bidders.sort()
+            if va_units:
+                # VA: each requester may take only its allowed output
+                # VCs — the routing's VC discipline (``None`` there means
+                # unrestricted, e.g. at ejection), or its class VC.
+                allowed = None
+                if vc_discipline:
+                    allowed = []
+                    for i in va_units:
+                        packet = vc_fifos[i][0].packet
+                        allowed.append(allowed_vcs(
+                            packet.src, packet.dst, node,
+                            r.port_names[vc_out_port[i]],
+                        ))
+                elif by_class:
+                    allowed = [
+                        (CLASS_VC[vc_fifos[i][0].packet.klass],)
+                        for i in va_units
+                    ]
+                grants = r._va.allocate(
+                    va_units, vc_out_port, out_owner, allowed
+                )
+                # Commit every grant in the allocator's order.
+                for key, i in grants.items():
+                    out_vc = key % num_vcs
+                    vc_out_vc[i] = out_vc
+                    vc_state[i] = _ACTIVE
+                    out_owner[key // num_vcs][out_vc] = divmod(i, num_vcs)
+                    if rec is not None:
+                        flit = vc_fifos[i][0]
+                        if decisions.get(flit.packet.pid, 1):
+                            rec.on_stage(cycle, node, flit, "va")
+                r.va_allocations += len(grants)
+                if attrib is not None and len(grants) < len(va_units):
+                    won = set(grants.values())
+                    for i in va_units:
+                        if i not in won:
+                            attrib.charge(r, i, STALL_VA_CONFLICT)
+
+                if grants and speculative:
+                    # Speculative SA (Fig. 8b): a freshly granted VC bids for
+                    # the crossbar in the same cycle.  A failed bid is a
+                    # credit stall: the VA grant landed but downstream is
+                    # full.
+                    joined = False
+                    for i in va_units:
+                        if vc_state[i] == _ACTIVE and vc_fifos[i]:
+                            out = vc_out_port[i]
+                            credits = credits_by_port[out]
+                            if credits is None or credits[vc_out_vc[i]] > 0:
+                                bidders.append(i)
+                                joined = True
+                            elif attrib is not None:
+                                attrib.charge_credit(r, i, out)
+                    if joined:
+                        bidders.sort()
 
             if not bidders:
                 if not active:
@@ -677,9 +734,8 @@ class Network:
 
             # Switch traversal of every granted flit, in grant order.
             switched = r.flits_switched_by_layers
-            out_owner = r.out_owner
             local_port = r.local_port
-            credit_returns = r._credit_returns
+            credit_returns = r.credit_returns
             for i in granted:
                 fifo = vc_fifos[i]
                 flit = fifo.popleft()
@@ -720,13 +776,20 @@ class Network:
                         flit.packet.hops += 1
                         if lookahead:
                             # NRC: the route at the *next* router, looked
-                            # up while the flit crosses the switch.
-                            r._look_ahead(flit, r._next_routes[out_port])
-                    kind, length_mm, port_flits = r._link_args[out_port]
+                            # up while the flit crosses the switch, and
+                            # counted as one RC; an unroutable entry
+                            # leaves the drop to that router's RC.
+                            port = r.next_routes[out_port][flit.packet.dst]
+                            if port < 0:
+                                flit.lookahead_port = None
+                            else:
+                                flit.lookahead_port = port
+                                r.rc_computations += 1
+                    kind, length_mm, port_flits = r.link_args[out_port]
                     port_flits[k - 1] += 1
                     mm_weighted[kind] += length_mm * weight
                     mm_by_layers[k] += length_mm
-                    dst, dst_port = r._arrival_targets[out_port]
+                    dst, dst_port = r.arrival_targets[out_port]
                     arrival_slot.append((dst, dst_port, out_vc, flit))
                 if flit.is_tail:
                     out_owner[out_port][out_vc] = None

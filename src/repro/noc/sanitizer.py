@@ -575,7 +575,7 @@ class NetworkSanitizer:
             for port, credits in enumerate(router.credits):
                 if credits is None:
                     continue
-                target = router._arrival_targets[port]
+                target = router.arrival_targets[port]
                 if target is None:
                     raise SanityError(
                         "credit-accounting",

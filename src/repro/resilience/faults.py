@@ -266,7 +266,10 @@ class FaultInjector:
 
     def _stick_vc(self, node: int, port: int, vc: int) -> None:
         router = self.network.routers[node]
-        router.stuck.add(port * router.num_vcs + vc)
+        unit = port * router.num_vcs + vc
+        if unit in router.stuck:
+            return
+        router.stuck.add(unit)
         self.vcs_stuck += 1
 
     # -- credit interception -------------------------------------------------

@@ -203,13 +203,12 @@ class StallAttribution:
         per-node rollup.
         """
         counts = self.unit_counts
-        targets = self.network._credit_targets
         out: Dict[Tuple[int, int], List[int]] = {}
         for node, router in enumerate(self.network.routers):
             base = self._unit_base[node]
             num_vcs = router.num_vcs
             for port in range(router.num_ports):
-                upstream = targets[node][port]
+                upstream = router.credit_returns[port * num_vcs]
                 if upstream is None:
                     continue
                 link = (upstream[0], node)
@@ -230,12 +229,12 @@ class StallAttribution:
         counts = self.out_counts
         for node, router in enumerate(self.network.routers):
             base = self._out_base[node]
-            for port, link in enumerate(router.out_links):
-                if link is None:
+            for port, target in enumerate(router.arrival_targets):
+                if target is None:
                     continue
                 stalls = counts[base + port]
                 if stalls:
-                    out[(link.src, link.dst)] = stalls
+                    out[(node, target[0])] = stalls
         return out
 
     def backpressure_chain(

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.noc.network import Network
 from repro.noc.packet import data_packet
+from repro.noc.router import _IDLE
 from repro.topology.mesh2d import Mesh2D
 
 
@@ -49,21 +50,21 @@ def test_invalid_depth():
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.booleans(), max_size=60), st.integers(min_value=1, max_value=8))
 def test_property_occupancy_invariant(ops, depth):
-    """Occupancy is writes minus reads and stays in [0, depth]; the
-    free-space check complements it."""
+    """Occupancy is writes minus reads and stays in [0, depth], writing
+    only into an idle VC or one with buffer space, as injection does."""
     network = _network(depth)
     router = network.routers[0]
-    fifo = router.vc_fifos[router.local_port * router.num_vcs]
+    unit = router.local_port * router.num_vcs
+    fifo = router.vc_fifos[unit]
     pending = []
     for is_write in ops:
         if is_write:
-            if not pending and router.free_local_vc_is(0):
+            if not pending and router.vc_state[unit] == _IDLE and not fifo:
                 pending = data_packet(0, 1, created_cycle=0).make_flits()
-            if pending and router.local_vc_has_space(0):
+            if pending and len(fifo) < depth:
                 router.receive_flit(router.local_port, 0, pending.pop(0), cycle=0)
         else:
             network.step()
         assert router.occupancy() == _writes(router) - router.flits_switched
         assert len(fifo) == router.occupancy()
         assert 0 <= len(fifo) <= depth
-        assert router.local_vc_has_space(0) == (len(fifo) < depth)

@@ -169,7 +169,6 @@ class TestSweepTelemetry:
         result = sweep(
             [Architecture.BASELINE_2D], [0.05, 0.1], settings,
             processes=processes, telemetry_dir=str(out_dir),
-            telemetry_interval=100,
         )
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "2DB_uniform@0.05.jsonl", "2DB_uniform@0.1.jsonl",

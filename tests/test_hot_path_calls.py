@@ -1,16 +1,18 @@
 """A deterministic guard on the router hot path's Python call count.
 
 Host timings are noisy, but the number of Python frames a run opens
-is not.  The network steps its routers in one loop: routing, the sole
-switch bidder and switch traversal run inline, and arrivals, injected
-flits and credits land through one loop body each, so a flit-hop needs
-no call of its own.  Only contended allocation calls out, to
-``noc/allocator.py`` (plus the router's VA stage wrapper).
+is not.  The network runs the whole router pipeline in one loop:
+injection, routing, VC allocation, the sole switch bidder and switch
+traversal run inline, and arrivals, injected flits and credits land
+through one loop body each, so a flit-hop needs no call of its own.
+Only the allocators' ``allocate`` calls out, to ``noc/allocator.py``,
+for VA and for contended SA.
 
 This runs saturated 2DB (uniform random at 0.35) under
 ``sys.setprofile`` and counts ``call`` events whose code lives in
-``noc/router.py`` or ``noc/allocator.py``, per flit-hop.  A per-hop or
-per-arrival method call brings the count back above two.
+``noc/router.py`` or ``noc/allocator.py``, per flit-hop.  About 0.72
+remain; a per-hop or per-arrival method call brings the count above
+one.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.noc.simulator import Simulator
 from repro.traffic.synthetic import UniformRandomTraffic
 
 #: Router and allocator frames allowed per flit-hop.
-MAX_CALLS_PER_HOP = 2.0
+MAX_CALLS_PER_HOP = 1.0
 
 
 def test_router_calls_per_flit_hop():

@@ -4,13 +4,16 @@ credits, callbacks and observer slots."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.arch import make_chiplet, make_ring, standard_configs
 from repro.noc.network import Network
 from repro.noc.packet import Packet, PacketClass, ctrl_packet, data_packet
 from repro.noc.simulator import Simulator
 from repro.resilience.faults import FaultInjector, FaultPlan, StuckVCFault
 from repro.telemetry import NetworkTelemetry, TelemetryConfig, TraceRecorder
 from repro.telemetry.attribution import StallAttribution
+from repro.topology.base import LinkKind, LinkSpec
 from repro.topology.express_mesh import ExpressMesh
+from repro.topology.irregular import IrregularTopology, duplex
 from repro.topology.mesh2d import Mesh2D
 from repro.topology.mesh3d import Mesh3D
 from repro.topology.torus import Torus2D
@@ -70,6 +73,66 @@ def test_observer_attach_rebinds_no_router_attribute(slot, attach):
     attach(network)
     assert getattr(network, slot) is not None
     assert bindings() == before
+
+
+@pytest.mark.parametrize("build", [
+    *(
+        pytest.param(config.build_network, id=config.name)
+        for config in standard_configs()
+    ),
+    pytest.param(lambda: make_ring().build_network(), id="ring"),
+    pytest.param(lambda: make_chiplet().build_network(), id="chiplet"),
+    pytest.param(lambda: Network(Torus2D(4, 3, pitch_mm=1.0)), id="torus"),
+    pytest.param(lambda: Network(IrregularTopology(5, [
+        *duplex(0, 1), *duplex(1, 2), *duplex(2, 3), *duplex(3, 0),
+        *duplex(0, 2),
+        # One-way links leave node 4 a port with no out-link and one
+        # with no in-link.
+        LinkSpec(3, 4, "P4", "P3", LinkKind.NORMAL, 1.0),
+        LinkSpec(4, 1, "P1", "P4", LinkKind.NORMAL, 1.0),
+    ]), num_vcs=3), id="irregular"),
+])
+def test_link_tables_pair_every_link(build):
+    """Every link's arrival target and credit returns point at each
+    other, and a port without a link (the local port above all) has
+    neither."""
+    network = build()
+    routers = network.routers
+    num_vcs = network.num_vcs
+    topology = network.topology
+    for link in topology.links:
+        up, down = routers[link.src], routers[link.dst]
+        out = up.port_index[link.src_port]
+        in_port = down.port_index[link.dst_port]
+        assert up.arrival_targets[out] == (link.dst, in_port)
+        for vc in range(num_vcs):
+            assert down.credit_returns[in_port * num_vcs + vc] == (
+                link.src, out, vc
+            )
+    arrivals = credits = 0
+    for node, router in enumerate(routers):
+        local = router.local_port
+        assert router.arrival_targets[local] is None
+        assert router.credits[local] is None
+        for port, target in enumerate(router.arrival_targets):
+            if target is not None:
+                arrivals += 1
+                dst, in_port = target
+                assert routers[dst].credit_returns[in_port * num_vcs] == (
+                    node, port, 0
+                )
+        for unit, upstream in enumerate(router.credit_returns):
+            if unit // num_vcs == local:
+                assert upstream is None
+            elif upstream is not None:
+                credits += 1
+                src, out, vc = upstream
+                assert vc == unit % num_vcs
+                assert routers[src].arrival_targets[out] == (
+                    node, unit // num_vcs
+                )
+    assert arrivals == len(topology.links)
+    assert credits == len(topology.links) * num_vcs
 
 
 def test_every_packet_delivered_exactly_once():

@@ -11,6 +11,7 @@ runs on every architecture family the injector touches.
 import pytest
 
 from repro.core.arch import make_2db, make_3dm, make_3dme
+from repro.noc.network import Network
 from repro.noc.routing import UnroutableError
 from repro.noc.simulator import Simulator
 from repro.resilience.faults import (
@@ -20,6 +21,7 @@ from repro.resilience.faults import (
     StuckVCFault,
 )
 from repro.traffic.base import ScheduledTraffic
+from repro.topology.mesh2d import Mesh2D
 from repro.traffic.synthetic import UniformRandomTraffic
 
 
@@ -198,6 +200,16 @@ class TestStuckVC:
             held = [id(flit) for flit in fifo]
             assert router.stuck == {0}
         assert held  # the first packet's flits landed and stayed
+
+    def test_repeated_entry_counts_one_unit(self):
+        """A unit named twice is held once and counted once."""
+        network = Network(Mesh2D(3, 3, pitch_mm=1.0))
+        fault = StuckVCFault(0, 4, 1, 0)
+        injector = FaultInjector(FaultPlan(vcs=(fault, fault))).attach(network)
+        network.step()
+        assert network.routers[4].stuck == {1 * network.num_vcs + 0}
+        assert injector.vcs_stuck == 1
+        assert injector.summary()["vcs_stuck"] == 1
 
     @pytest.mark.parametrize("plan, entry", [
         (FaultPlan(vcs=(StuckVCFault(0, -1, 0, 0),)), "stuck VC -1:0:0"),

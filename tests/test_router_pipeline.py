@@ -10,6 +10,7 @@ import pytest
 
 from repro.noc.network import Network
 from repro.noc.packet import ctrl_packet, data_packet
+from repro.noc.router import _IDLE
 from repro.noc.simulator import Simulator
 from repro.topology.mesh2d import Mesh2D
 from repro.traffic.base import ScheduledTraffic
@@ -96,10 +97,10 @@ def test_vc_allows_packet_interleave_across_vcs():
 
 def test_router_busy_flag():
     network = Network(Mesh2D(3, 1, pitch_mm=1.0))
-    assert network.routers[0].is_quiescent()
+    assert not network.routers[0]._active
     network.enqueue_packet(ctrl_packet(0, 2, created_cycle=0))
     network.step()
-    assert not network.routers[0].is_quiescent()
+    assert network.routers[0]._active
 
 
 def test_router_occupancy_counts_buffered_flits():
@@ -131,8 +132,7 @@ def test_vc_fifos_start_empty():
     router = network.routers[0]
     assert router.occupancy() == 0
     assert all(not fifo for fifo in router.vc_fifos)
-    assert router.free_local_vc() == 0
-    assert router.local_vc_has_space(0)
+    assert all(state == _IDLE for state in router.vc_state)
 
 
 def test_vc_fifo_keeps_arrival_order():

@@ -120,12 +120,12 @@ def test_active_set_empties_after_drain(cfg_2db):
     # set the step after it drains).
     network.step()
     assert network._active_routers == set()
-    assert all(r.is_quiescent() for r in network.routers)
+    assert all(not r._active for r in network.routers)
 
 
 def test_quiescence_protocol(cfg_2db):
-    """A fresh router is quiescent; receiving a flit wakes it and its
-    network; draining makes it quiescent again."""
+    """A fresh router is quiescent (no active unit); receiving a flit
+    wakes it and its network; draining makes it quiescent again."""
     from repro.noc.packet import data_packet
 
     network = cfg_2db.build_network()
@@ -134,18 +134,18 @@ def test_quiescence_protocol(cfg_2db):
     # audit (REPRO_SANITIZE=1 runs) reconciles against.
     network.sanitizer = None
     router = network.routers[0]
-    assert router.is_quiescent()
+    assert not router._active
     assert network._active_routers == set()
 
     packet = data_packet(src=0, dst=1)
     flits = packet.make_flits(network.layer_groups)
     router.receive_flit(router.local_port, 0, flits[0], cycle=0)
-    assert not router.is_quiescent()
+    assert router._active
     assert 0 in network._active_routers
 
     for _ in range(60):
         network.step()
-    assert router.is_quiescent()
+    assert not router._active
     assert 0 not in network._active_routers
 
 
