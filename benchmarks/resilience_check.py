@@ -76,18 +76,15 @@ def check_inprocess_fault_invariants() -> None:
     sys.path.insert(0, SRC)
     from repro.core.arch import make_3dme
     from repro.experiments.config import ExperimentSettings
-    from repro.experiments.runner import run_uniform_point
-    from repro.resilience.faults import FaultPlan
+    from repro.experiments.runner import run_point_spec
+    from repro.experiments.store import PointSpec
 
-    config = make_3dme()
-    settings = ExperimentSettings.quick()
-    plan = FaultPlan.random_links(
-        config.build_topology(), FAULTS, FAULT_SEED,
-        cycle=FAULT_CYCLE, mode="drain",
+    spec = PointSpec(
+        make_3dme(), "uniform", RATE,
+        fault_random_links=FAULTS, fault_seed=FAULT_SEED,
+        fault_cycle=FAULT_CYCLE, fault_mode="drain",
     )
-    point = run_uniform_point(
-        config, RATE, settings, sanitize=True, faults=plan
-    )
+    point = run_point_spec(spec, ExperimentSettings.quick(), sanitize=True)
     sim = point.sim
     if sim.fault_summary["links_killed"] != FAULTS:
         fail(f"expected {FAULTS} links killed, got {sim.fault_summary}")

@@ -24,7 +24,8 @@ from repro.core.fault import (
 )
 from repro.experiments.ablations import ablate_qos
 from repro.experiments.compression_exp import compression_vs_shutdown
-from repro.experiments.runner import run_uniform_point
+from repro.experiments.runner import run_point_spec
+from repro.experiments.store import PointSpec
 from repro.noc.simulator import Simulator
 from repro.thermal.transient import transient_temperatures
 from repro.topology.express_mesh import ExpressMesh
@@ -33,12 +34,11 @@ from repro.traffic.synthetic import UniformRandomTraffic
 
 def pipelines(settings) -> None:
     print("1. advanced pipelines (Fig. 8b/c) on the 3DM router")
-    base = run_uniform_point(make_3dm(), 0.2, settings)
-    turbo = run_uniform_point(
-        make_3dm().with_pipeline_options(speculative_sa=True, lookahead_rc=True),
-        0.2,
-        settings,
+    base = run_point_spec(PointSpec(make_3dm(), "uniform", 0.2), settings)
+    turbo_config = make_3dm().with_pipeline_options(
+        speculative_sa=True, lookahead_rc=True
     )
+    turbo = run_point_spec(PointSpec(turbo_config, "uniform", 0.2), settings)
     print(f"   merged ST+LT            : {base.avg_latency:6.2f} cycles")
     print(f"   + speculation/look-ahead: {turbo.avg_latency:6.2f} cycles\n")
 

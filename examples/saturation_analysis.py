@@ -11,7 +11,8 @@ Run:  python examples/saturation_analysis.py
 
 from repro import ExperimentSettings, make_2db, make_3db, make_3dm, make_3dme
 from repro.analysis import find_saturation_rate, hottest_channels
-from repro.experiments.runner import run_uniform_point
+from repro.experiments.runner import run_point_spec
+from repro.experiments.store import PointSpec
 from repro.noc.simulator import Simulator
 from repro.telemetry.recorder import TraceRecorder
 from repro.traffic.base import ScheduledTraffic
@@ -33,7 +34,7 @@ def saturation_sweep(settings) -> None:
 def bottlenecks(settings) -> None:
     print("hottest channels, 2DB @ 0.25 flits/node/cycle (X-Y routing")
     print("concentrates uniform traffic on the centre columns):")
-    point = run_uniform_point(make_2db(), 0.25, settings)
+    point = run_point_spec(PointSpec(make_2db(), "uniform", 0.25), settings)
     for (src, dst), utilisation in hottest_channels(point, count=5):
         sx, sy = src % 6, src // 6
         dx, dy = dst % 6, dst // 6

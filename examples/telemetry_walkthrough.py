@@ -17,7 +17,8 @@ Run:  python examples/telemetry_walkthrough.py
 import json
 
 from repro import ExperimentSettings, make_architecture, Architecture
-from repro.experiments.runner import run_uniform_point
+from repro.experiments.runner import run_point_spec
+from repro.experiments.store import PointSpec
 from repro.telemetry import TelemetryConfig
 
 OUT = "telemetry_out"
@@ -31,11 +32,10 @@ def main() -> None:
         trace_path=f"{OUT}/trace.json",
         arch_config=config,  # adds the windowed energy gauges
     )
-    point = run_uniform_point(
-        config, 0.2, ExperimentSettings.quick(),
-        short_flit_fraction=0.5, shutdown_enabled=True,
-        telemetry=telemetry,
+    spec = PointSpec(
+        config, "uniform", 0.2, short_flit_fraction=0.5, shutdown_enabled=True
     )
+    point = run_point_spec(spec, ExperimentSettings.quick(), telemetry)
     print(point.sim.telemetry.format())
     print()
 

@@ -10,8 +10,11 @@ buys — plus the per-layer temperature profile of the stack.
 Run:  python examples/thermal_shutdown_study.py
 """
 
+from dataclasses import replace
+
 from repro import Architecture, ExperimentSettings, make_architecture
-from repro.experiments.runner import run_uniform_point
+from repro.experiments.runner import run_point_spec
+from repro.experiments.store import PointSpec
 from repro.power.gating import shutdown_saving
 from repro.thermal.hotspot import steady_state
 
@@ -28,14 +31,9 @@ def main() -> None:
     print()
 
     for rate in settings.uniform_rates[:3]:
-        base = run_uniform_point(
-            config, rate, settings, short_flit_fraction=0.0,
-            shutdown_enabled=True,
-        )
-        gated = run_uniform_point(
-            config, rate, settings, short_flit_fraction=0.5,
-            shutdown_enabled=True,
-        )
+        spec = PointSpec(config, "uniform", rate, shutdown_enabled=True)
+        base = run_point_spec(spec, settings)
+        gated = run_point_spec(replace(spec, short_flit_fraction=0.5), settings)
         hot = steady_state(config, base.router_power_per_node())
         cool = steady_state(config, gated.router_power_per_node())
         print(f"injection {rate:g} flits/node/cycle:")

@@ -67,9 +67,7 @@ _EXPORTS = {
     "standard_configs": ".core.arch",
     "ExperimentSettings": ".experiments.config",
     "PointResult": ".experiments.runner",
-    "run_nuca_point": ".experiments.runner",
     "run_trace_point": ".experiments.runner",
-    "run_uniform_point": ".experiments.runner",
     "Network": ".noc.network",
     "Flit": ".noc.packet",
     "FlitType": ".noc.packet",
@@ -103,15 +101,19 @@ def simulate(
     config: ArchitectureConfig,
     flit_rate: float = 0.1,
     settings: ExperimentSettings = None,
-    **kwargs,
+    **spec_fields,
 ) -> PointResult:
     """One-call uniform-random simulation of an architecture.
 
-    Thin convenience wrapper over
-    :func:`~repro.experiments.runner.run_uniform_point`.
+    *spec_fields* are further :class:`~repro.experiments.store.PointSpec`
+    fields (``short_flit_fraction``, ``shutdown_enabled``, ``seed``, the
+    fault and variation fields); the point runs through
+    :func:`~repro.experiments.runner.run_point_spec`.
     """
     from repro.experiments.config import ExperimentSettings
-    from repro.experiments.runner import run_uniform_point
+    from repro.experiments.runner import run_point_spec
+    from repro.experiments.store import PointSpec
 
     settings = settings or ExperimentSettings.from_env()
-    return run_uniform_point(config, flit_rate, settings, **kwargs)
+    spec = PointSpec(config, "uniform", flit_rate, **spec_fields)
+    return run_point_spec(spec, settings)

@@ -12,7 +12,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.arch import ArchitectureConfig
 from repro.experiments.config import ExperimentSettings
-from repro.experiments.runner import PointResult, run_uniform_point
+from repro.experiments.runner import PointResult, run_point_spec
+from repro.experiments.store import PointSpec
 
 #: A run counts as saturated when its latency exceeds this multiple of
 #: the zero-load latency (the usual knee criterion) or the drain cap hit.
@@ -54,13 +55,16 @@ def find_saturation_rate(
         raise ValueError("need 0 < low < high")
     probes: List[Tuple[float, float, bool]] = []
 
-    zero_point = run_uniform_point(config, low, settings)
+    def run(rate: float) -> PointResult:
+        return run_point_spec(PointSpec(config, "uniform", rate), settings)
+
+    zero_point = run(low)
     zero_load = zero_point.avg_latency
     probes.append((low, zero_load, False))
 
     lo, hi = low, high
     # Make sure the upper bound actually saturates; if not, report it.
-    top = run_uniform_point(config, hi, settings)
+    top = run(hi)
     probes.append((hi, top.avg_latency, _is_saturated(top, zero_load)))
     if not _is_saturated(top, zero_load):
         return SaturationResult(
@@ -72,7 +76,7 @@ def find_saturation_rate(
 
     while hi - lo > tolerance:
         mid = (lo + hi) / 2
-        point = run_uniform_point(config, mid, settings)
+        point = run(mid)
         saturated = _is_saturated(point, zero_load)
         probes.append((mid, point.avg_latency, saturated))
         if saturated:
@@ -146,7 +150,8 @@ def run_replicated(
     latencies = []
     powers = []
     for seed in seeds:
-        point = run_uniform_point(config, rate, settings, seed=seed)
+        spec = PointSpec(config, "uniform", rate, seed=seed)
+        point = run_point_spec(spec, settings)
         latencies.append(point.avg_latency)
         powers.append(point.total_power_w)
     n = len(latencies)

@@ -30,10 +30,10 @@ from repro.experiments.config import ExperimentSettings
 from repro.experiments.report import format_table
 from repro.experiments.runner import (
     fault_plan_for_spec,
-    run_nuca_point,
-    run_uniform_point,
+    run_point_spec,
     variation_sample_for_spec,
 )
+from repro.experiments.store import PointSpec
 from repro.traffic.workloads import WORKLOADS
 
 _ARCH_BY_NAME = {arch.value: arch for arch in Architecture}
@@ -147,8 +147,6 @@ def _stuck_vc(text: str) -> tuple:
 def _point_spec(args: argparse.Namespace, config):
     """The :class:`~repro.experiments.store.PointSpec` the simulate
     flags describe; every fault lands at ``--fault-cycle``."""
-    from repro.experiments.store import PointSpec
-
     cycle = args.fault_cycle
     return PointSpec(
         config,
@@ -194,18 +192,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             faults.check(config.build_topology(), config.vcs)
         except ValueError as err:
             args.usage_error(f"argument --fail-link/--stick-vc: {err}")
-    variation = variation_sample_for_spec(spec)
-    run = run_uniform_point if spec.kind == "uniform" else run_nuca_point
-    point = run(
-        config, spec.rate, settings,
-        short_flit_fraction=spec.short_flit_fraction,
-        shutdown_enabled=spec.shutdown_enabled,
+    point = run_point_spec(
+        spec, settings, telemetry,
         profile=args.profile,
         sanitize=args.sanitize,
         sanitize_interval=args.sanitize_interval,
-        telemetry=telemetry,
-        faults=faults,
-        variation=variation,
     )
     print(f"architecture      : {point.arch}")
     print(f"traffic           : {point.label}")
@@ -221,6 +212,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"({fs['mode']}), {fs['vcs_stuck']} VCs stuck, "
             f"{point.sim.packets_dropped} packets dropped"
         )
+    variation = variation_sample_for_spec(spec)
     if variation is not None:
         print(
             f"variation         : sigma {variation.sigma:g} seed "
@@ -247,7 +239,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     summary = {}
     for config in standard_configs():
-        point = run_uniform_point(config, args.rate, settings)
+        point = run_point_spec(PointSpec(config, "uniform", args.rate), settings)
         rows.append(
             [
                 config.name,
@@ -307,13 +299,12 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         trace_seed=args.trace_seed,
         arch_config=config,
     )
-    run = run_uniform_point if args.traffic == "uniform" else run_nuca_point
-    point = run(
-        config, args.rate, settings,
+    spec = PointSpec(
+        config, args.traffic, args.rate,
         short_flit_fraction=args.short_flits,
         shutdown_enabled=args.short_flits > 0,
-        telemetry=telemetry,
     )
+    point = run_point_spec(spec, settings, telemetry)
     report = point.sim.telemetry.stall_report
     print(f"architecture      : {point.arch}")
     print(f"traffic           : {point.label}")

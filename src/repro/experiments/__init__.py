@@ -22,8 +22,7 @@ from repro import _lazy_exports
 _EXPORTS = {
     "ExperimentSettings": ".config",
     "PointResult": ".runner",
-    "run_uniform_point": ".runner",
-    "run_nuca_point": ".runner",
+    "run_point_spec": ".runner",
     "run_trace_point": ".runner",
     "fig11a_uniform_latency": ".latency",
     "fig11b_nuca_latency": ".latency",

@@ -15,7 +15,8 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.core.arch import ArchitectureConfig, make_2db, make_3dm, make_3dme
 from repro.core.fault import both_directions, build_fault_tolerant_network
 from repro.experiments.config import ExperimentSettings
-from repro.experiments.runner import PointResult, run_uniform_point
+from repro.experiments.runner import PointResult, run_point_spec
+from repro.experiments.store import PointSpec
 from repro.noc.network import Network
 from repro.noc.simulator import Simulator
 from repro.topology.express_mesh import ExpressMesh
@@ -46,7 +47,7 @@ def ablate_pipeline_depth(
         ),
     }
     return {
-        label: run_uniform_point(config, rate, settings)
+        label: run_point_spec(PointSpec(config, "uniform", rate), settings)
         for label, config in variants.items()
     }
 
@@ -61,7 +62,7 @@ def ablate_vc_count(
     out: Dict[int, PointResult] = {}
     for vcs in counts:
         config = dataclasses.replace(make_3dm(), vcs=vcs)
-        out[vcs] = run_uniform_point(config, rate, settings)
+        out[vcs] = run_point_spec(PointSpec(config, "uniform", rate), settings)
     return out
 
 
@@ -75,7 +76,8 @@ def ablate_buffer_depth(
     out: Dict[int, PointResult] = {}
     for depth in depths:
         config = dataclasses.replace(make_3dm(), buffer_depth=depth)
-        out[depth] = run_uniform_point(config, rate, settings)
+        spec = PointSpec(config, "uniform", rate)
+        out[depth] = run_point_spec(spec, settings)
     return out
 
 
@@ -94,7 +96,8 @@ def ablate_express_span(
     settings = settings or ExperimentSettings.from_env()
     out: Dict[int, PointResult] = {}
     for span in spans:
-        out[span] = run_uniform_point(make_3dme(span=span), rate, settings)
+        spec = PointSpec(make_3dme(span=span), "uniform", rate)
+        out[span] = run_point_spec(spec, settings)
     return out
 
 
@@ -196,14 +199,15 @@ def ablate_3db_cpu_placement(
     placements.  Returns ``{placement: {metric: value}}``.
     """
     from repro.core.arch import make_3db
-    from repro.experiments.runner import run_nuca_point
     from repro.thermal.hotspot import steady_state
 
     settings = settings or ExperimentSettings.from_env()
     out: Dict[str, Dict[str, float]] = {}
     for placement in ("top", "spread"):
         config = make_3db(cpu_placement=placement)
-        point = run_nuca_point(config, request_rate, settings)
+        point = run_point_spec(
+            PointSpec(config, "nuca", request_rate), settings
+        )
         thermal = steady_state(config, point.router_power_per_node())
         out[placement] = {
             "avg_latency": point.avg_latency,

@@ -9,9 +9,8 @@ from repro.core.arch import ArchitectureConfig, standard_configs
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.runner import (
     PointResult,
-    run_nuca_point,
+    run_point_spec,
     run_trace_point,
-    run_uniform_point,
 )
 from repro.experiments.store import PointSpec, ResultStore, cached_point_run
 from repro.traffic.workloads import WORKLOADS
@@ -104,11 +103,11 @@ def fig11d_hop_counts(
 
     out: Dict[str, Dict[str, float]] = {"UR": {}, "NUCA-UR": {}, "MP": {}}
     for config in configs:
-        out["UR"][config.name] = run_uniform_point(
-            config, mid_ur, settings
+        out["UR"][config.name] = run_point_spec(
+            PointSpec(config, "uniform", mid_ur), settings
         ).avg_hops
-        out["NUCA-UR"][config.name] = run_nuca_point(
-            config, mid_nuca, settings
+        out["NUCA-UR"][config.name] = run_point_spec(
+            PointSpec(config, "nuca", mid_nuca), settings
         ).avg_hops
         records, _ = generate_trace(
             config, workload, cycles=settings.trace_cycles, seed=settings.seed

@@ -202,63 +202,6 @@ def _run(
     )
 
 
-def run_uniform_point(
-    config: ArchitectureConfig,
-    rate: float,
-    settings: ExperimentSettings,
-    short_flit_fraction: float = 0.0,
-    shutdown_enabled: bool = False,
-    seed: Optional[int] = None,
-    profile: bool = False,
-    sanitize: bool = False,
-    sanitize_interval: int = 1,
-    telemetry: Optional["TelemetryConfig"] = None,
-    faults: Optional["FaultPlan"] = None,
-    variation: Optional["VariationSample"] = None,
-) -> PointResult:
-    """Uniform-random traffic at *rate* flits/node/cycle."""
-    traffic = UniformRandomTraffic(
-        num_nodes=config.num_nodes,
-        flit_rate=rate,
-        short_flit_fraction=short_flit_fraction,
-        seed=settings.seed if seed is None else seed,
-    )
-    return _run(
-        config, traffic, settings, f"UR@{rate:g}", shutdown_enabled,
-        profile=profile, sanitize=sanitize, sanitize_interval=sanitize_interval,
-        telemetry=telemetry, faults=faults, variation=variation,
-    )
-
-
-def run_nuca_point(
-    config: ArchitectureConfig,
-    request_rate: float,
-    settings: ExperimentSettings,
-    short_flit_fraction: float = 0.0,
-    shutdown_enabled: bool = False,
-    seed: Optional[int] = None,
-    profile: bool = False,
-    sanitize: bool = False,
-    sanitize_interval: int = 1,
-    telemetry: Optional["TelemetryConfig"] = None,
-    faults: Optional["FaultPlan"] = None,
-    variation: Optional["VariationSample"] = None,
-) -> PointResult:
-    """NUCA-constrained request/response traffic (Fig. 11b)."""
-    traffic = NucaUniformTraffic(
-        cpu_nodes=config.cpu_nodes,
-        cache_nodes=config.cache_nodes,
-        request_rate=request_rate,
-        short_flit_fraction=short_flit_fraction,
-        seed=settings.seed if seed is None else seed,
-    )
-    return _run(
-        config, traffic, settings, f"NUCA@{request_rate:g}", shutdown_enabled,
-        profile=profile, sanitize=sanitize, sanitize_interval=sanitize_interval,
-        telemetry=telemetry, faults=faults, variation=variation,
-    )
-
-
 def fault_plan_for_spec(spec: "PointSpec") -> Optional["FaultPlan"]:
     """Materialise the spec's fault fields as a FaultPlan (or ``None``).
 
@@ -306,24 +249,45 @@ def run_point_spec(
     spec: "PointSpec",
     settings: ExperimentSettings,
     telemetry: Optional["TelemetryConfig"] = None,
+    *,
+    profile: bool = False,
+    sanitize: bool = False,
+    sanitize_interval: int = 1,
 ) -> PointResult:
     """Run one :class:`~repro.experiments.store.PointSpec`.
 
-    The single dispatch point the sweep engine and the result cache
-    share: the spec carries everything that identifies the point, so
-    running it here is guaranteed to match what its cache key hashes.
+    The one way to run a uniform-random (``UR@rate``) or NUCA-UR
+    request/response (``NUCA@rate``, Fig. 11b) point: the sweep engine,
+    the result cache, the CLI and the analysis tools all come here.  The
+    spec carries everything that identifies the point, so running it is
+    guaranteed to match what its cache key hashes; *telemetry*,
+    *profile* and *sanitize* only observe the run.
     """
-    run = run_uniform_point if spec.kind == "uniform" else run_nuca_point
-    return run(
-        spec.config,
-        spec.rate,
-        settings,
-        short_flit_fraction=spec.short_flit_fraction,
-        shutdown_enabled=spec.shutdown_enabled,
-        seed=spec.seed,
-        telemetry=telemetry,
-        faults=fault_plan_for_spec(spec),
-        variation=variation_sample_for_spec(spec),
+    faults = fault_plan_for_spec(spec)
+    variation = variation_sample_for_spec(spec)
+    config = spec.config
+    seed = spec.effective_seed(settings)
+    if spec.kind == "uniform":
+        traffic = UniformRandomTraffic(
+            num_nodes=config.num_nodes,
+            flit_rate=spec.rate,
+            short_flit_fraction=spec.short_flit_fraction,
+            seed=seed,
+        )
+        label = f"UR@{spec.rate:g}"
+    else:
+        traffic = NucaUniformTraffic(
+            cpu_nodes=config.cpu_nodes,
+            cache_nodes=config.cache_nodes,
+            request_rate=spec.rate,
+            short_flit_fraction=spec.short_flit_fraction,
+            seed=seed,
+        )
+        label = f"NUCA@{spec.rate:g}"
+    return _run(
+        config, traffic, settings, label, spec.shutdown_enabled,
+        profile=profile, sanitize=sanitize, sanitize_interval=sanitize_interval,
+        telemetry=telemetry, faults=faults, variation=variation,
     )
 
 

@@ -1,7 +1,11 @@
 """Resumable, cached, fault-tolerant sweep engine.
 
-:func:`run_sweep` is the one way to run a grid of points, inline or
-over worker processes.  It treats a sweep as a batch job:
+:func:`run_sweep` runs a grid of points, inline or over worker
+processes; ``repro sweep`` drives it.  The figure harnesses instead loop
+:func:`~repro.experiments.store.cached_point_run` over their points
+against the same store and keys, and both paths simulate a point with
+:func:`~repro.experiments.runner.run_point_spec`.  :func:`run_sweep`
+treats a sweep as a batch job:
 
 * **Cache** — every point is content-addressed
   (:func:`repro.experiments.store.point_key`); finished points are

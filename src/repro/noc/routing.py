@@ -290,29 +290,16 @@ RoutingFactory = Callable[[Topology], RoutingFunction]
 _ROUTING_REGISTRY: Dict[Type[Topology], RoutingFactory] = {}
 
 
-def register_routing(
-    topo_cls: Type[Topology], factory: Optional[RoutingFactory] = None
-):
+def register_routing(topo_cls: Type[Topology], factory: RoutingFactory) -> None:
     """Register *factory* as the canonical routing for *topo_cls*.
 
     Dispatch follows the topology's MRO, so registering a subclass
     shadows its bases and third-party fabrics plug in without editing
-    this module::
-
-        register_routing(MyFabric, MyRouting)          # direct
-        @register_routing(MyFabric)                    # or as decorator
-        def make_routing(topology): ...
+    this module: ``register_routing(MyFabric, MyRouting)``.
 
     Registering the same class again replaces the previous factory.
     """
-    if factory is None:
-        def _decorator(fn: RoutingFactory) -> RoutingFactory:
-            _ROUTING_REGISTRY[topo_cls] = fn
-            return fn
-
-        return _decorator
     _ROUTING_REGISTRY[topo_cls] = factory
-    return factory
 
 
 def registered_routings() -> Dict[Type[Topology], RoutingFactory]:

@@ -475,11 +475,7 @@ class NetworkSanitizer:
                 for flit in flits:
                     self._note_flit(present, flit, (node, port, vc))
 
-            if (
-                router._active
-                and router._network is not None
-                and node not in net._active_routers
-            ):
+            if router._active and node not in net._active_routers:
                 raise SanityError(
                     "vc-state",
                     "router has active VCs but is missing from the "

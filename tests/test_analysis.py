@@ -11,7 +11,8 @@ from repro.analysis import (
 )
 from repro.core.arch import make_2db, make_3dme
 from repro.experiments.config import ExperimentSettings
-from repro.experiments.runner import run_uniform_point
+from repro.experiments.runner import run_point_spec
+from repro.experiments.store import PointSpec
 from repro.noc.stats import NetworkStats
 
 
@@ -31,7 +32,7 @@ def settings():
 
 @pytest.fixture(scope="module")
 def point(settings):
-    return run_uniform_point(make_2db(), 0.2, settings)
+    return run_point_spec(PointSpec(make_2db(), "uniform", 0.2), settings)
 
 
 class TestSaturationSearch:

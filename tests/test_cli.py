@@ -80,6 +80,31 @@ def test_simulate_fault_and_variation_flags_match_point_spec(
     assert any(line.startswith("variation         : sigma 0.05") for line in lines)
 
 
+def test_compare_json_matches_point_spec(tmp_path, capsys):
+    """`compare --json` writes one row per standard configuration: what
+    run_point_spec gives on that configuration's uniform spec."""
+    import json
+
+    from repro.core.arch import standard_configs
+    from repro.experiments.config import ExperimentSettings
+    from repro.experiments.runner import run_point_spec
+    from repro.experiments.store import PointSpec
+
+    path = tmp_path / "compare.json"
+    assert main(["compare", "--rate", "0.05", "--json", str(path)]) == 0
+    assert f"wrote {path}" in capsys.readouterr().out
+    rows = json.loads(path.read_text(encoding="utf-8"))["archs"]
+    configs = standard_configs()
+    assert sorted(rows) == sorted(config.name for config in configs)
+    assert len(rows) == 6
+    for config in configs:
+        point = run_point_spec(
+            PointSpec(config, "uniform", 0.05), ExperimentSettings.quick()
+        )
+        assert rows[config.name]["avg_latency"] == point.avg_latency
+        assert rows[config.name]["total_power_w"] == point.total_power_w
+
+
 def test_simulate_unknown_arch_exits():
     with pytest.raises(SystemExit):
         main(["simulate", "--arch", "bogus"])

@@ -10,7 +10,8 @@ import random
 from repro.cache.hierarchy import generate_trace
 from repro.core.arch import make_2db, make_3dme
 from repro.experiments.config import ExperimentSettings
-from repro.experiments.runner import run_nuca_point, run_uniform_point
+from repro.experiments.runner import run_point_spec
+from repro.experiments.store import PointSpec
 from repro.traffic.workloads import WORKLOADS
 
 
@@ -28,8 +29,8 @@ def _settings(seed=21):
 
 
 def test_uniform_simulation_deterministic():
-    a = run_uniform_point(make_3dme(), 0.15, _settings())
-    b = run_uniform_point(make_3dme(), 0.15, _settings())
+    a = run_point_spec(PointSpec(make_3dme(), "uniform", 0.15), _settings())
+    b = run_point_spec(PointSpec(make_3dme(), "uniform", 0.15), _settings())
     assert a.avg_latency == b.avg_latency
     assert a.avg_hops == b.avg_hops
     assert a.total_power_w == b.total_power_w
@@ -38,16 +39,20 @@ def test_uniform_simulation_deterministic():
 
 
 def test_uniform_simulation_seed_sensitivity():
-    a = run_uniform_point(make_3dme(), 0.15, _settings(seed=21))
-    b = run_uniform_point(make_3dme(), 0.15, _settings(seed=22))
+    a = run_point_spec(
+        PointSpec(make_3dme(), "uniform", 0.15), _settings(seed=21)
+    )
+    b = run_point_spec(
+        PointSpec(make_3dme(), "uniform", 0.15), _settings(seed=22)
+    )
     assert a.sim.packets_measured != b.sim.packets_measured or (
         a.avg_latency != b.avg_latency
     )
 
 
 def test_nuca_simulation_deterministic():
-    a = run_nuca_point(make_2db(), 0.1, _settings())
-    b = run_nuca_point(make_2db(), 0.1, _settings())
+    a = run_point_spec(PointSpec(make_2db(), "nuca", 0.1), _settings())
+    b = run_point_spec(PointSpec(make_2db(), "nuca", 0.1), _settings())
     assert a.avg_latency == b.avg_latency
     assert a.sim.events.flit_hops == b.sim.events.flit_hops
 
@@ -71,7 +76,9 @@ def test_event_counters_deterministic_across_architectures():
     architecture (regression guard for ordering bugs)."""
     results = {}
     for _ in range(2):
-        point = run_uniform_point(make_2db(), 0.15, _settings())
+        point = run_point_spec(
+            PointSpec(make_2db(), "uniform", 0.15), _settings()
+        )
         results.setdefault("flits", []).append(point.sim.events.flit_hops)
         results.setdefault("va", []).append(point.sim.events.va_allocations)
     assert results["flits"][0] == results["flits"][1]

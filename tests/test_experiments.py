@@ -17,9 +17,9 @@ from repro.experiments import (
     table1_area,
     table2_parameters,
     table3_delays,
-    run_nuca_point,
+    PointSpec,
+    run_point_spec,
     run_trace_point,
-    run_uniform_point,
 )
 from repro.experiments.report import (
     dict_table,
@@ -50,7 +50,9 @@ class TestSettings:
 
 class TestRunners:
     def test_uniform_point_fields(self, tiny_settings, cfg_3dm):
-        point = run_uniform_point(cfg_3dm, 0.1, tiny_settings)
+        point = run_point_spec(
+            PointSpec(cfg_3dm, "uniform", 0.1), tiny_settings
+        )
         assert point.arch == "3DM"
         assert point.avg_latency > 0
         assert point.total_power_w > 0
@@ -59,13 +61,15 @@ class TestRunners:
         assert sum(point.node_activity) == pytest.approx(1.0)
 
     def test_router_power_per_node_sums_to_total(self, tiny_settings, cfg_3dm):
-        point = run_uniform_point(cfg_3dm, 0.1, tiny_settings)
+        point = run_point_spec(
+            PointSpec(cfg_3dm, "uniform", 0.1), tiny_settings
+        )
         assert sum(point.router_power_per_node()) == pytest.approx(
             point.total_power_w
         )
 
     def test_nuca_point(self, tiny_settings, cfg_2db):
-        point = run_nuca_point(cfg_2db, 0.1, tiny_settings)
+        point = run_point_spec(PointSpec(cfg_2db, "nuca", 0.1), tiny_settings)
         assert point.sim.packets_measured > 0
         assert point.label.startswith("NUCA")
 
@@ -184,8 +188,12 @@ class TestReport:
         assert "2DB" in text and "0.05" in text
 
     def test_normalized_table(self, tiny_settings):
-        point = run_uniform_point(make_2db(), 0.1, tiny_settings)
-        other = run_uniform_point(make_3dm(), 0.1, tiny_settings)
+        point = run_point_spec(
+            PointSpec(make_2db(), "uniform", 0.1), tiny_settings
+        )
+        other = run_point_spec(
+            PointSpec(make_3dm(), "uniform", 0.1), tiny_settings
+        )
         text = normalized_table(
             {"wl": {"2DB": point, "3DM": other}}, metric="avg_latency"
         )

@@ -15,8 +15,8 @@ from repro.experiments.export import (
     point_to_dict,
     sweep_to_dict,
 )
-from repro.experiments.runner import run_uniform_point
-from repro.experiments.store import SweepPointError
+from repro.experiments.runner import run_point_spec
+from repro.experiments.store import PointSpec, SweepPointError
 from repro.experiments.sweep import run_sweep, specs_for_grid
 
 
@@ -36,7 +36,7 @@ def settings():
 
 @pytest.fixture(scope="module")
 def point(settings):
-    return run_uniform_point(make_2db(), 0.1, settings)
+    return run_point_spec(PointSpec(make_2db(), "uniform", 0.1), settings)
 
 
 class TestExport:
@@ -93,7 +93,9 @@ def _failing_worker(spec, settings):
 
 class TestParallelSweep:
     def test_matches_serial_results(self, settings):
-        serial = run_uniform_point(make_2db(), 0.1, settings)
+        serial = run_point_spec(
+            PointSpec(make_2db(), "uniform", 0.1), settings
+        )
         result = sweep([Architecture.BASELINE_2D], [0.1], settings,
                        processes=2)
         (rate, point), = result["2DB"]

@@ -5,12 +5,15 @@ roughly what factor).  Budgets are kept small, so tolerances are loose;
 the benchmark harnesses run the same comparisons at full scale.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.arch import make_2db, make_3db, make_3dm, make_3dme
 from repro.core.express import average_hops, nuca_pairs
 from repro.experiments.config import ExperimentSettings
-from repro.experiments.runner import run_nuca_point, run_uniform_point
+from repro.experiments.runner import run_point_spec
+from repro.experiments.store import PointSpec
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +33,7 @@ def settings():
 @pytest.fixture(scope="module")
 def ur_points(settings):
     return {
-        cfg.name: run_uniform_point(cfg, 0.2, settings)
+        cfg.name: run_point_spec(PointSpec(cfg, "uniform", 0.2), settings)
         for cfg in (
             make_2db(), make_3db(), make_3dm(), make_3dm(nc=True),
             make_3dme(), make_3dme(nc=True),
@@ -99,7 +102,7 @@ class TestNucaLatencyShapes:
     @pytest.fixture(scope="class")
     def nuca_points(self, settings):
         return {
-            cfg.name: run_nuca_point(cfg, 0.15, settings)
+            cfg.name: run_point_spec(PointSpec(cfg, "nuca", 0.15), settings)
             for cfg in (make_2db(), make_3db(), make_3dm(), make_3dme())
         }
 
@@ -143,10 +146,9 @@ class TestPowerShapes:
 class TestShutdownShapes:
     def test_short_flits_reduce_power(self, settings):
         cfg = make_3dm()
-        base = run_uniform_point(cfg, 0.2, settings, short_flit_fraction=0.0,
-                                 shutdown_enabled=True)
-        gated = run_uniform_point(cfg, 0.2, settings, short_flit_fraction=0.5,
-                                  shutdown_enabled=True)
+        spec = PointSpec(cfg, "uniform", 0.2, shutdown_enabled=True)
+        base = run_point_spec(spec, settings)
+        gated = run_point_spec(replace(spec, short_flit_fraction=0.5), settings)
         saving = 1 - gated.power.dynamic_w / base.power.dynamic_w
         # Paper: up to 36% dynamic saving at 50% short flits.
         assert 0.15 <= saving <= 0.40

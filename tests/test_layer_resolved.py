@@ -21,13 +21,15 @@ Four layers of confidence in the active-layer plumbing:
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from repro.core.arch import make_2db, make_3dm, make_3dme
 from repro.core.shutdown import ShortFlitDetector
 from repro.experiments.config import ExperimentSettings
-from repro.experiments.runner import run_uniform_point
+from repro.experiments.runner import run_point_spec
+from repro.experiments.store import PointSpec
 from repro.noc.sanitizer import SanityError
 from repro.noc.simulator import Simulator
 from repro.noc.stats import EventCounts
@@ -41,6 +43,11 @@ from repro.traffic.patterns import (
     flit_active_groups,
 )
 from repro.traffic.synthetic import UniformRandomTraffic
+
+#: 3DM at UR 0.15 with half the flits short and layer shutdown on.
+GATED_3DM = PointSpec(
+    make_3dm(), "uniform", 0.15, short_flit_fraction=0.5, shutdown_enabled=True
+)
 
 #: One exemplar 32-bit word per frequent-pattern class (Fig. 1).
 PATTERN_WORDS = {
@@ -92,9 +99,8 @@ class TestDetectorAgreement:
 class TestLayerHistogramDifferential:
     @pytest.mark.parametrize("shutdown", [True, False])
     def test_histograms_sum_to_legacy_totals(self, settings, shutdown):
-        point = run_uniform_point(
-            make_3dm(), 0.15, settings,
-            short_flit_fraction=0.5, shutdown_enabled=shutdown,
+        point = run_point_spec(
+            replace(GATED_3DM, shutdown_enabled=shutdown), settings
         )
         events = point.sim.events
         groups = 4
@@ -141,10 +147,7 @@ class TestLayerHistogramDifferential:
         ) == sum(k * count for k, count in by_layers.items())
 
     def test_delta_and_copy_carry_layer_histograms(self, settings):
-        point = run_uniform_point(
-            make_3dm(), 0.15, settings,
-            short_flit_fraction=0.5, shutdown_enabled=True,
-        )
+        point = run_point_spec(GATED_3DM, settings)
         events = point.sim.events
         snap = events.copy()
         assert snap.buffer_writes_by_layers == events.buffer_writes_by_layers
@@ -160,9 +163,12 @@ class TestSimulatedVsAnalytic:
     def test_agreement_at_measured_fraction(
         self, settings, config, short_fraction
     ):
-        point = run_uniform_point(
-            config, 0.1, settings,
-            short_flit_fraction=short_fraction, shutdown_enabled=True,
+        point = run_point_spec(
+            PointSpec(
+                config, "uniform", 0.1, short_flit_fraction=short_fraction,
+                shutdown_enabled=True,
+            ),
+            settings,
         )
         events = point.sim.events
         measured = events.short_flit_hops / events.flit_hops
@@ -171,10 +177,7 @@ class TestSimulatedVsAnalytic:
         assert simulated == pytest.approx(analytic, rel=0.02)
 
     def test_layer_power_sums_to_legacy_report(self, settings):
-        point = run_uniform_point(
-            make_3dm(), 0.15, settings,
-            short_flit_fraction=0.5, shutdown_enabled=True,
-        )
+        point = run_point_spec(GATED_3DM, settings)
         lp = point.layer_power
         assert len(lp.layer_dynamic_w) == 4
         assert lp.dynamic_w == pytest.approx(point.power.dynamic_w, rel=1e-9)
@@ -184,10 +187,7 @@ class TestSimulatedVsAnalytic:
         assert 0.0 < lp.shutdown_saving_fraction < 1.0
 
     def test_layer_map_sums_to_total(self, settings):
-        point = run_uniform_point(
-            make_3dm(), 0.15, settings,
-            short_flit_fraction=0.5, shutdown_enabled=True,
-        )
+        point = run_point_spec(GATED_3DM, settings)
         rows = point.router_layer_power_per_node()
         assert len(rows) == make_3dm().num_nodes
         total = sum(sum(row) for row in rows)
@@ -200,13 +200,9 @@ class TestDownstreamInvariants:
     def test_shutdown_accounting_is_timing_neutral(self, settings):
         """The layer mask and histograms are counters only: latency and
         throughput are bit-identical with shutdown on and off."""
-        on = run_uniform_point(
-            make_3dm(), 0.15, settings,
-            short_flit_fraction=0.5, shutdown_enabled=True,
-        )
-        off = run_uniform_point(
-            make_3dm(), 0.15, settings,
-            short_flit_fraction=0.5, shutdown_enabled=False,
+        on = run_point_spec(GATED_3DM, settings)
+        off = run_point_spec(
+            replace(GATED_3DM, shutdown_enabled=False), settings
         )
         assert on.sim.avg_latency == off.sim.avg_latency
         assert on.sim.avg_hops == off.sim.avg_hops

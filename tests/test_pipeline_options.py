@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.arch import make_2db, make_3dm
 from repro.experiments.config import ExperimentSettings
-from repro.experiments.runner import run_uniform_point
+from repro.experiments.runner import run_point_spec
+from repro.experiments.store import PointSpec
 from repro.noc.network import Network
 from repro.noc.packet import ctrl_packet, data_packet
 from repro.noc.simulator import Simulator
@@ -107,14 +108,15 @@ def test_speculation_improves_latency_under_load():
         uniform_rates=(0.2,), nuca_rates=(0.1,), trace_cycles=5000,
         workloads=("tpcw",), seed=3,
     )
-    base = run_uniform_point(make_2db(), 0.2, settings)
-    spec = run_uniform_point(
-        make_2db().with_pipeline_options(speculative_sa=True), 0.2, settings
-    )
-    both = run_uniform_point(
-        make_2db().with_pipeline_options(speculative_sa=True, lookahead_rc=True),
-        0.2,
-        settings,
+    base, spec, both = (
+        run_point_spec(PointSpec(config, "uniform", 0.2), settings)
+        for config in (
+            make_2db(),
+            make_2db().with_pipeline_options(speculative_sa=True),
+            make_2db().with_pipeline_options(
+                speculative_sa=True, lookahead_rc=True
+            ),
+        )
     )
     assert spec.avg_latency < base.avg_latency
     assert both.avg_latency < spec.avg_latency
@@ -126,10 +128,13 @@ def test_options_compose_with_3dm_merge():
         uniform_rates=(0.15,), nuca_rates=(0.1,), trace_cycles=5000,
         workloads=("tpcw",), seed=3,
     )
-    merged = run_uniform_point(make_3dm(), 0.15, settings)
-    turbo = run_uniform_point(
-        make_3dm().with_pipeline_options(speculative_sa=True, lookahead_rc=True),
-        0.15,
-        settings,
+    merged, turbo = (
+        run_point_spec(PointSpec(config, "uniform", 0.15), settings)
+        for config in (
+            make_3dm(),
+            make_3dm().with_pipeline_options(
+                speculative_sa=True, lookahead_rc=True
+            ),
+        )
     )
     assert turbo.avg_latency < merged.avg_latency

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.arch import make_2db, make_3dm
 from repro.experiments.config import ExperimentSettings
-from repro.experiments.runner import run_uniform_point
+from repro.experiments.runner import run_point_spec
+from repro.experiments.store import PointSpec
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +25,7 @@ def settings():
 @pytest.fixture(scope="module")
 def points(settings):
     return {
-        rate: run_uniform_point(make_2db(), rate, settings)
+        rate: run_point_spec(PointSpec(make_2db(), "uniform", rate), settings)
         for rate in (0.05, 0.1, 0.2)
     }
 
@@ -68,8 +69,8 @@ def test_3dm_power_advantage_grows_with_load(settings):
     so 3DM's *absolute* advantage widens with injection rate."""
     gaps = []
     for rate in (0.05, 0.2):
-        p2 = run_uniform_point(make_2db(), rate, settings)
-        p3 = run_uniform_point(make_3dm(), rate, settings)
+        p2 = run_point_spec(PointSpec(make_2db(), "uniform", rate), settings)
+        p3 = run_point_spec(PointSpec(make_3dm(), "uniform", rate), settings)
         gaps.append(p2.total_power_w - p3.total_power_w)
     assert gaps[1] > gaps[0]
 

@@ -18,7 +18,8 @@ import os
 
 import pytest
 
-from repro.experiments.runner import run_uniform_point, run_nuca_point
+from repro.experiments import runner
+from repro.experiments.runner import run_point_spec
 from repro.experiments.store import PointSpec
 from repro.resilience.faults import FaultPlan
 from repro.resilience.variation import VariationModel
@@ -26,20 +27,20 @@ from repro.resilience.variation import VariationModel
 from tests.test_golden_e2e import CASES, FIXTURE, SETTINGS, compute_digest
 
 
-def _run_with_idle_resilience(spec: PointSpec):
+def _run_with_idle_resilience(spec: PointSpec, monkeypatch):
     """Run *spec* exactly as the golden harness does, but with an empty
-    fault plan attached and a sigma-0 variation sample applied."""
-    run = run_uniform_point if spec.kind == "uniform" else run_nuca_point
-    return run(
-        spec.config,
-        spec.rate,
-        SETTINGS,
-        short_flit_fraction=spec.short_flit_fraction,
-        shutdown_enabled=spec.shutdown_enabled,
-        seed=spec.seed,
-        faults=FaultPlan(),
-        variation=VariationModel(0.0, seed=3).sample_for(spec.config),
+    fault plan attached and a sigma-0 variation sample applied.
+
+    No spec field spells either one (both mean "nothing attached"), so
+    the runner's spec-to-plan hooks are patched to hand them over.
+    """
+    monkeypatch.setattr(runner, "fault_plan_for_spec", lambda _: FaultPlan())
+    monkeypatch.setattr(
+        runner,
+        "variation_sample_for_spec",
+        lambda spec: VariationModel(0.0, seed=3).sample_for(spec.config),
     )
+    return run_point_spec(spec, SETTINGS)
 
 
 @pytest.fixture(scope="module")
@@ -51,11 +52,16 @@ def golden_digests():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_idle_resilience_machinery_is_bit_identical(name, golden_digests):
+def test_idle_resilience_machinery_is_bit_identical(
+    name, golden_digests, monkeypatch
+):
     """Attached-but-inactive injector + sigma-0 variation must not move
     a single bit of any golden case (the zero-cost-when-detached and
     bit-identical-when-fault-free acceptance gates)."""
-    point = _run_with_idle_resilience(CASES[name])
+    point = _run_with_idle_resilience(CASES[name], monkeypatch)
+    assert point.sim.fault_summary is not None, (
+        f"{name}: the idle fault injector was not attached"
+    )
     assert compute_digest(point) == golden_digests[name], (
         f"{name}: idle fault injector / sigma-0 variation perturbed "
         "the simulation — the resilience hooks are not free"
@@ -71,18 +77,12 @@ class TestInjectedFullSanitize:
         )], ids=lambda spec: spec.config.name,
     )
     def test_injected_run_sanitizes_clean(self, spec):
-        config = spec.config
-        plan = FaultPlan.random_links(
-            config.build_topology(), 2, seed=5, cycle=50, mode="drain"
+        damaged = PointSpec(
+            spec.config, "uniform", 0.1,
+            fault_random_links=2, fault_seed=5, fault_cycle=50,
+            fault_mode="drain",
         )
-        point = run_uniform_point(
-            config,
-            0.1,
-            SETTINGS,
-            sanitize=True,
-            sanitize_interval=1,
-            faults=plan,
-        )
+        point = run_point_spec(damaged, SETTINGS, sanitize=True)
         result = point.sim
         assert result.fault_summary["links_killed"] == 2
         # Audited throughout and never raised; watchdog never tripped.
@@ -103,16 +103,10 @@ class TestInjectedFullSanitize:
         """Variation (a slow corner) composes with the sanitizer too."""
         from repro.core.arch import make_3dm
 
-        config = make_3dm()
-        variation = VariationModel(0.3, seed=9).sample_for(config)
-        point = run_uniform_point(
-            config,
-            0.1,
-            SETTINGS,
-            sanitize=True,
-            sanitize_interval=1,
-            variation=variation,
+        spec = PointSpec(
+            make_3dm(), "uniform", 0.1, variation_sigma=0.3, variation_seed=9
         )
+        point = run_point_spec(spec, SETTINGS, sanitize=True)
         assert point.sim.sanity is not None
         assert point.sim.sanity.watchdog_reports == ()
         assert point.sim.packets_delivered > 0

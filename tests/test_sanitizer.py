@@ -164,6 +164,18 @@ class TestSeededFaults:
         assert err.vc == 0
         assert f"node {router.node}" in str(err)
 
+    def test_router_missing_from_active_set_attributed(self):
+        network, _ = _warmed_network()
+        router = next(r for r in network.routers if r._active)
+        network._active_routers.discard(router.node)
+
+        with pytest.raises(SanityError) as excinfo:
+            network.sanitizer.audit(network.cycle)
+        err = excinfo.value
+        assert err.check == "vc-state"
+        assert err.node == router.node
+        assert "active-router set" in str(err)
+
     @pytest.mark.parametrize(
         "allocator, pointers, label",
         [

@@ -22,7 +22,7 @@ import pytest
 from repro.core.arch import Architecture, make_2db, make_3dm, make_architecture
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.export import point_to_dict
-from repro.experiments.runner import run_uniform_point
+from repro.experiments.runner import run_point_spec
 from repro.experiments.store import (
     SCHEMA_VERSION,
     PointSpec,
@@ -204,7 +204,7 @@ class TestKeyStability:
 class TestResultStoreRoundTrip:
     @pytest.fixture(scope="class")
     def point(self, settings):
-        return run_uniform_point(make_2db(), 0.1, settings)
+        return run_point_spec(PointSpec(make_2db(), "uniform", 0.1), settings)
 
     def test_serialisation_is_lossless(self, point):
         clone = point_result_from_json(point_result_to_json(point))

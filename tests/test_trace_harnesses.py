@@ -77,10 +77,13 @@ class TestGolden3dme:
 
     @pytest.fixture(scope="class")
     def run(self, settings):
-        from repro.experiments.runner import run_uniform_point
         from repro.core.arch import make_3dme
+        from repro.experiments.runner import run_point_spec
+        from repro.experiments.store import PointSpec
 
-        return run_uniform_point(make_3dme(), 0.2, settings, seed=999)
+        return run_point_spec(
+            PointSpec(make_3dme(), "uniform", 0.2, seed=999), settings
+        )
 
     def test_hops_near_theoretical(self, run):
         from repro.core.express import average_hops
@@ -90,9 +93,12 @@ class TestGolden3dme:
         assert run.avg_hops == pytest.approx(expected, rel=0.05)
 
     def test_deterministic_replay(self, settings, run):
-        from repro.experiments.runner import run_uniform_point
         from repro.core.arch import make_3dme
+        from repro.experiments.runner import run_point_spec
+        from repro.experiments.store import PointSpec
 
-        again = run_uniform_point(make_3dme(), 0.2, settings, seed=999)
+        again = run_point_spec(
+            PointSpec(make_3dme(), "uniform", 0.2, seed=999), settings
+        )
         assert again.avg_latency == run.avg_latency
         assert again.sim.events.flit_hops == run.sim.events.flit_hops
