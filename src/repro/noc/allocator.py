@@ -6,18 +6,25 @@ The paper's router performs virtual-channel allocation in two steps
 arbiters).  Switch allocation (Sec. 3.2.6) is separable the same way: SA1
 picks one VC per input port, SA2 picks one input port per output port.
 
-Both allocators work on the router's flat unit indices (``unit = port *
-num_vcs + vc``) and hold every arbiter as one ``int`` round-robin
-pointer in a flat list, so they are deliberately stateful: priority
-rotates between cycles to model fairness the way hardware does.  A
-round-robin arbiter grants the contender its pointer reaches first —
-the one with the smallest ``(x - pointer) % size`` — and its pointer
-then moves to ``winner + 1``.
+Each allocator is one network-wide instance over the network's global
+indices (:class:`~repro.noc.network.Network`): a port ``p`` of the node
+whose ports start at global port ``port_base`` is global port
+``port_base + p``, and its VC ``v`` is global unit (or output VC)
+``(port_base + p) * num_vcs + v``.  Every arbiter is one ``int``
+round-robin pointer in a flat list indexed the same way, so the
+allocators are deliberately stateful: priority rotates between cycles to
+model fairness the way hardware does.  A round-robin arbiter grants the
+contender its pointer reaches first — the one with the smallest
+``(x - pointer) % size`` — and its pointer then moves to ``winner + 1``.
+A pointer holds the same value it would in a router-local allocator:
+VA2 and SA2 arbitrate among one node's units and ports, so
+:meth:`~VirtualChannelAllocator.allocate` takes the node's first unit
+and unit count and measures those two stages' distances from there.
 
 Every VA request, the sole requester included, goes through
 :meth:`VirtualChannelAllocator.allocate`, and every switch allocation
 with two or more requesters through :meth:`SwitchAllocator.allocate`.
-The router loop (``Network._step_nodes``) handles one shape itself: a
+The router loop (``Network._step_units``) handles one shape itself: a
 sole SA requester is the only contender in both of its arbitrations, so
 the loop just rotates its two pointers.
 """
@@ -28,113 +35,128 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 
 class VirtualChannelAllocator:
-    """Separable two-stage VC allocator.
+    """Separable two-stage VC allocator over every node of a network.
 
-    ``va1[unit]`` is the VA1 pointer of input unit *unit* over its
-    candidate output VCs; ``va2[out_port * num_vcs + out_vc]`` is the
-    VA2 pointer of that output VC over all input units.
+    ``node_ports[n]`` is node *n*'s port count; nodes take consecutive
+    global ports in node order.  ``va1[unit]`` is the VA1 pointer of
+    input unit *unit* over its candidate output VCs (``0..num_vcs-1``);
+    ``va2[out_vc]`` is the VA2 pointer of global output VC *out_vc* over
+    its node's input units (``0..units-1``, relative to the node's first
+    unit).
     """
 
-    def __init__(self, num_ports: int, num_vcs: int) -> None:
-        self.num_ports = num_ports
+    def __init__(self, node_ports: Sequence[int], num_vcs: int) -> None:
+        self.node_ports = list(node_ports)
         self.num_vcs = num_vcs
-        self.va1: List[int] = [0] * (num_ports * num_vcs)
-        self.va2: List[int] = [0] * (num_ports * num_vcs)
+        units = sum(self.node_ports) * num_vcs
+        self.va1: List[int] = [0] * units
+        self.va2: List[int] = [0] * units
 
     def allocate(
         self,
         units: Sequence[int],
         out_port_of: Sequence[int],
-        owners: Sequence[Sequence[Optional[Tuple[int, int]]]],
-        allowed: Optional[Sequence[Optional[Tuple[int, ...]]]] = None,
+        owners: Sequence[Optional[int]],
+        allowed: Optional[Sequence[Optional[Tuple[int, ...]]]],
+        base: int,
+        size: int,
     ) -> Dict[int, int]:
-        """Grant output VCs to the requesting input *units* (ascending).
+        """Grant output VCs to the requesting input *units* (ascending)
+        of the node whose units are ``base .. base + size - 1``.
 
-        Unit ``i`` asks for a VC on output port ``out_port_of[i]``; an
-        output VC is free when its ``owners[port][vc]`` entry is
-        ``None``, read as it stands before any grant of this call.
+        Unit ``i`` asks for a VC on global output port
+        ``out_port_of[i]``; output VC ``o`` is free when ``owners[o]``
+        is ``None``, read as it stands before any grant of this call.
         ``allowed`` (parallel to *units*) restricts each unit's
         candidate VCs, e.g. the one-VC-per-traffic-class policy of
         Sec. 3.2.4; ``None`` means any VC.
 
-        Returns ``{out_port * num_vcs + out_vc: unit}`` in order of each
-        output VC's first appearance among the VA1 picks, the order the
-        grants are committed in.
+        Returns ``{global output VC: unit}`` in order of each output
+        VC's first appearance among the VA1 picks, the order the grants
+        are committed in.
         """
         num_vcs = self.num_vcs
         va1 = self.va1
         va2 = self.va2
-        size = len(va2)
         winners: Dict[int, int] = {}
         for n, i in enumerate(units):
-            out_port = out_port_of[i]
-            row = owners[out_port]
+            first = out_port_of[i] * num_vcs
             allow = None if allowed is None else allowed[n]
             # VA1: the free, permitted output VC the pointer reaches
             # first.  Its pointer rotates even if VA2 then denies it.
             v = va1[i]
             for _ in range(num_vcs):
-                if row[v] is None and (allow is None or v in allow):
+                if owners[first + v] is None and (allow is None or v in allow):
                     break
                 v = v + 1 if v + 1 < num_vcs else 0
             else:
                 continue
             va1[i] = v + 1 if v + 1 < num_vcs else 0
             # VA2: the output VC's pointer picks among its contenders.
-            key = out_port * num_vcs + v
+            key = first + v
             cur = winners.get(key)
             if cur is None:
                 winners[key] = i
             else:
-                nxt = va2[key]
+                nxt = base + va2[key]
                 if (i - nxt) % size < (cur - nxt) % size:
                     winners[key] = i
         for key, i in winners.items():
-            va2[key] = (i + 1) % size
+            va2[key] = (i - base + 1) % size
         return winners
 
-    def check_sane(self) -> Optional[str]:
-        """``None`` when every pointer is legal, else a message naming
-        the first corrupted arbiter (sanitizer hook)."""
+    def check_sane(self) -> Optional[Tuple[int, str]]:
+        """``None`` when every pointer is legal, else ``(node, message)``
+        naming the first corrupted arbiter (sanitizer hook)."""
         num_vcs = self.num_vcs
-        for unit, nxt in enumerate(self.va1):
-            problem = _pointer_problem(nxt, num_vcs)
-            if problem:
-                return (
-                    f"VA1 arbiter for input VC {divmod(unit, num_vcs)}: "
-                    f"{problem}"
-                )
-        for key, nxt in enumerate(self.va2):
-            problem = _pointer_problem(nxt, len(self.va2))
-            if problem:
-                return (
-                    f"VA2 arbiter for output VC {divmod(key, num_vcs)}: "
-                    f"{problem}"
-                )
+        base = 0
+        for node, ports in enumerate(self.node_ports):
+            size = ports * num_vcs
+            for unit in range(size):
+                problem = _pointer_problem(self.va1[base + unit], num_vcs)
+                if problem:
+                    return node, (
+                        f"VA1 arbiter for input VC {divmod(unit, num_vcs)}: "
+                        f"{problem}"
+                    )
+            for key in range(size):
+                problem = _pointer_problem(self.va2[base + key], size)
+                if problem:
+                    return node, (
+                        f"VA2 arbiter for output VC {divmod(key, num_vcs)}: "
+                        f"{problem}"
+                    )
+            base += size
         return None
 
 
 class SwitchAllocator:
-    """Separable two-stage switch allocator.
+    """Separable two-stage switch allocator over every node of a network.
 
-    ``sa1[in_port]`` is the SA1 pointer over that input port's VCs;
-    ``sa2[out_port]`` is the SA2 pointer over the input ports.
+    ``sa1[in_port]`` is the SA1 pointer of global input port *in_port*
+    over its VCs (``0..num_vcs-1``); ``sa2[out_port]`` is the SA2 pointer
+    of global output port *out_port* over its node's input ports
+    (``0..ports-1``, relative to the node's first port).
     """
 
-    def __init__(self, num_ports: int, num_vcs: int) -> None:
-        self.num_ports = num_ports
+    def __init__(self, node_ports: Sequence[int], num_vcs: int) -> None:
+        self.node_ports = list(node_ports)
         self.num_vcs = num_vcs
-        self.sa1: List[int] = [0] * num_ports
-        self.sa2: List[int] = [0] * num_ports
+        ports = sum(self.node_ports)
+        self.sa1: List[int] = [0] * ports
+        self.sa2: List[int] = [0] * ports
 
     def allocate(
         self,
         units: Sequence[int],
         out_port_of: Sequence[int],
-        priority: Optional[Mapping[int, int]] = None,
+        priority: Optional[Mapping[int, int]],
+        base: int,
+        size: int,
     ):
         """Grant the crossbar among the requesting input *units*
-        (ascending), unit ``i`` bidding for output port
+        (ascending) of the node whose units are ``base .. base + size -
+        1``, unit ``i`` bidding for global output port
         ``out_port_of[i]``: at most one grant per input port and one per
         output port.
 
@@ -168,7 +190,8 @@ class SwitchAllocator:
         # SA2: per output port, the input port its pointer reaches
         # first.  Every SA1 winner rotates its pointer, even one that
         # then loses here.
-        num_ports = self.num_ports
+        port_base = base // num_vcs
+        num_ports = size // num_vcs
         sa2 = self.sa2
         winners: Dict[int, int] = {}
         for port, i in stage1.items():
@@ -178,7 +201,7 @@ class SwitchAllocator:
             if cur is None:
                 winners[out] = i
                 continue
-            nxt = sa2[out]
+            nxt = port_base + sa2[out]
             better = (port - nxt) % num_ports < (cur // num_vcs - nxt) % num_ports
             if priority is not None:
                 a, b = priority.get(i, 0), priority.get(cur, 0)
@@ -187,20 +210,25 @@ class SwitchAllocator:
             if better:
                 winners[out] = i
         for out, i in winners.items():
-            sa2[out] = (i // num_vcs + 1) % num_ports
+            sa2[out] = (i // num_vcs - port_base + 1) % num_ports
         return winners.values()
 
-    def check_sane(self) -> Optional[str]:
-        """``None`` when every pointer is legal, else a message naming
-        the first corrupted arbiter (sanitizer hook)."""
-        for in_port, nxt in enumerate(self.sa1):
-            problem = _pointer_problem(nxt, self.num_vcs)
-            if problem:
-                return f"SA1 arbiter for input port {in_port}: {problem}"
-        for out_port, nxt in enumerate(self.sa2):
-            problem = _pointer_problem(nxt, self.num_ports)
-            if problem:
-                return f"SA2 arbiter for output port {out_port}: {problem}"
+    def check_sane(self) -> Optional[Tuple[int, str]]:
+        """``None`` when every pointer is legal, else ``(node, message)``
+        naming the first corrupted arbiter (sanitizer hook)."""
+        port_base = 0
+        for node, ports in enumerate(self.node_ports):
+            for port in range(ports):
+                problem = _pointer_problem(
+                    self.sa1[port_base + port], self.num_vcs
+                )
+                if problem:
+                    return node, f"SA1 arbiter for input port {port}: {problem}"
+            for port in range(ports):
+                problem = _pointer_problem(self.sa2[port_base + port], ports)
+                if problem:
+                    return node, f"SA2 arbiter for output port {port}: {problem}"
+            port_base += ports
         return None
 
 

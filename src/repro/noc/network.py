@@ -7,18 +7,32 @@ tallies and the network's float accumulators).  It is deliberately
 separate from :class:`repro.noc.simulator.Simulator`, which adds
 warm-up/measurement/drain orchestration and power integration on top.
 
-It also runs the whole router pipeline: injection, one router loop
-(:meth:`Network._step_nodes`: RC, VA, SA and switch traversal) and one
-landing loop each for flits and credits, so a flit-hop costs no Python
-call of its own; only contended VC and switch allocation call out, to
-:mod:`repro.noc.allocator`.  The loop visits each busy unit once per
-cycle and the event rings delay each arrival by the hop time, which is
-the whole of the stage timing.
+It also owns all pipeline state, as one structure of arrays over global
+indices.  Nodes take consecutive ports in node order: port ``p`` of
+``node`` is global port ``port_base + p`` (the same number for the input
+and the output side), and its VC ``v`` is the global unit (input VC) or
+output VC ``(port_base + p) * num_vcs + v``, so ``unit_base[node] =
+port_base * num_vcs``.  Per unit: ``vc_state``, ``vc_out_port`` (a
+global port), ``vc_out_vc``, ``vc_fifos`` and ``credit_returns`` (the
+upstream output VC a leaving flit's credit goes back to); per output VC:
+``out_owner`` (the owning unit) and ``credits``; per output port the
+link tables ``link_targets`` (the downstream unit of VC 0),
+``link_args`` and ``next_routes``.  ``stuck`` holds the units a
+stuck-VC fault freezes and ``_active`` the units that may have work.
 
-The network is the one owner of its settings and observers: routers
-(:class:`~repro.noc.router.Router`) hold their node's pipeline state,
-tallies and link tables, and the network resolves every link's endpoints
-once, when it is built.  The one pipeline hook is the trace recorder
+The network runs the whole router pipeline over those lists: injection,
+one router loop (:meth:`Network._step_units`: RC, VA, SA and switch
+traversal) and one landing loop each for flits and credits, so a
+flit-hop costs no Python call of its own; only VC allocation and
+contended switch allocation call out, to the network's one pair of
+allocators (:mod:`repro.noc.allocator`).  The loop sorts the active
+units once per cycle and walks them one node at a time, visiting each
+busy unit once; the event rings delay each arrival by the hop time,
+which is the whole of the stage timing.  Arrival entries are ``(unit,
+flit)`` and credit entries the output VC they return to.
+
+Routers (:class:`~repro.noc.router.Router`) keep their node's geometry
+and activity tallies only.  The one pipeline hook is the trace recorder
 (``network.recorder``): at a head flit's RC, VA and ST the router loop
 probes the recorder's capture map and calls ``on_stage`` only for
 packets not mapped to ``0``.
@@ -27,11 +41,13 @@ packets not mapped to ``0``.
 from __future__ import annotations
 
 from collections import deque
+from itertools import groupby
 from typing import (
     Callable, Deque, Dict, FrozenSet, List, Optional, Set, Tuple,
     TYPE_CHECKING,
 )
 
+from repro.noc.allocator import SwitchAllocator, VirtualChannelAllocator
 from repro.noc.packet import Flit, Packet, PacketClass
 from repro.noc.profiling import NetworkProfiler
 from repro.noc.router import (
@@ -173,43 +189,119 @@ class Network:
         )
         self.stats = NetworkStats()
 
-        #: One next-port row per router (``routes[node][dst]``), proved
-        #: deadlock-free; :meth:`reroute` rebuilds it in place.
-        self.routes = build_route_table(topology, routing, num_vcs=num_vcs)
-        self.routers: List[Router] = [
-            Router(node, self) for node in topology.iter_nodes()
-        ]
-        # Resolve every link's endpoints once, into the routers' link
-        # tables, so the router loop makes no string-keyed port lookup.
+        #: One next-port row per router (``routes[node][dst]``: a port
+        #: index of that node), proved deadlock-free; :meth:`reroute`
+        #: rebuilds it in place.
+        self.routes = routes = build_route_table(
+            topology, routing, num_vcs=num_vcs
+        )
+        self.routers: List[Router] = []
+        #: The global unit of each node's (port 0, VC 0).
+        self.unit_base: List[int] = []
+        #: The node each global unit (and output VC) belongs to.
+        self.node_of_unit: List[int] = []
+        units = 0
+        for node in topology.iter_nodes():
+            router = Router(node, self, units)
+            self.routers.append(router)
+            self.unit_base.append(units)
+            size = router.num_ports * num_vcs
+            self.node_of_unit.extend([node] * size)
+            units += size
         routers = self.routers
+        ports = units // num_vcs
+
+        # Per input unit.
+        self.vc_state: List[int] = [_IDLE] * units
+        self.vc_out_port: List[int] = [-1] * units
+        self.vc_out_vc: List[int] = [-1] * units
+        #: One bounded flit FIFO per input VC, front at index 0; the
+        #: landing loop enforces the depth.
+        self.vc_fifos: List[Deque[Flit]] = [deque() for _ in range(units)]
+        #: The upstream output VC a flit leaving this unit returns its
+        #: credit to (appended to the credit ring as is); ``None`` on
+        #: the local port and on ports no link feeds.
+        self.credit_returns: List[Optional[int]] = [None] * units
+        # Per output VC.
+        #: The unit holding each output VC, ``None`` when free.
+        self.out_owner: List[Optional[int]] = [None] * units
+        #: Credits held per output VC: the downstream buffer's free
+        #: slots.  The local output's ejection sink always accepts, so
+        #: its VCs keep ``buffer_depth`` and are never charged; a port
+        #: without a link keeps 0.
+        self.credits: List[int] = [0] * units
+        # Per output port, ``None`` where the port has no link: the
+        # downstream unit of VC 0, the link's accounting arguments
+        # ``(link-kind index, length, the router's port_flits row)`` and
+        # the downstream node's next-port row (look-ahead RC).
+        self.link_targets: List[Optional[int]] = [None] * ports
+        self.link_args: List[Optional[Tuple[int, float, List[int]]]] = (
+            [None] * ports
+        )
+        self.next_routes: List[Optional[List[int]]] = [None] * ports
+        #: Units a stuck-VC fault holds
+        #: (:class:`~repro.resilience.faults.FaultInjector` fills it):
+        #: the router loop skips them, so they never advance.
+        self.stuck: Set[int] = set()
+        #: Units that may have pipeline work: a unit joins when a flit
+        #: lands on it and leaves when its buffer drains, so an empty
+        #: set means the network is quiescent until a flit lands.
+        self._active: Set[int] = set()
+        node_ports = [router.num_ports for router in routers]
+        self._va = VirtualChannelAllocator(node_ports, num_vcs)
+        self._sa = SwitchAllocator(node_ports, num_vcs)
+        #: What the loops read per node, bound once: ``(router, first
+        #: unit, unit count, first port, local output port, next-port
+        #: row)``, ports global.
+        self._nodes = [
+            (
+                router, router.units.start, len(router.units),
+                router.port_base,
+                router.port_base + router.local_port, routes[router.node],
+            )
+            for router in routers
+        ]
+        #: Each unit's router ``writes_by_layers`` tally (landing loop).
+        self._unit_writes = [
+            routers[node].writes_by_layers for node in self.node_of_unit
+        ]
+        credits = self.credits
+        for router in routers:
+            local = (router.port_base + router.local_port) * num_vcs
+            credits[local:local + num_vcs] = [buffer_depth] * num_vcs
+        # Resolve every link's endpoints once, into the link tables, so
+        # the router loop makes no string-keyed port lookup.
         link_tallies = []
         for link in topology.links:
             up, down = routers[link.src], routers[link.dst]
-            out = up.port_index[link.src_port]
-            in_port = down.port_index[link.dst_port]
-            up.credits[out] = [buffer_depth] * num_vcs
-            up.arrival_targets[out] = (link.dst, in_port)
-            up.link_args[out] = (
+            port = up.port_index[link.src_port]
+            out = up.port_base + port
+            in_port = down.port_base + down.port_index[link.dst_port]
+            credits[out * num_vcs:(out + 1) * num_vcs] = (
+                [buffer_depth] * num_vcs
+            )
+            self.link_targets[out] = in_port * num_vcs
+            self.link_args[out] = (
                 self.link_kinds.index(link.kind.value),
                 link.length_mm,
-                up.port_flits[out],
+                up.port_flits[port],
             )
-            up.next_routes[out] = self.routes[link.dst]
+            self.next_routes[out] = routes[link.dst]
             for vc in range(num_vcs):
-                down.credit_returns[in_port * num_vcs + vc] = (
-                    link.src, out, vc
+                self.credit_returns[in_port * num_vcs + vc] = (
+                    out * num_vcs + vc
                 )
             link_tallies.append(
-                (up.port_flits[out], link.kind.value, (link.src, link.dst))
+                (up.port_flits[port], link.kind.value, (link.src, link.dst))
             )
         #: (the router's ``port_flits`` row, link kind, channel) per link,
         #: sorted by channel — what :attr:`events` folds.
         self._link_tallies = sorted(link_tallies, key=lambda tally: tally[2])
 
         #: Event rings: slot ``cycle % EVENT_RING_SLOTS`` holds the
-        #: events due at ``cycle`` — arrivals ``(node, port, vc, flit)``,
-        #: credits ``(node, port, vc)`` bound upstream, and ejecting
-        #: flits.  Routers append into them; :meth:`_deliver` takes the
+        #: events due at ``cycle`` — arrivals ``(unit, flit)``, credits
+        #: (the output VC they return to) and ejecting flits.  The
+        #: router loop appends into them; :meth:`_deliver` takes the
         #: current slot of each and leaves a fresh list in its place.
         self.arrival_slots: List[list] = [[] for _ in range(EVENT_RING_SLOTS)]
         self.credit_slots: List[list] = [[] for _ in range(EVENT_RING_SLOTS)]
@@ -218,10 +310,6 @@ class Network:
             _SourceQueue() for _ in topology.iter_nodes()
         ]
         self._busy_sources: Set[int] = set()
-        #: Routers that may have pipeline work this cycle.  Maintained
-        #: as a *superset* of the busy routers (routers only become busy
-        #: through :meth:`_land_flits`, which wakes them here).
-        self._active_routers: Set[int] = set()
         #: Attach a :class:`~repro.noc.profiling.NetworkProfiler` to
         #: collect cycles/sec, active-router ratio and per-phase wall
         #: times; ``None`` (the default) costs ``is not None`` tests
@@ -318,12 +406,22 @@ class Network:
         }
         return ev
 
+    def unit_index(self, node: int, port: int, vc: int) -> int:
+        """The global unit (or output VC) of *node*'s *port*, VC *vc*."""
+        return self.unit_base[node] + port * self.num_vcs + vc
+
+    def unit_location(self, unit: int) -> Tuple[int, int, int]:
+        """``(node, port, vc)`` of global *unit* (or output VC)."""
+        node = self.node_of_unit[unit]
+        return (node, *divmod(unit - self.unit_base[node], self.num_vcs))
+
     def reroute(self, failed: FrozenSet[Channel]) -> None:
         """Rebuild every router's next-port row around the *failed*
         channels and prove the new table deadlock-free.
 
-        Rows are overwritten in place, so the routers' aliases (their own
-        row and their downstream rows for look-ahead RC) stay valid.
+        Rows are overwritten in place, so the aliases the loops hold
+        (each node's row, and each link's downstream row for look-ahead
+        RC) stay valid.
         """
         rows = build_route_table(
             self.topology, self.routing, failed, self.num_vcs
@@ -353,7 +451,7 @@ class Network:
 
     def in_flight(self) -> int:
         """Flits buffered in routers or travelling on links."""
-        buffered = sum(router.occupancy() for router in self.routers)
+        buffered = sum(map(len, self.vc_fifos))
         return (
             buffered
             + sum(map(len, self.arrival_slots))
@@ -375,13 +473,15 @@ class Network:
         together after the source loop, in ascending node order."""
         done_sources: List[int] = []
         landed: list = []
-        routers = self.routers
+        nodes = self._nodes
+        vc_state = self.vc_state
+        vc_fifos = self.vc_fifos
         num_vcs = self.num_vcs
         all_vcs = range(num_vcs)
         for node in sorted(self._busy_sources):
             src = self._sources[node]
-            r = routers[node]
-            base = r.local_port * num_vcs
+            r, _, _, _, local_out, routes = nodes[node]
+            base = local_out * num_vcs
             if not src.flits:
                 if not src.packets:
                     done_sources.append(node)
@@ -393,7 +493,7 @@ class Network:
                     vcs = (CLASS_VC[src.packets[0].klass],)
                 for vc in vcs:
                     i = base + vc
-                    if r.vc_state[i] == _IDLE and not r.vc_fifos[i]:
+                    if vc_state[i] == _IDLE and not vc_fifos[i]:
                         break
                 else:
                     continue  # none free this cycle
@@ -405,14 +505,13 @@ class Network:
                 if self.lookahead_rc:
                     # First-hop route looked up at injection (Fig. 8c);
                     # an unroutable entry leaves the drop to RC.
-                    port = r.routes[packet.dst]
+                    port = routes[packet.dst]
                     if port >= 0:
                         src.flits[0].lookahead_port = port
                         r.rc_computations += 1
-            if len(r.vc_fifos[base + src.vc]) < self.buffer_depth:
-                landed.append(
-                    (node, r.local_port, src.vc, src.flits[src.flit_idx])
-                )
+            unit = base + src.vc
+            if len(vc_fifos[unit]) < self.buffer_depth:
+                landed.append((unit, src.flits[src.flit_idx]))
                 src.flit_idx += 1
                 if src.flit_idx >= len(src.flits):
                     src.flits = []
@@ -428,24 +527,23 @@ class Network:
                 self._busy_sources.discard(node)
 
     def _land_flits(self, arrivals) -> None:
-        """Write each arriving ``(node, port, vc, flit)`` into its input
-        VC buffer and wake its router.  A head flit on an idle VC starts
-        the VC's pipeline, which takes its first step when the router
-        next steps: RC, or VA when look-ahead RC brought a route that is
-        still current."""
-        routers = self.routers
-        num_vcs = self.num_vcs
+        """Write each arriving ``(unit, flit)`` into its input VC buffer
+        and wake the unit.  A head flit on an idle VC starts the VC's
+        pipeline, which takes its first step when the router next steps:
+        RC, or VA when look-ahead RC brought a route that is still
+        current (a look-ahead port is local to the flit's next router)."""
+        vc_fifos = self.vc_fifos
+        vc_state = self.vc_state
+        unit_writes = self._unit_writes
         depth = self.buffer_depth
         shutdown = self.shutdown_enabled
         groups = self.layer_groups
         w_table = self._w_table
         buffer_sums = self.buffer_weighted_sums
         lookahead = self.lookahead_rc
-        wake = self._active_routers.add
-        for node, port, vc, flit in arrivals:
-            r = routers[node]
-            i = port * num_vcs + vc
-            fifo = r.vc_fifos[i]
+        wake = self._active.add
+        for unit, flit in arrivals:
+            fifo = vc_fifos[unit]
             if len(fifo) >= depth:
                 raise OverflowError(
                     "buffer overflow: credit-based flow control should make "
@@ -456,37 +554,37 @@ class Network:
             # layer switches regardless of payload.
             k = flit.active_groups if shutdown else groups
             buffer_sums[0] += w_table[k]
-            r.writes_by_layers[k - 1] += 1
-            vc_state = r.vc_state
-            if vc_state[i] == _IDLE:
+            unit_writes[unit][k - 1] += 1
+            if vc_state[unit] == _IDLE:
                 if not flit.is_head:
+                    node, port, vc = self.unit_location(unit)
                     raise RuntimeError(
                         f"router {node}: body flit arrived on idle VC "
                         f"({port},{vc}); wormhole ordering violated"
                     )
-                if lookahead and flit.lookahead_port is not None and (
-                    flit.lookahead_port == r.routes[flit.packet.dst]
-                ):
-                    # The route travelled with the flit: skip to VA.
-                    r.vc_out_port[i] = flit.lookahead_port
-                    vc_state[i] = _VA
-                else:
-                    # No look-ahead route, or a stale one (the table was
-                    # rebuilt while the flit was in flight): RC.
-                    vc_state[i] = _RC
-            r._active.add(i)
-            wake(node)
+                # No look-ahead route, or a stale one (the table was
+                # rebuilt while the flit was in flight): RC.
+                state = _RC
+                port = flit.lookahead_port
+                if lookahead and port is not None:
+                    _, _, _, port_base, _, routes = self._nodes[
+                        self.node_of_unit[unit]
+                    ]
+                    if port == routes[flit.packet.dst]:
+                        # The route travelled with the flit: skip to VA.
+                        self.vc_out_port[unit] = port_base + port
+                        state = _VA
+                vc_state[unit] = state
+            wake(unit)
 
     def _land_credits(self, credits) -> None:
-        """Return each ``(node, port, vc)`` credit to its output VC."""
-        routers = self.routers
+        """Return each credit to its output VC."""
+        held = self.credits
         depth = self.buffer_depth
-        for node, port, vc in credits:
-            held = routers[node].credits[port]
-            if held is None:
-                raise RuntimeError(f"credit for local/unconnected port {port}")
-            held[vc] += 1
-            if held[vc] > depth:
+        for out_vc in credits:
+            held[out_vc] += 1
+            if held[out_vc] > depth:
+                node, port, vc = self.unit_location(out_vc)
                 raise RuntimeError(
                     f"router {node}: credit overflow on port {port} vc {vc}"
                 )
@@ -513,8 +611,8 @@ class Network:
             dead = fi.dead_credit_targets
             live = []
             for credit in credits:
-                if credit[:2] in dead:
-                    fi.confiscate(*credit)
+                if credit in dead:
+                    fi.confiscate(credit)
                 else:
                     live.append(credit)
             credits = live
@@ -538,39 +636,52 @@ class Network:
                     callback(packet, cycle)
 
     def _step_routers(self, cycle: int) -> int:
-        """Step the woken routers in ascending node order; returns how
-        many were stepped.
+        """Step the active units in ascending order; returns how many
+        routers were stepped.
 
         Ascending order is the order a full iteration would use, which
         keeps event-ring contents (and hence closed-loop RNG draws)
         identical to stepping every router every cycle."""
-        active = self._active_routers
+        active = self._active
         if not active:
             return 0
-        order = sorted(active)
-        self._step_nodes(order, cycle)
-        return len(order)
+        return self._step_units(sorted(active), cycle)
 
-    def _step_nodes(self, nodes, cycle: int) -> None:
-        """The router loop: run the pipeline of each router in *nodes*,
-        in that order, for *cycle*; a router left with no buffered work
-        leaves the active set.
+    def _step_units(self, units, cycle: int) -> int:
+        """The router loop: run the pipeline of the ascending global
+        *units* for *cycle*, one node at a time; returns how many nodes
+        it visited.  A unit whose buffer drains leaves the active set.
 
         The loop visits each busy unit once, and a unit makes at most
         one transition per visit, so a transition made in *cycle* takes
         effect at the unit's next visit; that, and the ring delays, is
-        the whole of the stage timing.  One pass over a router's units
-        (ascending) routes each head at RC inline and collects the VA
-        requesters and the SA bidders.  Then VA grants output VCs to the
-        requesters (under speculative SA its fresh grants join the
-        bidders in the same cycle), then SA, and every granted flit
-        crosses the switch inline, in grant order.  Units a stuck-VC
-        fault holds (``Router.stuck``) are skipped.  With stall
-        attribution attached, each unit that does not advance is charged
-        one cause where it fails.
+        the whole of the stage timing.  One pass over a node's units
+        routes each head at RC inline and collects the VA requesters and
+        the SA bidders.  Then VA grants output VCs to the requesters
+        (under speculative SA its fresh grants join the bidders in the
+        same cycle), then SA, and every granted flit crosses the switch
+        inline, in grant order.  Units a stuck-VC fault holds
+        (``stuck``) are skipped.  With stall attribution attached, each
+        unit that does not advance is charged one cause where it fails.
         """
-        routers = self.routers
+        nodes = self._nodes
         num_vcs = self.num_vcs
+        vc_state = self.vc_state
+        vc_out_port = self.vc_out_port
+        vc_out_vc = self.vc_out_vc
+        vc_fifos = self.vc_fifos
+        credit_returns = self.credit_returns
+        out_owner = self.out_owner
+        credits = self.credits
+        link_targets = self.link_targets
+        link_args = self.link_args
+        next_routes = self.next_routes
+        stuck = self.stuck
+        sleep = self._active.discard
+        va_allocate = self._va.allocate
+        sa_allocate = self._sa.allocate
+        sa1 = self._sa.sa1
+        sa2 = self._sa.sa2
         credit_slot = self.credit_slots[(cycle + 1) % EVENT_RING_SLOTS]
         ejection_slot = self.ejection_slots[(cycle + 1) % EVENT_RING_SLOTS]
         arrival_slot = self.arrival_slots[
@@ -591,32 +702,18 @@ class Network:
         attrib = self.attribution
         rec = self.recorder
         decisions = None if rec is None else rec.decisions
-        sleep = self._active_routers.discard
-        for node in nodes:
-            r = routers[node]
-            active = r._active
-            if not active:
-                sleep(node)
-                continue
-            if len(active) == 1:
-                order = tuple(active)
-            else:
-                order = sorted(active)
-            vc_state = r.vc_state
-            stuck = r.stuck
-            vc_out_port = r.vc_out_port
-            vc_out_vc = r.vc_out_vc
-            vc_fifos = r.vc_fifos
-            credits_by_port = r.credits
-            out_owner = r.out_owner
+        visited = 0
+        for node, node_units in groupby(units, self.node_of_unit.__getitem__):
+            visited += 1
+            r, base, size, port_base, local_out, routes = nodes[node]
             va_units = []
             bidders = []
-            for i in order:
+            for i in node_units:
                 if i in stuck:
                     # A stuck-VC fault holds this unit: it never advances.
                     if attrib is not None:
                         attrib.charge(
-                            r, i,
+                            i,
                             STALL_SERIALIZATION
                             if vc_state[i] == _ACTIVE
                             else STALL_RC_WAIT,
@@ -626,33 +723,38 @@ class Network:
                 if state == _ACTIVE:
                     if vc_fifos[i]:
                         out = vc_out_port[i]
-                        credits = credits_by_port[out]
-                        if credits is None or credits[vc_out_vc[i]] > 0:
+                        if credits[out * num_vcs + vc_out_vc[i]] > 0:
                             bidders.append(i)
                         elif attrib is not None:
-                            attrib.charge_credit(r, i, out)
+                            attrib.charge_credit(i, out)
                 elif state == _VA:
                     va_units.append(i)
-                elif state == _RC and vc_fifos[i]:
-                    # RC: the head flit's output port from the table.
-                    flit = vc_fifos[i][0]
-                    packet = flit.packet
-                    out = r.routes[packet.dst]
-                    if out < 0:
-                        # Unroutable: the packet drains to ejection as a
-                        # fault drop (flit conservation and credits stay
-                        # intact), counted when its tail ejects.
-                        packet.dropped = True
-                        packet.drop_node = node
-                        out = r.local_port
-                    vc_out_port[i] = out
-                    vc_state[i] = _VA
-                    r.rc_computations += 1
-                    # A sampled-out pid (mapped to 0) costs a dict probe
-                    # and no call; an unseen pid calls through, which
-                    # admits it.
-                    if rec is not None and decisions.get(packet.pid, 1):
-                        rec.on_stage(cycle, node, flit, "rc")
+                elif state == _RC:
+                    if vc_fifos[i]:
+                        # RC: the head flit's output port from the table.
+                        flit = vc_fifos[i][0]
+                        packet = flit.packet
+                        out = routes[packet.dst]
+                        if out < 0:
+                            # Unroutable: the packet drains to ejection
+                            # as a fault drop (flit conservation and
+                            # credits stay intact), counted when its
+                            # tail ejects.
+                            packet.dropped = True
+                            packet.drop_node = node
+                            vc_out_port[i] = local_out
+                        else:
+                            vc_out_port[i] = port_base + out
+                        vc_state[i] = _VA
+                        r.rc_computations += 1
+                        # A sampled-out pid (mapped to 0) costs a dict
+                        # probe and no call; an unseen pid calls
+                        # through, which admits it.
+                        if rec is not None and decisions.get(packet.pid, 1):
+                            rec.on_stage(cycle, node, flit, "rc")
+                else:
+                    # An idle unit holds no work.
+                    sleep(i)
 
             if va_units:
                 # VA: each requester may take only its allowed output
@@ -665,22 +767,21 @@ class Network:
                         packet = vc_fifos[i][0].packet
                         allowed.append(allowed_vcs(
                             packet.src, packet.dst, node,
-                            r.port_names[vc_out_port[i]],
+                            r.port_names[vc_out_port[i] - port_base],
                         ))
                 elif by_class:
                     allowed = [
                         (CLASS_VC[vc_fifos[i][0].packet.klass],)
                         for i in va_units
                     ]
-                grants = r._va.allocate(
-                    va_units, vc_out_port, out_owner, allowed
+                grants = va_allocate(
+                    va_units, vc_out_port, out_owner, allowed, base, size
                 )
                 # Commit every grant in the allocator's order.
                 for key, i in grants.items():
-                    out_vc = key % num_vcs
-                    vc_out_vc[i] = out_vc
+                    vc_out_vc[i] = key % num_vcs
                     vc_state[i] = _ACTIVE
-                    out_owner[key // num_vcs][out_vc] = divmod(i, num_vcs)
+                    out_owner[key] = i
                     if rec is not None:
                         flit = vc_fifos[i][0]
                         if decisions.get(flit.packet.pid, 1):
@@ -690,7 +791,7 @@ class Network:
                     won = set(grants.values())
                     for i in va_units:
                         if i not in won:
-                            attrib.charge(r, i, STALL_VA_CONFLICT)
+                            attrib.charge(i, STALL_VA_CONFLICT)
 
                 if grants and speculative:
                     # Speculative SA (Fig. 8b): a freshly granted VC bids for
@@ -701,18 +802,15 @@ class Network:
                     for i in va_units:
                         if vc_state[i] == _ACTIVE and vc_fifos[i]:
                             out = vc_out_port[i]
-                            credits = credits_by_port[out]
-                            if credits is None or credits[vc_out_vc[i]] > 0:
+                            if credits[out * num_vcs + vc_out_vc[i]] > 0:
                                 bidders.append(i)
                                 joined = True
                             elif attrib is not None:
-                                attrib.charge_credit(r, i, out)
+                                attrib.charge_credit(i, out)
                     if joined:
                         bidders.sort()
 
             if not bidders:
-                if not active:
-                    sleep(node)
                 continue
             if len(bidders) == 1:
                 # The sole contender of its SA1 and SA2 arbitrations:
@@ -721,26 +819,27 @@ class Network:
                 granted = bidders
                 i = bidders[0]
                 in_port = i // num_vcs
-                sa = r._sa
-                sa.sa1[in_port] = (i + 1) % num_vcs
-                sa.sa2[vc_out_port[i]] = (in_port + 1) % r.num_ports
+                sa1[in_port] = (i + 1) % num_vcs
+                sa2[vc_out_port[i]] = (
+                    (in_port - port_base + 1) % (size // num_vcs)
+                )
             else:
                 priority = None
                 if qos:
                     priority = {
                         i: vc_fifos[i][0].packet.priority for i in bidders
                     }
-                granted = r._sa.allocate(bidders, vc_out_port, priority)
+                granted = sa_allocate(
+                    bidders, vc_out_port, priority, base, size
+                )
 
             # Switch traversal of every granted flit, in grant order.
             switched = r.flits_switched_by_layers
-            local_port = r.local_port
-            credit_returns = r.credit_returns
             for i in granted:
                 fifo = vc_fifos[i]
                 flit = fifo.popleft()
                 if not fifo:
-                    active.discard(i)
+                    sleep(i)
                 k = flit.active_groups if shutdown else groups
                 weight = w_table[k]
                 # One buffer read + SA grant + crossbar traversal +
@@ -757,21 +856,20 @@ class Network:
                     rec.on_stage(cycle, node, flit, "st")
                 out_port = vc_out_port[i]
                 out_vc = vc_out_vc[i]
-                credits = credits_by_port[out_port]
-                if credits is not None:
-                    credits[out_vc] -= 1
-                    if credits[out_vc] < 0:
-                        raise RuntimeError(
-                            f"router {node}: negative credit on port "
-                            f"{out_port}"
-                        )
+                held = out_port * num_vcs + out_vc
                 credit_return = credit_returns[i]
                 if credit_return is not None:
                     credit_slot.append(credit_return)
-                if out_port == local_port:
+                if out_port == local_out:
                     # Ejection: one ST cycle, no link traversal.
                     ejection_slot.append(flit)
                 else:
+                    credits[held] -= 1
+                    if credits[held] < 0:
+                        raise RuntimeError(
+                            f"router {node}: negative credit on port "
+                            f"{out_port - port_base}"
+                        )
                     if flit.is_head:
                         flit.packet.hops += 1
                         if lookahead:
@@ -779,20 +877,21 @@ class Network:
                             # up while the flit crosses the switch, and
                             # counted as one RC; an unroutable entry
                             # leaves the drop to that router's RC.
-                            port = r.next_routes[out_port][flit.packet.dst]
+                            port = next_routes[out_port][flit.packet.dst]
                             if port < 0:
                                 flit.lookahead_port = None
                             else:
                                 flit.lookahead_port = port
                                 r.rc_computations += 1
-                    kind, length_mm, port_flits = r.link_args[out_port]
+                    kind, length_mm, port_flits = link_args[out_port]
                     port_flits[k - 1] += 1
                     mm_weighted[kind] += length_mm * weight
                     mm_by_layers[k] += length_mm
-                    dst, dst_port = r.arrival_targets[out_port]
-                    arrival_slot.append((dst, dst_port, out_vc, flit))
+                    arrival_slot.append(
+                        (link_targets[out_port] + out_vc, flit)
+                    )
                 if flit.is_tail:
-                    out_owner[out_port][out_vc] = None
+                    out_owner[held] = None
                     vc_out_port[i] = -1
                     vc_out_vc[i] = -1
                     if not fifo:
@@ -808,9 +907,8 @@ class Network:
                 won = set(granted)
                 for i in bidders:
                     if i not in won:
-                        attrib.charge(r, i, STALL_SA_LOSS)
-            if not active:
-                sleep(node)
+                        attrib.charge(i, STALL_SA_LOSS)
+        return visited
 
     def step(self) -> None:
         """Advance the network by one clock cycle.

@@ -1,4 +1,4 @@
-"""The virtual-channel wormhole router: one node's pipeline state.
+"""The virtual-channel wormhole router: one node's geometry and tallies.
 
 Models the canonical four-stage pipeline of Fig. 8a — routing computation
 (RC), virtual-channel allocation (VA), switch allocation (SA), switch
@@ -6,39 +6,31 @@ traversal (ST) — followed by link traversal (LT).  Head flits walk all
 stages; body/tail flits inherit the route and VC and only arbitrate for
 the switch, which is wormhole flow control.
 
-The pipeline itself runs in the network (:mod:`repro.noc.network`): one
-router loop does RC, VA, SA and traversal for every busy unit, and one
-landing loop each writes arriving flits and credits.  A :class:`Router`
-holds its node's pipeline state and nothing else: the per-VC state lives
-in flat parallel lists — ``vc_state`` / ``vc_out_port`` / ``vc_out_vc``
-/ ``vc_fifos`` indexed by ``port * num_vcs + vc`` — not in per-VC
-objects.  Together with the ``Network.routers`` list this is a
-structure-of-arrays keyed by ``(node, port, vc)``.  The network's
-settings (routing, buffer depth, pipeline options) and observers are
-read from the network, never copied here.  Observers (sanitizer,
-telemetry sampler, tests) read and perturb those same lists directly, so
-there is one copy of the pipeline state.
+The pipeline runs in the network (:mod:`repro.noc.network`), over
+network-wide flat lists: every input VC of every router is one global
+unit ``g = unit_base[node] + port * num_vcs + vc``, and its state
+(``vc_state``, ``vc_fifos``, ...) sits at index ``g`` of the network's
+lists.  A :class:`Router` holds no pipeline state.  It keeps its node's
+geometry (ports, port names, its first global unit and port), its
+per-flit activity tallies, and three one-item entries into the network's
+loops.
 
-Per-flit activity is tallied the same way: plain per-router ``int``
-fields and lists (switched flits and buffer writes by active-layer
-count, flits per output port and layer count, short-flit hops, RC and
-VA operations) that :attr:`~repro.noc.network.Network.events` folds on
-read.  The link tables (arrival target, link accounting and look-ahead
-row per output port, credit return per input unit) are filled by the
-network's one pass over the topology's links.
+The tallies are plain per-router ``int`` fields and lists (switched
+flits and buffer writes by active-layer count, flits per output port and
+layer count, short-flit hops, RC and VA operations) that
+:attr:`~repro.noc.network.Network.events` folds on read.
 
 :meth:`Router.step`, :meth:`Router.receive_flit` and
 :meth:`Router.receive_credit` stay as one-item entries into the
 network's loops: the benchmark's router probe wraps them by name, and
-tests drive single routers through them.
+tests drive single routers through them.  The network's own loops never
+call them.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, TYPE_CHECKING
 
-from repro.noc.allocator import SwitchAllocator, VirtualChannelAllocator
 from repro.noc.packet import Flit
 from repro.topology.base import LOCAL_PORT
 
@@ -84,61 +76,31 @@ STALL_CAUSE_NAMES = (
 
 
 class Router:
-    """One NoC router instance.
+    """One NoC router: its node's geometry and activity tallies.
 
-    Created by :class:`~repro.noc.network.Network`; not normally
-    instantiated directly.
+    Created by :class:`~repro.noc.network.Network`, which numbers the
+    routers' units consecutively in node order, this router's from
+    *base* on.
     """
 
-    def __init__(self, node: int, network: "Network") -> None:
+    def __init__(self, node: int, network: "Network", base: int) -> None:
         self.node = node
         self._network = network
-        num_vcs = self.num_vcs = network.num_vcs
+        self.num_vcs = num_vcs = network.num_vcs
         layer_groups = network.layer_groups
 
         self.port_names: List[str] = network.topology.port_names(node)
         self.port_index: Dict[str, int] = {
             name: i for i, name in enumerate(self.port_names)
         }
-        num_ports = self.num_ports = len(self.port_names)
+        self.num_ports = num_ports = len(self.port_names)
         self.local_port = self.port_index[LOCAL_PORT]
+        #: This router's global units (input VCs), in port-major order;
+        #: its output VCs carry the same indices.
+        self.units = range(base, base + num_ports * num_vcs)
+        #: Global index of this router's port 0 (input and output).
+        self.port_base = base // num_vcs
 
-        # Flat per-VC hot-path state, indexed by port * num_vcs + vc.
-        units = num_ports * num_vcs
-        self.vc_state: List[int] = [_IDLE] * units
-        self.vc_out_port: List[int] = [-1] * units
-        self.vc_out_vc: List[int] = [-1] * units
-        #: One bounded flit FIFO per input VC, front at index 0;
-        #: the network's landing loop enforces the depth.
-        self.vc_fifos: List[Deque[Flit]] = [deque() for _ in range(units)]
-        self.out_owner: List[List[Optional[Tuple[int, int]]]] = [
-            [None] * num_vcs for _ in range(num_ports)
-        ]
-
-        # Link tables, filled by the network's pass over the topology's
-        # links once every router exists; ``None`` where a port has no
-        # link.  Per output port: the credits held per downstream VC
-        # (the local output's ejection sink always accepts, so it has
-        # none), the downstream ``(node, input port)``, the link's
-        # accounting arguments ``(link-kind index, length,
-        # port_flits row)`` and the downstream router's next-port row
-        # (look-ahead RC).  Per input unit: the credit-return entry
-        # ``(upstream node, upstream output port, vc)`` appended to the
-        # credit ring as is when a flit leaves that unit.
-        self.credits: List[Optional[List[int]]] = [None] * num_ports
-        self.arrival_targets: List[Optional[Tuple[int, int]]] = (
-            [None] * num_ports
-        )
-        self.link_args: List[Optional[Tuple[int, float, List[int]]]] = (
-            [None] * num_ports
-        )
-        self.next_routes: List[Optional[List[int]]] = [None] * num_ports
-        self.credit_returns: List[Optional[Tuple[int, int, int]]] = (
-            [None] * units
-        )
-
-        self._va = VirtualChannelAllocator(num_ports, num_vcs)
-        self._sa = SwitchAllocator(num_ports, num_vcs)
         #: Histogram of switched flits by *effective* active-layer count:
         #: index ``k-1`` counts traversals that drove exactly ``k``
         #: datapath layers (k = flit.active_groups with shutdown enabled,
@@ -158,18 +120,6 @@ class Router:
         #: output VCs.
         self.rc_computations = 0
         self.va_allocations = 0
-        #: Flat indices of input VCs that may have work: a unit leaves
-        #: only when its buffer has drained, so an empty set means the
-        #: router is quiescent until a flit lands here.
-        self._active: set[int] = set()
-        #: Flat indices of the units a stuck-VC fault holds
-        #: (:class:`~repro.resilience.faults.FaultInjector` fills it
-        #: once): the router loop skips them, so they never advance.
-        self.stuck: set[int] = set()
-        #: This router's next-port row (``routes[dst]``: output-port
-        #: index, ``-1`` = unroutable) — an alias of
-        #: ``network.routes[node]``, rebuilt in place on a link kill.
-        self.routes: List[int] = network.routes[node]
 
     @property
     def flits_switched(self) -> int:
@@ -178,24 +128,31 @@ class Router:
 
     def occupancy(self) -> int:
         """Total buffered flits, across all input VCs."""
-        return sum(len(fifo) for fifo in self.vc_fifos)
+        units = self.units
+        return sum(map(len, self._network.vc_fifos[units.start:units.stop]))
 
     # -- one-item entries into the network's loops -------------------------
 
     def step(self, cycle: int) -> None:
         """Run this router's pipeline for *cycle*: the network's router
-        loop (:meth:`~repro.noc.network.Network._step_nodes`) over this
-        one node."""
-        self._network._step_nodes((self.node,), cycle)
+        loop (:meth:`~repro.noc.network.Network._step_units`) over this
+        node's active units."""
+        network = self._network
+        units = sorted(network._active.intersection(self.units))
+        network._step_units(units, cycle)
 
     def receive_flit(self, port: int, vc: int, flit: Flit, cycle: int) -> None:
         """Write an arriving flit into its input VC buffer: the network's
         landing loop (:meth:`~repro.noc.network.Network._land_flits`)
         over this one flit.  Landing is the same in every cycle; the
         flit's unit acts at its router's next step."""
-        self._network._land_flits(((self.node, port, vc, flit),))
+        unit = self.units.start + port * self.num_vcs + vc
+        self._network._land_flits(((unit, flit),))
 
     def receive_credit(self, port: int, vc: int) -> None:
         """Return one credit to output VC *vc* of *port*, through the
         network's credit loop."""
-        self._network._land_credits(((self.node, port, vc),))
+        out = self.port_base + port
+        if self._network.link_targets[out] is None:
+            raise RuntimeError(f"credit for local/unconnected port {port}")
+        self._network._land_credits((out * self.num_vcs + vc,))

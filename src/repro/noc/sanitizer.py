@@ -22,9 +22,9 @@ trusting any counter the audited code updates itself:
 * **VC state-machine legality** — idle VCs are empty, VCs in RC/VA hold
   a head flit, active VCs own exactly the output VC the owner table says
   they do (and vice versa: tails release ownership exactly once), flits
-  within one buffer form legal head..tail wormhole runs, and the
-  router's active sets agree with the actual VC states (a buffered flit
-  outside the active set would be stranded forever).
+  within one buffer form legal head..tail wormhole runs, and every VC
+  holding flits is in the network's active set (a buffered flit outside
+  it would be stranded forever).
 * **layer-mask integrity** — every in-network flit drives a legal
   number of datapath layers (``1 <= active_groups <= layer_groups``; the
   layers it drives are the contiguous bottom-up word groups, so the
@@ -229,6 +229,11 @@ class _PacketPresence:
         self.locations: List[Optional[Tuple[int, int, int]]] = []
 
 
+def _unit_name(network: "Network", unit: Optional[int]) -> str:
+    """``(node, port, vc)`` of global *unit* for messages, or ``None``."""
+    return "None" if unit is None else str(network.unit_location(unit))
+
+
 def _flit_hops(network: "Network") -> int:
     """Flit-hops so far, summed off the routers' switched-flit tallies
     (cheaper than folding every counter through ``network.events``)."""
@@ -373,14 +378,13 @@ class NetworkSanitizer:
 
     def _walk_rings(
         self, cycle: int, present: Dict[int, _PacketPresence]
-    ) -> Dict[Tuple[int, int, int], int]:
-        """Record in-flight flits; return arrival counts per (node, port, vc)."""
+    ) -> Dict[int, int]:
+        """Record in-flight flits; return arrival counts per global unit."""
         net = self.network
-        arrivals_by_vc: Dict[Tuple[int, int, int], int] = {}
-        for node, port, vc, flit in itertools.chain(*net.arrival_slots):
-            key = (node, port, vc)
-            arrivals_by_vc[key] = arrivals_by_vc.get(key, 0) + 1
-            self._note_flit(present, flit, key)
+        arrivals_by_vc: Dict[int, int] = {}
+        for unit, flit in itertools.chain(*net.arrival_slots):
+            arrivals_by_vc[unit] = arrivals_by_vc.get(unit, 0) + 1
+            self._note_flit(present, flit, net.unit_location(unit))
         for flit in itertools.chain(*net.ejection_slots):
             if flit.packet.delivered_cycle is not None:
                 raise SanityError(
@@ -400,17 +404,19 @@ class NetworkSanitizer:
     ) -> None:
         net = self.network
         depth = net.buffer_depth
+        num_vcs = net.num_vcs
         for router in net.routers:
             node = router.node
-            num_vcs = router.num_vcs
+            base = router.units.start
             # Expected owners derived from the input side, to reconcile
             # against the output-side ownership table.
-            owned: Dict[Tuple[int, int], Tuple[int, int]] = {}
+            owned: Dict[int, int] = {}
 
-            for i, state in enumerate(router.vc_state):
+            for i in router.units:
                 self.vcs_checked += 1
-                port, vc = divmod(i, num_vcs)
-                out_port, out_vc = router.vc_out_port[i], router.vc_out_vc[i]
+                state = net.vc_state[i]
+                port, vc = divmod(i - base, num_vcs)
+                out_port, out_vc = net.vc_out_port[i], net.vc_out_vc[i]
                 port_name = router.port_names[port]
 
                 def err(message: str, pid: Optional[int] = None) -> SanityError:
@@ -420,7 +426,7 @@ class NetworkSanitizer:
                         vc=vc, pid=pid,
                     )
 
-                flits = tuple(router.vc_fifos[i])
+                flits = tuple(net.vc_fifos[i])
                 if len(flits) > depth:
                     raise err(
                         f"buffer holds {len(flits)} flits (depth {depth})"
@@ -459,14 +465,14 @@ class NetworkSanitizer:
                                 "active VC without an allocated output "
                                 f"({out_port}, {out_vc})"
                             )
-                        owned[(out_port, out_vc)] = (port, vc)
+                        owned[out_port * num_vcs + out_vc] = i
                     elif state == _VA and out_port < 0:
                         raise err("VC in VA without a computed route")
-                    # A buffered flit outside the router's active set
+                    # A buffered flit outside the network's active set
                     # would never be stepped again: stranded forever.
-                    if flits and i not in router._active:
+                    if flits and i not in net._active:
                         raise err(
-                            "VC holds flits but is not in the router's "
+                            "VC holds flits but is not in the network's "
                             "active set (stranded)",
                             pid=flits[0].packet.pid,
                         )
@@ -475,37 +481,32 @@ class NetworkSanitizer:
                 for flit in flits:
                     self._note_flit(present, flit, (node, port, vc))
 
-            if router._active and node not in net._active_routers:
-                raise SanityError(
-                    "vc-state",
-                    "router has active VCs but is missing from the "
-                    "network's active-router set (scheduler would "
-                    "never step it)",
-                    cycle, node=node,
-                )
-
             # Output-side ownership must mirror the input-side states —
             # in both directions, which is what makes a double tail
-            # release (or a forgotten one) visible.
-            for out_port in range(router.num_ports):
-                for out_vc in range(num_vcs):
-                    owner = router.out_owner[out_port][out_vc]
-                    expect = owned.pop((out_port, out_vc), None)
-                    if owner != expect:
-                        raise SanityError(
-                            "vc-state",
-                            f"output VC ownership mismatch: owner table "
-                            f"says {owner}, input-VC states say {expect}",
-                            cycle, node=node, port=out_port,
-                            port_name=router.port_names[out_port],
-                            vc=out_vc,
-                        )
+            # release (or a forgotten one) visible.  Output VCs share
+            # their node's unit indices.
+            for key in router.units:
+                owner = net.out_owner[key]
+                expect = owned.pop(key, None)
+                if owner != expect:
+                    out_port, out_vc = divmod(key - base, num_vcs)
+                    raise SanityError(
+                        "vc-state",
+                        f"output VC ownership mismatch: owner table "
+                        f"says {_unit_name(net, owner)}, input-VC states "
+                        f"say {_unit_name(net, expect)}",
+                        cycle, node=node, port=out_port,
+                        port_name=router.port_names[out_port],
+                        vc=out_vc,
+                    )
 
     def _check_buffer_runs(
         self, cycle: int, router, i: int, flits: Tuple[Flit, ...]
     ) -> None:
-        """Flits in VC buffer *i* must form legal head..tail wormhole runs."""
-        port, vc = divmod(i, router.num_vcs)
+        """Flits in the buffer of global unit *i* must form legal
+        head..tail wormhole runs."""
+        net = self.network
+        port, vc = divmod(i - router.units.start, net.num_vcs)
         port_name = router.port_names[port]
         prev: Optional[Flit] = None
         for flit in flits:
@@ -516,7 +517,7 @@ class NetworkSanitizer:
                 # front flit on a non-active VC, must begin with a head.
                 front_of_wormhole = (
                     prev is None
-                    and router.vc_state[i] == _ACTIVE
+                    and net.vc_state[i] == _ACTIVE
                     and flit.seq > 0
                 )
                 if not flit.is_head and not front_of_wormhole:
@@ -552,14 +553,13 @@ class NetworkSanitizer:
     # -- invariant checks --------------------------------------------------
 
     def _check_credits(
-        self, cycle: int, arrivals_by_vc: Dict[Tuple[int, int, int], int]
+        self, cycle: int, arrivals_by_vc: Dict[int, int]
     ) -> None:
         """Upstream credits == depth - occupancy - flits/credits in flight."""
         net = self.network
-        credits_in_flight: Dict[Tuple[int, int, int], int] = {}
-        for node, port, vc in itertools.chain(*net.credit_slots):
-            key = (node, port, vc)
-            credits_in_flight[key] = credits_in_flight.get(key, 0) + 1
+        credits_in_flight: Dict[int, int] = {}
+        for out_vc in itertools.chain(*net.credit_slots):
+            credits_in_flight[out_vc] = credits_in_flight.get(out_vc, 0) + 1
 
         # Hard-killed links confiscate the upstream's credits (held and
         # returning); the injector's ledger keeps the identity exact.
@@ -567,34 +567,24 @@ class NetworkSanitizer:
         confiscated = fi.confiscated if fi is not None else None
 
         depth = net.buffer_depth
+        num_vcs = net.num_vcs
         for router in net.routers:
-            for port, credits in enumerate(router.credits):
-                if credits is None:
-                    continue
-                target = router.arrival_targets[port]
+            for port in range(router.num_ports):
+                out = router.port_base + port
+                target = net.link_targets[out]
                 if target is None:
-                    raise SanityError(
-                        "credit-accounting",
-                        "credit counters exist for a port with no link",
-                        cycle, node=router.node, port=port,
-                        port_name=router.port_names[port],
-                    )
-                dst, dst_port = target
-                downstream = net.routers[dst]
-                base = dst_port * downstream.num_vcs
-                for vc in range(router.num_vcs):
+                    continue
+                dst = net.node_of_unit[target]
+                for vc in range(num_vcs):
                     self.credits_checked += 1
-                    held = credits[vc]
-                    occupancy = len(downstream.vc_fifos[base + vc])
-                    on_wire = arrivals_by_vc.get((dst, dst_port, vc), 0)
-                    returning = credits_in_flight.get(
-                        (router.node, port, vc), 0
-                    )
+                    out_vc = out * num_vcs + vc
+                    held = net.credits[out_vc]
+                    occupancy = len(net.vc_fifos[target + vc])
+                    on_wire = arrivals_by_vc.get(target + vc, 0)
+                    returning = credits_in_flight.get(out_vc, 0)
                     expected = depth - occupancy - on_wire - returning
                     if confiscated:
-                        expected -= confiscated.get(
-                            (router.node, port, vc), 0
-                        )
+                        expected -= confiscated.get(out_vc, 0)
                     if held != expected or not 0 <= held <= depth:
                         raise SanityError(
                             "credit-accounting",
@@ -683,12 +673,11 @@ class NetworkSanitizer:
             )
 
     def _check_allocators(self, cycle: int) -> None:
-        for router in self.network.routers:
-            problem = router._va.check_sane() or router._sa.check_sane()
-            if problem:
-                raise SanityError(
-                    "allocator-state", problem, cycle, node=router.node
-                )
+        net = self.network
+        problem = net._va.check_sane() or net._sa.check_sane()
+        if problem:
+            node, message = problem
+            raise SanityError("allocator-state", message, cycle, node=node)
 
     # -- watchdog ----------------------------------------------------------
 
@@ -719,23 +708,26 @@ class NetworkSanitizer:
     ) -> WatchdogReport:
         net = self.network
         stalled_vcs: List[StalledVC] = []
+        num_vcs = net.num_vcs
         for router in net.routers:
-            for i, fifo in enumerate(router.vc_fifos):
+            for i in router.units:
+                fifo = net.vc_fifos[i]
                 if not fifo:
                     continue
                 head = fifo[0]
-                port, vc = divmod(i, router.num_vcs)
-                state = router.vc_state[i]
+                port, vc = divmod(i - router.units.start, num_vcs)
+                state = net.vc_state[i]
                 out_port_name: Optional[str] = None
                 out_vc: Optional[int] = None
                 credits: Optional[int] = None
-                if router.vc_out_port[i] >= 0:
-                    out_port_name = router.port_names[router.vc_out_port[i]]
-                    per_vc = router.credits[router.vc_out_port[i]]
-                    if router.vc_out_vc[i] >= 0:
-                        out_vc = router.vc_out_vc[i]
-                        if per_vc is not None:
-                            credits = per_vc[out_vc]
+                out = net.vc_out_port[i]
+                if out >= 0:
+                    out_port_name = router.port_names[out - router.port_base]
+                    if net.vc_out_vc[i] >= 0:
+                        out_vc = net.vc_out_vc[i]
+                        # The local (ejection) port always accepts.
+                        if net.link_targets[out] is not None:
+                            credits = net.credits[out * num_vcs + out_vc]
                 if state == _RC:
                     waiting = "waiting for routing computation"
                 elif state == _VA:

@@ -185,12 +185,12 @@ class FaultInjector:
         self.network: Optional["Network"] = None
         #: Directed channels killed so far.
         self.failed: Set[Tuple[int, int]] = set()
-        #: ``(node, out_port)`` pairs whose returning credits are
+        #: The network's global output VCs whose returning credits are
         #: confiscated (hard mode only).
-        self.dead_credit_targets: Set[Tuple[int, int]] = set()
-        #: ``(node, out_port, vc) -> credits confiscated`` — the ledger
-        #: the sanitizer's credit-conservation audit balances against.
-        self.confiscated: Dict[Tuple[int, int, int], int] = {}
+        self.dead_credit_targets: Set[int] = set()
+        #: ``global output VC -> credits confiscated`` — the ledger the
+        #: sanitizer's credit-conservation audit balances against.
+        self.confiscated: Dict[int, int] = {}
         self.links_killed = 0
         self.vcs_stuck = 0
         self.credits_confiscated = 0
@@ -249,35 +249,36 @@ class FaultInjector:
         network.reroute(frozenset(self.failed))
         if self.plan.mode == "hard":
             router = network.routers[src]
-            port = router.port_index[link.src_port]
+            first = network.unit_index(
+                src, router.port_index[link.src_port], 0
+            )
             # Credit-starve the dead output: confiscate held credits and
-            # mark the port so in-flight returns are intercepted.
-            per_vc = router.credits[port]
-            if per_vc is not None:
-                for vc, held in enumerate(per_vc):
-                    if held:
-                        key = (src, port, vc)
-                        self.confiscated[key] = (
-                            self.confiscated.get(key, 0) + held
-                        )
-                        self.credits_confiscated += held
-                        per_vc[vc] = 0
-            self.dead_credit_targets.add((src, port))
+            # mark its VCs so in-flight returns are intercepted.
+            credits = network.credits
+            for out_vc in range(first, first + network.num_vcs):
+                held = credits[out_vc]
+                if held:
+                    self.confiscated[out_vc] = (
+                        self.confiscated.get(out_vc, 0) + held
+                    )
+                    self.credits_confiscated += held
+                    credits[out_vc] = 0
+                self.dead_credit_targets.add(out_vc)
 
     def _stick_vc(self, node: int, port: int, vc: int) -> None:
-        router = self.network.routers[node]
-        unit = port * router.num_vcs + vc
-        if unit in router.stuck:
+        network = self.network
+        unit = network.unit_index(node, port, vc)
+        if unit in network.stuck:
             return
-        router.stuck.add(unit)
+        network.stuck.add(unit)
         self.vcs_stuck += 1
 
     # -- credit interception -------------------------------------------------
 
-    def confiscate(self, node: int, port: int, vc: int) -> None:
-        """Swallow one credit returning to a dead output port."""
-        key = (node, port, vc)
-        self.confiscated[key] = self.confiscated.get(key, 0) + 1
+    def confiscate(self, out_vc: int) -> None:
+        """Swallow one credit returning to global output VC *out_vc* of
+        a dead output port."""
+        self.confiscated[out_vc] = self.confiscated.get(out_vc, 0) + 1
         self.credits_confiscated += 1
 
     # -- reporting -----------------------------------------------------------

@@ -54,7 +54,6 @@ from repro.noc.router import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.noc.network import Network
-    from repro.noc.router import Router
     from repro.telemetry.export import PacketLife
     from repro.telemetry.recorder import TraceRecorder
 
@@ -70,13 +69,13 @@ _N = NUM_STALL_CAUSES
 class StallAttribution:
     """Flat stall-cause accounting attached to a network's routers.
 
-    Storage is three shared ``array('q')`` blocks (no per-router
-    objects on the charge path):
+    Storage is three shared ``array('q')`` blocks over the network's
+    global indices (no per-router objects on the charge path):
 
-    * ``unit_counts`` — ``NUM_STALL_CAUSES`` counters per (router,
-      port, VC) unit, at ``unit_base[node] + unit * N + cause``;
-    * ``out_counts`` — one credit-stall counter per (router, output
-      port), at ``out_base[node] + port`` (the backpressure feed);
+    * ``unit_counts`` — ``NUM_STALL_CAUSES`` counters per global unit
+      (input VC), at ``unit * N + cause``;
+    * ``out_counts`` — one credit-stall counter per global output
+      port (the backpressure feed);
     * ``layer_counts`` — ``NUM_STALL_CAUSES`` counters per effective
       active-layer count ``k`` of the stalled head flit, at
       ``(k - 1) * N + cause``.
@@ -92,21 +91,14 @@ class StallAttribution:
         if network.attribution is not None:
             raise ValueError("network already has a StallAttribution")
         self.network = network
-        self._unit_base: List[int] = []
-        self._out_base: List[int] = []
-        units = 0
-        ports = 0
-        for router in network.routers:
-            self._unit_base.append(units * _N)
-            self._out_base.append(ports)
-            units += router.num_ports * router.num_vcs
-            ports += router.num_ports
+        units = len(network.vc_state)
         self.unit_counts = array("q", bytes(8 * units * _N))
-        self.out_counts = array("q", bytes(8 * ports))
+        self.out_counts = array("q", bytes(8 * len(network.link_targets)))
         self.layer_counts = array(
             "q", bytes(8 * network.layer_groups * _N)
         )
         # What a charge reads, bound once.
+        self._fifos = network.vc_fifos
         self._shutdown = network.shutdown_enabled
         self._groups = network.layer_groups
         network.attribution = self
@@ -118,9 +110,8 @@ class StallAttribution:
 
     # -- charges (the router loop's stall branches) -------------------------
 
-    def charge(self, router: "Router", i: int, cause: int) -> None:
-        """Charge one stalled cycle on *router*'s flat unit *i* to
-        *cause*.
+    def charge(self, i: int, cause: int) -> None:
+        """Charge one stalled cycle on global unit *i* to *cause*.
 
         Called only from the failure branches of the router loop: a unit
         whose head flit advanced this cycle is never charged, and a unit
@@ -128,20 +119,21 @@ class StallAttribution:
         is skipped.  Counter writes only — attribution never perturbs
         pipeline state, so enabled runs stay bit-identical.
         """
-        fifo = router.vc_fifos[i]
+        fifo = self._fifos[i]
         if not fifo:
             return
-        self.unit_counts[self._unit_base[router.node] + i * _N + cause] += 1
+        self.unit_counts[i * _N + cause] += 1
         k = fifo[0].active_groups if self._shutdown else self._groups
         self.layer_counts[(k - 1) * _N + cause] += 1
 
-    def charge_credit(self, router: "Router", i: int, out_port: int) -> None:
-        """A credit stall on unit *i*, additionally billed to the
-        starved output port, so backpressure chains can be followed link
-        by link (which upstream hop this stall propagates from)."""
-        if router.vc_fifos[i]:
-            self.charge(router, i, STALL_CREDIT)
-            self.out_counts[self._out_base[router.node] + out_port] += 1
+    def charge_credit(self, i: int, out_port: int) -> None:
+        """A credit stall on global unit *i*, additionally billed to the
+        starved global output port, so backpressure chains can be
+        followed link by link (which upstream hop this stall propagates
+        from)."""
+        if self._fifos[i]:
+            self.charge(i, STALL_CREDIT)
+            self.out_counts[out_port] += 1
 
     # -- rollups (cold path: report / sampling time) ------------------------
 
@@ -179,11 +171,10 @@ class StallAttribution:
         """Per-node stall totals by cause (summed over the node's units)."""
         counts = self.unit_counts
         rows: List[List[int]] = []
-        for node, router in enumerate(self.network.routers):
-            base = self._unit_base[node]
+        for router in self.network.routers:
             row = [0] * _N
-            for u in range(router.num_ports * router.num_vcs):
-                off = base + u * _N
+            for u in router.units:
+                off = u * _N
                 for c in range(_N):
                     row[c] += counts[off + c]
             rows.append(row)
@@ -202,39 +193,36 @@ class StallAttribution:
         feeding link and are excluded — they still appear in the
         per-node rollup.
         """
+        network = self.network
+        node_of = network.node_of_unit
+        num_vcs = network.num_vcs
         counts = self.unit_counts
         out: Dict[Tuple[int, int], List[int]] = {}
-        for node, router in enumerate(self.network.routers):
-            base = self._unit_base[node]
-            num_vcs = router.num_vcs
-            for port in range(router.num_ports):
-                upstream = router.credit_returns[port * num_vcs]
-                if upstream is None:
-                    continue
-                link = (upstream[0], node)
-                row = out.get(link)
-                if row is None:
-                    row = out[link] = [0] * _N
-                for vc in range(num_vcs):
-                    off = base + (port * num_vcs + vc) * _N
-                    for c in range(_N):
-                        row[c] += counts[off + c]
+        for first, upstream in enumerate(network.credit_returns):
+            if first % num_vcs or upstream is None:
+                continue
+            link = (node_of[upstream], node_of[first])
+            row = out.get(link)
+            if row is None:
+                row = out[link] = [0] * _N
+            for unit in range(first, first + num_vcs):
+                off = unit * _N
+                for c in range(_N):
+                    row[c] += counts[off + c]
         return {
             link: row for link, row in out.items() if any(row)
         }
 
     def credit_stalls_by_link(self) -> Dict[Tuple[int, int], int]:
         """Credit-stalled cycles per starved *output* link (src, dst)."""
+        network = self.network
+        node_of = network.node_of_unit
+        num_vcs = network.num_vcs
         out: Dict[Tuple[int, int], int] = {}
-        counts = self.out_counts
-        for node, router in enumerate(self.network.routers):
-            base = self._out_base[node]
-            for port, target in enumerate(router.arrival_targets):
-                if target is None:
-                    continue
-                stalls = counts[base + port]
-                if stalls:
-                    out[(node, target[0])] = stalls
+        for port, stalls in enumerate(self.out_counts):
+            target = network.link_targets[port]
+            if stalls and target is not None:
+                out[(node_of[port * num_vcs], node_of[target])] = stalls
         return out
 
     def backpressure_chain(

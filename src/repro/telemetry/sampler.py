@@ -40,7 +40,9 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.noc.router import STALL_CAUSE_NAMES
+from repro.noc.router import (
+    STALL_CAUSE_NAMES, _ACTIVE, _IDLE, _RC, _VA,
+)
 from repro.noc.stats import EventCounts, StatsCursor
 from repro.telemetry.attribution import (
     DEFAULT_TOP_K,
@@ -460,7 +462,11 @@ class NetworkTelemetry:
         link_flits = sum(delta.link_flits.values())
         self._c_link_flits.inc(link_flits)
 
-        occupancy = [router.occupancy() for router in net.routers]
+        fifos = net.vc_fifos
+        occupancy = [
+            sum(map(len, fifos[r.units.start:r.units.stop]))
+            for r in net.routers
+        ]
         total_occ = sum(occupancy)
         self._g_occ_total.set(float(total_occ))
         self._g_occ_mean.set(total_occ / len(occupancy))
@@ -468,22 +474,13 @@ class NetworkTelemetry:
 
         # Per-VC utilisation and per-stage occupancy: input VCs holding
         # pipeline state, bucketed by which stage they are waiting in
-        # (read straight off the flat SoA state arrays).
-        active_vcs = 0
-        total_vcs = 0
-        occ_rc = occ_va = occ_st = 0
-        for router in net.routers:
-            states = router.vc_state
-            total_vcs += len(states)
-            for state in states:
-                if state:  # != _IDLE
-                    active_vcs += 1
-                    if state == 1:  # _RC
-                        occ_rc += 1
-                    elif state == 2:  # _VA
-                        occ_va += 1
-                    else:  # _ACTIVE
-                        occ_st += 1
+        # (counted straight off the network's flat state list).
+        states = net.vc_state
+        total_vcs = len(states)
+        active_vcs = total_vcs - states.count(_IDLE)
+        occ_rc = states.count(_RC)
+        occ_va = states.count(_VA)
+        occ_st = states.count(_ACTIVE)
         self._g_vc_active.set(float(active_vcs))
         self._g_vc_frac.set(active_vcs / total_vcs if total_vcs else 0.0)
         self._g_occ_rc.set(float(occ_rc))

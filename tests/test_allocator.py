@@ -10,29 +10,35 @@ def _free_all(ports, vcs):
 
 
 def _va(va, triples, free):
-    """Run VA for ``(in_port, in_vc, out_port)`` requests; ``free`` maps
-    output ports to free-VC flags (ports left out are all free).
-    Returns ``{(in_port, in_vc): (out_port, out_vc)}`` in grant order."""
+    """Run VA for ``(in_port, in_vc, out_port)`` requests of a one-node
+    allocator; ``free`` maps output ports to free-VC flags (ports left
+    out are all free).  Returns ``{(in_port, in_vc): (out_port,
+    out_vc)}`` in grant order."""
     num_vcs = va.num_vcs
-    out_port_of = [-1] * (va.num_ports * num_vcs)
+    (num_ports,) = va.node_ports
+    size = num_ports * num_vcs
+    out_port_of = [-1] * size
     for in_port, in_vc, out_port in triples:
         out_port_of[in_port * num_vcs + in_vc] = out_port
     owners = [
-        [None if f else (0, 0) for f in free.get(p, [True] * num_vcs)]
-        for p in range(va.num_ports)
+        None if f else 0
+        for p in range(num_ports)
+        for f in free.get(p, [True] * num_vcs)
     ]
     units = sorted(p * num_vcs + v for p, v, _ in triples)
-    grants = va.allocate(units, out_port_of, owners)
+    grants = va.allocate(units, out_port_of, owners, None, 0, size)
     return {
         divmod(i, num_vcs): divmod(key, num_vcs) for key, i in grants.items()
     }
 
 
 def _sa(sa, triples, priorities=None):
-    """Run SA for ``(in_port, in_vc, out_port)`` requests; returns the
-    granted triples in grant order."""
+    """Run SA for ``(in_port, in_vc, out_port)`` requests of a one-node
+    allocator; returns the granted triples in grant order."""
     num_vcs = sa.num_vcs
-    out_port_of = [-1] * (sa.num_ports * num_vcs)
+    (num_ports,) = sa.node_ports
+    size = num_ports * num_vcs
+    out_port_of = [-1] * size
     for in_port, in_vc, out_port in triples:
         out_port_of[in_port * num_vcs + in_vc] = out_port
     units = sorted(p * num_vcs + v for p, v, _ in triples)
@@ -41,13 +47,13 @@ def _sa(sa, triples, priorities=None):
         priority = {p * num_vcs + v: c for (p, v), c in priorities.items()}
     return [
         (*divmod(i, num_vcs), out_port_of[i])
-        for i in sa.allocate(units, out_port_of, priority)
+        for i in sa.allocate(units, out_port_of, priority, 0, size)
     ]
 
 
 class TestVirtualChannelAllocator:
     def test_single_request_granted(self):
-        va = VirtualChannelAllocator(num_ports=3, num_vcs=2)
+        va = VirtualChannelAllocator([3], num_vcs=2)
         grants = _va(va, [(1, 1, 2)], _free_all(3, 2))
         assert grants == {(1, 1): (2, 0)} or grants == {(1, 1): (2, 1)}
         # Both stages rotate just past the sole winner: VA1 past the
@@ -61,18 +67,18 @@ class TestVirtualChannelAllocator:
         }
 
     def test_no_free_vc_no_grant(self):
-        va = VirtualChannelAllocator(3, 2)
+        va = VirtualChannelAllocator([3], 2)
         free = {2: [False, False]}
         assert _va(va, [(0, 0, 2)], free) == {}
 
     def test_conflicting_requests_one_winner_per_out_vc(self):
-        va = VirtualChannelAllocator(3, 1)
+        va = VirtualChannelAllocator([3], 1)
         grants = _va(va, [(0, 0, 2), (1, 0, 2)], {2: [True]})
         assert len(grants) == 1
         assert list(grants.values()) == [(2, 0)]
 
     def test_two_vcs_serve_two_requesters(self):
-        va = VirtualChannelAllocator(3, 2)
+        va = VirtualChannelAllocator([3], 2)
         grants = _va(va, [(0, 0, 2), (1, 0, 2)], {2: [True, True]})
         # With two free out VCs both input VCs may win (if stage-1 picks
         # differ) or at least one wins.
@@ -81,7 +87,7 @@ class TestVirtualChannelAllocator:
         assert len(granted_vcs) == len(grants)  # no double-grant of a VC
 
     def test_fairness_over_rounds(self):
-        va = VirtualChannelAllocator(2, 1)
+        va = VirtualChannelAllocator([2], 1)
         wins = {(0, 0): 0, (1, 0): 0}
         for _ in range(50):
             for key in _va(va, [(0, 0, 1), (1, 0, 1)], {1: [True]}):
@@ -99,7 +105,7 @@ class TestVirtualChannelAllocator:
     )
     def test_property_grants_are_injective(self, triples):
         """No output VC is granted to two input VCs in one allocation."""
-        va = VirtualChannelAllocator(5, 2)
+        va = VirtualChannelAllocator([5], 2)
         grants = _va(va, triples, _free_all(5, 2))
         out_vcs = list(grants.values())
         assert len(out_vcs) == len(set(out_vcs))
@@ -110,28 +116,28 @@ class TestVirtualChannelAllocator:
 
 class TestSwitchAllocator:
     def test_single_request_granted(self):
-        sa = SwitchAllocator(3, 2)
+        sa = SwitchAllocator([3], 2)
         assert _sa(sa, [(1, 0, 2)]) == [(1, 0, 2)]
         assert sa.sa1 == [0, 1, 0]
         assert sa.sa2 == [0, 0, 2]
 
     def test_one_grant_per_input_port(self):
-        sa = SwitchAllocator(3, 2)
+        sa = SwitchAllocator([3], 2)
         assert len(_sa(sa, [(0, 0, 1), (0, 1, 2)])) == 1
 
     def test_one_grant_per_output_port(self):
-        sa = SwitchAllocator(3, 2)
+        sa = SwitchAllocator([3], 2)
         assert len(_sa(sa, [(0, 0, 2), (1, 0, 2)])) == 1
 
     def test_disjoint_requests_all_granted(self):
-        sa = SwitchAllocator(4, 2)
+        sa = SwitchAllocator([4], 2)
         requests = [(0, 0, 2), (1, 0, 3)]
         assert sorted(_sa(sa, requests)) == requests
         assert sa.sa1 == [1, 1, 0, 0]
         assert sa.sa2 == [0, 0, 1, 2]
 
     def test_fairness_between_inputs(self):
-        sa = SwitchAllocator(2, 1)
+        sa = SwitchAllocator([2], 1)
         wins = [0, 0]
         for _ in range(60):
             for in_port, _, _ in _sa(sa, [(0, 0, 1), (1, 0, 1)]):
@@ -147,7 +153,7 @@ class TestSwitchAllocator:
     )
     def test_property_crossbar_constraint(self, triples):
         """At most one grant per input port and per output port."""
-        sa = SwitchAllocator(5, 2)
+        sa = SwitchAllocator([5], 2)
         grants = _sa(sa, triples)
         in_ports = [g[0] for g in grants]
         out_ports = [g[2] for g in grants]

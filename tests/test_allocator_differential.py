@@ -2,11 +2,12 @@
 
 :mod:`tests.reference_allocator` keeps the separable algorithm with one
 request tuple per requester and one ``RoundRobinArbiter`` grant per
-arbitration.
-For drawn router shapes (2-7 ports, 1-4 VCs), arbitrary pointer states,
-request subsets, output ports, owned/free output VCs, allowed-VC
-restrictions and QoS priorities, :mod:`repro.noc.allocator` must grant
-the same winners in the same order and leave every pointer equal.
+arbitration.  For drawn router shapes (2-7 ports, 1-4 VCs), placed
+after a lead node of 0-3 ports so that their global indices start past
+0, and for arbitrary pointer states, request subsets, output ports,
+owned/free output VCs, allowed-VC restrictions and QoS priorities,
+:mod:`repro.noc.allocator` must grant the same winners in the same
+order, leave every pointer equal and leave the lead node's untouched.
 CI runs this module with ``--hypothesis-profile=ci`` (more examples,
 derandomized).
 """
@@ -26,6 +27,9 @@ from tests.reference_allocator import (
 
 @st.composite
 def _shape(draw):
+    """A drawn router numbered after a lead node of 0-3 ports, so its
+    global indices start at ``base`` (0 when there is no lead node)."""
+    lead_ports = draw(st.integers(0, 3))
     num_ports = draw(st.integers(2, 7))
     num_vcs = draw(st.integers(1, 4))
     units = num_ports * num_vcs
@@ -35,7 +39,18 @@ def _shape(draw):
     out_port_of = [-1] * units
     for i in requesters:
         out_port_of[i] = draw(st.integers(0, num_ports - 1))
-    return num_ports, num_vcs, sorted(requesters), out_port_of
+    return lead_ports, num_ports, num_vcs, sorted(requesters), out_port_of
+
+
+def _global(lead_ports, num_ports, num_vcs, units, out_port_of):
+    """The node-port list, first unit, requesting global units and
+    global output port per unit of a drawn shape."""
+    node_ports = [lead_ports, num_ports] if lead_ports else [num_ports]
+    base = lead_ports * num_vcs
+    global_out = [-1] * base + [
+        -1 if out < 0 else lead_ports + out for out in out_port_of
+    ]
+    return node_ports, base, [base + i for i in units], global_out
 
 
 def _pointers(draw, count: int, size: int):
@@ -44,17 +59,12 @@ def _pointers(draw, count: int, size: int):
 
 @st.composite
 def va_cases(draw):
-    num_ports, num_vcs, units, out_port_of = draw(_shape())
+    shape = draw(_shape())
+    _, num_ports, num_vcs, units, _ = shape
     size = num_ports * num_vcs
     va1 = _pointers(draw, size, num_vcs)
     va2 = _pointers(draw, size, size)
-    owners = [
-        [
-            draw(st.none() | st.just((0, 0)))
-            for _ in range(num_vcs)
-        ]
-        for _ in range(num_ports)
-    ]
+    owners = [draw(st.none() | st.just(0)) for _ in range(size)]
     vc_subsets = st.lists(
         st.integers(0, num_vcs - 1), unique=True, max_size=num_vcs
     ).map(tuple)
@@ -62,27 +72,31 @@ def va_cases(draw):
     allowed = (
         [draw(st.none() | vc_subsets) for _ in units] if restricted else None
     )
-    return num_ports, num_vcs, units, out_port_of, va1, va2, owners, allowed
+    return shape, va1, va2, owners, allowed
 
 
 @st.composite
 def sa_cases(draw):
-    num_ports, num_vcs, units, out_port_of = draw(_shape())
+    shape = draw(_shape())
+    _, num_ports, num_vcs, units, _ = shape
     sa1 = _pointers(draw, num_ports, num_vcs)
     sa2 = _pointers(draw, num_ports, num_ports)
     qos = draw(st.booleans())
     priority = (
         {i: draw(st.integers(0, 2)) for i in units} if qos else None
     )
-    return num_ports, num_vcs, units, out_port_of, sa1, sa2, priority
+    return shape, sa1, sa2, priority
 
 
 @given(va_cases())
 def test_va_matches_reference(case):
-    num_ports, num_vcs, units, out_port_of, va1, va2, owners, allowed = case
-    allocator = VirtualChannelAllocator(num_ports, num_vcs)
-    allocator.va1[:] = va1
-    allocator.va2[:] = va2
+    shape, va1, va2, owners, allowed = case
+    lead_ports, num_ports, num_vcs, units, out_port_of = shape
+    node_ports, base, requesters, global_out = _global(*shape)
+    size = num_ports * num_vcs
+    allocator = VirtualChannelAllocator(node_ports, num_vcs)
+    allocator.va1[base:] = va1
+    allocator.va2[base:] = va2
     reference = ReferenceVA(num_ports, num_vcs, va1, va2)
     requests = [
         VARequest(
@@ -93,34 +107,53 @@ def test_va_matches_reference(case):
         )
         for n, i in enumerate(units)
     ]
-    free = {p: [owner is None for owner in row] for p, row in enumerate(owners)}
+    free = {
+        p: [owner is None for owner in owners[p * num_vcs:(p + 1) * num_vcs]]
+        for p in range(num_ports)
+    }
 
-    grants = allocator.allocate(units, out_port_of, owners, allowed)
+    grants = allocator.allocate(
+        requesters, global_out, [None] * base + owners, allowed, base, size
+    )
     expected = reference.allocate(requests, free)
 
     assert list(grants.items()) == [
-        (out_port * num_vcs + out_vc, in_port * num_vcs + in_vc)
+        (base + out_port * num_vcs + out_vc, base + in_port * num_vcs + in_vc)
         for (in_port, in_vc), (out_port, out_vc) in expected.items()
     ]
-    assert (allocator.va1, allocator.va2) == reference.pointers()
+    ref_va1, ref_va2 = reference.pointers()
+    assert allocator.va1 == [0] * base + ref_va1
+    assert allocator.va2 == [0] * base + ref_va2
+    assert allocator.check_sane() is None
 
 
 @given(sa_cases())
 def test_sa_matches_reference(case):
-    num_ports, num_vcs, units, out_port_of, sa1, sa2, priority = case
-    allocator = SwitchAllocator(num_ports, num_vcs)
-    allocator.sa1[:] = sa1
-    allocator.sa2[:] = sa2
+    shape, sa1, sa2, priority = case
+    lead_ports, num_ports, num_vcs, units, out_port_of = shape
+    node_ports, base, requesters, global_out = _global(*shape)
+    allocator = SwitchAllocator(node_ports, num_vcs)
+    allocator.sa1[lead_ports:] = sa1
+    allocator.sa2[lead_ports:] = sa2
     reference = ReferenceSA(num_ports, num_vcs, sa1, sa2)
     requests = [
         SARequest(i // num_vcs, i % num_vcs, out_port_of[i]) for i in units
     ]
     priorities = None
+    global_priority = None
     if priority is not None:
         priorities = {divmod(i, num_vcs): p for i, p in priority.items()}
+        global_priority = {base + i: p for i, p in priority.items()}
 
-    granted = list(allocator.allocate(units, out_port_of, priority))
+    granted = list(allocator.allocate(
+        requesters, global_out, global_priority, base, num_ports * num_vcs
+    ))
     expected = reference.allocate(requests, priorities)
 
-    assert granted == [r.in_port * num_vcs + r.in_vc for r in expected]
-    assert (allocator.sa1, allocator.sa2) == reference.pointers()
+    assert granted == [
+        base + r.in_port * num_vcs + r.in_vc for r in expected
+    ]
+    ref_sa1, ref_sa2 = reference.pointers()
+    assert allocator.sa1 == [0] * lead_ports + ref_sa1
+    assert allocator.sa2 == [0] * lead_ports + ref_sa2
+    assert allocator.check_sane() is None

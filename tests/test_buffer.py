@@ -54,12 +54,12 @@ def test_property_occupancy_invariant(ops, depth):
     only into an idle VC or one with buffer space, as injection does."""
     network = _network(depth)
     router = network.routers[0]
-    unit = router.local_port * router.num_vcs
-    fifo = router.vc_fifos[unit]
+    unit = network.unit_index(0, router.local_port, 0)
+    fifo = network.vc_fifos[unit]
     pending = []
     for is_write in ops:
         if is_write:
-            if not pending and router.vc_state[unit] == _IDLE and not fifo:
+            if not pending and network.vc_state[unit] == _IDLE and not fifo:
                 pending = data_packet(0, 1, created_cycle=0).make_flits()
             if pending and len(fifo) < depth:
                 router.receive_flit(router.local_port, 0, pending.pop(0), cycle=0)

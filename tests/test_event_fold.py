@@ -90,8 +90,8 @@ def test_fold_invariants(params):
     )
     # Every route computed and not yet granted an output VC is a unit
     # waiting in VA.
-    assert ev.rc_computations - ev.va_allocations == sum(
-        state == _VA for r in routers for state in r.vc_state
+    assert ev.rc_computations - ev.va_allocations == (
+        network.vc_state.count(_VA)
     )
 
     # Link flits: the per-channel map and the per-kind map agree, kind

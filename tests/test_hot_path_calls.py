@@ -1,18 +1,19 @@
 """A deterministic guard on the router hot path's Python call count.
 
 Host timings are noisy, but the number of Python frames a run opens
-is not.  The network runs the whole router pipeline in one loop:
-injection, routing, VC allocation, the sole switch bidder and switch
-traversal run inline, and arrivals, injected flits and credits land
-through one loop body each, so a flit-hop needs no call of its own.
-Only the allocators' ``allocate`` calls out, to ``noc/allocator.py``,
-for VA and for contended SA.
+is not.  The network runs the whole router pipeline in one loop over
+its flat per-unit lists: injection, routing, the sole switch bidder and
+switch traversal run inline, and arrivals, injected flits and credits
+land through one loop body each, so a flit-hop needs no call of its
+own.  Only the allocators' ``allocate`` calls out, to
+``noc/allocator.py``, for VA and for contended SA; nothing calls into
+``noc/router.py``, whose routers hold geometry and tallies only.
 
 This runs saturated 2DB (uniform random at 0.35) under
 ``sys.setprofile`` and counts ``call`` events whose code lives in
 ``noc/router.py`` or ``noc/allocator.py``, per flit-hop.  About 0.72
-remain; a per-hop or per-arrival method call brings the count above
-one.
+remain, none of them in ``noc/router.py``; a per-hop or per-arrival
+method call brings the count above one.
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ MAX_CALLS_PER_HOP = 1.0
 
 
 def test_router_calls_per_flit_hop():
-    files = {
-        str(Path(module.__file__).resolve())
-        for module in (router, allocator)
-    }
+    router_file = str(Path(router.__file__).resolve())
+    files = {router_file, str(Path(allocator.__file__).resolve())}
     network = make_2db().build_network()
     # Count the simulator's frames only: an audit attached to every
     # test network (REPRO_SANITIZE=1) calls into the allocators.
@@ -46,19 +45,18 @@ def test_router_calls_per_flit_hop():
         warmup_cycles=100,
         measure_cycles=300,
     )
-    calls = 0
-    is_hot = {}
+    calls = router_calls = 0
+    where = {}
 
     def profile(frame, event, arg):
-        nonlocal calls
+        nonlocal calls, router_calls
         if event == "call":
             code = frame.f_code
-            hot = is_hot.get(code)
-            if hot is None:
-                hot = is_hot[code] = (
-                    str(Path(code.co_filename).resolve()) in files
-                )
-            calls += hot
+            path = where.get(code)
+            if path is None:
+                path = where[code] = str(Path(code.co_filename).resolve())
+            calls += path in files
+            router_calls += path == router_file
 
     sys.setprofile(profile)
     try:
@@ -67,6 +65,7 @@ def test_router_calls_per_flit_hop():
         sys.setprofile(None)
     hops = network.events.flit_hops
     assert hops > 10_000
+    assert router_calls == 0
     assert calls / hops <= MAX_CALLS_PER_HOP, (
         f"{calls} router/allocator calls for {hops} flit-hops "
         f"({calls / hops:.2f} per hop)"

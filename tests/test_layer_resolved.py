@@ -240,12 +240,9 @@ class TestDownstreamInvariants:
         victim = None
         for _ in range(300):
             sim._tick(generate=True)
-            for router in network.routers:
-                for fifo in router.vc_fifos:
-                    if len(fifo):
-                        victim = fifo[0]
-                        break
-                if victim is not None:
+            for fifo in network.vc_fifos:
+                if len(fifo):
+                    victim = fifo[0]
                     break
             if victim is not None:
                 break

@@ -75,7 +75,9 @@ def test_observer_attach_rebinds_no_router_attribute(slot, attach):
     assert bindings() == before
 
 
-@pytest.mark.parametrize("build", [
+#: The six paper configurations, a ring, a chiplet, a torus and an
+#: irregular graph.
+BUILDS = [
     *(
         pytest.param(config.build_network, id=config.name)
         for config in standard_configs()
@@ -91,7 +93,32 @@ def test_observer_attach_rebinds_no_router_attribute(slot, attach):
         LinkSpec(3, 4, "P4", "P3", LinkKind.NORMAL, 1.0),
         LinkSpec(4, 1, "P1", "P4", LinkKind.NORMAL, 1.0),
     ]), num_vcs=3), id="irregular"),
-])
+]
+
+
+@pytest.mark.parametrize("build", BUILDS)
+def test_unit_indices_round_trip(build):
+    """Global units number every router's (port, VC) pairs contiguously,
+    ascending by node, and unit -> (node, port, vc) -> unit round-trips."""
+    network = build()
+    num_vcs = network.num_vcs
+    unit = 0
+    for node, router in enumerate(network.routers):
+        assert router.node == node
+        assert network.unit_base[node] == unit
+        assert router.units == range(unit, unit + router.num_ports * num_vcs)
+        assert router.port_base * num_vcs == unit
+        for port in range(router.num_ports):
+            for vc in range(num_vcs):
+                assert network.unit_index(node, port, vc) == unit
+                assert network.unit_location(unit) == (node, port, vc)
+                assert network.node_of_unit[unit] == node
+                unit += 1
+    assert unit == len(network.vc_state) == len(network.node_of_unit)
+    assert len(network.link_targets) * num_vcs == unit
+
+
+@pytest.mark.parametrize("build", BUILDS)
 def test_link_tables_pair_every_link(build):
     """Every link's arrival target and credit returns point at each
     other, and a port without a link (the local port above all) has
@@ -101,36 +128,38 @@ def test_link_tables_pair_every_link(build):
     num_vcs = network.num_vcs
     topology = network.topology
     for link in topology.links:
-        up, down = routers[link.src], routers[link.dst]
-        out = up.port_index[link.src_port]
-        in_port = down.port_index[link.dst_port]
-        assert up.arrival_targets[out] == (link.dst, in_port)
+        out = network.unit_index(
+            link.src, routers[link.src].port_index[link.src_port], 0
+        )
+        target = network.unit_index(
+            link.dst, routers[link.dst].port_index[link.dst_port], 0
+        )
+        assert network.link_targets[out // num_vcs] == target
         for vc in range(num_vcs):
-            assert down.credit_returns[in_port * num_vcs + vc] == (
-                link.src, out, vc
-            )
+            assert network.credit_returns[target + vc] == out + vc
+    for router in routers:
+        local = router.port_base + router.local_port
+        assert network.link_targets[local] is None
+        assert network.credit_returns[
+            local * num_vcs:(local + 1) * num_vcs
+        ] == [None] * num_vcs
+        # The ejection sink always accepts: its credits never move.
+        assert network.credits[local * num_vcs:(local + 1) * num_vcs] == (
+            [network.buffer_depth] * num_vcs
+        )
     arrivals = credits = 0
-    for node, router in enumerate(routers):
-        local = router.local_port
-        assert router.arrival_targets[local] is None
-        assert router.credits[local] is None
-        for port, target in enumerate(router.arrival_targets):
-            if target is not None:
-                arrivals += 1
-                dst, in_port = target
-                assert routers[dst].credit_returns[in_port * num_vcs] == (
-                    node, port, 0
-                )
-        for unit, upstream in enumerate(router.credit_returns):
-            if unit // num_vcs == local:
-                assert upstream is None
-            elif upstream is not None:
-                credits += 1
-                src, out, vc = upstream
-                assert vc == unit % num_vcs
-                assert routers[src].arrival_targets[out] == (
-                    node, unit // num_vcs
-                )
+    for port, target in enumerate(network.link_targets):
+        if target is not None:
+            arrivals += 1
+            assert target % num_vcs == 0
+            assert network.credit_returns[target] == port * num_vcs
+    for unit, upstream in enumerate(network.credit_returns):
+        if upstream is not None:
+            credits += 1
+            assert upstream % num_vcs == unit % num_vcs
+            assert network.link_targets[upstream // num_vcs] == (
+                unit - unit % num_vcs
+            )
     assert arrivals == len(topology.links)
     assert credits == len(topology.links) * num_vcs
 
@@ -160,22 +189,18 @@ def test_flit_conservation():
 def test_credits_restored_after_drain():
     packets = [data_packet(0, 5, created_cycle=0), data_packet(5, 0, created_cycle=3)]
     network, _ = _run_network(Mesh2D(3, 2, pitch_mm=1.0), packets)
-    for router in network.routers:
-        for port, credits in enumerate(router.credits):
-            if credits is None:
-                continue
-            for vc, value in enumerate(credits):
-                assert value == network.buffer_depth, (
-                    f"router {router.node} port {port} vc {vc} leaked credits"
-                )
+    for out_vc, value in enumerate(network.credits):
+        if network.link_targets[out_vc // network.num_vcs] is None:
+            continue
+        assert value == network.buffer_depth, (
+            f"(node, port, vc) {network.unit_location(out_vc)} leaked credits"
+        )
 
 
 def test_out_vc_ownership_released():
     packets = [data_packet(0, 5, created_cycle=0)]
     network, _ = _run_network(Mesh2D(3, 2, pitch_mm=1.0), packets)
-    for router in network.routers:
-        for owners in router.out_owner:
-            assert all(owner is None for owner in owners)
+    assert all(owner is None for owner in network.out_owner)
 
 
 def test_delivery_callback_invoked():

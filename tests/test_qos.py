@@ -14,34 +14,34 @@ from tests.test_allocator import _sa
 
 class TestPriorityAllocator:
     def test_high_priority_wins_stage2(self):
-        sa = SwitchAllocator(3, 2)
+        sa = SwitchAllocator([3], 2)
         requests = [(0, 0, 2), (1, 0, 2)]
         priorities = {(0, 0): 0, (1, 0): 5}
         for _ in range(10):
             assert _sa(sa, requests, priorities) == [(1, 0, 2)]
 
     def test_high_priority_wins_stage1(self):
-        sa = SwitchAllocator(3, 2)
+        sa = SwitchAllocator([3], 2)
         requests = [(0, 0, 1), (0, 1, 2)]
         priorities = {(0, 0): 1, (0, 1): 9}
         for _ in range(10):
             assert _sa(sa, requests, priorities) == [(0, 1, 2)]
 
     def test_equal_priority_round_robins(self):
-        sa = SwitchAllocator(2, 1)
+        sa = SwitchAllocator([2], 1)
         requests = [(0, 0, 1), (1, 0, 1)]
         priorities = {(0, 0): 3, (1, 0): 3}
         winners = [_sa(sa, requests, priorities)[0][0] for _ in range(6)]
         assert set(winners) == {0, 1}
 
     def test_no_priorities_behaves_as_before(self):
-        sa = SwitchAllocator(2, 1)
+        sa = SwitchAllocator([2], 1)
         requests = [(0, 0, 1), (1, 0, 1)]
         winners = [_sa(sa, requests, None)[0][0] for _ in range(4)]
         assert winners == [0, 1, 0, 1]
 
     def test_missing_priority_defaults_to_zero(self):
-        sa = SwitchAllocator(2, 1)
+        sa = SwitchAllocator([2], 1)
         requests = [(0, 0, 1), (1, 0, 1)]
         assert _sa(sa, requests, {(1, 0): 2}) == [(1, 0, 1)]
 

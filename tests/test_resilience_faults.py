@@ -95,13 +95,14 @@ class TestAttach:
         sibling instead of dropping."""
         network = make_3dme().build_network()
         router = network.routers[0]
-        assert router.routes[1] == router.port_index["E"]
+        rows = list(network.routes)
+        assert network.routes[0][1] == router.port_index["E"]
         plan = FaultPlan(links=(LinkFault(0, 0, 1),), mode="drain")
         FaultInjector(plan).attach(network)
         network.step()
-        assert router.routes[1] == router.port_index["EE"]
-        for node, r in enumerate(network.routers):
-            assert r.routes is network.routes[node]
+        assert network.routes[0][1] == router.port_index["EE"]
+        # Rebuilt in place: the rows the router loop holds stay current.
+        assert all(a is b for a, b in zip(rows, network.routes))
 
     def test_empty_plan_keeps_plain_routing(self):
         from repro.noc.routing import ExpressXYRouting
@@ -111,6 +112,14 @@ class TestAttach:
         network.step()
         assert isinstance(network.routing, ExpressXYRouting)
         assert network.routes == make_3dme().build_network().routes
+
+
+def _out_vcs(network, link):
+    """The global output VCs of *link*'s upstream port, as a slice."""
+    first = network.unit_index(
+        link.src, network.routers[link.src].port_index[link.src_port], 0
+    )
+    return slice(first, first + network.num_vcs)
 
 
 class TestLinkKill:
@@ -123,41 +132,42 @@ class TestLinkKill:
         for _ in range(5):
             network.step()
         router = network.routers[link.src]
+        row = network.routes[link.src]
         assert injector.failed == set()
-        assert router.routes[link.dst] == router.port_index[link.src_port]
+        assert row[link.dst] == router.port_index[link.src_port]
         network.step()  # cycle 5 processes the event
         assert injector.failed == {(link.src, link.dst)}
         assert injector.links_killed == 1
         # X-Y cannot steer: the route onto the dead channel is a drop.
-        assert router.routes[link.dst] == -1
+        assert row[link.dst] == -1
 
     def test_hard_mode_confiscates_held_credits(self):
         network = make_2db().build_network()
         link = network.topology.links[0]
-        router = network.routers[link.src]
-        port = router.port_index[link.src_port]
-        held_before = sum(router.credits[port])
+        out_vcs = _out_vcs(network, link)
+        held_before = sum(network.credits[out_vcs])
         assert held_before > 0  # idle network: all credits held upstream
         plan = FaultPlan(links=(LinkFault(0, link.src, link.dst),))
         injector = FaultInjector(plan).attach(network)
         network.step()
         assert injector.credits_confiscated == held_before
-        assert sum(router.credits[port]) == 0
+        assert sum(network.credits[out_vcs]) == 0
         assert sum(injector.confiscated.values()) == held_before
-        assert (link.src, port) in injector.dead_credit_targets
+        assert injector.dead_credit_targets == set(
+            range(out_vcs.start, out_vcs.stop)
+        )
 
     def test_drain_mode_leaves_credits_alone(self):
         network = make_2db().build_network()
         link = network.topology.links[0]
-        router = network.routers[link.src]
-        port = router.port_index[link.src_port]
-        held_before = list(router.credits[port])
+        out_vcs = _out_vcs(network, link)
+        held_before = network.credits[out_vcs]
         plan = FaultPlan(links=(LinkFault(0, link.src, link.dst),),
                          mode="drain")
         injector = FaultInjector(plan).attach(network)
         network.step()
         assert injector.credits_confiscated == 0
-        assert list(router.credits[port]) == held_before
+        assert network.credits[out_vcs] == held_before
         assert injector.dead_credit_targets == set()
 
     def test_duplicate_kill_is_idempotent(self):
@@ -182,7 +192,6 @@ class TestStuckVC:
         the unit stays held every cycle."""
         config = make_2db()
         network = config.build_network()
-        router = network.routers[0]
         plan = FaultPlan(vcs=(StuckVCFault(0, 0, 0, 0),))
         FaultInjector(plan).attach(network)
         sim = Simulator(
@@ -192,13 +201,13 @@ class TestStuckVC:
             measure_cycles=100,
             drain_cycles=0,
         )
-        fifo = router.vc_fifos[0]
+        fifo = network.vc_fifos[0]
         held = []
         for _ in range(100):
             sim._tick(generate=True)
             assert [id(flit) for flit in fifo][:len(held)] == held
             held = [id(flit) for flit in fifo]
-            assert router.stuck == {0}
+            assert network.stuck == {0}
         assert held  # the first packet's flits landed and stayed
 
     def test_repeated_entry_counts_one_unit(self):
@@ -207,7 +216,7 @@ class TestStuckVC:
         fault = StuckVCFault(0, 4, 1, 0)
         injector = FaultInjector(FaultPlan(vcs=(fault, fault))).attach(network)
         network.step()
-        assert network.routers[4].stuck == {1 * network.num_vcs + 0}
+        assert network.stuck == {network.unit_index(4, 1, 0)}
         assert injector.vcs_stuck == 1
         assert injector.summary()["vcs_stuck"] == 1
 

@@ -97,10 +97,11 @@ def test_vc_allows_packet_interleave_across_vcs():
 
 def test_router_busy_flag():
     network = Network(Mesh2D(3, 1, pitch_mm=1.0))
-    assert not network.routers[0]._active
+    units = network.routers[0].units
+    assert not network._active.intersection(units)
     network.enqueue_packet(ctrl_packet(0, 2, created_cycle=0))
     network.step()
-    assert network.routers[0]._active
+    assert network._active.intersection(units)
 
 
 def test_router_occupancy_counts_buffered_flits():
@@ -131,8 +132,8 @@ def test_vc_fifos_start_empty():
     network = Network(Mesh2D(2, 1, pitch_mm=1.0), buffer_depth=4)
     router = network.routers[0]
     assert router.occupancy() == 0
-    assert all(not fifo for fifo in router.vc_fifos)
-    assert all(state == _IDLE for state in router.vc_state)
+    assert all(not network.vc_fifos[i] for i in router.units)
+    assert all(network.vc_state[i] == _IDLE for i in router.units)
 
 
 def test_vc_fifo_keeps_arrival_order():
@@ -144,7 +145,7 @@ def test_vc_fifo_keeps_arrival_order():
     flits = data_packet(0, 1, created_cycle=0).make_flits()
     for flit in flits:
         router.receive_flit(router.local_port, 0, flit, cycle=0)
-    fifo = router.vc_fifos[router.local_port * router.num_vcs]
+    fifo = network.vc_fifos[network.unit_index(0, router.local_port, 0)]
     assert list(fifo) == flits
     popped = []
     for _ in range(40):

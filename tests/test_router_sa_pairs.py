@@ -45,24 +45,24 @@ def _shapes(num_vcs):
     return shapes
 
 
-def _bid(router, requests):
+def _bid(network, router, requests):
     """Make each request an ACTIVE unit fronting its own body flit and
     holding an output VC with credit on its out port.  Returns the
-    units and a flit-id -> unit map."""
+    global units and a flit-id -> unit map."""
     units = []
     unit_of = {}
     held = {}
     for in_port, in_vc, out_port in requests:
-        i = in_port * router.num_vcs + in_vc
+        i = network.unit_index(router.node, in_port, in_vc)
         out_vc = held.get(out_port, 0) % router.num_vcs
         held[out_port] = out_vc + 1
         flit = data_packet(0, 8).make_flits()[1]
-        router.vc_fifos[i].append(flit)
-        router.vc_state[i] = _ACTIVE
-        router.vc_out_port[i] = out_port
-        router.vc_out_vc[i] = out_vc
-        router.out_owner[out_port][out_vc] = (in_port, in_vc)
-        router._active.add(i)
+        network.vc_fifos[i].append(flit)
+        network.vc_state[i] = _ACTIVE
+        network.vc_out_port[i] = router.port_base + out_port
+        network.vc_out_vc[i] = out_vc
+        network.out_owner[network.unit_index(router.node, out_port, out_vc)] = i
+        network._active.add(i)
         units.append(i)
         unit_of[id(flit)] = i
     return units, unit_of
@@ -75,27 +75,31 @@ def _check_against_reference(num_vcs, requests, attributed, sa1, sa2):
     attribution = StallAttribution(network) if attributed else None
     router = network.routers[CENTRE]
     assert router.num_ports == NUM_PORTS
-    router._sa.sa1[:] = sa1
-    router._sa.sa2[:] = sa2
+    ports = slice(router.port_base, router.port_base + NUM_PORTS)
+    network._sa.sa1[ports] = sa1
+    network._sa.sa2[ports] = sa2
     reference = ReferenceSA(NUM_PORTS, num_vcs, sa1, sa2)
 
-    units, unit_of = _bid(router, requests)
+    units, unit_of = _bid(network, router, requests)
     grants = reference.allocate([SARequest(*req) for req in sorted(requests)])
     router.step(CYCLE)
 
     case = (requests, sa1, sa2)
-    expected = [g.in_port * num_vcs + g.in_vc for g in grants]
+    expected = [
+        network.unit_index(CENTRE, g.in_port, g.in_vc) for g in grants
+    ]
     slot = network.arrival_slots[
         (CYCLE + network._hop_cycles) % len(network.arrival_slots)
     ]
-    assert [unit_of[id(entry[3])] for entry in slot] == expected, case
-    moved = {i for i in units if not router.vc_fifos[i]}
+    assert [unit_of[id(flit)] for _, flit in slot] == expected, case
+    moved = {i for i in units if not network.vc_fifos[i]}
     assert moved == set(expected), case
-    assert (router._sa.sa1, router._sa.sa2) == reference.pointers(), case
+    assert (network._sa.sa1[ports], network._sa.sa2[ports]) == (
+        reference.pointers()
+    ), case
     if attribution is not None:
-        base = attribution._unit_base[CENTRE]
         sa_loss = [
-            attribution.unit_counts[base + i * NUM_STALL_CAUSES + STALL_SA_LOSS]
+            attribution.unit_counts[i * NUM_STALL_CAUSES + STALL_SA_LOSS]
             for i in units
         ]
         assert sa_loss == [0 if i in moved else 1 for i in units], case

@@ -144,14 +144,13 @@ class TestCleanRuns:
 class TestSeededFaults:
     def test_corrupted_credit_counter_attributed(self):
         network, _ = _warmed_network()
-        router = next(
-            r for r in network.routers
-            if any(c is not None for c in r.credits)
+        out = next(
+            p for p, target in enumerate(network.link_targets)
+            if target is not None
         )
-        port = next(
-            i for i, c in enumerate(router.credits) if c is not None
-        )
-        router.credits[port][0] += 1  # phantom credit
+        node, port, _ = network.unit_location(out * network.num_vcs)
+        router = network.routers[node]
+        network.credits[out * network.num_vcs] += 1  # phantom credit on VC 0
 
         with pytest.raises(SanityError) as excinfo:
             network.sanitizer.audit(network.cycle)
@@ -166,15 +165,15 @@ class TestSeededFaults:
 
     def test_router_missing_from_active_set_attributed(self):
         network, _ = _warmed_network()
-        router = next(r for r in network.routers if r._active)
-        network._active_routers.discard(router.node)
+        unit = min(u for u in network._active if network.vc_fifos[u])
+        network._active.discard(unit)
 
         with pytest.raises(SanityError) as excinfo:
             network.sanitizer.audit(network.cycle)
         err = excinfo.value
         assert err.check == "vc-state"
-        assert err.node == router.node
-        assert "active-router set" in str(err)
+        assert (err.node, err.port, err.vc) == network.unit_location(unit)
+        assert "stranded" in str(err)
 
     @pytest.mark.parametrize(
         "allocator, pointers, label",
@@ -192,13 +191,18 @@ class TestSeededFaults:
         network, _ = _warmed_network(cycles=20)
         network.sanitizer.audit(network.cycle)  # healthy so far
         router = network.routers[7]
-        flat = getattr(getattr(router, allocator), pointers)
-        size = {"va1": router.num_vcs, "sa1": router.num_vcs}.get(
-            pointers, len(flat)
-        )
+        flat = getattr(getattr(network, allocator), pointers)
+        # Router 7's last arbiter of this stage, and the size of the
+        # range its pointer must stay in.
+        last, size = {
+            "va1": (router.units[-1], router.num_vcs),
+            "va2": (router.units[-1], len(router.units)),
+            "sa1": (router.port_base + router.num_ports - 1, router.num_vcs),
+            "sa2": (router.port_base + router.num_ports - 1, router.num_ports),
+        }[pointers]
         # One past the end, negative, or a bool (an int subclass that
         # must not pass for a pointer).
-        flat[-1] = size if bad == "size" else bad
+        flat[last] = size if bad == "size" else bad
 
         with pytest.raises(SanityError) as excinfo:
             network.sanitizer.audit(network.cycle)
@@ -212,15 +216,14 @@ class TestSeededFaults:
         network, sim = _warmed_network(rate=0.3, cycles=0, seed=9)
 
         def droppable():
-            for router in network.routers:
-                for unit, flits in enumerate(router.vc_fifos):
-                    # An interior flit flanked by same-packet neighbours:
-                    # removing it leaves the seq gap inside this buffer,
-                    # so the audit can attribute it exactly.
-                    for i in range(1, len(flits) - 1):
-                        if (flits[i - 1].packet.pid == flits[i].packet.pid
-                                == flits[i + 1].packet.pid):
-                            return router, unit, i
+            for unit, flits in enumerate(network.vc_fifos):
+                # An interior flit flanked by same-packet neighbours:
+                # removing it leaves the seq gap inside this buffer, so
+                # the audit can attribute it exactly.
+                for i in range(1, len(flits) - 1):
+                    if (flits[i - 1].packet.pid == flits[i].packet.pid
+                            == flits[i + 1].packet.pid):
+                        return unit, i
             return None
 
         found = None
@@ -230,10 +233,11 @@ class TestSeededFaults:
             if found:
                 break
         assert found, "traffic never built a 3-flit same-packet run"
-        router, unit, index = found
-        victim = router.vc_fifos[unit][index]
-        del router.vc_fifos[unit][index]
-        port, vc = divmod(unit, router.num_vcs)
+        unit, index = found
+        victim = network.vc_fifos[unit][index]
+        del network.vc_fifos[unit][index]
+        node, port, vc = network.unit_location(unit)
+        router = network.routers[node]
 
         with pytest.raises(SanityError) as excinfo:
             network.sanitizer.audit(network.cycle)
@@ -251,12 +255,11 @@ class TestSeededFaults:
         network, sim = _warmed_network(
             rate=0.2, cycles=250, seed=7, watchdog_window=120
         )
-        router, wedged = next(
-            (router, unit) for router in network.routers
-            for unit, fifo in enumerate(router.vc_fifos) if len(fifo) > 0
+        wedged = next(
+            unit for unit, fifo in enumerate(network.vc_fifos) if len(fifo) > 0
         )
-        wedged_node = router.node
-        router.stuck.add(wedged)  # a stuck-VC fault: it never advances again
+        wedged_node, wedged_port, wedged_vc = network.unit_location(wedged)
+        network.stuck.add(wedged)  # a stuck-VC fault: it never advances again
 
         # Stop generating; everything not stuck behind the wedge drains,
         # then deliveries cease and the watchdog window starts counting.
@@ -271,7 +274,7 @@ class TestSeededFaults:
         assert report.flits_in_network > 0
         assert any(
             s.node == wedged_node
-            and (s.port, s.vc) == divmod(wedged, router.num_vcs)
+            and (s.port, s.vc) == (wedged_port, wedged_vc)
             for s in report.stalled_vcs
         )
         assert report.flit_hops_in_window == 0

@@ -40,7 +40,7 @@ def _traffic(config, kind: str, seed: int = 11):
 
 def _step_every_router(network):
     """The full-iteration reference for ``network._step_routers``: step
-    every router in node order, leaving the active set untouched."""
+    every router in node order, each through its own ``Router.step``."""
 
     def step_routers(cycle: int) -> int:
         for router in network.routers:
@@ -78,7 +78,7 @@ def test_scheduler_is_bit_identical(name, kind):
 
 
 def test_scheduler_toggle_mid_run(cfg_2db):
-    """The active set is a superset of busy routers at all times, so the
+    """The active set holds every busy unit at all times, so the
     scheduler and the full iteration can swap mid-run without losing
     work."""
     reference, _ = _run(cfg_2db, "uniform", active_scheduling=False)
@@ -116,16 +116,13 @@ def test_active_set_empties_after_drain(cfg_2db):
             break
         network.step()
     assert network.idle()
-    # One extra step lets the active set converge (a router leaves the
-    # set the step after it drains).
-    network.step()
-    assert network._active_routers == set()
-    assert all(not r._active for r in network.routers)
+    # A unit leaves the active set as its buffer drains.
+    assert network._active == set()
 
 
 def test_quiescence_protocol(cfg_2db):
     """A fresh router is quiescent (no active unit); receiving a flit
-    wakes it and its network; draining makes it quiescent again."""
+    wakes its unit; draining makes it quiescent again."""
     from repro.noc.packet import data_packet
 
     network = cfg_2db.build_network()
@@ -134,32 +131,29 @@ def test_quiescence_protocol(cfg_2db):
     # audit (REPRO_SANITIZE=1 runs) reconciles against.
     network.sanitizer = None
     router = network.routers[0]
-    assert not router._active
-    assert network._active_routers == set()
+    assert network._active == set()
 
     packet = data_packet(src=0, dst=1)
     flits = packet.make_flits(network.layer_groups)
     router.receive_flit(router.local_port, 0, flits[0], cycle=0)
-    assert router._active
-    assert 0 in network._active_routers
+    assert network._active == {network.unit_index(0, router.local_port, 0)}
 
     for _ in range(60):
         network.step()
-    assert not router._active
-    assert 0 not in network._active_routers
+    assert network._active == set()
 
 
 def test_full_iteration_steps_every_router(cfg_2db):
     network = cfg_2db.build_network()
     network._step_routers = _step_every_router(network)
     assert network._step_routers(0) == len(network.routers)
-    assert network._active_routers == set()
+    assert network._active == set()
 
 
 def test_active_scheduling_steps_only_woken_routers(cfg_2db):
     network = cfg_2db.build_network()
     assert network._step_routers(0) == 0
-    network._active_routers.add(5)
-    # Node 5 holds no work, so it is stepped once and then pruned.
+    network._active.add(network.unit_index(5, 0, 0))
+    # Node 5's unit holds no work, so it is stepped once and then pruned.
     assert network._step_routers(1) == 1
     assert network._step_routers(2) == 0

@@ -145,13 +145,14 @@ class TestDateline:
         packet = ctrl_packet(src, dst, created_cycle=0)
         network.enqueue_packet(packet)
         # The VC a router claims on an output channel is the VC of the
-        # flit's arrival-ring entry (node, port, vc, flit) downstream.
+        # flit's arrival-ring entry (unit, flit) downstream.
         vc_claims = {}
         for _ in range(200):
             network.step()
             for slot in network.arrival_slots:
-                for node, port, vc, flit in slot:
+                for unit, flit in slot:
                     if flit.packet is packet and flit.is_head:
+                        node, port, vc = network.unit_location(unit)
                         port_name = network.routers[node].port_names[port]
                         upstream = torus.in_ports[node][port_name].src
                         vc_claims[upstream] = vc

@@ -37,15 +37,12 @@ def test_out_vc_assignment_matches_class():
     seen = {0: set(), 1: set()}
     for cycle in range(60):
         sim._tick(generate=True)
-        for router in network.routers:
-            for port, owners in enumerate(router.out_owner):
-                for vc, owner in enumerate(owners):
-                    if owner is None:
-                        continue
-                    in_port, in_vc = owner
-                    fifo = router.vc_fifos[in_port * router.num_vcs + in_vc]
-                    if fifo:
-                        seen[vc].add(fifo[0].packet.klass)
+        for out_vc, owner in enumerate(network.out_owner):
+            if owner is None:
+                continue
+            fifo = network.vc_fifos[owner]
+            if fifo:
+                seen[out_vc % network.num_vcs].add(fifo[0].packet.klass)
     assert seen[0] <= {PacketClass.CTRL}
     assert seen[1] <= {PacketClass.DATA}
 
