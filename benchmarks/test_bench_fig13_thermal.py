@@ -1,11 +1,13 @@
 """Fig. 13 — short-flit census, shutdown power saving, temperature drop."""
 
+from repro.core.arch import make_2db, make_3dm, make_3dme
 from repro.experiments.report import format_table
 from repro.experiments.thermal_exp import (
     fig13a_short_flit_fractions,
     fig13b_shutdown_savings,
     fig13c_temperature_reduction,
 )
+from repro.power.gating import shutdown_saving
 from repro.traffic.workloads import WORKLOADS
 
 
@@ -33,7 +35,12 @@ def test_fig13b_shutdown_power_saving(benchmark, settings, save_report):
         lambda: fig13b_shutdown_savings(settings=settings),
         rounds=1, iterations=1,
     )
-    analytic = fig13b_shutdown_savings(analytic=True)
+    analytic = {
+        config.name: {
+            s: shutdown_saving(config, s).saving_fraction for s in (0.25, 0.50)
+        }
+        for config in (make_2db(), make_3dm(), make_3dme())
+    }
     rows = [
         [
             arch,

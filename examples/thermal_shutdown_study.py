@@ -2,10 +2,11 @@
 """Layer-shutdown thermal study (the Sec. 4.2.3 flow, end to end).
 
 For the 3DM design: simulate the same uniform-random load with 0% and
-50% short flits, price the event streams with the Orion-style energy
-model, feed the per-node router powers into the HotSpot-style stacked
-thermal solver, and report the temperature drop the shutdown technique
-buys — plus the per-layer temperature profile of the stack.
+50% short flits, price the per-layer event histograms with the
+Orion-style energy model, feed the simulated per-node-per-layer router
+power maps into the HotSpot-style stacked thermal solver, and report the
+temperature drop the shutdown technique buys — plus the per-layer
+temperature profile of the stack.
 
 Run:  python examples/thermal_shutdown_study.py
 """
@@ -23,7 +24,7 @@ def main() -> None:
     config = make_architecture(Architecture.MIRA_3DM)
     settings = ExperimentSettings.quick()
 
-    print("analytic shutdown model (Fig. 13b):")
+    print("closed-form shutdown reference (Fig. 13b):")
     for short in (0.25, 0.50):
         saving = shutdown_saving(config, short)
         print(f"  {short:.0%} short flits -> {saving.saving_fraction:.1%} "
@@ -34,8 +35,12 @@ def main() -> None:
         spec = PointSpec(config, "uniform", rate, shutdown_enabled=True)
         base = run_point_spec(spec, settings)
         gated = run_point_spec(replace(spec, short_flit_fraction=0.5), settings)
-        hot = steady_state(config, base.router_power_per_node())
-        cool = steady_state(config, gated.router_power_per_node())
+        hot = steady_state(
+            config, router_layer_power_w=base.router_layer_power_per_node()
+        )
+        cool = steady_state(
+            config, router_layer_power_w=gated.router_layer_power_per_node()
+        )
         print(f"injection {rate:g} flits/node/cycle:")
         print(f"  router power: {base.total_power_w:.3f} W -> "
               f"{gated.total_power_w:.3f} W "

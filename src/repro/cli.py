@@ -92,7 +92,7 @@ def _number(text: str, parse, valid, what: str):
 
 
 def _positive_float(text: str) -> float:
-    """argparse type for injection rates."""
+    """argparse type for injection rates and timeouts."""
     return _number(
         text, float, lambda v: v > 0 and math.isfinite(v),
         "a positive finite number",
@@ -100,7 +100,7 @@ def _positive_float(text: str) -> float:
 
 
 def _non_negative_float(text: str) -> float:
-    """argparse type for spreads such as a variation sigma."""
+    """argparse type for spreads and delays (variation sigma, backoff)."""
     return _number(
         text, float, lambda v: v >= 0 and math.isfinite(v),
         "a non-negative finite number",
@@ -115,7 +115,7 @@ def _fraction(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for cycle intervals."""
+    """argparse type for cycle counts and intervals."""
     return _number(text, int, lambda v: v >= 1, "an integer >= 1")
 
 
@@ -549,11 +549,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         fractions = exp.fig13a_short_flit_fractions(settings)
         print(dict_table({"short_flits": fractions}, row_label=""))
     elif name == "fig13b":
-        savings = exp.fig13b_shutdown_savings(
-            settings=settings,
-            analytic=args.analytic_shutdown,
-            store=store,
-        )
+        savings = exp.fig13b_shutdown_savings(settings=settings, store=store)
         print(dict_table(
             {
                 arch: {f"{s:g} short": v for s, v in by_s.items()}
@@ -562,11 +558,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             row_label="arch",
         ))
     elif name == "fig13c":
-        drops = exp.fig13c_temperature_reduction(
-            settings,
-            store=store,
-            analytic_split=args.analytic_shutdown,
-        )
+        drops = exp.fig13c_temperature_reduction(settings, store=store)
         print(dict_table(
             {"temp_drop_k": {f"{r:g}": v for r, v in drops.items()}},
             row_label="rate",
@@ -712,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
         "capture everything)",
     )
     sim.add_argument(
-        "--trace-head-tail", type=int, default=0, metavar="K",
+        "--trace-head-tail", type=_non_negative_int, default=0, metavar="K",
         help="with --trace-out: always capture the first K and last K "
         "packets regardless of the sample rate (default 0)",
     )
@@ -819,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser("trace", help="generate an MP trace file")
     trace.add_argument("--workload", default="tpcw")
     trace.add_argument("--arch", default="2DB")
-    trace.add_argument("--cycles", type=int, default=30000)
+    trace.add_argument("--cycles", type=_positive_int, default=30000)
     trace.add_argument("--seed", type=int, default=1)
     trace.add_argument("--output", default="trace.txt")
     trace.set_defaults(func=cmd_trace)
@@ -838,11 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="serve simulation points from (and fill) the result cache",
-    )
-    ex.add_argument(
-        "--analytic-shutdown", action="store_true",
-        help="use the closed-form shutdown model instead of the "
-        "layer-resolved simulated path (fig13b/fig13c)",
     )
     ex.set_defaults(func=cmd_experiment)
 
@@ -867,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--traffic", choices=["uniform", "nuca"], default="uniform"
     )
-    sweep.add_argument("--processes", type=int, default=2)
+    sweep.add_argument("--processes", type=_non_negative_int, default=2)
     sweep.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="content-addressed result cache; finished points are "
@@ -883,16 +870,17 @@ def build_parser() -> argparse.ArgumentParser:
         "skip points already in the cache (requires --cache-dir)",
     )
     sweep.add_argument(
-        "--retries", type=int, default=0, metavar="N",
+        "--retries", type=_non_negative_int, default=0, metavar="N",
         help="retry each failed/timed-out point up to N times "
         "with exponential backoff",
     )
     sweep.add_argument(
-        "--backoff", type=float, default=0.5, metavar="SECONDS",
+        "--backoff", type=_non_negative_float, default=0.5, metavar="SECONDS",
         help="initial retry backoff; doubles per attempt (default 0.5)",
     )
     sweep.add_argument(
-        "--point-timeout", type=float, default=None, metavar="SECONDS",
+        "--point-timeout", type=_positive_float, default=None,
+        metavar="SECONDS",
         help="terminate any point running longer than this "
         "(counts as a failed attempt)",
     )

@@ -29,7 +29,6 @@ _EXPORTS = {
     "pipeline_for": ".pipeline",
     "LayerPlan": ".layers",
     "layer_plan_for": ".layers",
-    "ShortFlitDetector": ".shutdown",
     "shutdown_power_factor": ".shutdown",
     "average_hops": ".express",
     "route_path": ".express",

@@ -6,68 +6,22 @@ gates the corresponding buffer/crossbar/link slices in the lower layers.
 The detector itself costs a small energy overhead per flit, which the
 paper argues is negligible against the avoided bit-line switching.
 
-Two views are provided:
-
-* :class:`ShortFlitDetector` — the functional circuit model, classifying
-  raw flit words (used when traffic carries real payloads).
-* :func:`shutdown_power_factor` — the analytic model behind Fig. 13b:
-  expected dynamic-power multiplier on the separable datapath for a given
-  short-flit fraction.
+The zero detector's classification of raw flit words is
+:func:`~repro.traffic.patterns.flit_active_groups`; the simulated pipeline
+carries its result on every flit (``Flit.active_groups``), and the
+network's per-layer event histograms price exactly the layers each flit
+switched.  :func:`shutdown_power_factor` is the closed-form model behind
+Fig. 13b: the expected dynamic-power multiplier on the separable datapath
+for a given short-flit fraction, kept as the reference the simulated
+savings are checked against.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
-
-from repro.traffic.patterns import WORDS_PER_FLIT, flit_active_groups
 
 #: Fractional energy overhead of the per-layer zero detectors, relative to
 #: the separable-datapath energy of a full flit.  The paper calls it
 #: negligible; we keep it explicit and small.
 DETECTOR_OVERHEAD = 0.01
-
-
-class ShortFlitDetector:
-    """Per-layer zero/one detector bank for an L-layer datapath."""
-
-    def __init__(self, layers: int = WORDS_PER_FLIT) -> None:
-        if layers < 1:
-            raise ValueError(f"layers must be >= 1, got {layers}")
-        self.layers = layers
-        self.flits_seen = 0
-        self.short_flits = 0
-
-    def active_layers(self, words: Sequence[int]) -> int:
-        """Layers that must stay powered for this flit's words."""
-        active = flit_active_groups(list(words))
-        self.observe(active)
-        return min(active, self.layers)
-
-    def observe(self, active_groups: int) -> int:
-        """Record one flit of known activity; return its layer mask.
-
-        The simulated pipeline summarises each flit's payload by its
-        pattern class (``active_groups``, the word-level classification
-        :func:`~repro.traffic.patterns.flit_active_groups` would produce
-        on the raw words), so the detector observes that count directly
-        at injection.  Valid words fill groups bottom-up, hence the mask
-        is the contiguous ``(1 << active) - 1`` with bit 0 — the
-        always-on top group — set.
-        """
-        if active_groups < 1:
-            raise ValueError(
-                f"active_groups must be >= 1, got {active_groups}"
-            )
-        self.flits_seen += 1
-        if active_groups == 1:
-            self.short_flits += 1
-        return (1 << min(active_groups, self.layers)) - 1
-
-    @property
-    def observed_short_fraction(self) -> float:
-        if self.flits_seen == 0:
-            return 0.0
-        return self.short_flits / self.flits_seen
 
 
 def shutdown_power_factor(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.cache.hierarchy import generate_trace
@@ -15,8 +14,6 @@ from repro.experiments.latency import (
 )
 from repro.experiments.runner import PointResult, run_trace_point
 from repro.experiments.store import ResultStore
-from repro.power.energy import PowerReport
-from repro.power.gating import shutdown_saving
 from repro.traffic.workloads import WORKLOADS
 
 
@@ -50,36 +47,9 @@ def fig12b_nuca_power(
     return fig11b_nuca_latency(settings, configs, store)
 
 
-def _analytic_shutdown_point(
-    config: ArchitectureConfig, point: PointResult
-) -> PointResult:
-    """Project the analytic shutdown factor onto an all-layers-on run.
-
-    The ``--analytic-shutdown`` fallback: instead of the event-driven
-    per-layer accounting, scale the simulated all-layers-on dynamic power
-    by :func:`~repro.power.gating.shutdown_saving`'s power factor at the
-    measured short-flit fraction of the trace.
-    """
-    events = point.sim.events
-    fraction = (
-        events.short_flit_hops / events.flit_hops if events.flit_hops else 0.0
-    )
-    factor = shutdown_saving(config, fraction).power_factor
-    scaled = PowerReport(
-        name=point.power.name,
-        dynamic_w=point.power.dynamic_w * factor,
-        leakage_w=point.power.leakage_w,
-        breakdown_w={
-            key: value * factor for key, value in point.power.breakdown_w.items()
-        },
-    )
-    return replace(point, power=scaled)
-
-
 def fig12c_trace_power(
     settings: Optional[ExperimentSettings] = None,
     configs: Optional[List[ArchitectureConfig]] = None,
-    analytic_shutdown: bool = False,
 ) -> Dict[str, Dict[str, PointResult]]:
     """Fig. 12c: MP-trace power, workload -> arch.
 
@@ -87,9 +57,7 @@ def fig12c_trace_power(
     carry real short-flit payloads, and the event-driven layer-resolved
     accounting prices exactly the layers each flit switched); the paper's
     base cases (2DB/3DB) run without shutdown, matching "with no layer
-    shut down in the base cases" (Sec. 4.2.2).  ``analytic_shutdown=True``
-    falls back to all-layers-on runs scaled by the closed-form shutdown
-    factor at each trace's measured short-flit fraction.
+    shut down in the base cases" (Sec. 4.2.2).
     """
     settings = settings or ExperimentSettings.from_env()
     out: Dict[str, Dict[str, PointResult]] = {}
@@ -100,18 +68,13 @@ def fig12c_trace_power(
             records, _ = generate_trace(
                 config, profile, cycles=settings.trace_cycles, seed=settings.seed
             )
-            point = run_trace_point(
+            per_arch[config.name] = run_trace_point(
                 config,
                 records,
                 settings,
                 label=workload_name,
-                shutdown_enabled=(
-                    config.is_multilayer and not analytic_shutdown
-                ),
+                shutdown_enabled=config.is_multilayer,
             )
-            if analytic_shutdown and config.is_multilayer:
-                point = _analytic_shutdown_point(config, point)
-            per_arch[config.name] = point
         out[workload_name] = per_arch
     return out
 

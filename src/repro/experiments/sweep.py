@@ -373,6 +373,8 @@ def run_sweep(
         raise ValueError(f"processes must be >= 0, got {processes}")
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
+    if backoff_s < 0:
+        raise ValueError(f"backoff_s must be >= 0, got {backoff_s}")
     if point_timeout is not None and point_timeout <= 0:
         raise ValueError(f"point_timeout must be positive, got {point_timeout}")
     if point_timeout is not None and processes == 0:

@@ -1,4 +1,12 @@
-"""Shutdown power and thermal experiments (Fig. 13a-c)."""
+"""Shutdown power and thermal experiments (Fig. 13a-c).
+
+Fig. 13b and 13c are priced one way: by the simulated per-layer event
+histograms of runs with layer shutdown enabled (the point's
+``layer_power`` report and its per-node-per-layer router power maps).
+The closed-form :func:`~repro.power.gating.shutdown_saving` is not a
+second path here; tests and the headline validator call it directly as
+the reference the simulated savings are checked against.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +16,6 @@ from repro.cache.hierarchy import generate_trace
 from repro.core.arch import ArchitectureConfig, make_2db, make_3dm, make_3dme
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.store import PointSpec, ResultStore, cached_point_run
-from repro.power.gating import shutdown_saving
 from repro.thermal.hotspot import temperature_drop
 from repro.traffic.workloads import WORKLOADS
 
@@ -48,7 +55,6 @@ def fig13b_shutdown_savings(
     short_fractions: Tuple[float, ...] = (0.25, 0.50),
     configs: Optional[List[ArchitectureConfig]] = None,
     settings: Optional[ExperimentSettings] = None,
-    analytic: bool = False,
     rate: float = 0.1,
     store: Optional[ResultStore] = None,
 ) -> Dict[str, Dict[float, float]]:
@@ -58,31 +64,21 @@ def fig13b_shutdown_savings(
     evaluates 2DB, 3DM and 3DM-E (the technique applies to all three;
     Sec. 4.2.2).
 
-    Default is the *simulated* path: each point runs a uniform-random
-    simulation with that payload short-flit fraction and layer shutdown
-    enabled, and the saving is the layer-resolved power report's dynamic
-    power against its own all-layers-on baseline (same event stream, so
-    no cross-run noise).  ``analytic=True`` (the CLI's
-    ``--analytic-shutdown``) is the closed-form fallback:
-    :func:`~repro.power.gating.shutdown_saving` at the nominal fraction.
+    Each point runs a uniform-random simulation with that payload
+    short-flit fraction and layer shutdown enabled, and the saving is the
+    layer-resolved power report's dynamic power against its own
+    all-layers-on baseline (same event stream, so no cross-run noise).
 
-    Axis semantics differ slightly between the two paths: the nominal
-    fraction parameterises *payload* flits, while header/control flits
-    are short by construction, so the measured short-flit fraction of
-    simulated traffic — and with it the simulated saving — sits above
-    the analytic-at-nominal curve ((1 + 2s)/3 with the default packet
-    mix).  The two paths agree within 2% when the analytic model is
-    evaluated at the measured fraction (asserted in tests).
+    The nominal fraction parameterises *payload* flits, while
+    header/control flits are short by construction, so the measured
+    short-flit fraction of simulated traffic — and with it the saving —
+    sits above the closed-form
+    :func:`~repro.power.gating.shutdown_saving` at the nominal fraction
+    ((1 + 2s)/3 with the default packet mix).  The two agree within 2%
+    when the closed form is evaluated at the measured fraction (asserted
+    in tests).
     """
     configs = configs or [make_2db(), make_3dm(), make_3dme()]
-    if analytic:
-        return {
-            config.name: {
-                s: shutdown_saving(config, s).saving_fraction
-                for s in short_fractions
-            }
-            for config in configs
-        }
     settings = settings or ExperimentSettings.from_env()
     out: Dict[str, Dict[float, float]] = {}
     for config in configs:
@@ -106,7 +102,6 @@ def fig13c_temperature_reduction(
     short_fraction: float = 0.50,
     config: Optional[ArchitectureConfig] = None,
     store: Optional[ResultStore] = None,
-    analytic_split: bool = False,
 ) -> Dict[float, float]:
     """Fig. 13c: average temperature drop of 3DM with 50% short flits.
 
@@ -114,9 +109,7 @@ def fig13c_temperature_reduction(
     short flits (shutdown moot) and with ``short_fraction`` short flits
     (shutdown active); the simulated per-node-per-layer router power
     maps feed the thermal solver and the average-temperature difference
-    is reported.  ``analytic_split=True`` (the CLI's
-    ``--analytic-shutdown``) falls back to flat per-node powers split by
-    the constant floorplan layer plan instead of the simulated maps.
+    is reported.
     """
     settings = settings or ExperimentSettings.from_env()
     config = config or make_3dm()
@@ -137,18 +130,9 @@ def fig13c_temperature_reduction(
             ),
             settings,
         )
-        if analytic_split:
-            out[rate] = temperature_drop(
-                config,
-                base.router_power_per_node(),
-                gated.router_power_per_node(),
-            )
-        else:
-            out[rate] = temperature_drop(
-                config,
-                router_layer_power_base_w=base.router_layer_power_per_node(),
-                router_layer_power_reduced_w=(
-                    gated.router_layer_power_per_node()
-                ),
-            )
+        out[rate] = temperature_drop(
+            config,
+            router_layer_power_base_w=base.router_layer_power_per_node(),
+            router_layer_power_reduced_w=gated.router_layer_power_per_node(),
+        )
     return out

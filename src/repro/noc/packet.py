@@ -164,15 +164,6 @@ class Flit:
                 f"flit must drive >= 1 word group, got {self.active_groups}"
             )
 
-    def is_short(self) -> bool:
-        """True when only the top word group carries valid data.
-
-        Short is an absolute property of the payload (exactly one active
-        group), independent of how many groups the network slices flits
-        into — so the method takes no arguments.
-        """
-        return self.active_groups == 1
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Flit(pid={self.packet.pid}, {self.kind.value}, seq={self.seq}, "

@@ -89,9 +89,9 @@ class TableRouting(RoutingBase):
 
     Args:
         topology: any :class:`~repro.topology.base.Topology`.
-        mode: ``"auto"`` (default), ``"updown"``, or ``"escape"``.
-        max_stretch: auto mode's tolerated average up*/down* stretch.
-        escape_vcs: auto mode's VC budget for the escape scheme.
+        mode: ``"auto"`` (default), ``"updown"``, or ``"escape"``.  Auto
+            mode's stretch tolerance and VC budget are
+            :data:`DEFAULT_MAX_STRETCH` and :data:`DEFAULT_ESCAPE_VCS`.
 
     Attributes:
         mode: the scheme actually in effect — ``"updown"``, ``"escape"``,
@@ -105,8 +105,6 @@ class TableRouting(RoutingBase):
         self,
         topology: Topology,
         mode: str = "auto",
-        max_stretch: float = DEFAULT_MAX_STRETCH,
-        escape_vcs: int = DEFAULT_ESCAPE_VCS,
     ) -> None:
         if mode not in ("auto", "updown", "escape"):
             raise ValueError(f"unknown table-routing mode {mode!r}")
@@ -127,12 +125,12 @@ class TableRouting(RoutingBase):
             if mode == "auto":
                 covered = self._covers(updown, shortest)
                 stretch = self._stretch(ud_dist, sp_dist)
-                if covered and stretch <= max_stretch:
+                if covered and stretch <= DEFAULT_MAX_STRETCH:
                     chosen = "updown"
                 else:
                     total = self._escape_classes(shortest)
                     max_class = max(total.values(), default=0)
-                    if max_class + 1 <= escape_vcs:
+                    if max_class + 1 <= DEFAULT_ESCAPE_VCS:
                         chosen = "escape"
                     elif covered:
                         chosen = "updown"
@@ -141,7 +139,7 @@ class TableRouting(RoutingBase):
                             "fabric is unroutable: the up*/down* turn "
                             "restriction loses pairs and the escape "
                             f"scheme needs {max_class + 1} VCs "
-                            f"(budget {escape_vcs})"
+                            f"(budget {DEFAULT_ESCAPE_VCS})"
                         )
             if chosen == "updown":
                 self._table = updown

@@ -8,6 +8,13 @@ with per-cell silicon heat capacity.  The system matrix is factorised
 once (the time step is fixed), so stepping through a long power trace is
 cheap.  Power traces come from the NoC simulator's activity sampling
 (:class:`repro.noc.simulator.Simulator` with ``sample_interval``).
+
+The activity windows count switched flits per router but not how many
+datapath layers each switched, so a transient trace prices every flit
+with all layers on.  Layer shutdown is priced only by the steady-state
+path (:func:`repro.thermal.hotspot.temperature_drop` over the simulated
+per-node-per-layer router power maps); transient thermal under shutdown
+waits until the activity windows carry the per-layer histogram.
 """
 
 from __future__ import annotations
@@ -88,27 +95,22 @@ def power_trace_from_activity(
     config: ArchitectureConfig,
     result: SimulationResult,
     sample_interval: int,
-    shutdown_short_fraction: float = 0.0,
 ) -> List[np.ndarray]:
     """Convert simulator activity windows into floorplan power maps.
 
     Each window's per-router switched-flit count is priced at the
-    architecture's per-flit-hop energy (discounted by the expected
-    shutdown factor when short flits are present); leakage and CPU/cache
-    tile power are added per Sec. 4.2.3.
+    architecture's all-layers-on per-flit-hop energy; leakage and
+    CPU/cache tile power are added per Sec. 4.2.3.
     """
     if not result.activity_windows:
         raise ValueError(
             "simulation carries no activity windows; run the Simulator "
             "with sample_interval > 0"
         )
-    from repro.core.shutdown import shutdown_power_factor
     from repro.power.area import router_area
 
     model = RouterEnergyModel.for_config(config)
     flit_energy = model.flit_hop_energy_j()
-    if shutdown_short_fraction > 0:
-        flit_energy *= shutdown_power_factor(shutdown_short_fraction)
     leak_per_router = router_area(config).total_mm2 * tech.LEAKAGE_W_PER_MM2
 
     # A trailing partial window (measure_cycles not a multiple of the
@@ -132,7 +134,6 @@ def transient_temperatures(
     config: ArchitectureConfig,
     result: SimulationResult,
     sample_interval: int,
-    shutdown_short_fraction: float = 0.0,
 ) -> List[float]:
     """Average chip temperature over time for a simulated run.
 
@@ -144,9 +145,7 @@ def transient_temperatures(
     cached per distinct span, so the common case still factorises the
     system matrix once.
     """
-    trace = power_trace_from_activity(
-        config, result, sample_interval, shutdown_short_fraction
-    )
+    trace = power_trace_from_activity(config, result, sample_interval)
     floorplan: Floorplan = floorplan_for(config)
     grid = ThermalGrid(floorplan)
     spans = result.activity_window_cycles or [sample_interval] * len(trace)

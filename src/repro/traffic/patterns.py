@@ -96,8 +96,3 @@ def line_active_groups(words: Sequence[int]) -> List[int]:
         flit_active_groups(words[i : i + WORDS_PER_FLIT])
         for i in range(0, WORDS_PER_LINE, WORDS_PER_FLIT)
     ]
-
-
-def is_short_flit(words: Sequence[int]) -> bool:
-    """True when only the top word group carries valid data."""
-    return flit_active_groups(words) == 1

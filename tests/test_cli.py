@@ -147,6 +147,7 @@ def test_short_flits_outside_unit_interval_is_a_usage_error(
     # A fault the network does not have: no node 99, no channel 0 -> 5.
     ("simulate", "--stick-vc", "99:0:0", []),
     ("simulate", "--fail-link", "0:5", []),
+    ("simulate", "--trace-head-tail", "-1", ["--trace-out", "trace.json"]),
 ])
 def test_out_of_range_option_is_a_usage_error(
     command, option, value, needs, tmp_path, capsys
@@ -157,6 +158,29 @@ def test_out_of_range_option_is_a_usage_error(
             command, "--arch", "2DB", "--rate", "0.05", option, value,
             *needs,
         ])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert option in err
+
+
+#: One small inline sweep point, so a value that slips through runs fast.
+SMALL_SWEEP = ["sweep", "--archs", "2DB", "--rates", "0.05", "--processes", "0"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (SMALL_SWEEP + ["--processes", "-1"], "--processes"),
+    (SMALL_SWEEP + ["--retries", "-1"], "--retries"),
+    (SMALL_SWEEP + ["--backoff", "-1"], "--backoff"),
+    (SMALL_SWEEP + ["--point-timeout", "0"], "--point-timeout"),
+    (["trace", "--cycles", "0"], "--cycles"),
+])
+def test_out_of_range_run_option_is_a_usage_error(
+    argv, option, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:")

@@ -27,6 +27,7 @@ from repro.experiments.report import (
     normalized_table,
     sweep_table,
 )
+from repro.power.gating import shutdown_saving
 from repro.traffic.traces import TraceRecord
 from repro.noc.packet import PacketClass
 from repro.traffic.workloads import WORKLOADS
@@ -117,10 +118,13 @@ class TestStaticHarnesses:
         assert [r.can_combine for r in rows] == [False, True, True]
 
     def test_fig13b_savings_analytic(self):
-        savings = fig13b_shutdown_savings(analytic=True)
-        for arch, by_fraction in savings.items():
-            assert by_fraction[0.25] < by_fraction[0.50]
-            assert 0.25 <= by_fraction[0.50] <= 0.37
+        for config in (make_2db(), make_3dm(), make_3dme()):
+            saved = {
+                s: shutdown_saving(config, s).saving_fraction
+                for s in (0.25, 0.50)
+            }
+            assert saved[0.25] < saved[0.50], config.name
+            assert 0.25 <= saved[0.50] <= 0.37, config.name
 
 
 class TestSimulationHarnesses:

@@ -2,10 +2,10 @@
 
 Four layers of confidence in the active-layer plumbing:
 
-* detector agreement — :meth:`ShortFlitDetector.active_layers` matches
-  :func:`~repro.traffic.patterns.flit_active_groups` on flits composed
-  from every frequent-pattern-class combination, and the network-level
-  detector sees every injected flit exactly once;
+* detector agreement — the zero-detector model
+  :func:`~repro.traffic.patterns.flit_active_groups` matches the
+  frequent-pattern classifier on flits composed from every
+  pattern-class combination;
 * differential — the per-active-layer-count event histograms sum back to
   the legacy raw totals bit-identically, and ``sum_k k*count[k]/L``
   reproduces the legacy ``*_weighted`` floats exactly (k/L is dyadic for
@@ -26,7 +26,6 @@ from dataclasses import replace
 import pytest
 
 from repro.core.arch import make_2db, make_3dm, make_3dme
-from repro.core.shutdown import ShortFlitDetector
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.runner import run_point_spec
 from repro.experiments.store import PointSpec
@@ -76,24 +75,20 @@ def settings():
 
 class TestDetectorAgreement:
     def test_every_pattern_class_combination(self):
-        """Detector and word-level classifier agree on all 6^4 flits."""
-        detector = ShortFlitDetector()
-        flits = 0
+        """The zero-detector model and the word-level classifier agree on
+        all 6^4 flits: the active count is the highest word index whose
+        class is not all-0/all-1, plus one."""
+        redundant = {PatternKind.ZERO, PatternKind.ONE}
         shorts = 0
         for combo in itertools.product(PatternKind, repeat=WORDS_PER_FLIT):
             words = [PATTERN_WORDS[kind] for kind in combo]
-            expected = flit_active_groups(words)
-            assert detector.active_layers(words) == expected, combo
-            assert ShortFlitDetector().observe(expected) == (1 << expected) - 1
-            flits += 1
+            live = [i for i, kind in enumerate(combo) if kind not in redundant]
+            expected = (live[-1] if live else 0) + 1
+            assert flit_active_groups(words) == expected, combo
             shorts += expected == 1
-        assert detector.flits_seen == flits
-        assert detector.short_flits == shorts
-        assert detector.observed_short_fraction == pytest.approx(shorts / flits)
-
-    def test_observe_rejects_zero_groups(self):
-        with pytest.raises(ValueError):
-            ShortFlitDetector().observe(0)
+        # Short iff every lower word is redundant; the top word is free.
+        lower_words = WORDS_PER_FLIT - 1
+        assert shorts == len(PatternKind) * len(redundant) ** lower_words
 
 
 class TestLayerHistogramDifferential:

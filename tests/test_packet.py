@@ -51,14 +51,12 @@ def test_head_and_single_are_head():
 def test_header_flit_is_short_by_construction():
     flits = data_packet(0, 1).make_flits(layer_groups=4)
     assert flits[0].active_groups == 1
-    assert flits[0].is_short()
 
 
 def test_payload_defaults_to_full_width():
     flits = data_packet(0, 1).make_flits(layer_groups=4)
     for flit in flits[1:]:
         assert flit.active_groups == 4
-        assert not flit.is_short()
 
 
 def test_payload_groups_respected():
@@ -71,6 +69,11 @@ def test_payload_groups_clamped_to_range():
     packet = data_packet(0, 1, payload_groups=[0, 9, 4, 2, 1])
     groups = [f.active_groups for f in packet.make_flits(layer_groups=4)]
     assert groups == [1, 4, 4, 2, 1]
+
+
+def test_zero_active_groups_rejected():
+    with pytest.raises(ValueError):
+        Flit(data_packet(0, 1), FlitType.BODY, 1, active_groups=0)
 
 
 def test_payload_groups_length_validated():

@@ -9,7 +9,6 @@ from repro.traffic.patterns import (
     classify_line,
     classify_word,
     flit_active_groups,
-    is_short_flit,
     line_active_groups,
 )
 
@@ -54,7 +53,6 @@ class TestClassifyWord:
 class TestActiveGroups:
     def test_all_zero_lower_words_is_short(self):
         assert flit_active_groups([5, 0, 0, 0]) == 1
-        assert is_short_flit([5, 0, 0, 0])
 
     def test_all_ones_lower_words_is_short(self):
         assert flit_active_groups([5, WORD_MASK, WORD_MASK, WORD_MASK]) == 1
@@ -64,7 +62,6 @@ class TestActiveGroups:
 
     def test_full_flit(self):
         assert flit_active_groups([1, 2, 3, 4]) == 4
-        assert not is_short_flit([1, 2, 3, 4])
 
     def test_partial_activity(self):
         assert flit_active_groups([1, 9, 0, 0]) == 2
@@ -107,7 +104,7 @@ def test_property_active_groups_bounds(words):
 @given(st.lists(st.integers(min_value=0, max_value=WORD_MASK), min_size=4, max_size=4))
 def test_property_short_iff_lower_words_redundant(words):
     lower_redundant = all(w in (0, WORD_MASK) for w in words[1:])
-    assert is_short_flit(words) == lower_redundant
+    assert (flit_active_groups(words) == 1) == lower_redundant
 
 
 @given(st.integers(min_value=0, max_value=WORD_MASK))

@@ -1,48 +1,23 @@
-"""Short-flit detector and shutdown power-factor tests (Sec. 3.2.1)."""
+"""Short-flit detection and shutdown power-factor tests (Sec. 3.2.1)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.shutdown import (
-    DETECTOR_OVERHEAD,
-    ShortFlitDetector,
-    shutdown_power_factor,
-)
-from repro.traffic.patterns import WORD_MASK
+from repro.core.shutdown import DETECTOR_OVERHEAD, shutdown_power_factor
+from repro.traffic.patterns import WORD_MASK, flit_active_groups
 
 
 class TestShortFlitDetector:
+    """The detector's decision is ``flit_active_groups``: 1 means short."""
+
     def test_short_flit_detected(self):
-        detector = ShortFlitDetector(layers=4)
-        assert detector.active_layers([7, 0, 0, 0]) == 1
+        assert flit_active_groups([7, 0, 0, 0]) == 1
 
     def test_all_ones_detected(self):
-        detector = ShortFlitDetector(layers=4)
-        assert detector.active_layers([7, WORD_MASK, WORD_MASK, WORD_MASK]) == 1
+        assert flit_active_groups([7, WORD_MASK, WORD_MASK, WORD_MASK]) == 1
 
     def test_full_flit_all_layers(self):
-        detector = ShortFlitDetector(layers=4)
-        assert detector.active_layers([1, 2, 3, 4]) == 4
-
-    def test_observed_fraction(self):
-        detector = ShortFlitDetector()
-        detector.active_layers([7, 0, 0, 0])
-        detector.active_layers([1, 2, 3, 4])
-        detector.active_layers([9, 0, 0, 0])
-        assert detector.flits_seen == 3
-        assert detector.short_flits == 2
-        assert detector.observed_short_fraction == pytest.approx(2 / 3)
-
-    def test_empty_detector_fraction_zero(self):
-        assert ShortFlitDetector().observed_short_fraction == 0.0
-
-    def test_clamps_to_layer_count(self):
-        detector = ShortFlitDetector(layers=2)
-        assert detector.active_layers([1, 2, 3, 4]) == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ShortFlitDetector(layers=0)
+        assert flit_active_groups([1, 2, 3, 4]) == 4
 
 
 class TestShutdownPowerFactor:

@@ -169,6 +169,19 @@ class TestRetry:
         for spec in specs:
             assert int(_marker(str(tmp_path), spec).read_text()) == 3
 
+    def test_negative_backoff_rejected_before_any_attempt(
+        self, settings, tmp_path
+    ):
+        specs = specs_for_grid([Architecture.BASELINE_2D], [0.05])
+        with pytest.raises(ValueError, match="backoff_s"):
+            run_sweep(
+                specs, settings, processes=0, retries=1, backoff_s=-1,
+                worker_fn=functools.partial(
+                    _flaky_worker, state_dir=str(tmp_path), fail_attempts=1
+                ),
+            )
+        assert not _marker(str(tmp_path), specs[0]).exists()
+
     def test_exhausted_retries_land_in_failure_report(self, settings, tmp_path):
         specs = specs_for_grid(
             [Architecture.BASELINE_2D, Architecture.MIRA_3DM], [0.05, 0.1]

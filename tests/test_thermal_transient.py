@@ -118,14 +118,6 @@ class TestPowerTraceIntegration:
         for t in temps:
             assert AMBIENT_K < t < AMBIENT_K + 60
 
-    def test_shutdown_discount_lowers_trace_power(self, sampled_run):
-        config, result = sampled_run
-        base = power_trace_from_activity(config, result, 400)
-        gated = power_trace_from_activity(
-            config, result, 400, shutdown_short_fraction=0.5
-        )
-        assert gated[0].sum() < base[0].sum()
-
     def test_missing_activity_rejected(self, sampled_run):
         config, result = sampled_run
         import dataclasses
