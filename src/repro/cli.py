@@ -99,6 +99,11 @@ def _positive_float(text: str) -> float:
     )
 
 
+def _rate_list(text: str) -> list:
+    """argparse type for a comma-separated list of injection rates."""
+    return [_positive_float(rate) for rate in text.split(",")]
+
+
 def _non_negative_float(text: str) -> float:
     """argparse type for spreads and delays (variation sigma, backoff)."""
     return _number(
@@ -465,7 +470,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             archs.append(arch)
     if args.rates:
-        rates = [float(r) for r in args.rates.split(",")]
+        rates = args.rates
     else:
         rates = list(
             settings.uniform_rates if args.traffic == "uniform"
@@ -847,7 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON link-list file backing IRREG entries in --archs",
     )
     sweep.add_argument(
-        "--rates", default="",
+        "--rates", type=_rate_list, default=None,
         help="comma-separated injection rates "
         "(default: the scale preset's rate grid)",
     )

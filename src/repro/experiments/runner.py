@@ -161,17 +161,15 @@ def _run(
         shutdown_enabled=shutdown_enabled,
         variation=variation,
     )
-    total_flits = sum(r.flits_switched for r in network.routers) or 1
-    activity = [r.flits_switched / total_flits for r in network.routers]
+    node_flits = network.node_flits_switched()
+    total_flits = sum(node_flits) or 1
+    activity = [flits / total_flits for flits in node_flits]
     groups = network.layer_groups
     # Node n's flit traversals that drove layer l: effective active-layer
     # count k > l, i.e. histogram indices k-1 >= l.
     layer_flits = [
-        [
-            sum(r.flits_switched_by_layers[i] for i in range(layer, groups))
-            for layer in range(groups)
-        ]
-        for r in network.routers
+        [sum(switched[layer:]) for layer in range(groups)]
+        for switched in network.flits_switched_by_layers
     ]
     layer_totals = [
         sum(per_node[layer] for per_node in layer_flits)

@@ -34,6 +34,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -102,6 +103,15 @@ class PointSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "nuca"):
             raise ValueError(f"unknown traffic kind {self.kind!r}")
+        if not (self.rate > 0 and math.isfinite(self.rate)):
+            raise ValueError(
+                f"rate must be a positive finite number, got {self.rate!r}"
+            )
+        if not 0.0 <= self.short_flit_fraction <= 1.0:
+            raise ValueError(
+                "short_flit_fraction must be in [0, 1], got "
+                f"{self.short_flit_fraction!r}"
+            )
         if self.fault_mode not in ("hard", "drain"):
             raise ValueError(f"unknown fault mode {self.fault_mode!r}")
         if self.fault_random_links < 0:

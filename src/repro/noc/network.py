@@ -2,20 +2,24 @@
 
 The network owns the per-cycle event rings (flit arrivals, credit
 returns, ejections), the per-node source queues, and the global event
-counters (:attr:`Network.events`, folded on read from per-router
-tallies and the network's float accumulators).  It is deliberately
+counters (:attr:`Network.events`, folded on read from the network's
+integer tallies and float accumulators).  It is deliberately
 separate from :class:`repro.noc.simulator.Simulator`, which adds
 warm-up/measurement/drain orchestration and power integration on top.
 
-It also owns all pipeline state, as one structure of arrays over global
-indices.  Nodes take consecutive ports in node order: port ``p`` of
-``node`` is global port ``port_base + p`` (the same number for the input
-and the output side), and its VC ``v`` is the global unit (input VC) or
-output VC ``(port_base + p) * num_vcs + v``, so ``unit_base[node] =
-port_base * num_vcs``.  Per unit: ``vc_state``, ``vc_out_port`` (a
+It also owns all state, as one structure of arrays over global indices.
+Nodes take consecutive ports in node order: port ``p`` of ``node`` is
+global port ``port_base + p`` (the same number for the input and the
+output side), and its VC ``v`` is the global unit (input VC) or output
+VC ``(port_base + p) * num_vcs + v``, so ``node_units[node]`` starts at
+``port_base * num_vcs``.  Port 0 is the local port.  Per node:
+``port_names``, ``node_units`` and the activity tallies
+(``flits_switched_by_layers``, ``short_flit_hops``, ``rc_computations``,
+``va_allocations``).  Per unit: ``vc_state``, ``vc_out_port`` (a
 global port), ``vc_out_vc``, ``vc_fifos`` and ``credit_returns`` (the
-upstream output VC a leaving flit's credit goes back to); per output VC:
-``out_owner`` (the owning unit) and ``credits``; per output port the
+upstream output VC a leaving flit's credit goes back to), and the
+``writes_by_layers`` tally; per output VC: ``out_owner`` (the owning
+unit) and ``credits``; per output port the ``port_flits`` tally and the
 link tables ``link_targets`` (the downstream unit of VC 0),
 ``link_args`` and ``next_routes``.  ``stuck`` holds the units a
 stuck-VC fault freezes and ``_active`` the units that may have work.
@@ -31,11 +35,11 @@ busy unit once; the event rings delay each arrival by the hop time,
 which is the whole of the stage timing.  Arrival entries are ``(unit,
 flit)`` and credit entries the output VC they return to.
 
-Routers (:class:`~repro.noc.router.Router`) keep their node's geometry
-and activity tallies only.  The one pipeline hook is the trace recorder
-(``network.recorder``): at a head flit's RC, VA and ST the router loop
-probes the recorder's capture map and calls ``on_stage`` only for
-packets not mapped to ``0``.
+Routers (:class:`~repro.noc.router.Router`) hold no state: each is one
+node's three entries into these loops.  The one pipeline hook is the
+trace recorder (``network.recorder``): at a head flit's RC, VA and ST
+the router loop probes the recorder's capture map and calls
+``on_stage`` only for packets not mapped to ``0``.
 """
 
 from __future__ import annotations
@@ -167,7 +171,7 @@ class Network:
                 f"channels, got {num_vcs}"
             )
         self._events = EventCounts()
-        #: Link kind names, sorted; the index is the routers' link-kind id.
+        #: Link kind names, sorted; the index is the link-kind id.
         self.link_kinds: List[str] = sorted(
             {link.kind.value for link in topology.links}
         )
@@ -175,7 +179,6 @@ class Network:
         #: :attr:`events`): buffer write and read activity weights;
         #: link length x activity weight by link-kind id, and link
         #: length by effective active-layer count k (index 0 unused).
-        #: The routers add into these lists directly.
         self.buffer_weighted_sums = [0.0, 0.0]
         self.link_mm_weighted_sums = [0.0] * len(self.link_kinds)
         self.link_mm_by_layers_sums = [0.0] * (layer_groups + 1)
@@ -195,21 +198,23 @@ class Network:
         self.routes = routes = build_route_table(
             topology, routing, num_vcs=num_vcs
         )
-        self.routers: List[Router] = []
-        #: The global unit of each node's (port 0, VC 0).
-        self.unit_base: List[int] = []
+        #: Each node's port names, local port (port 0) first.
+        self.port_names: List[List[str]] = []
+        #: Each node's global units (input VCs, and output VCs), in
+        #: port-major order.
+        self.node_units: List[range] = []
         #: The node each global unit (and output VC) belongs to.
         self.node_of_unit: List[int] = []
         units = 0
         for node in topology.iter_nodes():
-            router = Router(node, self, units)
-            self.routers.append(router)
-            self.unit_base.append(units)
-            size = router.num_ports * num_vcs
+            names = topology.port_names(node)
+            size = len(names) * num_vcs
+            self.port_names.append(names)
+            self.node_units.append(range(units, units + size))
             self.node_of_unit.extend([node] * size)
             units += size
-        routers = self.routers
         ports = units // num_vcs
+        num_nodes = len(self.node_units)
 
         # Per input unit.
         self.vc_state: List[int] = [_IDLE] * units
@@ -232,7 +237,7 @@ class Network:
         self.credits: List[int] = [0] * units
         # Per output port, ``None`` where the port has no link: the
         # downstream unit of VC 0, the link's accounting arguments
-        # ``(link-kind index, length, the router's port_flits row)`` and
+        # ``(link-kind index, length, the port's port_flits row)`` and
         # the downstream node's next-port row (look-ahead RC).
         self.link_targets: List[Optional[int]] = [None] * ports
         self.link_args: List[Optional[Tuple[int, float, List[int]]]] = (
@@ -247,36 +252,50 @@ class Network:
         #: lands on it and leaves when its buffer drains, so an empty
         #: set means the network is quiescent until a flit lands.
         self._active: Set[int] = set()
-        node_ports = [router.num_ports for router in routers]
+
+        # Activity tallies, which :attr:`events` folds on read.  Index
+        # ``k-1`` of a histogram counts the events that drove exactly
+        # ``k`` datapath layers (k = flit.active_groups with shutdown
+        # enabled, else layer_groups).  One switched flit is one buffer
+        # read, SA grant, crossbar traversal and flit-hop.
+        row = [0] * layer_groups
+        #: Switched flits per node (the per-node-per-layer power maps).
+        self.flits_switched_by_layers = [row[:] for _ in range(num_nodes)]
+        #: Buffer writes per unit (the unit the landing loop holds).
+        self.writes_by_layers = [row[:] for _ in range(units)]
+        #: Link flits per output port (local and unlinked rows stay 0).
+        self.port_flits = [row[:] for _ in range(ports)]
+        #: Per node: switched flits with a single active word group,
+        #: route computations (look-ahead ones included), VA grants.
+        self.short_flit_hops: List[int] = [0] * num_nodes
+        self.rc_computations: List[int] = [0] * num_nodes
+        self.va_allocations: List[int] = [0] * num_nodes
+
+        node_ports = [len(names) for names in self.port_names]
         self._va = VirtualChannelAllocator(node_ports, num_vcs)
         self._sa = SwitchAllocator(node_ports, num_vcs)
-        #: What the loops read per node, bound once: ``(router, first
-        #: unit, unit count, first port, local output port, next-port
-        #: row)``, ports global.
+        #: What the loops read per node, bound once: ``(first unit, unit
+        #: count, first port, next-port row, switched-flit histogram)``,
+        #: ports global; the first port is also the local port.
         self._nodes = [
             (
-                router, router.units.start, len(router.units),
-                router.port_base,
-                router.port_base + router.local_port, routes[router.node],
+                units.start, len(units), units.start // num_vcs,
+                routes[node], self.flits_switched_by_layers[node],
             )
-            for router in routers
-        ]
-        #: Each unit's router ``writes_by_layers`` tally (landing loop).
-        self._unit_writes = [
-            routers[node].writes_by_layers for node in self.node_of_unit
+            for node, units in enumerate(self.node_units)
         ]
         credits = self.credits
-        for router in routers:
-            local = (router.port_base + router.local_port) * num_vcs
-            credits[local:local + num_vcs] = [buffer_depth] * num_vcs
+        # The local port's and every linked port's output VCs start
+        # with a full buffer's credits.
+        for base, *_ in self._nodes:
+            credits[base:base + num_vcs] = [buffer_depth] * num_vcs
         # Resolve every link's endpoints once, into the link tables, so
         # the router loop makes no string-keyed port lookup.
         link_tallies = []
+        nodes, names = self._nodes, self.port_names
         for link in topology.links:
-            up, down = routers[link.src], routers[link.dst]
-            port = up.port_index[link.src_port]
-            out = up.port_base + port
-            in_port = down.port_base + down.port_index[link.dst_port]
+            out = nodes[link.src][2] + names[link.src].index(link.src_port)
+            in_port = nodes[link.dst][2] + names[link.dst].index(link.dst_port)
             credits[out * num_vcs:(out + 1) * num_vcs] = (
                 [buffer_depth] * num_vcs
             )
@@ -284,19 +303,20 @@ class Network:
             self.link_args[out] = (
                 self.link_kinds.index(link.kind.value),
                 link.length_mm,
-                up.port_flits[port],
+                self.port_flits[out],
             )
             self.next_routes[out] = routes[link.dst]
             for vc in range(num_vcs):
                 self.credit_returns[in_port * num_vcs + vc] = (
                     out * num_vcs + vc
                 )
-            link_tallies.append(
-                (up.port_flits[port], link.kind.value, (link.src, link.dst))
-            )
-        #: (the router's ``port_flits`` row, link kind, channel) per link,
-        #: sorted by channel — what :attr:`events` folds.
+            link_tallies.append((out, link.kind.value, (link.src, link.dst)))
+        #: (output port, link kind, channel) per link, sorted by channel
+        #: — what :attr:`events` folds.
         self._link_tallies = sorted(link_tallies, key=lambda tally: tally[2])
+        #: One :class:`~repro.noc.router.Router` per node: entries into
+        #: the loops for the benchmark's router probe and for tests.
+        self.routers = [Router(node, self) for node in topology.iter_nodes()]
 
         #: Event rings: slot ``cycle % EVENT_RING_SLOTS`` holds the
         #: events due at ``cycle`` — arrivals ``(unit, flit)``, credits
@@ -352,9 +372,10 @@ class Network:
     def events(self) -> EventCounts:
         """The network's cumulative event counters, brought up to date.
 
-        Routers tally per-flit events in plain per-router ``int`` lists;
-        this folds them into the one :class:`EventCounts` object and
-        returns it (snapshot with ``copy()``).  Keys of the dict
+        The loops tally per-flit events in the network's plain ``int``
+        lists (per node, unit or port); this folds them into the one
+        :class:`EventCounts` object and returns it (snapshot with
+        ``copy()``).  Keys of the dict
         counters appear, sorted, exactly when their count is > 0.
 
         The activity-weighted floats are never derived from the integer
@@ -364,19 +385,18 @@ class Network:
         ``buffer_weighted_sums`` and ``link_mm_*_sums`` lists.
         """
         ev = self._events
-        routers = self.routers
         ev.buffer_writes_weighted, reads_weighted = self.buffer_weighted_sums
         ev.buffer_reads_weighted = ev.xbar_traversals_weighted = reads_weighted
-        ev.rc_computations = sum(r.rc_computations for r in routers)
-        ev.va_allocations = sum(r.va_allocations for r in routers)
-        switched = [
-            sum(col) for col in zip(*(r.flits_switched_by_layers for r in routers))
-        ]
-        writes = [sum(col) for col in zip(*(r.writes_by_layers for r in routers))]
+        ev.rc_computations = sum(self.rc_computations)
+        ev.va_allocations = sum(self.va_allocations)
+        switched = [sum(col) for col in zip(*self.flits_switched_by_layers)]
+        writes = [sum(col) for col in zip(*self.writes_by_layers)]
+        port_flits = self.port_flits
         rows = []
         link_flits: Dict[str, int] = {}
         channel_flits: Dict[Tuple[int, int], int] = {}
-        for row, kind, channel in self._link_tallies:
+        for out, kind, channel in self._link_tallies:
+            row = port_flits[out]
             flits = sum(row)
             if flits:
                 rows.append(row)
@@ -387,7 +407,7 @@ class Network:
         ev.buffer_writes = sum(writes)
         ev.buffer_reads = ev.sa_allocations = hops
         ev.xbar_traversals = ev.flit_hops = hops
-        ev.short_flit_hops = sum(r.short_flit_hops for r in routers)
+        ev.short_flit_hops = sum(self.short_flit_hops)
         ev.buffer_writes_by_layers = _nonzero_by_layers(writes)
         ev.buffer_reads_by_layers = _nonzero_by_layers(switched)
         ev.xbar_traversals_by_layers = _nonzero_by_layers(switched)
@@ -408,12 +428,26 @@ class Network:
 
     def unit_index(self, node: int, port: int, vc: int) -> int:
         """The global unit (or output VC) of *node*'s *port*, VC *vc*."""
-        return self.unit_base[node] + port * self.num_vcs + vc
+        return self.node_units[node].start + port * self.num_vcs + vc
 
     def unit_location(self, unit: int) -> Tuple[int, int, int]:
         """``(node, port, vc)`` of global *unit* (or output VC)."""
         node = self.node_of_unit[unit]
-        return (node, *divmod(unit - self.unit_base[node], self.num_vcs))
+        return (
+            node, *divmod(unit - self.node_units[node].start, self.num_vcs)
+        )
+
+    def node_flits_switched(self) -> List[int]:
+        """Flits each node has switched (per-node power/thermal maps)."""
+        return [sum(row) for row in self.flits_switched_by_layers]
+
+    def node_occupancy(self) -> List[int]:
+        """Flits buffered at each node, across its input VCs."""
+        fifos = self.vc_fifos
+        return [
+            sum(map(len, fifos[units.start:units.stop]))
+            for units in self.node_units
+        ]
 
     def reroute(self, failed: FrozenSet[Channel]) -> None:
         """Rebuild every router's next-port row around the *failed*
@@ -476,12 +510,12 @@ class Network:
         nodes = self._nodes
         vc_state = self.vc_state
         vc_fifos = self.vc_fifos
-        num_vcs = self.num_vcs
-        all_vcs = range(num_vcs)
+        rc_computations = self.rc_computations
+        all_vcs = range(self.num_vcs)
         for node in sorted(self._busy_sources):
             src = self._sources[node]
-            r, _, _, _, local_out, routes = nodes[node]
-            base = local_out * num_vcs
+            # The node's first units are its local port's VCs.
+            base, _, _, routes, _ = nodes[node]
             if not src.flits:
                 if not src.packets:
                     done_sources.append(node)
@@ -508,7 +542,7 @@ class Network:
                     port = routes[packet.dst]
                     if port >= 0:
                         src.flits[0].lookahead_port = port
-                        r.rc_computations += 1
+                        rc_computations[node] += 1
             unit = base + src.vc
             if len(vc_fifos[unit]) < self.buffer_depth:
                 landed.append((unit, src.flits[src.flit_idx]))
@@ -534,7 +568,7 @@ class Network:
         current (a look-ahead port is local to the flit's next router)."""
         vc_fifos = self.vc_fifos
         vc_state = self.vc_state
-        unit_writes = self._unit_writes
+        writes = self.writes_by_layers
         depth = self.buffer_depth
         shutdown = self.shutdown_enabled
         groups = self.layer_groups
@@ -554,7 +588,7 @@ class Network:
             # layer switches regardless of payload.
             k = flit.active_groups if shutdown else groups
             buffer_sums[0] += w_table[k]
-            unit_writes[unit][k - 1] += 1
+            writes[unit][k - 1] += 1
             if vc_state[unit] == _IDLE:
                 if not flit.is_head:
                     node, port, vc = self.unit_location(unit)
@@ -567,7 +601,7 @@ class Network:
                 state = _RC
                 port = flit.lookahead_port
                 if lookahead and port is not None:
-                    _, _, _, port_base, _, routes = self._nodes[
+                    _, _, port_base, routes, _ = self._nodes[
                         self.node_of_unit[unit]
                     ]
                     if port == routes[flit.packet.dst]:
@@ -677,6 +711,10 @@ class Network:
         link_args = self.link_args
         next_routes = self.next_routes
         stuck = self.stuck
+        port_names = self.port_names
+        short_flit_hops = self.short_flit_hops
+        rc_computations = self.rc_computations
+        va_allocations = self.va_allocations
         sleep = self._active.discard
         va_allocate = self._va.allocate
         sa_allocate = self._sa.allocate
@@ -705,7 +743,7 @@ class Network:
         visited = 0
         for node, node_units in groupby(units, self.node_of_unit.__getitem__):
             visited += 1
-            r, base, size, port_base, local_out, routes = nodes[node]
+            base, size, port_base, routes, switched = nodes[node]
             va_units = []
             bidders = []
             for i in node_units:
@@ -742,11 +780,11 @@ class Network:
                             # tail ejects.
                             packet.dropped = True
                             packet.drop_node = node
-                            vc_out_port[i] = local_out
+                            vc_out_port[i] = port_base
                         else:
                             vc_out_port[i] = port_base + out
                         vc_state[i] = _VA
-                        r.rc_computations += 1
+                        rc_computations[node] += 1
                         # A sampled-out pid (mapped to 0) costs a dict
                         # probe and no call; an unseen pid calls
                         # through, which admits it.
@@ -767,7 +805,7 @@ class Network:
                         packet = vc_fifos[i][0].packet
                         allowed.append(allowed_vcs(
                             packet.src, packet.dst, node,
-                            r.port_names[vc_out_port[i] - port_base],
+                            port_names[node][vc_out_port[i] - port_base],
                         ))
                 elif by_class:
                     allowed = [
@@ -786,7 +824,7 @@ class Network:
                         flit = vc_fifos[i][0]
                         if decisions.get(flit.packet.pid, 1):
                             rec.on_stage(cycle, node, flit, "va")
-                r.va_allocations += len(grants)
+                va_allocations[node] += len(grants)
                 if attrib is not None and len(grants) < len(va_units):
                     won = set(grants.values())
                     for i in va_units:
@@ -834,7 +872,6 @@ class Network:
                 )
 
             # Switch traversal of every granted flit, in grant order.
-            switched = r.flits_switched_by_layers
             for i in granted:
                 fifo = vc_fifos[i]
                 flit = fifo.popleft()
@@ -847,7 +884,7 @@ class Network:
                 buffer_sums[1] += weight
                 switched[k - 1] += 1
                 if flit.active_groups == 1:
-                    r.short_flit_hops += 1
+                    short_flit_hops[node] += 1
                 if (
                     rec is not None
                     and flit.is_head
@@ -860,8 +897,9 @@ class Network:
                 credit_return = credit_returns[i]
                 if credit_return is not None:
                     credit_slot.append(credit_return)
-                if out_port == local_out:
-                    # Ejection: one ST cycle, no link traversal.
+                if out_port == port_base:
+                    # Ejection (port 0 is local): one ST cycle, no link
+                    # traversal.
                     ejection_slot.append(flit)
                 else:
                     credits[held] -= 1
@@ -882,7 +920,7 @@ class Network:
                                 flit.lookahead_port = None
                             else:
                                 flit.lookahead_port = port
-                                r.rc_computations += 1
+                                rc_computations[node] += 1
                     kind, length_mm, port_flits = link_args[out_port]
                     port_flits[k - 1] += 1
                     mm_weighted[kind] += length_mm * weight
@@ -950,7 +988,7 @@ class Network:
                 telemetry_s = clock() - t4
         if prof is not None:
             prof.record_cycle(
-                t1 - t0, t2 - t1, t3 - t2, stepped, len(self.routers),
+                t1 - t0, t2 - t1, t3 - t2, stepped, len(self._nodes),
                 sanitize_s=sanitize_s, telemetry_s=telemetry_s,
             )
         self.cycle = cycle + 1

@@ -235,9 +235,9 @@ def _unit_name(network: "Network", unit: Optional[int]) -> str:
 
 
 def _flit_hops(network: "Network") -> int:
-    """Flit-hops so far, summed off the routers' switched-flit tallies
+    """Flit-hops so far, summed off the network's switched-flit tallies
     (cheaper than folding every counter through ``network.events``)."""
-    return sum(router.flits_switched for router in network.routers)
+    return sum(network.node_flits_switched())
 
 
 class NetworkSanitizer:
@@ -405,19 +405,18 @@ class NetworkSanitizer:
         net = self.network
         depth = net.buffer_depth
         num_vcs = net.num_vcs
-        for router in net.routers:
-            node = router.node
-            base = router.units.start
+        for node, units in enumerate(net.node_units):
+            names = net.port_names[node]
             # Expected owners derived from the input side, to reconcile
             # against the output-side ownership table.
             owned: Dict[int, int] = {}
 
-            for i in router.units:
+            for i in units:
                 self.vcs_checked += 1
                 state = net.vc_state[i]
-                port, vc = divmod(i - base, num_vcs)
+                port, vc = divmod(i - units.start, num_vcs)
                 out_port, out_vc = net.vc_out_port[i], net.vc_out_vc[i]
-                port_name = router.port_names[port]
+                port_name = names[port]
 
                 def err(message: str, pid: Optional[int] = None) -> SanityError:
                     return SanityError(
@@ -477,7 +476,7 @@ class NetworkSanitizer:
                             pid=flits[0].packet.pid,
                         )
 
-                self._check_buffer_runs(cycle, router, i, flits)
+                self._check_buffer_runs(cycle, i, flits)
                 for flit in flits:
                     self._note_flit(present, flit, (node, port, vc))
 
@@ -485,29 +484,29 @@ class NetworkSanitizer:
             # in both directions, which is what makes a double tail
             # release (or a forgotten one) visible.  Output VCs share
             # their node's unit indices.
-            for key in router.units:
+            for key in units:
                 owner = net.out_owner[key]
                 expect = owned.pop(key, None)
                 if owner != expect:
-                    out_port, out_vc = divmod(key - base, num_vcs)
+                    out_port, out_vc = divmod(key - units.start, num_vcs)
                     raise SanityError(
                         "vc-state",
                         f"output VC ownership mismatch: owner table "
                         f"says {_unit_name(net, owner)}, input-VC states "
                         f"say {_unit_name(net, expect)}",
                         cycle, node=node, port=out_port,
-                        port_name=router.port_names[out_port],
+                        port_name=names[out_port],
                         vc=out_vc,
                     )
 
     def _check_buffer_runs(
-        self, cycle: int, router, i: int, flits: Tuple[Flit, ...]
+        self, cycle: int, i: int, flits: Tuple[Flit, ...]
     ) -> None:
         """Flits in the buffer of global unit *i* must form legal
         head..tail wormhole runs."""
         net = self.network
-        port, vc = divmod(i - router.units.start, net.num_vcs)
-        port_name = router.port_names[port]
+        node, port, vc = net.unit_location(i)
+        port_name = net.port_names[node][port]
         prev: Optional[Flit] = None
         for flit in flits:
             if prev is None or prev.is_tail:
@@ -525,7 +524,7 @@ class NetworkSanitizer:
                         "vc-state",
                         f"packet run starts with a non-head flit (seq "
                         f"{flit.seq})",
-                        cycle, node=router.node, port=port,
+                        cycle, node=node, port=port,
                         port_name=port_name, vc=vc,
                         pid=flit.packet.pid,
                     )
@@ -535,7 +534,7 @@ class NetworkSanitizer:
                         "vc-state",
                         f"packet {flit.packet.pid} interleaved into "
                         f"packet {prev.packet.pid}'s wormhole",
-                        cycle, node=router.node, port=port,
+                        cycle, node=node, port=port,
                         port_name=port_name, vc=vc,
                         pid=flit.packet.pid,
                     )
@@ -544,7 +543,7 @@ class NetworkSanitizer:
                         "flit-conservation",
                         f"flit sequence gap inside buffer: seq "
                         f"{prev.seq} followed by seq {flit.seq}",
-                        cycle, node=router.node, port=port,
+                        cycle, node=node, port=port,
                         port_name=port_name, vc=vc,
                         pid=flit.packet.pid,
                     )
@@ -568,33 +567,30 @@ class NetworkSanitizer:
 
         depth = net.buffer_depth
         num_vcs = net.num_vcs
-        for router in net.routers:
-            for port in range(router.num_ports):
-                out = router.port_base + port
-                target = net.link_targets[out]
-                if target is None:
-                    continue
-                dst = net.node_of_unit[target]
-                for vc in range(num_vcs):
-                    self.credits_checked += 1
-                    out_vc = out * num_vcs + vc
-                    held = net.credits[out_vc]
-                    occupancy = len(net.vc_fifos[target + vc])
-                    on_wire = arrivals_by_vc.get(target + vc, 0)
-                    returning = credits_in_flight.get(out_vc, 0)
-                    expected = depth - occupancy - on_wire - returning
-                    if confiscated:
-                        expected -= confiscated.get(out_vc, 0)
-                    if held != expected or not 0 <= held <= depth:
-                        raise SanityError(
-                            "credit-accounting",
-                            f"credit count {held} != expected {expected} "
-                            f"(depth {depth} - {occupancy} buffered at "
-                            f"node {dst} - {on_wire} on the wire - "
-                            f"{returning} credits returning)",
-                            cycle, node=router.node, port=port,
-                            port_name=router.port_names[port], vc=vc,
-                        )
+        for out, target in enumerate(net.link_targets):
+            if target is None:
+                continue
+            for vc in range(num_vcs):
+                self.credits_checked += 1
+                out_vc = out * num_vcs + vc
+                held = net.credits[out_vc]
+                occupancy = len(net.vc_fifos[target + vc])
+                on_wire = arrivals_by_vc.get(target + vc, 0)
+                returning = credits_in_flight.get(out_vc, 0)
+                expected = depth - occupancy - on_wire - returning
+                if confiscated:
+                    expected -= confiscated.get(out_vc, 0)
+                if held != expected or not 0 <= held <= depth:
+                    node, port, _ = net.unit_location(out_vc)
+                    raise SanityError(
+                        "credit-accounting",
+                        f"credit count {held} != expected {expected} "
+                        f"(depth {depth} - {occupancy} buffered at "
+                        f"node {net.node_of_unit[target]} - {on_wire} on "
+                        f"the wire - {returning} credits returning)",
+                        cycle, node=node, port=port,
+                        port_name=net.port_names[node][port], vc=vc,
+                    )
 
     def _check_conservation(
         self, cycle: int, present: Dict[int, _PacketPresence]
@@ -709,20 +705,21 @@ class NetworkSanitizer:
         net = self.network
         stalled_vcs: List[StalledVC] = []
         num_vcs = net.num_vcs
-        for router in net.routers:
-            for i in router.units:
+        for node, units in enumerate(net.node_units):
+            names = net.port_names[node]
+            for i in units:
                 fifo = net.vc_fifos[i]
                 if not fifo:
                     continue
                 head = fifo[0]
-                port, vc = divmod(i - router.units.start, num_vcs)
+                port, vc = divmod(i - units.start, num_vcs)
                 state = net.vc_state[i]
                 out_port_name: Optional[str] = None
                 out_vc: Optional[int] = None
                 credits: Optional[int] = None
                 out = net.vc_out_port[i]
                 if out >= 0:
-                    out_port_name = router.port_names[out - router.port_base]
+                    out_port_name = names[out - units.start // num_vcs]
                     if net.vc_out_vc[i] >= 0:
                         out_vc = net.vc_out_vc[i]
                         # The local (ejection) port always accepts.
@@ -746,9 +743,9 @@ class NetworkSanitizer:
                     waiting = "buffered flits on an idle VC"
                 stalled_vcs.append(
                     StalledVC(
-                        node=router.node,
+                        node=node,
                         port=port,
-                        port_name=router.port_names[port],
+                        port_name=names[port],
                         vc=vc,
                         state=VC_STATE_NAMES.get(state, "?"),
                         buffered=len(fifo),

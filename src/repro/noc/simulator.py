@@ -244,13 +244,13 @@ class Simulator:
         activity_windows: List[List[int]] = []
         activity_window_cycles: List[int] = []
         if self.sample_interval:
-            last_sample = [r.flits_switched for r in net.routers]
+            last_sample = net.node_flits_switched()
             cycles_in_window = 0
             for _ in range(self.measure_cycles):
                 self._tick(generate=True)
                 cycles_in_window += 1
                 if cycles_in_window == self.sample_interval:
-                    counts = [r.flits_switched for r in net.routers]
+                    counts = net.node_flits_switched()
                     activity_windows.append(
                         [c - p for c, p in zip(counts, last_sample)]
                     )
@@ -261,7 +261,7 @@ class Simulator:
                 # Trailing partial window (measure_cycles not a multiple
                 # of sample_interval): emit it with its true span rather
                 # than silently truncating the power trace.
-                counts = [r.flits_switched for r in net.routers]
+                counts = net.node_flits_switched()
                 activity_windows.append(
                     [c - p for c, p in zip(counts, last_sample)]
                 )

@@ -248,9 +248,8 @@ class FaultInjector:
         self.links_killed += 1
         network.reroute(frozenset(self.failed))
         if self.plan.mode == "hard":
-            router = network.routers[src]
             first = network.unit_index(
-                src, router.port_index[link.src_port], 0
+                src, network.port_names[src].index(link.src_port), 0
             )
             # Credit-starve the dead output: confiscate held credits and
             # mark its VCs so in-flight returns are intercepted.

@@ -171,9 +171,9 @@ class StallAttribution:
         """Per-node stall totals by cause (summed over the node's units)."""
         counts = self.unit_counts
         rows: List[List[int]] = []
-        for router in self.network.routers:
+        for units in self.network.node_units:
             row = [0] * _N
-            for u in router.units:
+            for u in units:
                 off = u * _N
                 for c in range(_N):
                     row[c] += counts[off + c]

@@ -462,11 +462,7 @@ class NetworkTelemetry:
         link_flits = sum(delta.link_flits.values())
         self._c_link_flits.inc(link_flits)
 
-        fifos = net.vc_fifos
-        occupancy = [
-            sum(map(len, fifos[r.units.start:r.units.stop]))
-            for r in net.routers
-        ]
+        occupancy = net.node_occupancy()
         total_occ = sum(occupancy)
         self._g_occ_total.set(float(total_occ))
         self._g_occ_mean.set(total_occ / len(occupancy))

@@ -187,6 +187,19 @@ def test_out_of_range_run_option_is_a_usage_error(
     assert option in err
 
 
+@pytest.mark.parametrize("rates", ["abc", "-0.1", "0", "0.05,nan", "0.05,,0.1"])
+def test_bad_sweep_rates_are_a_usage_error(rates, tmp_path, capsys, monkeypatch):
+    """Every ``--rates`` entry must be a positive finite number; a bad
+    one ends in a usage error naming the flag before any point runs."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--archs", "2DB", "--rates", rates, "--processes", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "--rates" in err
+
+
 def test_trace_command(tmp_path, capsys):
     output = tmp_path / "trace.txt"
     assert main([

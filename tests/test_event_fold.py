@@ -76,17 +76,16 @@ def test_fold_invariants(params):
     network = _run(params)
     first = network.events.copy()
     ev = network.events
-    routers = network.routers
 
     # One switched flit is one read, one SA grant, one crossbar
     # traversal and one hop.
-    switched = sum(r.flits_switched for r in routers)
+    switched = sum(network.node_flits_switched())
     assert ev.buffer_reads == ev.xbar_traversals == switched
     assert ev.sa_allocations == ev.flit_hops == switched
     assert ev.xbar_traversals_weighted == ev.buffer_reads_weighted
     # Every write not yet read is a flit sitting in a buffer.
     assert ev.buffer_writes - ev.buffer_reads == sum(
-        r.occupancy() for r in routers
+        network.node_occupancy()
     )
     # Every route computed and not yet granted an output VC is a unit
     # waiting in VA.

@@ -92,7 +92,7 @@ def digest_payload(network: Network) -> Dict[str, Any]:
         "stats": vars(network.stats),
         "events": network.events,
         "cycles": network.cycle,
-        "flits_switched": [r.flits_switched for r in network.routers],
+        "flits_switched": network.node_flits_switched(),
     }
 
 

@@ -7,7 +7,8 @@ switch traversal run inline, and arrivals, injected flits and credits
 land through one loop body each, so a flit-hop needs no call of its
 own.  Only the allocators' ``allocate`` calls out, to
 ``noc/allocator.py``, for VA and for contended SA; nothing calls into
-``noc/router.py``, whose routers hold geometry and tallies only.
+``noc/router.py``, whose routers hold only three shims into the
+network's loops.
 
 This runs saturated 2DB (uniform random at 0.35) under
 ``sys.setprofile`` and counts ``call`` events whose code lives in

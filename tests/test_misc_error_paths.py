@@ -21,7 +21,7 @@ def test_receive_credit_on_local_port_raises():
     network = Network(Mesh2D(2, 1, pitch_mm=1.0))
     router = network.routers[0]
     with pytest.raises(RuntimeError):
-        router.receive_credit(router.local_port, 0)
+        router.receive_credit(0, 0)  # port 0 is the local port
 
 
 def test_network_nodes_validated_on_enqueue():

@@ -11,7 +11,7 @@ from repro.noc.simulator import Simulator
 from repro.resilience.faults import FaultInjector, FaultPlan, StuckVCFault
 from repro.telemetry import NetworkTelemetry, TelemetryConfig, TraceRecorder
 from repro.telemetry.attribution import StallAttribution
-from repro.topology.base import LinkKind, LinkSpec
+from repro.topology.base import LOCAL_PORT, LinkKind, LinkSpec
 from repro.topology.express_mesh import ExpressMesh
 from repro.topology.irregular import IrregularTopology, duplex
 from repro.topology.mesh2d import Mesh2D
@@ -104,11 +104,13 @@ def test_unit_indices_round_trip(build):
     num_vcs = network.num_vcs
     unit = 0
     for node, router in enumerate(network.routers):
+        num_ports = len(network.port_names[node])
+        assert network.port_names[node] == network.topology.port_names(node)
         assert router.node == node
-        assert network.unit_base[node] == unit
-        assert router.units == range(unit, unit + router.num_ports * num_vcs)
+        assert router.units is network.node_units[node]
+        assert router.units == range(unit, unit + num_ports * num_vcs)
         assert router.port_base * num_vcs == unit
-        for port in range(router.num_ports):
+        for port in range(num_ports):
             for vc in range(num_vcs):
                 assert network.unit_index(node, port, vc) == unit
                 assert network.unit_location(unit) == (node, port, vc)
@@ -124,21 +126,22 @@ def test_link_tables_pair_every_link(build):
     other, and a port without a link (the local port above all) has
     neither."""
     network = build()
-    routers = network.routers
+    port_names = network.port_names
     num_vcs = network.num_vcs
     topology = network.topology
     for link in topology.links:
         out = network.unit_index(
-            link.src, routers[link.src].port_index[link.src_port], 0
+            link.src, port_names[link.src].index(link.src_port), 0
         )
         target = network.unit_index(
-            link.dst, routers[link.dst].port_index[link.dst_port], 0
+            link.dst, port_names[link.dst].index(link.dst_port), 0
         )
         assert network.link_targets[out // num_vcs] == target
         for vc in range(num_vcs):
             assert network.credit_returns[target + vc] == out + vc
-    for router in routers:
-        local = router.port_base + router.local_port
+    for node, units in enumerate(network.node_units):
+        assert port_names[node][0] == LOCAL_PORT
+        local = units.start // num_vcs
         assert network.link_targets[local] is None
         assert network.credit_returns[
             local * num_vcs:(local + 1) * num_vcs
@@ -319,3 +322,72 @@ def test_property_random_packet_sets_all_delivered(specs):
         assert packet.latency > 0
     assert network.events.buffer_writes == network.events.buffer_reads
     assert network.idle()
+
+
+class _Unreachable:
+    """Stands in for ``network.routers``: any use of it raises."""
+
+    def _fail(self, *args):
+        raise AssertionError("network.routers was read")
+
+    __getattr__ = __iter__ = __len__ = __getitem__ = __bool__ = _fail
+
+
+def test_network_alone_holds_the_state_readers_need(monkeypatch):
+    """Every reader of per-node state reads the network, not a router:
+    with ``network.routers`` unusable, a point run with the profiler,
+    the sanitizer, stall attribution, a trace recorder, a stuck VC plus
+    a link kill and activity windows serializes to the same result as
+    an untouched run."""
+    import functools
+    import hashlib
+
+    from repro.core.arch import ArchitectureConfig, make_2db
+    from repro.experiments import runner
+    from repro.experiments.config import ExperimentSettings
+    from repro.experiments.store import (
+        PointSpec, canonical_json, point_result_to_json,
+    )
+
+    spec = PointSpec(
+        make_2db(), "uniform", 0.15,
+        short_flit_fraction=0.5, shutdown_enabled=True,
+        fault_links=((60, 0, 1),), fault_vcs=((40, 14, 1, 0),),
+    )
+    settings = ExperimentSettings(
+        warmup_cycles=50, measure_cycles=300, drain_cycles=2000,
+        uniform_rates=(), nuca_rates=(), trace_cycles=0, workloads=(),
+    )
+    monkeypatch.setattr(
+        runner, "Simulator",
+        functools.partial(runner.Simulator, sample_interval=64),
+    )
+
+    def digest() -> str:
+        result = runner.run_point_spec(
+            spec, settings,
+            TelemetryConfig(interval=50, trace_capture=True, attribution=True),
+            profile=True, sanitize=True,
+        )
+        sim = result.sim
+        assert sim.activity_windows and sim.sanity.audits
+        assert sim.telemetry.packets_traced and sim.telemetry.stall_report
+        assert sim.fault_summary["links_killed"] == 1
+        text = canonical_json([
+            point_result_to_json(result), sim.sanity,
+            sim.telemetry.stall_report,
+        ])
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    untouched = digest()
+    build = ArchitectureConfig.build_network
+
+    def build_without_routers(self, *args, **kwargs):
+        network = build(self, *args, **kwargs)
+        network.routers = _Unreachable()
+        return network
+
+    monkeypatch.setattr(
+        ArchitectureConfig, "build_network", build_without_routers
+    )
+    assert digest() == untouched

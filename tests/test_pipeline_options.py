@@ -98,7 +98,7 @@ def test_advanced_pipeline_under_load_still_delivers_all():
     assert not result.saturated
     # Open-loop traffic keeps injecting during drain: conservation means
     # unread writes are exactly the flits still buffered.
-    buffered = sum(router.occupancy() for router in network.routers)
+    buffered = sum(network.node_occupancy())
     assert network.events.buffer_writes - network.events.buffer_reads == buffered
 
 

@@ -46,7 +46,7 @@ def test_profiler_accumulates_deterministic_phases(cfg_2db):
     assert snap.cycles_per_second == cycles / snap.wall_s
     # An idle network steps zero routers.
     assert snap.routers_stepped == 0
-    assert snap.router_cycles == cycles * len(network.routers)
+    assert snap.router_cycles == cycles * network.topology.num_nodes
     assert snap.active_router_ratio == 0.0
 
 
@@ -77,7 +77,7 @@ def test_simulator_profile_flag_attaches_and_reports():
     snap = result.profile
     assert isinstance(snap, ProfileSnapshot)
     assert snap.cycles == result.cycles
-    assert snap.router_cycles == result.cycles * len(network.routers)
+    assert snap.router_cycles == result.cycles * network.topology.num_nodes
     # At 0.05 flits/node/cycle most routers are quiescent most cycles —
     # the active-set scheduler should step well under the full population.
     assert 0.0 < snap.active_router_ratio < 0.9

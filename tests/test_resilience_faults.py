@@ -94,13 +94,13 @@ class TestAttach:
         the Sec. 3.3 steering: 0 -> 1 overshoots over the express
         sibling instead of dropping."""
         network = make_3dme().build_network()
-        router = network.routers[0]
+        names = network.port_names[0]
         rows = list(network.routes)
-        assert network.routes[0][1] == router.port_index["E"]
+        assert network.routes[0][1] == names.index("E")
         plan = FaultPlan(links=(LinkFault(0, 0, 1),), mode="drain")
         FaultInjector(plan).attach(network)
         network.step()
-        assert network.routes[0][1] == router.port_index["EE"]
+        assert network.routes[0][1] == names.index("EE")
         # Rebuilt in place: the rows the router loop holds stay current.
         assert all(a is b for a, b in zip(rows, network.routes))
 
@@ -117,7 +117,7 @@ class TestAttach:
 def _out_vcs(network, link):
     """The global output VCs of *link*'s upstream port, as a slice."""
     first = network.unit_index(
-        link.src, network.routers[link.src].port_index[link.src_port], 0
+        link.src, network.port_names[link.src].index(link.src_port), 0
     )
     return slice(first, first + network.num_vcs)
 
@@ -131,10 +131,11 @@ class TestLinkKill:
         injector = FaultInjector(plan).attach(network)
         for _ in range(5):
             network.step()
-        router = network.routers[link.src]
         row = network.routes[link.src]
         assert injector.failed == set()
-        assert row[link.dst] == router.port_index[link.src_port]
+        assert row[link.dst] == network.port_names[link.src].index(
+            link.src_port
+        )
         network.step()  # cycle 5 processes the event
         assert injector.failed == {(link.src, link.dst)}
         assert injector.links_killed == 1

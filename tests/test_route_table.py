@@ -110,7 +110,7 @@ class TestLivelockBecomesDrops:
         config = make_3dme().with_pipeline_options(lookahead_rc=True)
         network = config.build_network()
         router = network.routers[3]
-        west = router.port_index["W"]
+        west = network.port_names[3].index("W")
 
         def arrive(vc):
             flit = ctrl_packet(2, 9, created_cycle=0).make_flits()[0]
@@ -121,7 +121,7 @@ class TestLivelockBecomesDrops:
             ]
 
         stamp = network.routes[3][9]
-        assert stamp == router.port_index["S"]
+        assert stamp == network.port_names[3].index("S")
         assert arrive(0) == "va"
         network.reroute(frozenset({(3, 9), (15, 9)}))
         assert network.routes[3][9] == -1

@@ -15,6 +15,8 @@ from repro.noc.simulator import Simulator
 from repro.topology.mesh2d import Mesh2D
 from repro.traffic.base import ScheduledTraffic
 
+#: Every node's port 0 is its local port.
+LOCAL = 0
 
 def _deliver(packets, combined, width=4, height=1, cycles=200):
     """Run packets through a small mesh; returns the packets."""
@@ -97,7 +99,7 @@ def test_vc_allows_packet_interleave_across_vcs():
 
 def test_router_busy_flag():
     network = Network(Mesh2D(3, 1, pitch_mm=1.0))
-    units = network.routers[0].units
+    units = network.node_units[0]
     assert not network._active.intersection(units)
     network.enqueue_packet(ctrl_packet(0, 2, created_cycle=0))
     network.step()
@@ -108,7 +110,7 @@ def test_router_occupancy_counts_buffered_flits():
     network = Network(Mesh2D(3, 1, pitch_mm=1.0))
     network.enqueue_packet(data_packet(0, 2, created_cycle=0))
     network.step()  # one flit injected into the local VC
-    assert network.routers[0].occupancy() == 1
+    assert network.node_occupancy()[0] == 1
 
 
 def test_wormhole_ordering_violation_detected():
@@ -117,23 +119,23 @@ def test_wormhole_ordering_violation_detected():
     router = network.routers[0]
     flits = data_packet(0, 1, created_cycle=0).make_flits()
     with pytest.raises(RuntimeError):
-        router.receive_flit(router.local_port, 0, flits[1], cycle=0)
+        router.receive_flit(LOCAL, 0, flits[1], cycle=0)
 
 
 def test_credit_overflow_detected():
     network = Network(Mesh2D(2, 1, pitch_mm=1.0))
     router = network.routers[0]
-    east = router.port_index["E"]
+    east = network.port_names[0].index("E")
     with pytest.raises(RuntimeError):
         router.receive_credit(east, 0)  # already at full credits
 
 
 def test_vc_fifos_start_empty():
     network = Network(Mesh2D(2, 1, pitch_mm=1.0), buffer_depth=4)
-    router = network.routers[0]
-    assert router.occupancy() == 0
-    assert all(not network.vc_fifos[i] for i in router.units)
-    assert all(network.vc_state[i] == _IDLE for i in router.units)
+    units = network.node_units[0]
+    assert network.node_occupancy()[0] == 0
+    assert all(not network.vc_fifos[i] for i in units)
+    assert all(network.vc_state[i] == _IDLE for i in units)
 
 
 def test_vc_fifo_keeps_arrival_order():
@@ -144,8 +146,8 @@ def test_vc_fifo_keeps_arrival_order():
     router = network.routers[0]
     flits = data_packet(0, 1, created_cycle=0).make_flits()
     for flit in flits:
-        router.receive_flit(router.local_port, 0, flit, cycle=0)
-    fifo = network.vc_fifos[network.unit_index(0, router.local_port, 0)]
+        router.receive_flit(LOCAL, 0, flit, cycle=0)
+    fifo = network.vc_fifos[network.unit_index(0, LOCAL, 0)]
     assert list(fifo) == flits
     popped = []
     for _ in range(40):
@@ -163,8 +165,8 @@ def test_receive_flit_overflow_raises():
     network = Network(Mesh2D(2, 1, pitch_mm=1.0), buffer_depth=2)
     router = network.routers[0]
     flits = data_packet(0, 1, created_cycle=0).make_flits()
-    router.receive_flit(router.local_port, 0, flits[0], cycle=0)
-    router.receive_flit(router.local_port, 0, flits[1], cycle=0)
+    router.receive_flit(LOCAL, 0, flits[0], cycle=0)
+    router.receive_flit(LOCAL, 0, flits[1], cycle=0)
     with pytest.raises(OverflowError):
-        router.receive_flit(router.local_port, 0, flits[2], cycle=0)
-    assert router.occupancy() == 2
+        router.receive_flit(LOCAL, 0, flits[2], cycle=0)
+    assert network.node_occupancy()[0] == 2

@@ -54,7 +54,7 @@ def _bid(network, router, requests):
     held = {}
     for in_port, in_vc, out_port in requests:
         i = network.unit_index(router.node, in_port, in_vc)
-        out_vc = held.get(out_port, 0) % router.num_vcs
+        out_vc = held.get(out_port, 0) % network.num_vcs
         held[out_port] = out_vc + 1
         flit = data_packet(0, 8).make_flits()[1]
         network.vc_fifos[i].append(flit)
@@ -74,7 +74,7 @@ def _check_against_reference(num_vcs, requests, attributed, sa1, sa2):
     network = Network(Mesh2D(3, 3, pitch_mm=1.0), num_vcs=num_vcs)
     attribution = StallAttribution(network) if attributed else None
     router = network.routers[CENTRE]
-    assert router.num_ports == NUM_PORTS
+    assert len(network.port_names[CENTRE]) == NUM_PORTS
     ports = slice(router.port_base, router.port_base + NUM_PORTS)
     network._sa.sa1[ports] = sa1
     network._sa.sa2[ports] = sa2

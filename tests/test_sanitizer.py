@@ -149,7 +149,6 @@ class TestSeededFaults:
             if target is not None
         )
         node, port, _ = network.unit_location(out * network.num_vcs)
-        router = network.routers[node]
         network.credits[out * network.num_vcs] += 1  # phantom credit on VC 0
 
         with pytest.raises(SanityError) as excinfo:
@@ -157,11 +156,11 @@ class TestSeededFaults:
         err = excinfo.value
         assert err.check == "credit-accounting"
         assert err.cycle == network.cycle
-        assert err.node == router.node
+        assert err.node == node
         assert err.port == port
-        assert err.port_name == router.port_names[port]
+        assert err.port_name == network.port_names[node][port]
         assert err.vc == 0
-        assert f"node {router.node}" in str(err)
+        assert f"node {node}" in str(err)
 
     def test_router_missing_from_active_set_attributed(self):
         network, _ = _warmed_network()
@@ -190,15 +189,19 @@ class TestSeededFaults:
     ):
         network, _ = _warmed_network(cycles=20)
         network.sanitizer.audit(network.cycle)  # healthy so far
-        router = network.routers[7]
+        node = 7
+        units = network.node_units[node]
+        num_vcs = network.num_vcs
+        num_ports = len(units) // num_vcs
+        last_port = units.stop // num_vcs - 1
         flat = getattr(getattr(network, allocator), pointers)
         # Router 7's last arbiter of this stage, and the size of the
         # range its pointer must stay in.
         last, size = {
-            "va1": (router.units[-1], router.num_vcs),
-            "va2": (router.units[-1], len(router.units)),
-            "sa1": (router.port_base + router.num_ports - 1, router.num_vcs),
-            "sa2": (router.port_base + router.num_ports - 1, router.num_ports),
+            "va1": (units[-1], num_vcs),
+            "va2": (units[-1], len(units)),
+            "sa1": (last_port, num_vcs),
+            "sa2": (last_port, num_ports),
         }[pointers]
         # One past the end, negative, or a bool (an int subclass that
         # must not pass for a pointer).
@@ -208,9 +211,9 @@ class TestSeededFaults:
             network.sanitizer.audit(network.cycle)
         err = excinfo.value
         assert err.check == "allocator-state"
-        assert err.node == router.node
+        assert err.node == node
         assert label in str(err)
-        assert f"node {router.node}" in str(err)
+        assert f"node {node}" in str(err)
 
     def test_dropped_flit_attributed(self):
         network, sim = _warmed_network(rate=0.3, cycles=0, seed=9)
@@ -237,7 +240,6 @@ class TestSeededFaults:
         victim = network.vc_fifos[unit][index]
         del network.vc_fifos[unit][index]
         node, port, vc = network.unit_location(unit)
-        router = network.routers[node]
 
         with pytest.raises(SanityError) as excinfo:
             network.sanitizer.audit(network.cycle)
@@ -245,9 +247,9 @@ class TestSeededFaults:
         assert err.check == "flit-conservation"
         assert "gap" in str(err)
         assert err.cycle == network.cycle
-        assert err.node == router.node
+        assert err.node == node
         assert err.port == port
-        assert err.port_name == router.port_names[port]
+        assert err.port_name == network.port_names[node][port]
         assert err.vc == vc
         assert err.pid == victim.packet.pid
 

@@ -135,8 +135,9 @@ def test_quiescence_protocol(cfg_2db):
 
     packet = data_packet(src=0, dst=1)
     flits = packet.make_flits(network.layer_groups)
-    router.receive_flit(router.local_port, 0, flits[0], cycle=0)
-    assert network._active == {network.unit_index(0, router.local_port, 0)}
+    # Port 0 is the local port.
+    router.receive_flit(0, 0, flits[0], cycle=0)
+    assert network._active == {network.unit_index(0, 0, 0)}
 
     for _ in range(60):
         network.step()
@@ -146,7 +147,7 @@ def test_quiescence_protocol(cfg_2db):
 def test_full_iteration_steps_every_router(cfg_2db):
     network = cfg_2db.build_network()
     network._step_routers = _step_every_router(network)
-    assert network._step_routers(0) == len(network.routers)
+    assert network._step_routers(0) == network.topology.num_nodes
     assert network._active == set()
 
 

@@ -50,6 +50,29 @@ def settings():
     )
 
 
+class TestSpecValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("rate", 0.0),
+        ("rate", -0.1),
+        ("rate", float("nan")),
+        ("rate", float("inf")),
+        ("short_flit_fraction", -0.1),
+        ("short_flit_fraction", 3.0),
+        ("short_flit_fraction", float("nan")),
+    ])
+    def test_unusable_value_rejected(self, field, value):
+        """A value no run can use fails at the spec, before it is
+        hashed into a store key."""
+        kwargs = {"rate": 0.1, field: value}
+        with pytest.raises(ValueError, match=field):
+            PointSpec(make_2db(), "uniform", **kwargs)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_fraction_bounds_accepted(self, fraction):
+        spec = PointSpec(make_2db(), "nuca", 0.05, short_flit_fraction=fraction)
+        assert spec.short_flit_fraction == fraction
+
+
 class TestKeyStability:
     def test_same_config_built_two_ways(self, settings):
         """Factory helper vs enum dispatch: identical config, identical key."""

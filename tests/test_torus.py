@@ -153,7 +153,7 @@ class TestDateline:
                 for unit, flit in slot:
                     if flit.packet is packet and flit.is_head:
                         node, port, vc = network.unit_location(unit)
-                        port_name = network.routers[node].port_names[port]
+                        port_name = network.port_names[node][port]
                         upstream = torus.in_ports[node][port_name].src
                         vc_claims[upstream] = vc
             if packet.delivered_cycle is not None:

@@ -1,6 +1,6 @@
 """Trace-path tests: per-flit counts and hook removal.
 
-Per-router flit counts come from ``Router.flits_switched``; packet stage
+Per-node flit counts come from ``Network.node_flits_switched``; packet stage
 events come from a ``TraceRecorder`` in the network's one recorder
 slot, attached by ``TraceRecorder.attach`` or by ``NetworkTelemetry``.
 The recorder's route checks live in ``test_trace_recorder.TestAttach``.
@@ -22,8 +22,9 @@ def _run(network, packets):
 
 
 def _switched_by_node(network):
-    return {router.node: router.flits_switched
-            for router in network.routers if router.flits_switched}
+    return {node: flits
+            for node, flits in enumerate(network.node_flits_switched())
+            if flits}
 
 
 def test_events_cover_all_flits():
