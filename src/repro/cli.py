@@ -129,24 +129,26 @@ def _non_negative_int(text: str) -> int:
     return _number(text, int, lambda v: v >= 0, "an integer >= 0")
 
 
+def _ids(text: str, shape: str) -> tuple:
+    """The non-negative ints of colon-separated *text*, one per field of
+    *shape* (e.g. ``"SRC:DST"``)."""
+    try:
+        values = tuple(int(part) for part in text.split(":"))
+    except ValueError:
+        values = ()
+    if len(values) != shape.count(":") + 1 or min(values) < 0:
+        raise argparse.ArgumentTypeError(f"expected {shape}, got {text!r}")
+    return values
+
+
 def _channel(text: str) -> tuple:
     """argparse type: ``"SRC:DST"`` -> (src, dst)."""
-    try:
-        src, dst = (int(part) for part in text.split(":"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected SRC:DST, got {text!r}")
-    return src, dst
+    return _ids(text, "SRC:DST")
 
 
 def _stuck_vc(text: str) -> tuple:
     """argparse type: ``"NODE:PORT:VC"`` -> (node, port, vc)."""
-    try:
-        node, port, vc = (int(part) for part in text.split(":"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected NODE:PORT:VC, got {text!r}"
-        )
-    return node, port, vc
+    return _ids(text, "NODE:PORT:VC")
 
 
 def _point_spec(args: argparse.Namespace, config):
@@ -724,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-cycle / --fault-mode)",
     )
     sim.add_argument(
-        "--fault-seed", type=int, default=0, metavar="S",
+        "--fault-seed", type=_non_negative_int, default=0, metavar="S",
         help="RNG seed for the random link sample (default 0)",
     )
     sim.add_argument(
@@ -751,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sampled corner (default 0 = no variation)",
     )
     sim.add_argument(
-        "--variation-seed", type=int, default=0, metavar="S",
+        "--variation-seed", type=_non_negative_int, default=0, metavar="S",
         help="variation sample seed (default 0)",
     )
     sim.set_defaults(func=cmd_simulate, usage_error=sim.error)

@@ -31,6 +31,17 @@ class ExperimentSettings:
     workloads: Tuple[str, ...]
     seed: int = 1
 
+    def __post_init__(self) -> None:
+        for name in ("warmup_cycles", "drain_cycles", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)!r}"
+                )
+        if self.measure_cycles < 1:
+            raise ValueError(
+                f"measure_cycles must be >= 1, got {self.measure_cycles!r}"
+            )
+
     @classmethod
     def quick(cls) -> "ExperimentSettings":
         return cls(

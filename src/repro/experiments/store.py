@@ -118,6 +118,23 @@ class PointSpec:
             raise ValueError("fault_random_links must be >= 0")
         if self.variation_sigma < 0:
             raise ValueError("variation_sigma must be >= 0")
+        # No negative seed or cycle: random.Random takes the absolute
+        # value of an int seed, so seed -7 would run seed 7's simulation
+        # under a key of its own.
+        for name in ("seed", "fault_seed", "fault_cycle", "variation_seed"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
+        for name, arity, what in (
+            ("fault_links", 3, "(cycle, src, dst)"),
+            ("fault_vcs", 4, "(cycle, node, port, vc)"),
+        ):
+            for fault in getattr(self, name):
+                if len(fault) != arity or min(fault) < 0:
+                    raise ValueError(
+                        f"{name} entries must be {what} tuples of "
+                        f"non-negative ints, got {fault!r}"
+                    )
 
     @property
     def has_faults(self) -> bool:

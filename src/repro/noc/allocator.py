@@ -21,12 +21,20 @@ VA2 and SA2 arbitrate among one node's units and ports, so
 :meth:`~VirtualChannelAllocator.allocate` takes the node's first unit
 and unit count and measures those two stages' distances from there.
 
-Every VA request, the sole requester included, goes through
+Every VA with two or more requesters, or with VC-restricted requesters
+(a routing VC discipline, or ``vc_by_class``), goes through
 :meth:`VirtualChannelAllocator.allocate`, and every switch allocation
 with two or more requesters through :meth:`SwitchAllocator.allocate`.
-The router loop (``Network._step_units``) handles one shape itself: a
-sole SA requester is the only contender in both of its arbitrations, so
-the loop just rotates its two pointers.
+The router loop (``Network._step_units``) handles the two lone shapes
+itself, because a call per grant is most of their cost.  A lone,
+unrestricted VA requester is the only contender of its VA2 arbitration,
+so the loop runs VA1 (the first free output VC from the unit's ``va1``
+pointer) and moves ``va1`` and that VC's ``va2`` pointer just past the
+grant.  A sole SA requester is the only contender in both of its
+arbitrations, so the loop just rotates its two pointers.  These
+methods stay the one definition of the rules:
+``tests/test_router_va_lone.py`` and ``tests/test_router_sa_pairs.py``
+hold the inline shapes to the reference allocator.
 """
 
 from __future__ import annotations

@@ -16,24 +16,27 @@ VC ``(port_base + p) * num_vcs + v``, so ``node_units[node]`` starts at
 ``port_names``, ``node_units`` and the activity tallies
 (``flits_switched_by_layers``, ``short_flit_hops``, ``rc_computations``,
 ``va_allocations``).  Per unit: ``vc_state``, ``vc_out_port`` (a
-global port), ``vc_out_vc``, ``vc_fifos`` and ``credit_returns`` (the
+global port), ``vc_held`` (the global output VC it holds, so its VC is
+``vc_held[i] % num_vcs``), ``vc_fifos`` and ``credit_returns`` (the
 upstream output VC a leaving flit's credit goes back to), and the
 ``writes_by_layers`` tally; per output VC: ``out_owner`` (the owning
-unit) and ``credits``; per output port the ``port_flits`` tally and the
-link tables ``link_targets`` (the downstream unit of VC 0),
+unit), ``credits`` and ``link_units`` (the downstream unit its link
+feeds); per output port the ``port_flits`` tally and the link tables
 ``link_args`` and ``next_routes``.  ``stuck`` holds the units a
 stuck-VC fault freezes and ``_active`` the units that may have work.
 
 The network runs the whole router pipeline over those lists: injection,
 one router loop (:meth:`Network._step_units`: RC, VA, SA and switch
 traversal) and one landing loop each for flits and credits, so a
-flit-hop costs no Python call of its own; only VC allocation and
-contended switch allocation call out, to the network's one pair of
-allocators (:mod:`repro.noc.allocator`).  The loop sorts the active
-units once per cycle and walks them one node at a time, visiting each
-busy unit once; the event rings delay each arrival by the hop time,
-which is the whole of the stage timing.  Arrival entries are ``(unit,
-flit)`` and credit entries the output VC they return to.
+flit-hop costs no Python call of its own: a bid reads
+``credits[held]`` and an arrival is ``(link_units[held], flit)``.  A
+lone VA requester and a lone SA bidder are granted inline; only
+contended or VC-restricted allocation calls out, to the network's one
+pair of allocators (:mod:`repro.noc.allocator`).  The loop sorts the
+active units once per cycle and walks them one node at a time, visiting
+each busy unit once; the event rings delay each arrival by the hop
+time, which is the whole of the stage timing.  Arrival entries are
+``(unit, flit)`` and credit entries the output VC they return to.
 
 Routers (:class:`~repro.noc.router.Router`) hold no state: each is one
 node's three entries into these loops.  The one pipeline hook is the
@@ -219,7 +222,9 @@ class Network:
         # Per input unit.
         self.vc_state: List[int] = [_IDLE] * units
         self.vc_out_port: List[int] = [-1] * units
-        self.vc_out_vc: List[int] = [-1] * units
+        #: The global output VC each unit holds (``out_port * num_vcs +
+        #: vc``), ``-1`` before its VA grant and after its tail leaves.
+        self.vc_held: List[int] = [-1] * units
         #: One bounded flit FIFO per input VC, front at index 0; the
         #: landing loop enforces the depth.
         self.vc_fifos: List[Deque[Flit]] = [deque() for _ in range(units)]
@@ -235,11 +240,13 @@ class Network:
         #: its VCs keep ``buffer_depth`` and are never charged; a port
         #: without a link keeps 0.
         self.credits: List[int] = [0] * units
+        #: The downstream unit (input VC) each output VC's link feeds,
+        #: ``None`` on the local port and on ports without a link.
+        self.link_units: List[Optional[int]] = [None] * units
         # Per output port, ``None`` where the port has no link: the
-        # downstream unit of VC 0, the link's accounting arguments
-        # ``(link-kind index, length, the port's port_flits row)`` and
-        # the downstream node's next-port row (look-ahead RC).
-        self.link_targets: List[Optional[int]] = [None] * ports
+        # link's accounting arguments ``(link-kind index, length, the
+        # port's port_flits row)`` and the downstream node's next-port
+        # row (look-ahead RC).
         self.link_args: List[Optional[Tuple[int, float, List[int]]]] = (
             [None] * ports
         )
@@ -299,7 +306,6 @@ class Network:
             credits[out * num_vcs:(out + 1) * num_vcs] = (
                 [buffer_depth] * num_vcs
             )
-            self.link_targets[out] = in_port * num_vcs
             self.link_args[out] = (
                 self.link_kinds.index(link.kind.value),
                 link.length_mm,
@@ -307,6 +313,7 @@ class Network:
             )
             self.next_routes[out] = routes[link.dst]
             for vc in range(num_vcs):
+                self.link_units[out * num_vcs + vc] = in_port * num_vcs + vc
                 self.credit_returns[in_port * num_vcs + vc] = (
                     out * num_vcs + vc
                 )
@@ -692,9 +699,10 @@ class Network:
         the whole of the stage timing.  One pass over a node's units
         routes each head at RC inline and collects the VA requesters and
         the SA bidders.  Then VA grants output VCs to the requesters
-        (under speculative SA its fresh grants join the bidders in the
-        same cycle), then SA, and every granted flit crosses the switch
-        inline, in grant order.  Units a stuck-VC fault holds
+        (inline for a lone unrestricted one; under speculative SA its
+        fresh grants join the bidders in the same cycle), then SA
+        (inline for a lone bidder), and every granted flit crosses the
+        switch inline, in grant order.  Units a stuck-VC fault holds
         (``stuck``) are skipped.  With stall attribution attached, each
         unit that does not advance is charged one cause where it fails.
         """
@@ -702,12 +710,12 @@ class Network:
         num_vcs = self.num_vcs
         vc_state = self.vc_state
         vc_out_port = self.vc_out_port
-        vc_out_vc = self.vc_out_vc
+        vc_held = self.vc_held
         vc_fifos = self.vc_fifos
         credit_returns = self.credit_returns
         out_owner = self.out_owner
         credits = self.credits
-        link_targets = self.link_targets
+        link_units = self.link_units
         link_args = self.link_args
         next_routes = self.next_routes
         stuck = self.stuck
@@ -717,6 +725,9 @@ class Network:
         va_allocations = self.va_allocations
         sleep = self._active.discard
         va_allocate = self._va.allocate
+        va1 = self._va.va1
+        va2 = self._va.va2
+        vc_range = range(num_vcs)
         sa_allocate = self._sa.allocate
         sa1 = self._sa.sa1
         sa2 = self._sa.sa2
@@ -737,6 +748,7 @@ class Network:
         vc_discipline = self.routing.has_vc_discipline
         allowed_vcs = self.routing.allowed_vcs
         by_class = self.vc_by_class
+        restricted = vc_discipline or by_class
         attrib = self.attribution
         rec = self.recorder
         decisions = None if rec is None else rec.decisions
@@ -760,11 +772,10 @@ class Network:
                 state = vc_state[i]
                 if state == _ACTIVE:
                     if vc_fifos[i]:
-                        out = vc_out_port[i]
-                        if credits[out * num_vcs + vc_out_vc[i]] > 0:
+                        if credits[vc_held[i]] > 0:
                             bidders.append(i)
                         elif attrib is not None:
-                            attrib.charge_credit(i, out)
+                            attrib.charge_credit(i, vc_out_port[i])
                 elif state == _VA:
                     va_units.append(i)
                 elif state == _RC:
@@ -795,29 +806,47 @@ class Network:
                     sleep(i)
 
             if va_units:
-                # VA: each requester may take only its allowed output
-                # VCs — the routing's VC discipline (``None`` there means
-                # unrestricted, e.g. at ejection), or its class VC.
-                allowed = None
-                if vc_discipline:
-                    allowed = []
-                    for i in va_units:
-                        packet = vc_fifos[i][0].packet
-                        allowed.append(allowed_vcs(
-                            packet.src, packet.dst, node,
-                            port_names[node][vc_out_port[i] - port_base],
-                        ))
-                elif by_class:
-                    allowed = [
-                        (CLASS_VC[vc_fifos[i][0].packet.klass],)
-                        for i in va_units
-                    ]
-                grants = va_allocate(
-                    va_units, vc_out_port, out_owner, allowed, base, size
-                )
+                if len(va_units) == 1 and not restricted:
+                    # A lone, unrestricted requester, granted inline the
+                    # way VirtualChannelAllocator.allocate would: VA1
+                    # takes the first free output VC from its pointer,
+                    # and both pointers move just past the grant.
+                    grants = {}
+                    i = va_units[0]
+                    first = vc_out_port[i] * num_vcs
+                    v = va1[i]
+                    for _ in vc_range:
+                        if out_owner[first + v] is None:
+                            va1[i] = v + 1 if v + 1 < num_vcs else 0
+                            va2[first + v] = (i - base + 1) % size
+                            grants[first + v] = i
+                            break
+                        v = v + 1 if v + 1 < num_vcs else 0
+                else:
+                    # VA: each requester may take only its allowed
+                    # output VCs — the routing's VC discipline (``None``
+                    # there means unrestricted, e.g. at ejection), or its
+                    # class VC.
+                    allowed = None
+                    if vc_discipline:
+                        allowed = []
+                        for i in va_units:
+                            packet = vc_fifos[i][0].packet
+                            allowed.append(allowed_vcs(
+                                packet.src, packet.dst, node,
+                                port_names[node][vc_out_port[i] - port_base],
+                            ))
+                    elif by_class:
+                        allowed = [
+                            (CLASS_VC[vc_fifos[i][0].packet.klass],)
+                            for i in va_units
+                        ]
+                    grants = va_allocate(
+                        va_units, vc_out_port, out_owner, allowed, base, size
+                    )
                 # Commit every grant in the allocator's order.
                 for key, i in grants.items():
-                    vc_out_vc[i] = key % num_vcs
+                    vc_held[i] = key
                     vc_state[i] = _ACTIVE
                     out_owner[key] = i
                     if rec is not None:
@@ -839,12 +868,11 @@ class Network:
                     joined = False
                     for i in va_units:
                         if vc_state[i] == _ACTIVE and vc_fifos[i]:
-                            out = vc_out_port[i]
-                            if credits[out * num_vcs + vc_out_vc[i]] > 0:
+                            if credits[vc_held[i]] > 0:
                                 bidders.append(i)
                                 joined = True
                             elif attrib is not None:
-                                attrib.charge_credit(i, out)
+                                attrib.charge_credit(i, vc_out_port[i])
                     if joined:
                         bidders.sort()
 
@@ -892,8 +920,7 @@ class Network:
                 ):
                     rec.on_stage(cycle, node, flit, "st")
                 out_port = vc_out_port[i]
-                out_vc = vc_out_vc[i]
-                held = out_port * num_vcs + out_vc
+                held = vc_held[i]
                 credit_return = credit_returns[i]
                 if credit_return is not None:
                     credit_slot.append(credit_return)
@@ -925,13 +952,11 @@ class Network:
                     port_flits[k - 1] += 1
                     mm_weighted[kind] += length_mm * weight
                     mm_by_layers[k] += length_mm
-                    arrival_slot.append(
-                        (link_targets[out_port] + out_vc, flit)
-                    )
+                    arrival_slot.append((link_units[held], flit))
                 if flit.is_tail:
                     out_owner[held] = None
                     vc_out_port[i] = -1
-                    vc_out_vc[i] = -1
+                    vc_held[i] = -1
                     if not fifo:
                         vc_state[i] = _IDLE
                     else:

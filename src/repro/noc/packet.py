@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 #: Number of word groups a flit is split into across stacked layers.  The
 #: paper's running example is W=128 bits on L=4 layers (32 bits per layer).
@@ -103,27 +103,36 @@ class Packet:
 
         Control packets and packet headers carry a short address payload
         and are therefore short flits by construction; payload flits take
-        their activity from :attr:`payload_groups`.
+        their activity from :attr:`payload_groups`, clamped to
+        ``[1, layer_groups]``.
+
+        Every packet injects through here, so the flits are built
+        without the dataclass constructor (a Python call per flit): each
+        is a bare instance whose slots are stored from the size's shape
+        table.  The stored values are the ones ``Flit(...)`` would hold.
         """
+        shape = _FLIT_SHAPES.get(self.size_flits)
+        if shape is None:
+            shape = _FLIT_SHAPES[self.size_flits] = _flit_shape(self.size_flits)
+        groups = self.payload_groups
+        full = layer_groups if layer_groups > 1 else 1
+        new = object.__new__
         flits: List[Flit] = []
-        for seq in range(self.size_flits):
-            if self.size_flits == 1:
-                kind = FlitType.SINGLE
-            elif seq == 0:
-                kind = FlitType.HEAD
-            elif seq == self.size_flits - 1:
-                kind = FlitType.TAIL
+        for seq, (kind, is_head, is_tail) in enumerate(shape):
+            if groups is not None:
+                active = max(1, min(layer_groups, groups[seq]))
             else:
-                kind = FlitType.BODY
-            if self.payload_groups is not None:
-                active = self.payload_groups[seq]
-            elif kind in (FlitType.HEAD, FlitType.SINGLE):
                 # Headers/addresses fit in one 32-bit word group.
-                active = 1
-            else:
-                active = layer_groups
-            active = max(1, min(layer_groups, active))
-            flits.append(Flit(packet=self, kind=kind, seq=seq, active_groups=active))
+                active = 1 if is_head else full
+            flit = new(Flit)
+            flit.packet = self
+            flit.kind = kind
+            flit.seq = seq
+            flit.active_groups = active
+            flit.lookahead_port = None
+            flit.is_head = is_head
+            flit.is_tail = is_tail
+            flits.append(flit)
         return flits
 
     @property
@@ -169,6 +178,22 @@ class Flit:
             f"Flit(pid={self.packet.pid}, {self.kind.value}, seq={self.seq}, "
             f"src={self.packet.src}, dst={self.packet.dst})"
         )
+
+
+#: ``(kind, is_head, is_tail)`` per flit of a packet, by packet size.
+_FLIT_SHAPES: Dict[int, Tuple[Tuple[FlitType, bool, bool], ...]] = {}
+
+
+def _flit_shape(size: int) -> Tuple[Tuple[FlitType, bool, bool], ...]:
+    """The ``(kind, is_head, is_tail)`` of each flit of a *size*-flit
+    packet."""
+    if size == 1:
+        return ((FlitType.SINGLE, True, True),)
+    return (
+        ((FlitType.HEAD, True, False),)
+        + ((FlitType.BODY, False, False),) * (size - 2)
+        + ((FlitType.TAIL, False, True),)
+    )
 
 
 def data_packet(

@@ -106,7 +106,7 @@ class Router:
         """Return one credit to output VC *vc* of *port*, through the
         network's credit loop."""
         network = self._network
-        out = self.port_base + port
-        if network.link_targets[out] is None:
+        out_vc = (self.port_base + port) * network.num_vcs + vc
+        if network.link_units[out_vc] is None:
             raise RuntimeError(f"credit for local/unconnected port {port}")
-        network._land_credits((out * network.num_vcs + vc,))
+        network._land_credits((out_vc,))

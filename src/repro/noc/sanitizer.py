@@ -415,7 +415,7 @@ class NetworkSanitizer:
                 self.vcs_checked += 1
                 state = net.vc_state[i]
                 port, vc = divmod(i - units.start, num_vcs)
-                out_port, out_vc = net.vc_out_port[i], net.vc_out_vc[i]
+                out_port, held = net.vc_out_port[i], net.vc_held[i]
                 port_name = names[port]
 
                 def err(message: str, pid: Optional[int] = None) -> SanityError:
@@ -438,11 +438,11 @@ class NetworkSanitizer:
                             f"idle VC holds {len(flits)} buffered flits",
                             pid=flits[0].packet.pid,
                         )
-                    if out_port != -1 or out_vc != -1:
+                    if out_port != -1 or held != -1:
                         raise err(
                             "idle VC still points at output "
-                            f"({out_port}, {out_vc}); tail did "
-                            "not release it"
+                            f"(port {out_port}, output VC {held}); tail "
+                            "did not release it"
                         )
                 else:
                     if state in (_RC, _VA):
@@ -459,12 +459,12 @@ class NetworkSanitizer:
                                 pid=flits[0].packet.pid,
                             )
                     if state == _ACTIVE:
-                        if out_port < 0 or out_vc < 0:
+                        if out_port < 0 or held // num_vcs != out_port:
                             raise err(
                                 "active VC without an allocated output "
-                                f"({out_port}, {out_vc})"
+                                f"(port {out_port}, output VC {held})"
                             )
-                        owned[out_port * num_vcs + out_vc] = i
+                        owned[held] = i
                     elif state == _VA and out_port < 0:
                         raise err("VC in VA without a computed route")
                     # A buffered flit outside the network's active set
@@ -566,31 +566,28 @@ class NetworkSanitizer:
         confiscated = fi.confiscated if fi is not None else None
 
         depth = net.buffer_depth
-        num_vcs = net.num_vcs
-        for out, target in enumerate(net.link_targets):
+        for out_vc, target in enumerate(net.link_units):
             if target is None:
                 continue
-            for vc in range(num_vcs):
-                self.credits_checked += 1
-                out_vc = out * num_vcs + vc
-                held = net.credits[out_vc]
-                occupancy = len(net.vc_fifos[target + vc])
-                on_wire = arrivals_by_vc.get(target + vc, 0)
-                returning = credits_in_flight.get(out_vc, 0)
-                expected = depth - occupancy - on_wire - returning
-                if confiscated:
-                    expected -= confiscated.get(out_vc, 0)
-                if held != expected or not 0 <= held <= depth:
-                    node, port, _ = net.unit_location(out_vc)
-                    raise SanityError(
-                        "credit-accounting",
-                        f"credit count {held} != expected {expected} "
-                        f"(depth {depth} - {occupancy} buffered at "
-                        f"node {net.node_of_unit[target]} - {on_wire} on "
-                        f"the wire - {returning} credits returning)",
-                        cycle, node=node, port=port,
-                        port_name=net.port_names[node][port], vc=vc,
-                    )
+            self.credits_checked += 1
+            held = net.credits[out_vc]
+            occupancy = len(net.vc_fifos[target])
+            on_wire = arrivals_by_vc.get(target, 0)
+            returning = credits_in_flight.get(out_vc, 0)
+            expected = depth - occupancy - on_wire - returning
+            if confiscated:
+                expected -= confiscated.get(out_vc, 0)
+            if held != expected or not 0 <= held <= depth:
+                node, port, vc = net.unit_location(out_vc)
+                raise SanityError(
+                    "credit-accounting",
+                    f"credit count {held} != expected {expected} "
+                    f"(depth {depth} - {occupancy} buffered at "
+                    f"node {net.node_of_unit[target]} - {on_wire} on "
+                    f"the wire - {returning} credits returning)",
+                    cycle, node=node, port=port,
+                    port_name=net.port_names[node][port], vc=vc,
+                )
 
     def _check_conservation(
         self, cycle: int, present: Dict[int, _PacketPresence]
@@ -720,11 +717,12 @@ class NetworkSanitizer:
                 out = net.vc_out_port[i]
                 if out >= 0:
                     out_port_name = names[out - units.start // num_vcs]
-                    if net.vc_out_vc[i] >= 0:
-                        out_vc = net.vc_out_vc[i]
+                    held = net.vc_held[i]
+                    if held >= 0:
+                        out_vc = held % num_vcs
                         # The local (ejection) port always accepts.
-                        if net.link_targets[out] is not None:
-                            credits = net.credits[out * num_vcs + out_vc]
+                        if net.link_units[held] is not None:
+                            credits = net.credits[held]
                 if state == _RC:
                     waiting = "waiting for routing computation"
                 elif state == _VA:

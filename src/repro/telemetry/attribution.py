@@ -93,7 +93,7 @@ class StallAttribution:
         self.network = network
         units = len(network.vc_state)
         self.unit_counts = array("q", bytes(8 * units * _N))
-        self.out_counts = array("q", bytes(8 * len(network.link_targets)))
+        self.out_counts = array("q", bytes(8 * len(network.link_args)))
         self.layer_counts = array(
             "q", bytes(8 * network.layer_groups * _N)
         )
@@ -220,7 +220,7 @@ class StallAttribution:
         num_vcs = network.num_vcs
         out: Dict[Tuple[int, int], int] = {}
         for port, stalls in enumerate(self.out_counts):
-            target = network.link_targets[port]
+            target = network.link_units[port * num_vcs]
             if stalls and target is not None:
                 out[(node_of[port * num_vcs], node_of[target])] = stalls
         return out

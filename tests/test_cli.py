@@ -148,6 +148,11 @@ def test_short_flits_outside_unit_interval_is_a_usage_error(
     ("simulate", "--stick-vc", "99:0:0", []),
     ("simulate", "--fail-link", "0:5", []),
     ("simulate", "--trace-head-tail", "-1", ["--trace-out", "trace.json"]),
+    # No negative seed, node, port or VC.
+    ("simulate", "--fault-seed", "-1", []),
+    ("simulate", "--variation-seed", "-1", []),
+    ("simulate", "--fail-link", "-1:2", []),
+    ("simulate", "--stick-vc", "4:-1:0", []),
 ])
 def test_out_of_range_option_is_a_usage_error(
     command, option, value, needs, tmp_path, capsys

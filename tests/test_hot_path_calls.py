@@ -2,19 +2,22 @@
 
 Host timings are noisy, but the number of Python frames a run opens
 is not.  The network runs the whole router pipeline in one loop over
-its flat per-unit lists: injection, routing, the sole switch bidder and
-switch traversal run inline, and arrivals, injected flits and credits
-land through one loop body each, so a flit-hop needs no call of its
-own.  Only the allocators' ``allocate`` calls out, to
-``noc/allocator.py``, for VA and for contended SA; nothing calls into
-``noc/router.py``, whose routers hold only three shims into the
-network's loops.
+its flat per-unit lists: injection, routing, a lone VA requester, a
+lone switch bidder and switch traversal run inline, and arrivals,
+injected flits and credits land through one loop body each, so a
+flit-hop needs no call of its own.  Only contended or VC-restricted
+allocation calls ``allocate`` in ``noc/allocator.py``, and a packet
+opens frames in ``noc/packet.py`` only to be built and to report its
+latency (``make_flits`` builds its flits without the dataclass
+constructor); nothing calls into ``noc/router.py``, whose routers hold
+only three shims into the network's loops.
 
 This runs saturated 2DB (uniform random at 0.35) under
-``sys.setprofile`` and counts ``call`` events whose code lives in
-``noc/router.py`` or ``noc/allocator.py``, per flit-hop.  About 0.72
-remain, none of them in ``noc/router.py``; a per-hop or per-arrival
-method call brings the count above one.
+``sys.setprofile`` and counts ``call`` events per flit-hop, by the file
+their code lives in.  About 0.50 allocator frames and 0.25 packet
+frames remain per hop, and none in ``noc/router.py``; a VA call per
+grant brings the first above 0.7, and a constructor call per flit the
+second above 0.4.
 """
 
 from __future__ import annotations
@@ -23,17 +26,20 @@ import sys
 from pathlib import Path
 
 from repro.core.arch import make_2db
-from repro.noc import allocator, router
+from repro.noc import allocator, packet, router
 from repro.noc.simulator import Simulator
 from repro.traffic.synthetic import UniformRandomTraffic
 
-#: Router and allocator frames allowed per flit-hop.
-MAX_CALLS_PER_HOP = 1.0
+#: Frames allowed per flit-hop, by file.
+MAX_CALLS_PER_HOP = {"allocator": 0.6, "packet": 0.35, "router": 0.0}
 
 
 def test_router_calls_per_flit_hop():
-    router_file = str(Path(router.__file__).resolve())
-    files = {router_file, str(Path(allocator.__file__).resolve())}
+    modules = {"allocator": allocator, "packet": packet, "router": router}
+    files = {
+        str(Path(module.__file__).resolve()): name
+        for name, module in modules.items()
+    }
     network = make_2db().build_network()
     # Count the simulator's frames only: an audit attached to every
     # test network (REPRO_SANITIZE=1) calls into the allocators.
@@ -46,18 +52,19 @@ def test_router_calls_per_flit_hop():
         warmup_cycles=100,
         measure_cycles=300,
     )
-    calls = router_calls = 0
+    calls = dict.fromkeys(modules, 0)
     where = {}
 
     def profile(frame, event, arg):
-        nonlocal calls, router_calls
         if event == "call":
             code = frame.f_code
-            path = where.get(code)
-            if path is None:
-                path = where[code] = str(Path(code.co_filename).resolve())
-            calls += path in files
-            router_calls += path == router_file
+            name = where.get(code, "")
+            if name == "":
+                name = where[code] = files.get(
+                    str(Path(code.co_filename).resolve())
+                )
+            if name is not None:
+                calls[name] += 1
 
     sys.setprofile(profile)
     try:
@@ -66,8 +73,9 @@ def test_router_calls_per_flit_hop():
         sys.setprofile(None)
     hops = network.events.flit_hops
     assert hops > 10_000
-    assert router_calls == 0
-    assert calls / hops <= MAX_CALLS_PER_HOP, (
-        f"{calls} router/allocator calls for {hops} flit-hops "
-        f"({calls / hops:.2f} per hop)"
-    )
+    per_hop = {name: count / hops for name, count in calls.items()}
+    for name, bound in MAX_CALLS_PER_HOP.items():
+        assert per_hop[name] <= bound, (
+            f"{calls[name]} {name} calls for {hops} flit-hops "
+            f"({per_hop[name]:.2f} per hop, bound {bound})"
+        )

@@ -117,7 +117,8 @@ def test_unit_indices_round_trip(build):
                 assert network.node_of_unit[unit] == node
                 unit += 1
     assert unit == len(network.vc_state) == len(network.node_of_unit)
-    assert len(network.link_targets) * num_vcs == unit
+    assert len(network.link_units) == unit
+    assert len(network.link_args) * num_vcs == unit
 
 
 @pytest.mark.parametrize("build", BUILDS)
@@ -136,13 +137,15 @@ def test_link_tables_pair_every_link(build):
         target = network.unit_index(
             link.dst, port_names[link.dst].index(link.dst_port), 0
         )
-        assert network.link_targets[out // num_vcs] == target
         for vc in range(num_vcs):
+            assert network.link_units[out + vc] == target + vc
             assert network.credit_returns[target + vc] == out + vc
     for node, units in enumerate(network.node_units):
         assert port_names[node][0] == LOCAL_PORT
         local = units.start // num_vcs
-        assert network.link_targets[local] is None
+        assert network.link_units[
+            local * num_vcs:(local + 1) * num_vcs
+        ] == [None] * num_vcs
         assert network.credit_returns[
             local * num_vcs:(local + 1) * num_vcs
         ] == [None] * num_vcs
@@ -151,19 +154,17 @@ def test_link_tables_pair_every_link(build):
             [network.buffer_depth] * num_vcs
         )
     arrivals = credits = 0
-    for port, target in enumerate(network.link_targets):
+    for out_vc, target in enumerate(network.link_units):
         if target is not None:
             arrivals += 1
-            assert target % num_vcs == 0
-            assert network.credit_returns[target] == port * num_vcs
+            assert target % num_vcs == out_vc % num_vcs
+            assert network.credit_returns[target] == out_vc
     for unit, upstream in enumerate(network.credit_returns):
         if upstream is not None:
             credits += 1
             assert upstream % num_vcs == unit % num_vcs
-            assert network.link_targets[upstream // num_vcs] == (
-                unit - unit % num_vcs
-            )
-    assert arrivals == len(topology.links)
+            assert network.link_units[upstream] == unit
+    assert arrivals == len(topology.links) * num_vcs
     assert credits == len(topology.links) * num_vcs
 
 
@@ -193,7 +194,7 @@ def test_credits_restored_after_drain():
     packets = [data_packet(0, 5, created_cycle=0), data_packet(5, 0, created_cycle=3)]
     network, _ = _run_network(Mesh2D(3, 2, pitch_mm=1.0), packets)
     for out_vc, value in enumerate(network.credits):
-        if network.link_targets[out_vc // network.num_vcs] is None:
+        if network.link_units[out_vc] is None:
             continue
         assert value == network.buffer_depth, (
             f"(node, port, vc) {network.unit_location(out_vc)} leaked credits"

@@ -101,3 +101,52 @@ def test_latency_none_until_delivered():
 def test_packet_ids_unique():
     ids = {data_packet(0, 1).pid for _ in range(100)}
     assert len(ids) == 100
+
+
+def _payloads(size, layer_groups):
+    """``payload_groups`` for a *size*-flit packet: none, every count in
+    range, and counts below and above it (0 and 7)."""
+    return [
+        None,
+        [seq % layer_groups + 1 for seq in range(size)],
+        [(0, 7)[seq % 2] for seq in range(size)],
+    ]
+
+
+@pytest.mark.parametrize("layer_groups", [3, 4])
+@pytest.mark.parametrize("size", range(1, 7))
+def test_make_flits_equals_direct_construction(size, layer_groups):
+    """``make_flits`` builds its flits without the dataclass constructor;
+    each must equal, field by field, the ``Flit(...)`` built directly
+    with the kind its position gives and the clamped word-group count."""
+    for payload in _payloads(size, layer_groups):
+        packet = Packet(src=0, dst=1, size_flits=size, payload_groups=payload)
+        flits = packet.make_flits(layer_groups)
+        assert len(flits) == size
+        for seq, flit in enumerate(flits):
+            if size == 1:
+                kind = FlitType.SINGLE
+            elif seq == 0:
+                kind = FlitType.HEAD
+            elif seq == size - 1:
+                kind = FlitType.TAIL
+            else:
+                kind = FlitType.BODY
+            if payload is not None:
+                active = min(max(payload[seq], 1), layer_groups)
+            else:
+                active = 1 if seq == 0 else layer_groups
+            direct = Flit(packet=packet, kind=kind, seq=seq, active_groups=active)
+            fields = (
+                "kind", "seq", "active_groups", "lookahead_port",
+                "is_head", "is_tail",
+            )
+            for name in fields:
+                assert getattr(flit, name) == getattr(direct, name), (
+                    size, payload, seq, name
+                )
+            assert flit.packet is packet
+            assert type(flit) is Flit
+            assert flit == direct
+    with pytest.raises(ValueError):
+        Flit(packet, FlitType.SINGLE, 0, active_groups=0)

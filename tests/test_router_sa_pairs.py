@@ -60,8 +60,9 @@ def _bid(network, router, requests):
         network.vc_fifos[i].append(flit)
         network.vc_state[i] = _ACTIVE
         network.vc_out_port[i] = router.port_base + out_port
-        network.vc_out_vc[i] = out_vc
-        network.out_owner[network.unit_index(router.node, out_port, out_vc)] = i
+        key = network.unit_index(router.node, out_port, out_vc)
+        network.vc_held[i] = key
+        network.out_owner[key] = i
         network._active.add(i)
         units.append(i)
         unit_of[id(flit)] = i

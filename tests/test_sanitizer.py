@@ -145,7 +145,8 @@ class TestSeededFaults:
     def test_corrupted_credit_counter_attributed(self):
         network, _ = _warmed_network()
         out = next(
-            p for p, target in enumerate(network.link_targets)
+            out_vc // network.num_vcs
+            for out_vc, target in enumerate(network.link_units)
             if target is not None
         )
         node, port, _ = network.unit_location(out * network.num_vcs)

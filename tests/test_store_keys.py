@@ -67,6 +67,44 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=field):
             PointSpec(make_2db(), "uniform", **kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -7),
+        ("fault_seed", -1),
+        ("fault_cycle", -1),
+        ("variation_seed", -1),
+        ("fault_links", ((0, 1),)),
+        ("fault_links", ((0, -1, 1),)),
+        ("fault_vcs", ((0, 1),)),
+        ("fault_vcs", ((-5, 0, 1, 0),)),
+    ])
+    def test_unusable_seed_cycle_or_fault_rejected(self, field, value):
+        """A negative seed would run its positive twin's simulation
+        under another key, and a fault tuple of the wrong arity would
+        fail only mid-run: both fail at the spec."""
+        with pytest.raises(ValueError, match=field):
+            PointSpec(make_2db(), "uniform", 0.1, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("warmup_cycles", -5),
+        ("measure_cycles", 0),
+        ("drain_cycles", -1),
+        ("seed", -1),
+    ])
+    def test_unusable_settings_rejected(self, settings, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(settings, **{field: value})
+
+    def test_zero_bounds_accepted(self, settings):
+        spec = PointSpec(
+            make_2db(), "uniform", 0.1, seed=0,
+            fault_links=((0, 0, 1),), fault_vcs=((0, 0, 0, 0),),
+        )
+        assert spec.seed == 0
+        assert dataclasses.replace(
+            settings, warmup_cycles=0, drain_cycles=0, measure_cycles=1,
+            seed=0,
+        ).measure_cycles == 1
+
     @pytest.mark.parametrize("fraction", [0.0, 1.0])
     def test_fraction_bounds_accepted(self, fraction):
         spec = PointSpec(make_2db(), "nuca", 0.05, short_flit_fraction=fraction)
